@@ -2,15 +2,16 @@
 
 CARGO ?= cargo
 
-.PHONY: verify verify-bench verify-par verify-simd verify-rtl verify-spec verify-fuzz verify-clippy verify-lint verify-prove verify-obs build test doc bench bench-json clean
+.PHONY: verify verify-bench verify-checkbench verify-par verify-simd verify-rtl verify-spec verify-fuzz verify-clippy verify-lint verify-prove verify-obs build test doc bench bench-json clean
 
-verify: ## release build + examples + full test suite + clean rustdoc + clippy -D warnings + benches compile + parallel equivalence + bit-sliced engine gate + RTL co-sim + spec pipeline + static-analysis gate + fuzz campaign + observability gate
+verify: ## release build + examples + full test suite + clean rustdoc + clippy -D warnings + benches and checkbench compile + parallel equivalence + bit-sliced engine gate + RTL co-sim + spec pipeline + static-analysis gate + fuzz campaign + observability gate
 	$(CARGO) build --release
 	$(CARGO) build --examples
 	$(CARGO) test -q
 	$(CARGO) doc --no-deps
 	$(MAKE) verify-clippy
 	$(MAKE) verify-bench
+	$(MAKE) verify-checkbench
 	$(MAKE) verify-par
 	$(MAKE) verify-simd
 	$(MAKE) verify-rtl
@@ -72,6 +73,9 @@ verify-obs: ## observability gate: cesc-obs unit suite + the cross-layer serial=
 
 verify-bench: ## compile every bench without running it, so bench bit-rot fails tier-1 locally
 	$(CARGO) bench -p cesc-bench --no-run
+
+verify-checkbench: ## build the end-to-end benchmark helper: checkbench/ is its own workspace, so a root build never compiles it
+	$(CARGO) build --release --offline --manifest-path checkbench/Cargo.toml
 
 verify-simd: ## bit-sliced engine gate: sliced==scalar property suite + the zero-alloc streaming discipline, then the simd and parallel benches with their JSON floors checked (sparse >= 2x and OCP burst >= 1.3x over scan_batch, fleet speedup >= 1.0)
 	$(CARGO) test -q --test simd_equivalence

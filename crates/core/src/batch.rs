@@ -613,18 +613,6 @@ impl CompiledMonitor {
         self.slice.as_ref()
     }
 
-    /// Maps a *global-symbol* scoreboard bitmask into this monitor's
-    /// slot space (identity unless slots were narrowed); bits outside
-    /// the monitor's scoreboard footprint are dropped.
-    pub(crate) fn densify_chk(&self, global: u128) -> u128 {
-        let masked = global & self.sb_mask;
-        if self.dense_slots {
-            densify(masked, self.sb_mask)
-        } else {
-            masked
-        }
-    }
-
     /// Whether this monitor carries bit-slicing tables
     /// ([`CompileOptions::bit_slice`]) — i.e. its executors take the
     /// 64-ticks-per-word path for conjunction-guard states.
@@ -820,29 +808,13 @@ impl ExecState {
 
     /// Consumes one valuation against `board`; returns whether the
     /// final state was entered.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no transition is enabled (the transition relation is
+    /// not total).
     #[inline(always)]
     pub(crate) fn step(&mut self, m: &CompiledMonitor, v: Valuation, board: &mut BatchBoard) -> bool {
-        match self.try_step(m, v, board) {
-            Some((hit, _)) => hit,
-            None => panic!(
-                "monitor `{}` has no enabled transition from s{} — transition relation not total",
-                m.name, self.state
-            ),
-        }
-    }
-
-    /// [`ExecState::step`] without the totality panic: returns `None`
-    /// (leaving state, ticks and board untouched) when no transition
-    /// is enabled — the form speculative window execution needs. On
-    /// success returns `(entered final state, executed any scoreboard
-    /// action)`.
-    #[inline(always)]
-    pub(crate) fn try_step(
-        &mut self,
-        m: &CompiledMonitor,
-        v: Valuation,
-        board: &mut BatchBoard,
-    ) -> Option<(bool, bool)> {
         let bits = v.bits();
         let lo = m.state_off[self.state as usize] as usize;
         let hi = m.state_off[self.state as usize + 1] as usize;
@@ -861,11 +833,12 @@ impl ExecState {
             }
         }
         if taken == usize::MAX {
-            return None;
+            panic!(
+                "monitor `{}` has no enabled transition from s{} — transition relation not total",
+                m.name, self.state
+            );
         }
-        let action_range = m.action_off[taken] as usize..m.action_off[taken + 1] as usize;
-        let acted = !action_range.is_empty();
-        for a in &m.actions[action_range] {
+        for a in &m.actions[m.action_off[taken] as usize..m.action_off[taken + 1] as usize] {
             match *a {
                 PackedAction::Add(i) => {
                     let c = &mut board.counts[i as usize];
@@ -887,7 +860,7 @@ impl ExecState {
         }
         self.state = m.targets[taken];
         self.ticks += 1;
-        Some((self.state == m.final_state, acted))
+        self.state == m.final_state
     }
 
     pub(crate) fn reset(&mut self, m: &CompiledMonitor) {
@@ -991,30 +964,6 @@ impl BatchExec<'_> {
         self.dense_words
     }
 
-    /// Adopts a clean speculative window run produced by
-    /// [`CompiledMonitor::speculate_window`]: appends its hits at the
-    /// current tick base, advances the tick counter by the window
-    /// length and jumps to its end state. Sound because a clean run is
-    /// scoreboard-oblivious — it executed no actions and read no
-    /// counter that can be non-zero — so the board is untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run is not clean or does not start at the
-    /// executor's current state.
-    pub fn adopt_run(&mut self, run: &crate::simd::WindowRun, hits: &mut Vec<u64>) {
-        assert!(run.clean, "only clean window runs can be adopted");
-        assert_eq!(
-            self.state.state, run.start_state,
-            "window run starts at a different state than the executor is in"
-        );
-        for &h in &run.rel_hits {
-            hits.push(self.state.ticks + h);
-        }
-        self.state.ticks += run.steps;
-        self.state.state = run.end_state;
-    }
-
     /// Ticks consumed so far.
     pub fn ticks(&self) -> u64 {
         self.state.ticks
@@ -1068,7 +1017,7 @@ impl Monitor {
     /// Runs the monitor over `trace` through the compiled batch
     /// engine. The slice is already resident, so it is fed in one
     /// call; chunking earns its keep at the producers
-    /// ([`cesc_trace::VcdStream`], the `cesc-sim` harnesses), whose
+    /// ([`cesc_trace::GlobalVcdStream`], the `cesc-sim` harnesses), whose
     /// chunks [`BatchExec::feed`] accepts incrementally.
     ///
     /// Produces a report identical to [`Monitor::scan`] on the same

@@ -28,9 +28,7 @@
 //!   counts-only scoreboard, clock-major chunk execution where the
 //!   domains' scoreboard footprints permit;
 //! * [`simd`] — the bit-sliced engine: 64 ticks evaluated per machine
-//!   word over transposed bit columns, plus the speculative window
-//!   runs ([`CompiledMonitor::speculate_window`] / [`WindowRun`])
-//!   behind `cesc-par`'s trace-segment parallelism;
+//!   word over transposed bit columns;
 //! * [`optimize`] / [`CompileOptions`] — the optimization pass
 //!   pipeline: unreachable-state and dead-transition pruning with
 //!   state renumbering at the automaton level, guard-program
@@ -115,5 +113,4 @@ pub use monitor::{
 pub use multibatch::{CompiledMultiClock, MultiClockBatchExec, MultiClockBatchState};
 pub use multiclock::{synthesize_multiclock, MultiClockExec, MultiClockMonitor};
 pub use scoreboard::{Action, Occurrence, Scoreboard, SharedScoreboard};
-pub use simd::WindowRun;
 pub use synth::{synthesize, OverlapPolicy, SynthError, SynthOptions};

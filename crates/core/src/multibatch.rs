@@ -42,8 +42,7 @@ use crate::multiclock::MultiClockMonitor;
 /// Build once with [`CompiledMultiClock::new`] (or
 /// [`MultiClockMonitor::compiled`]), then execute with a
 /// [`MultiClockBatchExec`], or own a [`MultiClockBatchState`] next to
-/// the table (the pattern `MonitorBank` and the `cesc-sim`
-/// `BatchHarness` use).
+/// the table (the pattern `MonitorBank` uses).
 #[derive(Debug, Clone)]
 pub struct CompiledMultiClock {
     name: String,
@@ -285,8 +284,8 @@ impl CompiledMultiClock {
 /// states, the shared counts-only scoreboard, completion marks and the
 /// reused projection buffers of the clock-major path.
 ///
-/// Owned separately from the table so harnesses can store both side by
-/// side without self-references (see `cesc-sim`'s `BatchHarness`).
+/// Owned separately from the table so banks can store both side by
+/// side without self-references (see [`crate::MonitorBank`]).
 #[derive(Debug, Clone)]
 pub struct MultiClockBatchState {
     states: Vec<ExecState>,

@@ -1,4 +1,4 @@
-//! Bit-sliced 64-tick batch execution and speculative window runs.
+//! Bit-sliced 64-tick batch execution.
 //!
 //! The flat batch engine ([`crate::BatchExec`]) dispatches once per
 //! tick even though [`crate::CompileOptions::narrow_masks`]
@@ -34,23 +34,10 @@
 //! equivalent to the scalar path by construction (and pinned by the
 //! `simd_equivalence` property suite plus a cesc-fuzz differential
 //! leg).
-//!
-//! The second half of the module is **speculative window execution**
-//! ([`CompiledMonitor::speculate_window`]): run a trace window from an
-//! arbitrary start state over an *empty* scoreboard, and report
-//! whether the run is [`WindowRun::clean`] — adoptable no matter what
-//! scoreboard the real run carries into the window. Cleanliness
-//! combines two facts: the run executed no scoreboard actions, and no
-//! state it scanned reads a counter that can ever be non-zero (the
-//! caller passes that *may-be-non-zero* mask, derived from the
-//! [`crate::infer_bounds`] interval analysis). `cesc-par` fans windows
-//! out across threads and stitches clean runs at segment joins,
-//! replaying the rest exactly — trace-segment parallelism for the
-//! single-big-monitor case fleet sharding cannot touch.
 
 use cesc_expr::Valuation;
 
-use crate::batch::{BatchBoard, CompiledMonitor, ExecState, GuardKind, GuardOp};
+use crate::batch::{BatchBoard, CompiledMonitor, ExecState, GuardKind};
 
 /// In-place transpose of a 64×64 bit matrix (Hacker's Delight
 /// recursive mask-swap, 6 rounds of 32 swaps). In the MSB-first
@@ -403,139 +390,6 @@ pub(crate) fn feed_sliced(
     (words, dense)
 }
 
-/// The outcome of one speculative window run — see
-/// [`CompiledMonitor::speculate_window`].
-#[derive(Debug, Clone)]
-pub struct WindowRun {
-    pub(crate) start_state: u32,
-    pub(crate) end_state: u32,
-    /// Hit offsets relative to the window start.
-    pub(crate) rel_hits: Vec<u64>,
-    /// Ticks actually executed (equals the window length iff the run
-    /// completed; an unclean run stops at the first unsafe step).
-    pub(crate) steps: u64,
-    pub(crate) clean: bool,
-}
-
-impl WindowRun {
-    /// Whether the run is adoptable under *any* incoming scoreboard:
-    /// it completed the window, executed no scoreboard actions, and
-    /// never scanned a guard reading a counter that can be non-zero.
-    pub fn clean(&self) -> bool {
-        self.clean
-    }
-
-    /// Ticks executed before the run completed or bailed out.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// The state the run started from.
-    pub fn start_state(&self) -> usize {
-        self.start_state as usize
-    }
-
-    /// The state the run ended in (meaningful only when clean).
-    pub fn end_state(&self) -> usize {
-        self.end_state as usize
-    }
-
-    /// Detection offsets relative to the window start.
-    pub fn rel_hits(&self) -> &[u64] {
-        &self.rel_hits
-    }
-}
-
-impl CompiledMonitor {
-    /// Runs `window` from `start_state` over an empty scoreboard,
-    /// without panicking on a stuck configuration — the speculative
-    /// half of trace-segment parallelism.
-    ///
-    /// `may_chk_global` is a *global-symbol* bitmask of scoreboard
-    /// events whose count can ever be non-zero; derive it from
-    /// [`crate::infer_bounds`] (any event not proved `[0, 0]`), or
-    /// pass [`CompiledMonitor::touched_symbols`] as the conservative
-    /// fallback. The returned run is [`WindowRun::clean`] — and
-    /// adoptable via [`crate::BatchExec::adopt_run`] regardless of the
-    /// real incoming scoreboard — iff it completed the window, executed
-    /// no actions, and every state it visited reads only counters
-    /// outside `may_chk_global` (those are zero under any reachable
-    /// scoreboard, so the empty-board evaluation is exact). Unclean
-    /// windows must be replayed from the true carry state; the stitch
-    /// in `cesc-par` does exactly that, which is why segment-parallel
-    /// verdicts are bit-identical to serial ones.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start_state` is out of range.
-    pub fn speculate_window(
-        &self,
-        start_state: usize,
-        window: &[Valuation],
-        may_chk_global: u128,
-    ) -> WindowRun {
-        assert!(start_state < self.state_count(), "start state out of range");
-        let may_slots = self.densify_chk(may_chk_global);
-        // a state is chk-sensitive when any of its guards (all are
-        // scanned by the priority fold in the worst case) reads a
-        // may-be-non-zero counter: its scan could diverge under the
-        // real incoming scoreboard
-        let sensitive: Vec<bool> = (0..self.state_count())
-            .map(|s| {
-                self.state_range(s).any(|t| match self.guard_kinds()[t] {
-                    GuardKind::Mask64(g) => {
-                        (u128::from(g.chk_pos) | u128::from(g.chk_neg)) & may_slots != 0
-                    }
-                    GuardKind::Mask(g) => (g.chk_pos | g.chk_neg) & may_slots != 0,
-                    GuardKind::Program(start, len) => self.guard_ops()
-                        [start as usize..(start + len) as usize]
-                        .iter()
-                        .any(|op| matches!(*op, GuardOp::Chk(i) if may_slots >> i & 1 == 1)),
-                })
-            })
-            .collect();
-
-        let mut st = ExecState::new(self);
-        st.state = start_state as u32;
-        let mut board = BatchBoard::sized(self.count_slots());
-        let mut rel_hits = Vec::new();
-        let mut steps = 0u64;
-        let mut clean = true;
-        for &v in window {
-            if sensitive[st.state as usize] {
-                clean = false;
-                break;
-            }
-            match st.try_step(self, v, &mut board) {
-                // stuck: the replay will panic exactly like serial
-                None => {
-                    clean = false;
-                    break;
-                }
-                Some((hit, acted)) => {
-                    if acted {
-                        // the board diverged from the (unknown) real
-                        // one; nothing after this step is trustworthy
-                        clean = false;
-                        break;
-                    }
-                    if hit {
-                        rel_hits.push(steps);
-                    }
-                    steps += 1;
-                }
-            }
-        }
-        WindowRun {
-            start_state: start_state as u32,
-            end_state: st.state,
-            rel_hits,
-            steps,
-            clean,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -642,57 +496,5 @@ mod tests {
             exec.words()
         );
         assert_eq!(exec.finish(hits), reference);
-    }
-
-    #[test]
-    fn speculative_clean_window_adopts_exactly() {
-        let m = handshake();
-        let doc = parse_document(
-            "scesc hs on clk { instances { M } events { req, ack } \
-             tick { M: req } tick { M: ack } }",
-        )
-        .unwrap();
-        let req = doc.alphabet.lookup("req").unwrap();
-        let ack = doc.alphabet.lookup("ack").unwrap();
-        let trace: Vec<Valuation> = (0..200)
-            .map(|i| match i % 10 {
-                3 => Valuation::of([req]),
-                4 => Valuation::of([ack]),
-                _ => Valuation::empty(),
-            })
-            .collect();
-        let compiled = m.compiled_with(&CompileOptions::optimized());
-        let reference = m.scan_batch(&trace);
-
-        // handshake has no scoreboard traffic: every window is clean
-        let may = compiled.touched_symbols();
-        let (w0, w1) = trace.split_at(101);
-        let mut exec = compiled.executor();
-        let mut hits = Vec::new();
-        let r0 = compiled.speculate_window(exec.state_index(), w0, may);
-        assert!(r0.clean());
-        exec.adopt_run(&r0, &mut hits);
-        let r1 = compiled.speculate_window(exec.state_index(), w1, may);
-        assert!(r1.clean());
-        exec.adopt_run(&r1, &mut hits);
-        assert_eq!(exec.finish(hits), reference);
-    }
-
-    #[test]
-    fn speculation_with_scoreboard_traffic_is_unclean() {
-        // cause e1 -> e3 introduces Add/Del/Chk scoreboard traffic
-        let doc = parse_document(
-            "scesc c on clk { instances { A, B } events { e1, e3 } \
-             tick { A: e1 } tick { B: e3 } cause e1 -> e3; }",
-        )
-        .unwrap();
-        let m = synthesize(doc.chart("c").unwrap(), &SynthOptions::default()).unwrap();
-        let compiled = m.compiled_with(&CompileOptions::optimized());
-        let e1 = doc.alphabet.lookup("e1").unwrap();
-        let e3 = doc.alphabet.lookup("e3").unwrap();
-        let window = vec![Valuation::of([e1]), Valuation::of([e3])];
-        let may = compiled.touched_symbols();
-        let run = compiled.speculate_window(compiled.initial_index(), &window, may);
-        assert!(!run.clean(), "action-executing window must not be clean");
     }
 }

@@ -28,12 +28,9 @@
 //! An eighth leg targets the bit-sliced 64-tick engine: the same
 //! optimized monitor compiled with and without
 //! [`cesc_core::CompileOptions::bit_slice`] must produce identical
-//! `ScanReport`s (full equality — shared state numbering), and the
-//! trace-segment speculative executor (`cesc_par::scan_segmented`)
-//! stitched over the case's chunk size as its window split must
-//! reproduce the serial verdict exactly. This is the dynamic pin
-//! behind `--no-simd` / `--segments`: the transpose, word-evaluation
-//! and window-adoption machinery can never change a verdict.
+//! `ScanReport`s (full equality — shared state numbering). This is the
+//! dynamic pin behind the engine choice: the transpose and
+//! word-evaluation machinery can never change a verdict.
 //!
 //! A seventh leg cross-checks the *static prover*
 //! (`cesc_core::prove_implication`, the engine behind `cesc prove`)
@@ -51,10 +48,7 @@
 use cesc_core::{CompileOptions, CompiledMonitor, MonitorExec, ScanReport};
 use cesc_expr::Valuation;
 use cesc_hdl::VerilogOptions;
-use cesc_par::{
-    plan_shards, scan_segmented, scan_sharded, scan_sharded_global, Fleet, ParOptions,
-    SegmentOptions,
-};
+use cesc_par::{plan_shards, scan_sharded, scan_sharded_global, Fleet, ParOptions};
 use cesc_rtl::{cosim_scan, report_agrees};
 use cesc_spec::{SpecSet, TargetRef};
 use cesc_trace::{ClockDomain, ClockSet, GlobalRun, Trace};
@@ -175,9 +169,7 @@ pub fn run_case(input: &CaseInput) -> Result<CaseReport, Box<Discrepancy>> {
 
     // leg 2b: the bit-sliced 64-tick engine against the scalar
     // compilation of the *same* optimized monitor (full ScanReport
-    // equality — state numbering is shared, so nothing is masked),
-    // plus the trace-segment speculative executor stitched over the
-    // case's chunk size as its window split
+    // equality — state numbering is shared, so nothing is masked)
     for &(idx, ref base) in &baselines {
         let spec = set.chart_spec(idx).expect("compiled above");
         let name = set.target_name(TargetRef::Chart(idx)).to_owned();
@@ -196,29 +188,6 @@ pub fn run_case(input: &CaseInput) -> Result<CaseReport, Box<Discrepancy>> {
                     "scalar matches {:?} (ticks {}, underflows {}) vs sliced {:?} ({}, {})",
                     scalar.matches, scalar.ticks, scalar.underflows, sliced.matches,
                     sliced.ticks, sliced.underflows
-                ),
-            }));
-        }
-        let seg_opts = SegmentOptions {
-            jobs: input.jobs.max(1),
-            window: chunk,
-            ..SegmentOptions::default()
-        };
-        let seg = scan_segmented(
-            &sliced_monitor,
-            sliced_monitor.touched_symbols(),
-            trace,
-            &seg_opts,
-        );
-        if seg.report != sliced {
-            return Err(Box::new(Discrepancy {
-                stage: "segmented-engine".into(),
-                target: name,
-                detail: format!(
-                    "serial matches {:?} (ticks {}) vs segmented({} jobs, window {}) {:?} ({}; \
-                     {} adopted, {} replayed)",
-                    sliced.matches, sliced.ticks, input.jobs, chunk, seg.report.matches,
-                    seg.report.ticks, seg.adopted, seg.replayed
                 ),
             }));
         }
@@ -567,7 +536,7 @@ pub fn run_multiclock_case(input: &MultiCaseInput) -> Result<CaseReport, Box<Dis
 /// payload if one escaped.
 pub mod total {
     use cesc_expr::{Alphabet, NameResolution, SymbolKind};
-    use cesc_trace::{GlobalVcdStream, VcdClockSpec, VcdStream};
+    use cesc_trace::{GlobalVcdStream, VcdClockSpec};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn payload(e: Box<dyn std::any::Any + Send>) -> String {
@@ -597,15 +566,16 @@ pub mod total {
         .map_err(payload)
     }
 
-    /// Drives the streaming VCD reader (header parse + full drain)
-    /// over arbitrary bytes.
+    /// Drives the streaming VCD reader on one clock (header parse +
+    /// full drain) over arbitrary bytes.
     pub fn vcd_reader(bytes: &[u8]) -> Result<(), String> {
         catch_unwind(AssertUnwindSafe(|| {
             let mut ab = Alphabet::new();
             for i in 0..4 {
                 ab.event(&format!("e{i}"));
             }
-            if let Ok(mut s) = VcdStream::from_reader(bytes, &ab, "clk") {
+            let specs = [VcdClockSpec::new("clk")];
+            if let Ok(mut s) = GlobalVcdStream::from_reader(bytes, &ab, &specs) {
                 let mut buf = Vec::new();
                 while matches!(s.next_chunk(&mut buf, 64), Ok(n) if n > 0) {}
             }

@@ -71,14 +71,6 @@ pub mod key {
     pub const ENGINE_WORDS: &str = "engine.words";
     /// Word evaluations that paid at least one scalar fallback.
     pub const ENGINE_DENSE_WORDS: &str = "engine.dense_words";
-    /// Trace windows a segmented scan split the dump into.
-    pub const SEGMENT_WINDOWS: &str = "segment.windows";
-    /// Ticks executed speculatively across all window × state runs.
-    pub const SEGMENT_SPECULATIVE_STEPS: &str = "segment.speculative_steps";
-    /// Windows stitched by adopting a clean speculative run.
-    pub const SEGMENT_ADOPTED: &str = "segment.adopted";
-    /// Windows replayed exactly from the stitch carry state.
-    pub const SEGMENT_REPLAYED: &str = "segment.replayed";
     /// Global steps fed through the streaming check loop.
     pub const FLEET_STEPS: &str = "fleet.steps";
     /// Chunks broadcast to the shard workers.

@@ -150,12 +150,15 @@ impl RunReport {
             for (n, v) in &self.counters {
                 out.push_str(&format!("  {n:<20} {v}\n"));
             }
+            // engine throughput over the time the shards spent
+            // stepping monitors, not the whole run (decode included)
             let ticks = self.counter(crate::key::ENGINE_TICKS);
-            if ticks > 0 && self.wall_ns > 0 {
+            let busy_ns: u64 = self.shards.iter().map(|s| s.busy_ns).sum();
+            if ticks > 0 && busy_ns > 0 {
                 out.push_str(&format!(
                     "  {:<20} {:.3}\n",
                     "engine.mticks_per_s",
-                    ticks as f64 * 1e3 / self.wall_ns as f64
+                    ticks as f64 * 1e3 / busy_ns as f64
                 ));
             }
         }
@@ -336,6 +339,21 @@ mod tests {
         assert!(text.contains("histogram chunk.steps: count 2 sum 16000 mean 8000.0"), "{text}");
         assert!(text.contains("#0"), "{text}");
         assert!(text.contains("util"), "{text}");
+    }
+
+    #[test]
+    fn engine_throughput_divides_by_shard_busy_time() {
+        // 240k ticks over 2 ms + 3 ms of shard busy time
+        let text = sample().render_text();
+        assert!(text.contains("  engine.mticks_per_s  48.000\n"), "{text}");
+
+        // no shard ran: no throughput line, however long the run was
+        let obs = Obs::enabled();
+        obs.counter(key::ENGINE_TICKS).add(240_000);
+        obs.record_span("execute", Duration::from_millis(4));
+        let text = obs.report("check").render_text();
+        assert!(text.contains("engine.ticks"), "{text}");
+        assert!(!text.contains("engine.mticks_per_s"), "{text}");
     }
 
     #[test]

@@ -19,11 +19,6 @@
 //!   reference-counted messages over bounded channels, zero
 //!   cross-shard locking on the hot path, per-shard results merged at
 //!   join into a [`FleetReport`];
-//! * [`scan_segmented`] — trace-segment speculative parallelism for
-//!   the *single-big-monitor* case fleet sharding cannot touch: the
-//!   dump is cut into windows, every window runs speculatively from
-//!   every reachable state, and clean runs are stitched at the joins
-//!   (unclean ones replay exactly), bit-identical to serial;
 //! * [`MatchLog`] — bounded match tallies, so a bulk-traffic run's
 //!   residency stays constant unless the caller asks for every hit.
 //!
@@ -62,7 +57,6 @@
 
 mod fleet;
 mod plan;
-mod segment;
 mod tally;
 
 pub use fleet::{
@@ -70,7 +64,6 @@ pub use fleet::{
     FleetReport, MultiReport, ParOptions, SingleReport, ASSERT_VIOLATION_KEEP,
 };
 pub use plan::{plan_shards, FleetItem, ShardPlan};
-pub use segment::{scan_segmented, SegmentOptions, SegmentReport};
 pub use tally::MatchLog;
 
 #[cfg(test)]

@@ -1,17 +1,19 @@
 //! Online monitoring harnesses.
 //!
 //! Connects synthesized monitors to a running [`Simulation`]: either
-//! *inline* (monitors stepped in the simulation loop) or *decoupled*
-//! (simulation thread streams [`GlobalStep`]s over a channel to a
-//! monitor thread — how checkers attach to a live simulator in
-//! practice).
+//! *inline* ([`OnlineHarness`], monitors stepped in the simulation loop
+//! — the step-wise reference) or *decoupled*
+//! ([`run_decoupled_parallel`], the simulation thread streams
+//! [`GlobalStep`] chunks into a sharded `cesc-par` fleet — how checkers
+//! attach to a live simulator in practice).
+//!
+//! [`Simulation`]: crate::Simulation
 
-use cesc_core::{Monitor, MonitorBank, MonitorExec, MultiClockMonitor};
+use cesc_core::{Monitor, MonitorExec, MultiClockMonitor};
 use cesc_trace::{ClockSet, GlobalStep};
-use crossbeam::channel;
 
-/// Number of [`GlobalStep`]s per chunk on the batched decoupled
-/// channel ([`run_decoupled_batched`]).
+/// Number of [`GlobalStep`]s per chunk the simulation thread hands to
+/// the fleet in [`run_decoupled_parallel`].
 pub const HARNESS_CHUNK: usize = 1024;
 
 /// Inline harness: single-clock monitors plus optional multi-clock
@@ -50,8 +52,20 @@ impl<'m> OnlineHarness<'m> {
         self.single.len() - 1
     }
 
-    /// Attaches a multi-clock monitor.
-    pub fn attach_multiclock(&mut self, monitor: &'m MultiClockMonitor) -> usize {
+    /// Attaches a multi-clock monitor; each local monitor's clock must
+    /// name a domain of `clocks`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any local monitor's clock is not in `clocks` — an
+    /// unbound local never advances, which would silently make the
+    /// full spec unmatchable.
+    pub fn attach_multiclock(
+        &mut self,
+        clocks: &ClockSet,
+        monitor: &'m MultiClockMonitor,
+    ) -> usize {
+        check_multiclock_clocks(clocks, monitor);
         self.multi.push(monitor.executor());
         self.multi_hits.push(Vec::new());
         self.multi.len() - 1
@@ -102,17 +116,32 @@ impl Default for OnlineHarness<'_> {
     }
 }
 
-/// Batched single-clock harness: monitors are compiled once and
-/// grouped into one [`MonitorBank`] per clock domain, so a chunk of
-/// global steps drives every monitor through the flat batch engine —
-/// the production configuration for high-rate simulation feeds.
+/// Panics unless every local monitor of `monitor` is clocked by a
+/// domain of `clocks`.
+fn check_multiclock_clocks(clocks: &ClockSet, monitor: &MultiClockMonitor) {
+    for local in monitor.locals() {
+        assert!(
+            clocks.lookup(local.clock()).is_some(),
+            "multi-clock local `{}`'s clock `{}` not in clock set",
+            local.name(),
+            local.clock()
+        );
+    }
+}
+
+/// Runs monitors off the simulation thread — the decoupled deployment
+/// of Fig 4's "simulation environment" box: the simulation thread
+/// streams [`HARNESS_CHUNK`]-sized chunks into a `cesc-par` fleet,
+/// whose shard planner partitions the monitors across `jobs` worker
+/// threads (cost-balanced, scoreboard-coupled members co-located).
+/// Each worker owns its shard's complete mutable state, so the monitor
+/// hot path runs without cross-shard locking; per-shard results merge
+/// at join.
 ///
-/// Hits are recorded as *global times* (like [`OnlineHarness`]), not
-/// local tick indices. Multi-clock monitors ride the same chunks
-/// through the compiled shared-scoreboard engine
-/// ([`cesc_core::CompiledMultiClock`]) — attach them with
-/// [`BatchHarness::attach_multiclock`], so one verification plan may
-/// mix single- and multi-clock charts.
+/// Returns `(single_hits, multiclock_hits)` in the argument orders, as
+/// global times — bit-identical to the step-wise [`OnlineHarness`] on
+/// the same simulation, for any `jobs`. `jobs == 0` or `1` runs a
+/// single worker.
 ///
 /// # Examples
 ///
@@ -120,7 +149,7 @@ impl Default for OnlineHarness<'_> {
 /// use cesc_chart::parse_document;
 /// use cesc_core::{synthesize, SynthOptions};
 /// use cesc_expr::Valuation;
-/// use cesc_sim::{BatchHarness, PeriodicTransactor, Simulation};
+/// use cesc_sim::{run_decoupled_parallel, PeriodicTransactor, Simulation};
 /// use cesc_trace::ClockDomain;
 ///
 /// let doc = parse_document(
@@ -134,307 +163,14 @@ impl Default for OnlineHarness<'_> {
 /// sim.add_transactor(Box::new(PeriodicTransactor::new(
 ///     "clk", vec![Valuation::of([x])], 1, 0,
 /// )));
-/// let clocks = sim.clocks().clone();
-/// let mut harness = BatchHarness::new();
-/// let idx = harness.attach(&clocks, &m);
-/// let run = sim.run(6);
-/// let steps: Vec<_> = run.iter().cloned().collect();
-/// harness.observe_batch(&clocks, &steps);
-/// assert_eq!(harness.hits(idx), &[0, 2, 4]);
-/// ```
-#[derive(Debug, Default)]
-pub struct BatchHarness {
-    /// The mixed plan: single- and multi-clock members, fed globally.
-    /// Attach order equals bank index in each slot space, so the
-    /// harness is a thin simulation-facing veneer over
-    /// [`MonitorBank::feed_global`].
-    bank: MonitorBank,
-}
-
-impl BatchHarness {
-    /// Creates an empty harness.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Compiles and attaches a single-clock monitor; its
-    /// [`Monitor::clock`] must name a domain of `clocks`. Returns the
-    /// monitor's index for [`BatchHarness::hits`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the monitor's clock is not in `clocks`.
-    pub fn attach(&mut self, clocks: &ClockSet, monitor: &Monitor) -> usize {
-        assert!(
-            clocks.lookup(monitor.clock()).is_some(),
-            "monitor clock `{}` not in clock set",
-            monitor.clock()
-        );
-        self.bank.add(monitor)
-    }
-
-    /// Attaches an already-compiled single-clock monitor — the path
-    /// for artifacts that went through the `cesc-spec` pass pipeline
-    /// (see [`BatchHarness::attach_spec`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the monitor's clock is not in `clocks`.
-    pub fn attach_compiled(
-        &mut self,
-        clocks: &ClockSet,
-        compiled: cesc_core::CompiledMonitor,
-    ) -> usize {
-        assert!(
-            clocks.lookup(compiled.clock()).is_some(),
-            "monitor clock `{}` not in clock set",
-            compiled.clock()
-        );
-        self.bank.add_compiled(compiled)
-    }
-
-    /// Attaches the cached compiled artifact of a
-    /// [`cesc_spec::ChartSpec`], so a simulation harness runs exactly
-    /// the optimized tables `cesc check` executes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chart's clock is not in `clocks`.
-    pub fn attach_spec(&mut self, clocks: &ClockSet, spec: &cesc_spec::ChartSpec) -> usize {
-        self.attach_compiled(clocks, spec.compiled().clone())
-    }
-
-    /// Attaches an already-compiled multi-clock monitor (the
-    /// `cesc-spec` counterpart of
-    /// [`BatchHarness::attach_multiclock`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any local monitor's clock is not in `clocks`.
-    pub fn attach_compiled_multiclock(
-        &mut self,
-        clocks: &ClockSet,
-        compiled: cesc_core::CompiledMultiClock,
-    ) -> usize {
-        for local in compiled.locals() {
-            assert!(
-                clocks.lookup(local.clock()).is_some(),
-                "multi-clock local `{}`'s clock `{}` not in clock set",
-                local.name(),
-                local.clock()
-            );
-        }
-        self.bank.add_compiled_multiclock(compiled)
-    }
-
-    /// Compiles and attaches a multi-clock monitor; its locals bind to
-    /// the domains of `clocks` by clock name on the first feed.
-    /// Returns the monitor's index for
-    /// [`BatchHarness::multiclock_hits`] (a slot space separate from
-    /// single-clock indices).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any local monitor's clock is not in `clocks` — an
-    /// unbound local never advances, which would silently make the
-    /// full spec unmatchable.
-    pub fn attach_multiclock(&mut self, clocks: &ClockSet, monitor: &MultiClockMonitor) -> usize {
-        for local in monitor.locals() {
-            assert!(
-                clocks.lookup(local.clock()).is_some(),
-                "multi-clock local `{}`'s clock `{}` not in clock set",
-                local.name(),
-                local.clock()
-            );
-        }
-        self.bank.add_multiclock(monitor)
-    }
-
-    /// Number of attached single-clock monitors.
-    pub fn len(&self) -> usize {
-        self.bank.len()
-    }
-
-    /// Whether no monitor of either kind is attached.
-    pub fn is_empty(&self) -> bool {
-        self.bank.is_empty()
-    }
-
-    /// Feeds a chunk of global steps through
-    /// [`MonitorBank::feed_global`]: each distinct domain's ticks are
-    /// projected out of the chunk once, every monitor of that domain
-    /// runs monitor-major over the projection (tables staying hot),
-    /// and multi-clock members run the batched shared-scoreboard
-    /// engine. Detections are logged at the originating step's global
-    /// time.
-    pub fn observe_batch(&mut self, clocks: &ClockSet, steps: &[GlobalStep]) {
-        self.bank.feed_global(clocks, steps);
-    }
-
-    /// Global times at which monitor `idx` completed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn hits(&self, idx: usize) -> &[u64] {
-        self.bank.hits(idx)
-    }
-
-    /// Global times at which multi-clock monitor `idx` completed its
-    /// full specification.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn multiclock_hits(&self, idx: usize) -> &[u64] {
-        self.bank.multiclock_hits(idx)
-    }
-}
-
-/// Runs monitors on a dedicated thread, receiving steps over a channel
-/// from the simulation thread — the decoupled deployment of Fig 4's
-/// "simulation environment" box.
-///
-/// Returns the completion times of each attached monitor once the
-/// stream closes.
-///
-/// # Examples
-///
-/// ```
-/// use cesc_chart::parse_document;
-/// use cesc_core::{synthesize, SynthOptions};
-/// use cesc_expr::Valuation;
-/// use cesc_sim::{run_decoupled, PeriodicTransactor, Simulation};
-/// use cesc_trace::ClockDomain;
-///
-/// let doc = parse_document(
-///     "scesc p on clk { instances { M } events { x } tick { M: x } }",
-/// ).unwrap();
-/// let m = synthesize(doc.chart("p").unwrap(), &SynthOptions::default()).unwrap();
-/// let x = doc.alphabet.lookup("x").unwrap();
-///
-/// let mut sim = Simulation::new();
-/// sim.add_clock(ClockDomain::new("clk", 1, 0));
-/// sim.add_transactor(Box::new(PeriodicTransactor::new(
-///     "clk", vec![Valuation::of([x])], 1, 0,
-/// )));
-/// let hits = run_decoupled(&mut sim, 6, &[&m]);
+/// let (hits, _) = run_decoupled_parallel(&mut sim, 6, &[&m], &[], 2);
 /// assert_eq!(hits[0], vec![0, 2, 4]);
 /// ```
-pub fn run_decoupled(
-    sim: &mut crate::kernel::Simulation,
-    global_steps: usize,
-    monitors: &[&Monitor],
-) -> Vec<Vec<u64>> {
-    let (tx, rx) = channel::bounded::<(GlobalStep, ())>(1024);
-    let clocks = sim.clocks().clone();
-
-    std::thread::scope(|scope| {
-        let monitor_thread = scope.spawn(move || {
-            let mut harness = OnlineHarness::new();
-            for m in monitors {
-                harness.attach(&clocks, m);
-            }
-            while let Ok((step, ())) = rx.recv() {
-                harness.observe(&clocks, &step);
-            }
-            (0..monitors.len())
-                .map(|i| harness.hits(i).to_vec())
-                .collect::<Vec<_>>()
-        });
-
-        sim.run_with(global_steps, |_, step| {
-            tx.send((step.clone(), ())).expect("monitor thread alive");
-        });
-        drop(tx);
-        monitor_thread.join().expect("monitor thread panicked")
-    })
-}
-
-/// Batched variant of [`run_decoupled`]: the simulation thread sends
-/// [`HARNESS_CHUNK`]-sized chunks of steps over the channel and the
-/// monitor thread drives a [`BatchHarness`], so per-message overhead
-/// and per-step guard interpretation are both amortised.
 ///
-/// Produces exactly the hit times [`run_decoupled`] would for the
-/// same simulation (property: chunking never changes verdicts).
-pub fn run_decoupled_batched(
-    sim: &mut crate::kernel::Simulation,
-    global_steps: usize,
-    monitors: &[&Monitor],
-) -> Vec<Vec<u64>> {
-    run_decoupled_batched_plan(sim, global_steps, monitors, &[]).0
-}
-
-/// Mixed-plan variant of [`run_decoupled_batched`]: single-clock *and*
-/// multi-clock monitors share the chunked channel and one
-/// [`BatchHarness`] on the monitor thread. Returns `(single_hits,
-/// multiclock_hits)` in the argument orders.
+/// # Panics
 ///
-/// Verdicts equal the step-wise [`run_decoupled`] /
-/// [`OnlineHarness`] combination on the same simulation.
-pub fn run_decoupled_batched_plan(
-    sim: &mut crate::kernel::Simulation,
-    global_steps: usize,
-    monitors: &[&Monitor],
-    multis: &[&MultiClockMonitor],
-) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
-    let (tx, rx) = channel::bounded::<Vec<GlobalStep>>(64);
-    let clocks = sim.clocks().clone();
-
-    std::thread::scope(|scope| {
-        let monitor_clocks = clocks.clone();
-        let monitor_thread = scope.spawn(move || {
-            let mut harness = BatchHarness::new();
-            for m in monitors {
-                harness.attach(&monitor_clocks, m);
-            }
-            for mm in multis {
-                harness.attach_multiclock(&monitor_clocks, mm);
-            }
-            while let Ok(chunk) = rx.recv() {
-                harness.observe_batch(&monitor_clocks, &chunk);
-            }
-            (
-                (0..monitors.len())
-                    .map(|i| harness.hits(i).to_vec())
-                    .collect::<Vec<_>>(),
-                (0..multis.len())
-                    .map(|i| harness.multiclock_hits(i).to_vec())
-                    .collect::<Vec<_>>(),
-            )
-        });
-
-        let mut pending: Vec<GlobalStep> = Vec::with_capacity(HARNESS_CHUNK);
-        sim.run_with(global_steps, |_, step| {
-            pending.push(step.clone());
-            if pending.len() >= HARNESS_CHUNK {
-                tx.send(std::mem::take(&mut pending))
-                    .expect("monitor thread alive");
-            }
-        });
-        if !pending.is_empty() {
-            tx.send(pending).expect("monitor thread alive");
-        }
-        drop(tx);
-        monitor_thread.join().expect("monitor thread panicked")
-    })
-}
-
-/// Sharded-parallel variant of [`run_decoupled_batched_plan`]: the
-/// simulation thread streams [`HARNESS_CHUNK`]-sized chunks into a
-/// `cesc-par` fleet, whose shard planner partitions the monitors
-/// across `jobs` worker threads (cost-balanced, scoreboard-coupled
-/// members co-located). Each worker owns its shard's complete mutable
-/// state, so the monitor hot path runs without cross-shard locking;
-/// per-shard results merge at join.
-///
-/// Returns `(single_hits, multiclock_hits)` in the argument orders —
-/// bit-identical to [`run_decoupled_batched_plan`] (and therefore to
-/// the step-wise [`run_decoupled`]) on the same simulation, for any
-/// `jobs` (property-tested in the workspace `batch_equivalence`
-/// suite). `jobs == 0` or `1` still runs the fleet machinery on a
-/// single worker.
+/// Panics if a monitor's clock (or a multi-clock local's clock) is not
+/// a domain of the simulation.
 pub fn run_decoupled_parallel(
     sim: &mut crate::kernel::Simulation,
     global_steps: usize,
@@ -453,14 +189,7 @@ pub fn run_decoupled_parallel(
         fleet.add(m);
     }
     for mm in multis {
-        for local in mm.locals() {
-            assert!(
-                clocks.lookup(local.clock()).is_some(),
-                "multi-clock local `{}`'s clock `{}` not in clock set",
-                local.name(),
-                local.clock()
-            );
-        }
+        check_multiclock_clocks(&clocks, mm);
         fleet.add_multiclock(mm);
     }
     let plan = cesc_par::plan_shards(&fleet, jobs);
@@ -564,121 +293,9 @@ mod tests {
         let inline_hits = harness.hits(0).to_vec();
 
         let mut sim2 = build_sim();
-        let decoupled_hits = run_decoupled(&mut sim2, 20, &[&m]);
+        let (decoupled_hits, _) = run_decoupled_parallel(&mut sim2, 20, &[&m], &[], 2);
         assert_eq!(decoupled_hits[0], inline_hits);
         assert!(!inline_hits.is_empty());
-    }
-
-    #[test]
-    fn batch_harness_agrees_with_online_harness() {
-        let doc = handshake_doc();
-        let m = synthesize(doc.chart("hs").unwrap(), &SynthOptions::default()).unwrap();
-        let req = doc.alphabet.lookup("req").unwrap();
-        let ack = doc.alphabet.lookup("ack").unwrap();
-
-        let build_sim = || {
-            let mut sim = Simulation::new();
-            sim.add_clock(ClockDomain::new("clk", 1, 0));
-            sim.add_transactor(Box::new(PeriodicTransactor::new(
-                "clk",
-                vec![Valuation::of([req]), Valuation::of([ack])],
-                1,
-                0,
-            )));
-            sim
-        };
-
-        let mut sim = build_sim();
-        let clocks = sim.clocks().clone();
-        let mut online = OnlineHarness::new();
-        online.attach(&clocks, &m);
-        let run = sim.run(30);
-        let steps: Vec<GlobalStep> = run.iter().cloned().collect();
-        online.observe_batch(&clocks, &steps);
-
-        let mut batch = BatchHarness::new();
-        let idx = batch.attach(&clocks, &m);
-        assert_eq!(batch.len(), 1);
-        assert!(!batch.is_empty());
-        // feed in uneven chunks: state must carry across chunk borders
-        for chunk in steps.chunks(7) {
-            batch.observe_batch(&clocks, chunk);
-        }
-        assert_eq!(batch.hits(idx), online.hits(0));
-        assert!(!batch.hits(idx).is_empty());
-    }
-
-    #[test]
-    fn batch_harness_multiple_domains() {
-        let doc = parse_document(
-            r#"
-            scesc fastp on fast { instances { A } events { go } tick { A: go } }
-            scesc slowp on slow { instances { B } events { done } tick { B: done } }
-        "#,
-        )
-        .unwrap();
-        let mf = synthesize(doc.chart("fastp").unwrap(), &SynthOptions::default()).unwrap();
-        let ms = synthesize(doc.chart("slowp").unwrap(), &SynthOptions::default()).unwrap();
-        let go = doc.alphabet.lookup("go").unwrap();
-        let done = doc.alphabet.lookup("done").unwrap();
-
-        let mut sim = Simulation::new();
-        sim.add_clock(ClockDomain::new("fast", 1, 0));
-        sim.add_clock(ClockDomain::new("slow", 2, 0));
-        sim.add_transactor(Box::new(PeriodicTransactor::new(
-            "fast",
-            vec![Valuation::of([go])],
-            0,
-            0,
-        )));
-        sim.add_transactor(Box::new(PeriodicTransactor::new(
-            "slow",
-            vec![Valuation::of([done])],
-            0,
-            0,
-        )));
-        let clocks = sim.clocks().clone();
-        let mut online = OnlineHarness::new();
-        online.attach(&clocks, &mf);
-        online.attach(&clocks, &ms);
-        let mut batch = BatchHarness::new();
-        let bf = batch.attach(&clocks, &mf);
-        let bs = batch.attach(&clocks, &ms);
-
-        let run = sim.run(12);
-        let steps: Vec<GlobalStep> = run.iter().cloned().collect();
-        online.observe_batch(&clocks, &steps);
-        batch.observe_batch(&clocks, &steps);
-        assert_eq!(batch.hits(bf), online.hits(0));
-        assert_eq!(batch.hits(bs), online.hits(1));
-        assert!(!batch.hits(bs).is_empty());
-    }
-
-    #[test]
-    fn decoupled_batched_agrees_with_decoupled() {
-        let doc = handshake_doc();
-        let m = synthesize(doc.chart("hs").unwrap(), &SynthOptions::default()).unwrap();
-        let req = doc.alphabet.lookup("req").unwrap();
-        let ack = doc.alphabet.lookup("ack").unwrap();
-
-        let build_sim = || {
-            let mut sim = Simulation::new();
-            sim.add_clock(ClockDomain::new("clk", 1, 0));
-            sim.add_transactor(Box::new(PeriodicTransactor::new(
-                "clk",
-                vec![Valuation::of([req]), Valuation::of([ack])],
-                2,
-                1,
-            )));
-            sim
-        };
-
-        let mut sim1 = build_sim();
-        let reference = run_decoupled(&mut sim1, 40, &[&m]);
-        let mut sim2 = build_sim();
-        let batched = run_decoupled_batched(&mut sim2, 40, &[&m]);
-        assert_eq!(batched, reference);
-        assert!(!batched[0].is_empty());
     }
 
     /// Two-domain spec with cross causality plus a single-clock chart:
@@ -696,52 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_harness_multiclock_agrees_with_online() {
-        let doc = mixed_plan_doc();
-        let mm = synthesize_multiclock(doc.multiclock_spec("pair").unwrap(), &SynthOptions::default())
-            .unwrap();
-        let pulse = synthesize(doc.chart("pulse").unwrap(), &SynthOptions::default()).unwrap();
-        let go = doc.alphabet.lookup("go").unwrap();
-        let done = doc.alphabet.lookup("done").unwrap();
-
-        let mut sim = Simulation::new();
-        sim.add_clock(ClockDomain::new("clk1", 2, 0));
-        sim.add_clock(ClockDomain::new("clk2", 3, 1));
-        sim.add_transactor(Box::new(PeriodicTransactor::new(
-            "clk1",
-            vec![Valuation::of([go])],
-            4,
-            0,
-        )));
-        sim.add_transactor(Box::new(PeriodicTransactor::new(
-            "clk2",
-            vec![Valuation::of([done])],
-            4,
-            1,
-        )));
-        let clocks = sim.clocks().clone();
-        let run = sim.run(60);
-        let steps: Vec<GlobalStep> = run.iter().cloned().collect();
-
-        let mut online = OnlineHarness::new();
-        let oi = online.attach_multiclock(&mm);
-        let op = online.attach(&clocks, &pulse);
-        online.observe_batch(&clocks, &steps);
-
-        let mut batch = BatchHarness::new();
-        let bi = batch.attach_multiclock(&clocks, &mm);
-        let bp = batch.attach(&clocks, &pulse);
-        assert!(!batch.is_empty());
-        // uneven chunking: state must carry across chunk borders
-        for chunk in steps.chunks(7) {
-            batch.observe_batch(&clocks, chunk);
-        }
-        assert_eq!(batch.multiclock_hits(bi), online.multiclock_hits(oi));
-        assert_eq!(batch.hits(bp), online.hits(op));
-        assert!(!batch.multiclock_hits(bi).is_empty());
-    }
-
-    #[test]
     #[should_panic(expected = "not in clock set")]
     fn attach_multiclock_rejects_unknown_clock() {
         let doc = mixed_plan_doc();
@@ -749,9 +320,12 @@ mod tests {
             .unwrap();
         let mut clocks = ClockSet::new();
         clocks.add(ClockDomain::new("clk1", 1, 0)); // clk2 missing
-        BatchHarness::new().attach_multiclock(&clocks, &mm);
+        OnlineHarness::new().attach_multiclock(&clocks, &mm);
     }
 
+    /// The decoupled run streams the mixed plan in batched chunks to
+    /// any number of shard workers; its hits equal the step-wise
+    /// inline harness.
     #[test]
     fn decoupled_batched_plan_agrees_with_stepwise() {
         let doc = mixed_plan_doc();
@@ -783,52 +357,16 @@ mod tests {
         let mut sim = build_sim();
         let clocks = sim.clocks().clone();
         let mut online = OnlineHarness::new();
-        let oi = online.attach_multiclock(&mm);
+        let oi = online.attach_multiclock(&clocks, &mm);
         online.attach(&clocks, &pulse);
         sim.run_with(50, |c, s| online.observe(c, s));
+        assert!(!online.multiclock_hits(oi).is_empty());
 
-        let mut sim2 = build_sim();
-        let (single, multi) = run_decoupled_batched_plan(&mut sim2, 50, &[&pulse], &[&mm]);
-        assert_eq!(multi[0], online.multiclock_hits(oi));
-        assert_eq!(single[0], online.hits(0));
-        assert!(!multi[0].is_empty());
-    }
-
-    #[test]
-    fn decoupled_parallel_agrees_with_batched_plan_for_any_jobs() {
-        let doc = mixed_plan_doc();
-        let mm = synthesize_multiclock(doc.multiclock_spec("pair").unwrap(), &SynthOptions::default())
-            .unwrap();
-        let pulse = synthesize(doc.chart("pulse").unwrap(), &SynthOptions::default()).unwrap();
-        let go = doc.alphabet.lookup("go").unwrap();
-        let done = doc.alphabet.lookup("done").unwrap();
-
-        let build_sim = || {
-            let mut sim = Simulation::new();
-            sim.add_clock(ClockDomain::new("clk1", 2, 0));
-            sim.add_clock(ClockDomain::new("clk2", 3, 1));
-            sim.add_transactor(Box::new(PeriodicTransactor::new(
-                "clk1",
-                vec![Valuation::of([go])],
-                3,
-                0,
-            )));
-            sim.add_transactor(Box::new(PeriodicTransactor::new(
-                "clk2",
-                vec![Valuation::of([done])],
-                3,
-                1,
-            )));
-            sim
-        };
-
-        let mut sim = build_sim();
-        let reference = run_decoupled_batched_plan(&mut sim, 50, &[&pulse], &[&mm]);
-        assert!(!reference.1[0].is_empty());
         for jobs in [0, 1, 2, 4] {
             let mut sim = build_sim();
-            let parallel = run_decoupled_parallel(&mut sim, 50, &[&pulse], &[&mm], jobs);
-            assert_eq!(parallel, reference, "jobs={jobs}");
+            let (single, multi) = run_decoupled_parallel(&mut sim, 50, &[&pulse], &[&mm], jobs);
+            assert_eq!(multi[0], online.multiclock_hits(oi), "jobs={jobs}");
+            assert_eq!(single[0], online.hits(0), "jobs={jobs}");
         }
     }
 
@@ -840,53 +378,6 @@ mod tests {
         let mut sim = Simulation::new();
         sim.add_clock(ClockDomain::new("other", 1, 0));
         run_decoupled_parallel(&mut sim, 1, &[&pulse], &[], 2);
-    }
-
-    #[test]
-    fn attach_spec_runs_optimized_tables_with_identical_hits() {
-        // the cesc-spec compiled artifact (optimized tables) must see
-        // exactly the hits the plain attach path records
-        let src = r#"
-            scesc hs on clk {
-                instances { M, S }
-                events { req, ack }
-                tick { M: req }
-                tick { S: ack }
-                cause req -> ack;
-            }
-        "#;
-        let specs = cesc_spec::SpecSet::load(src).unwrap();
-        let m = synthesize(
-            specs.document().chart("hs").unwrap(),
-            &SynthOptions::default(),
-        )
-        .unwrap();
-        let req = specs.alphabet().lookup("req").unwrap();
-        let ack = specs.alphabet().lookup("ack").unwrap();
-
-        let mut sim = Simulation::new();
-        sim.add_clock(ClockDomain::new("clk", 1, 0));
-        sim.add_transactor(Box::new(PeriodicTransactor::new(
-            "clk",
-            vec![Valuation::of([req]), Valuation::of([ack])],
-            2,
-            0,
-        )));
-        let clocks = sim.clocks().clone();
-        let run = sim.run(40);
-        let steps: Vec<GlobalStep> = run.iter().cloned().collect();
-
-        let mut plain = BatchHarness::new();
-        let pi = plain.attach(&clocks, &m);
-        plain.observe_batch(&clocks, &steps);
-
-        let mut via_spec = BatchHarness::new();
-        let si = via_spec.attach_spec(&clocks, specs.chart_spec(0).unwrap());
-        for chunk in steps.chunks(3) {
-            via_spec.observe_batch(&clocks, chunk);
-        }
-        assert_eq!(via_spec.hits(si), plain.hits(pi));
-        assert!(!via_spec.hits(si).is_empty());
     }
 
     #[test]
@@ -919,8 +410,9 @@ mod tests {
             9,
             0,
         )));
+        let clocks = sim.clocks().clone();
         let mut harness = OnlineHarness::new();
-        let idx = harness.attach_multiclock(&mm);
+        let idx = harness.attach_multiclock(&clocks, &mm);
         sim.run_with(10, |c, s| harness.observe(c, s));
         // go at t0 (clk1 tick0), done at t1 (clk2 tick0) → pair at t1
         assert!(!harness.multiclock_hits(idx).is_empty());

@@ -7,11 +7,11 @@
 //! * [`ScriptedTransactor`] / [`PeriodicTransactor`] /
 //!   [`NoiseTransactor`] — generic traffic sources (protocol-accurate
 //!   transactors live in `cesc-protocols`);
-//! * [`OnlineHarness`] — monitors stepped inline with the simulation;
-//! * [`run_decoupled`] — monitors on their own thread, fed over a
-//!   channel;
-//! * [`run_decoupled_parallel`] — the monitor fleet sharded across
-//!   worker threads via `cesc-par`'s cost-balanced planner;
+//! * [`OnlineHarness`] — monitors stepped inline with the simulation
+//!   (the step-wise reference);
+//! * [`run_decoupled_parallel`] — monitors off the simulation thread:
+//!   the fleet sharded across worker threads via `cesc-par`'s
+//!   cost-balanced planner;
 //! * [`run_flow`] — the complete automated pipeline: parse → validate →
 //!   synthesize → simulate → verdict.
 //!
@@ -48,8 +48,5 @@ mod harness;
 mod kernel;
 
 pub use flow::{run_flow, FlowConfig, FlowError, FlowReport};
-pub use harness::{
-    run_decoupled, run_decoupled_batched, run_decoupled_batched_plan, run_decoupled_parallel,
-    BatchHarness, OnlineHarness, HARNESS_CHUNK,
-};
+pub use harness::{run_decoupled_parallel, OnlineHarness, HARNESS_CHUNK};
 pub use kernel::{NoiseTransactor, PeriodicTransactor, ScriptedTransactor, Simulation, Transactor};

@@ -88,7 +88,8 @@ pub struct SpecOptions {
     /// compile exactly as synthesized, with the raw table layout.
     pub optimize: bool,
     /// Build the bit-sliced 64-tick word plan for optimized targets
-    /// (the default; the CLI's `--no-simd` turns it off). Only
+    /// (the default; differential tests turn it off to compare against
+    /// the scalar engine). Only
     /// meaningful when `optimize` is on — raw compiles always stay
     /// scalar so the baseline oracle is engine-independent.
     pub simd: bool,

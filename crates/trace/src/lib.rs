@@ -11,9 +11,10 @@
 //! * [`write_vcd`] / [`read_vcd`] / [`write_vcd_global`] — Value
 //!   Change Dump export/import so monitors can check waveforms from
 //!   real HDL simulators;
-//! * [`VcdStream`] / [`GlobalVcdStream`] — streaming VCD readers over
-//!   any [`std::io::BufRead`]: single-clock valuation chunks or
-//!   multi-clock [`GlobalStep`] chunks, in constant memory;
+//! * [`GlobalVcdStream`] — the streaming VCD reader over any
+//!   [`std::io::BufRead`]: one or many clocks sampled into
+//!   [`GlobalStep`] chunks, in constant memory ([`read_vcd`] is its
+//!   one-clock drain);
 //! * [`TraceGen`] — deterministic noise / planted-scenario / repeated
 //!   transaction generators for benchmarks and property tests.
 //!
@@ -49,10 +50,10 @@ pub use global::{GlobalRun, GlobalStep, InterleaveError};
 pub use trace::Trace;
 pub use vcd::{
     read_vcd, write_vcd, write_vcd_global, write_vcd_global_to, GlobalVcdStream, VcdClockSpec,
-    VcdReadError, VcdStream, VcdWriteOptions,
+    VcdReadError, VcdWriteOptions,
 };
 
-// Chunk hand-off contract: the decoupled harnesses in `cesc-sim` and
+// Chunk hand-off contract: the decoupled harness in `cesc-sim` and
 // the sharded fleet executor in `cesc-par` move decoded chunks
 // (`Vec<Valuation>`, `Vec<GlobalStep>`) and clock sets across threads.
 // Pin thread-safety at compile time so an accidental `Rc`/`RefCell`/

@@ -7,18 +7,19 @@
 //! each rising clock edge — so monitors synthesized by `cesc-core` can
 //! check waveforms from any HDL simulator.
 //!
-//! Reading is *streaming*: both [`VcdStream`] (single clock, yields
-//! [`Valuation`] chunks) and [`GlobalVcdStream`] (many clocks, yields
-//! [`GlobalStep`] chunks) pull lines from any [`io::BufRead`], so a
-//! multi-GB dump is checked in constant memory — neither the VCD text
-//! nor the decoded trace is ever resident in full. The `&str`
-//! constructors remain as thin wrappers over the byte-slice reader.
+//! Reading is *streaming*: [`GlobalVcdStream`] samples any number of
+//! clocks and yields [`GlobalStep`] chunks pulled from any
+//! [`io::BufRead`], so a multi-GB dump is checked in constant memory —
+//! neither the VCD text nor the decoded trace is ever resident in
+//! full. It is the one sampling loop: [`read_vcd`] is its one-clock
+//! drain into a [`Trace`], and the `&str` constructor is a thin wrapper
+//! over the byte-slice reader.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{self, BufRead};
 
-use cesc_expr::{Alphabet, SymbolId, Valuation};
+use cesc_expr::{Alphabet, Valuation};
 
 use crate::clock::{ClockId, ClockSet};
 use crate::global::{GlobalRun, GlobalStep};
@@ -304,70 +305,36 @@ fn parse_timestamp(rest: &str, lineno: usize) -> Result<u64, VcdReadError> {
         })
 }
 
-/// One classified line of the VCD value-change section — the parsing
-/// both streaming readers share, so their accepted syntax cannot
-/// drift. (The sampling loops themselves stay separate: the
-/// single-clock reader emits plain [`Valuation`]s with no per-step
-/// allocation, which a shared `GlobalStep`-shaped engine would lose.)
-#[derive(Clone, Copy)]
-enum BodyLine<'a> {
-    /// Blank line or `$...` directive — no effect on sampling.
-    Skip,
-    /// `#t` timestamp marker.
-    Time(u64),
-    /// Scalar or vector value change.
-    Change(bool, &'a str),
+/// What one VCD identifier code drives. Standard VCD lets several
+/// `$var`s share a code (aliased nets), so a code carries a *set* of
+/// symbols and of clocks, resolved with one hash lookup per value
+/// change.
+#[derive(Debug, Default)]
+struct CodeBinding {
+    /// Bitmask of the alphabet symbols declared under this code.
+    symbols: u128,
+    /// Indices of the requested clocks declared under this code.
+    clocks: Vec<u32>,
 }
 
-fn classify_body_line(line: &str, lineno: usize) -> Result<BodyLine<'_>, VcdReadError> {
-    if line.is_empty() || line.starts_with('$') {
-        return Ok(BodyLine::Skip); // directives ($dumpvars bodies are value changes)
-    }
-    if let Some(rest) = line.strip_prefix('#') {
-        return parse_timestamp(rest, lineno).map(BodyLine::Time);
-    }
-    parse_change(line, lineno).map(|(value, code)| BodyLine::Change(value, code))
-}
-
-/// Applies a parsed timestamp: `Ok(true)` means time advanced (pending
-/// samples must be flushed), `Ok(false)` means the same instant
-/// continues; a decreasing timestamp is malformed input.
-fn advance_time(cur_time: &mut u64, t: u64, lineno: usize) -> Result<bool, VcdReadError> {
-    if t < *cur_time {
-        return Err(VcdReadError::Malformed {
-            line: lineno,
-            message: format!("timestamp #{t} goes backwards (after #{cur_time})"),
-        });
-    }
-    let advanced = t > *cur_time;
-    *cur_time = t;
-    Ok(advanced)
-}
-
-/// Parsed `$var` section: identifier codes of the requested clocks and
-/// of every alphabet symbol present in the dump.
-struct VcdHeader {
-    code_to_symbol: HashMap<String, SymbolId>,
-    /// Per requested clock (argument order): its identifier code.
-    clock_codes: Vec<Option<String>>,
-}
-
-/// Reads `$var` declarations up to `$enddefinitions`.
+/// Reads `$var` declarations up to `$enddefinitions` and binds every
+/// identifier code to the requested clocks and alphabet symbols it
+/// carries.
 ///
 /// A declared name matches a clock or symbol either exactly or with a
 /// vector range stripped — both `data[7:0]` and the separate-token
-/// form `$var wire 8 ! data [7:0] $end` resolve to `data`.
+/// form `$var wire 8 ! data [7:0] $end` resolve to `data`. A clock
+/// binds to its first declaration; a name that matches a clock is
+/// never also read as a symbol.
 fn parse_header<R: BufRead>(
     reader: &mut R,
     buf: &mut String,
     lineno: &mut usize,
     alphabet: &Alphabet,
-    clock_names: &[&str],
-) -> Result<VcdHeader, VcdReadError> {
-    let mut header = VcdHeader {
-        code_to_symbol: HashMap::new(),
-        clock_codes: vec![None; clock_names.len()],
-    };
+    clocks: &[VcdClockSpec],
+) -> Result<HashMap<String, CodeBinding>, VcdReadError> {
+    let mut codes: HashMap<String, CodeBinding> = HashMap::new();
+    let mut declared = vec![false; clocks.len()];
     while read_line(reader, buf, lineno)? {
         let toks: Vec<&str> = buf.split_whitespace().collect();
         if toks.first() == Some(&"$var") {
@@ -385,213 +352,30 @@ fn parse_header<R: BufRead>(
                 None => name,
             };
             let mut is_clock = false;
-            for (ci, &cn) in clock_names.iter().enumerate() {
-                if cn == name || cn == base {
+            for (ci, spec) in clocks.iter().enumerate() {
+                if spec.name == name || spec.name == base {
                     is_clock = true;
-                    if header.clock_codes[ci].is_none() {
-                        header.clock_codes[ci] = Some(code.to_owned());
+                    if !declared[ci] {
+                        declared[ci] = true;
+                        codes.entry(code.to_owned()).or_default().clocks.push(ci as u32);
                     }
                 }
             }
             if !is_clock {
                 if let Some(id) = alphabet.lookup(name).or_else(|| alphabet.lookup(base)) {
-                    header.code_to_symbol.insert(code.to_owned(), id);
+                    codes.entry(code.to_owned()).or_default().symbols |= 1u128 << id.index();
                 }
             }
         } else if toks.first() == Some(&"$enddefinitions") {
             break;
         }
     }
-    Ok(header)
-}
-
-/// Streaming VCD reader: parses the header eagerly, then yields
-/// sampled valuations in caller-sized chunks instead of materialising
-/// the whole trace.
-///
-/// This is the input side of the batched monitoring path. The reader
-/// pulls lines from any [`io::BufRead`] — a `BufReader<File>` for
-/// dumps on disk, a byte slice for in-memory text — so resident memory
-/// is one line plus one decoded chunk, regardless of dump size.
-/// [`read_vcd`] is the convenience wrapper that drains the stream into
-/// one [`Trace`].
-///
-/// # Examples
-///
-/// ```
-/// use cesc_expr::{Alphabet, Valuation};
-/// use cesc_trace::{write_vcd, VcdStream, VcdWriteOptions, Trace};
-///
-/// let mut ab = Alphabet::new();
-/// let req = ab.event("req");
-/// let t = Trace::from_elements(vec![Valuation::of([req]); 10]);
-/// let vcd = write_vcd(&t, &ab, &VcdWriteOptions::default());
-///
-/// // `new` borrows a &str; `from_reader` accepts any io::BufRead
-/// let mut stream = VcdStream::new(&vcd, &ab, "clk")?;
-/// let mut chunk = Vec::new();
-/// let mut total = 0;
-/// while stream.next_chunk(&mut chunk, 4)? > 0 {
-///     total += chunk.len(); // at most 4 ticks resident at a time
-/// }
-/// assert_eq!(total, 10);
-/// # Ok::<(), cesc_trace::VcdReadError>(())
-/// ```
-#[derive(Debug)]
-pub struct VcdStream<R> {
-    reader: R,
-    /// Reused line buffer.
-    line: String,
-    /// 1-based number of the last line read.
-    lineno: usize,
-    code_to_symbol: HashMap<String, SymbolId>,
-    clock_code: String,
-    current: Valuation,
-    clock_level: bool,
-    /// All changes dumped at one `#time` are simultaneous: a rising
-    /// clock edge samples the signal values *after* every change of
-    /// that timestamp has been applied, so the sample is deferred
-    /// until the timestamp advances (or input ends).
-    pending_sample: bool,
-    cur_time: u64,
-    done: bool,
-}
-
-impl<'a> VcdStream<&'a [u8]> {
-    /// Parses the VCD header of in-memory text and positions the
-    /// stream at the first value change — a thin wrapper over
-    /// [`VcdStream::from_reader`] on the string's bytes.
-    ///
-    /// # Errors
-    ///
-    /// As [`VcdStream::from_reader`].
-    pub fn new(vcd: &'a str, alphabet: &Alphabet, clock_name: &str) -> Result<Self, VcdReadError> {
-        Self::from_reader(vcd.as_bytes(), alphabet, clock_name)
+    if let Some(ci) = declared.iter().position(|&d| !d) {
+        return Err(VcdReadError::MissingClock {
+            name: clocks[ci].name.clone(),
+        });
     }
-}
-
-impl<R: BufRead> VcdStream<R> {
-    /// Parses the VCD header from `reader` and positions the stream at
-    /// the first value change. The reader is consumed line by line —
-    /// the dump is never resident in full.
-    ///
-    /// Signals present in the VCD but absent from `alphabet` are
-    /// ignored; alphabet symbols absent from the VCD read as constant
-    /// false. Vector declarations may carry a range (`data[7:0]`, or
-    /// `data [7:0]` as a separate token) — both resolve to the base
-    /// name. Multi-bit vector changes (`b... id`) are treated as true
-    /// iff any bit is `1`; `x`/`z` bits read as false.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VcdReadError::MissingClock`] if `clock_name` is not
-    /// declared, [`VcdReadError::Malformed`] on an unparseable `$var`
-    /// declaration, or [`VcdReadError::Io`] if the reader fails.
-    pub fn from_reader(
-        mut reader: R,
-        alphabet: &Alphabet,
-        clock_name: &str,
-    ) -> Result<Self, VcdReadError> {
-        let mut line = String::new();
-        let mut lineno = 0usize;
-        let header = parse_header(&mut reader, &mut line, &mut lineno, alphabet, &[clock_name])?;
-        let clock_code = header.clock_codes.into_iter().next().flatten().ok_or_else(|| {
-            VcdReadError::MissingClock {
-                name: clock_name.to_owned(),
-            }
-        })?;
-        Ok(VcdStream {
-            reader,
-            line,
-            lineno,
-            code_to_symbol: header.code_to_symbol,
-            clock_code,
-            current: Valuation::empty(),
-            clock_level: false,
-            pending_sample: false,
-            cur_time: 0,
-            done: false,
-        })
-    }
-
-    /// Clears `buf` and refills it with up to `max` sampled
-    /// valuations, returning how many were produced. `Ok(0)` signals
-    /// end of input — except that `max == 0` also returns `Ok(0)`
-    /// without consuming anything (like `Read::read` with an empty
-    /// buffer), so never poll for end of input with a zero chunk
-    /// size.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VcdReadError::Malformed`] on unparseable value
-    /// changes or timestamps, [`VcdReadError::Io`] if the reader
-    /// fails. An error poisons the stream: every subsequent call
-    /// returns `Ok(0)`, so a caller that retries cannot silently
-    /// resume past corrupt input.
-    pub fn next_chunk(
-        &mut self,
-        buf: &mut Vec<Valuation>,
-        max: usize,
-    ) -> Result<usize, VcdReadError> {
-        buf.clear();
-        if self.done || max == 0 {
-            return Ok(0);
-        }
-        while buf.len() < max {
-            let more = match read_line(&mut self.reader, &mut self.line, &mut self.lineno) {
-                Ok(m) => m,
-                Err(e) => {
-                    self.done = true;
-                    return Err(e);
-                }
-            };
-            if !more {
-                self.done = true;
-                if self.pending_sample {
-                    self.pending_sample = false;
-                    buf.push(self.current);
-                }
-                break;
-            }
-            let classified = classify_body_line(self.line.trim(), self.lineno)
-                .and_then(|parsed| match parsed {
-                    // Time survives only when the instant advanced, so
-                    // the arm below is exactly "flush the sample"
-                    BodyLine::Time(t) => advance_time(&mut self.cur_time, t, self.lineno)
-                        .map(|advanced| if advanced { parsed } else { BodyLine::Skip }),
-                    other => Ok(other),
-                });
-            match classified {
-                Err(e) => {
-                    self.done = true;
-                    return Err(e);
-                }
-                Ok(BodyLine::Skip) => {}
-                Ok(BodyLine::Time(_)) => {
-                    // time advanced: emit the deferred sample
-                    if self.pending_sample {
-                        self.pending_sample = false;
-                        buf.push(self.current);
-                    }
-                }
-                Ok(BodyLine::Change(value, code)) => {
-                    if code == self.clock_code {
-                        if value && !self.clock_level {
-                            self.pending_sample = true; // rising edge: sample at block end
-                        }
-                        self.clock_level = value;
-                    } else if let Some(&id) = self.code_to_symbol.get(code) {
-                        if value {
-                            self.current.insert(id);
-                        } else {
-                            self.current.remove(id);
-                        }
-                    }
-                }
-            }
-        }
-        Ok(buf.len())
-    }
+    Ok(codes)
 }
 
 /// One clock a [`GlobalVcdStream`] samples on, optionally with a mask
@@ -631,10 +415,16 @@ impl VcdClockSpec {
     }
 }
 
-/// Streaming multi-clock VCD reader: samples every requested clock's
-/// rising edges and yields [`GlobalStep`] chunks — the input side of
-/// the batched multi-clock monitoring path (`cesc check` on a
-/// `multiclock` spec).
+/// Streaming VCD reader: parses the header eagerly, then samples every
+/// requested clock's rising edges and yields [`GlobalStep`] chunks in
+/// caller-sized pieces instead of materialising the whole trace — the
+/// input side of `cesc check`.
+///
+/// The reader pulls lines from any [`io::BufRead`] — a
+/// `BufReader<File>` for dumps on disk, a byte slice for in-memory
+/// text — so resident memory is one line plus one decoded chunk,
+/// regardless of dump size. [`read_vcd`] drains a one-clock stream
+/// into a [`Trace`].
 ///
 /// Clock `i` of the constructor's list becomes [`ClockId`] index `i`
 /// in the produced steps, so a consumer whose locals are listed in the
@@ -681,17 +471,20 @@ impl VcdClockSpec {
 #[derive(Debug)]
 pub struct GlobalVcdStream<R> {
     reader: R,
+    /// Reused line buffer.
     line: String,
+    /// 1-based number of the last line read.
     lineno: usize,
-    code_to_symbol: HashMap<String, SymbolId>,
-    /// Identifier code → indices of the clocks it drives (several when
-    /// two requested clocks share one VCD signal).
-    clock_codes: HashMap<String, Vec<u32>>,
+    /// Identifier code → the symbols and clocks it drives.
+    codes: HashMap<String, CodeBinding>,
     /// Per clock: symbol mask its ticks carry (`u128::MAX` = all).
     masks: Vec<u128>,
-    current: Valuation,
+    /// Current signal values, one bit per alphabet symbol.
+    current: u128,
     levels: Vec<bool>,
-    /// Clocks that rose at the current timestamp; their shared step is
+    /// All changes dumped at one `#time` are simultaneous: clocks that
+    /// rose at the current timestamp are sampled *after* every change
+    /// of that timestamp has been applied, so their shared step is
     /// emitted when the timestamp advances (or input ends).
     pending: Vec<bool>,
     any_pending: bool,
@@ -725,6 +518,14 @@ impl<R: BufRead> GlobalVcdStream<R> {
     /// the first value change. Every clock in `clocks` must be
     /// declared.
     ///
+    /// Signals present in the VCD but absent from `alphabet` are
+    /// ignored; alphabet symbols absent from the VCD read as constant
+    /// false. Vector declarations may carry a range (`data[7:0]`, or
+    /// `data [7:0]` as a separate token) — both resolve to the base
+    /// name. Multi-bit vector changes (`b... id`) are treated as true
+    /// iff any bit is `1`; `x`/`z` bits read as false. An identifier
+    /// code declared for several names drives all of them.
+    ///
     /// # Errors
     ///
     /// Returns [`VcdReadError::MissingClock`] naming the first
@@ -738,26 +539,17 @@ impl<R: BufRead> GlobalVcdStream<R> {
     ) -> Result<Self, VcdReadError> {
         let mut line = String::new();
         let mut lineno = 0usize;
-        let names: Vec<&str> = clocks.iter().map(VcdClockSpec::name).collect();
-        let header = parse_header(&mut reader, &mut line, &mut lineno, alphabet, &names)?;
-        let mut clock_codes: HashMap<String, Vec<u32>> = HashMap::new();
-        for (i, (spec, code)) in clocks.iter().zip(header.clock_codes).enumerate() {
-            let code = code.ok_or_else(|| VcdReadError::MissingClock {
-                name: spec.name.clone(),
-            })?;
-            clock_codes.entry(code).or_default().push(i as u32);
-        }
+        let codes = parse_header(&mut reader, &mut line, &mut lineno, alphabet, clocks)?;
         Ok(GlobalVcdStream {
             reader,
             line,
             lineno,
-            code_to_symbol: header.code_to_symbol,
-            clock_codes,
+            codes,
             masks: clocks
                 .iter()
                 .map(|s| s.mask.map_or(u128::MAX, Valuation::bits))
                 .collect(),
-            current: Valuation::empty(),
+            current: 0,
             levels: vec![false; clocks.len()],
             pending: vec![false; clocks.len()],
             any_pending: false,
@@ -782,7 +574,7 @@ impl<R: BufRead> GlobalVcdStream<R> {
                 .map(|(i, _)| {
                     (
                         ClockId::from_index(i),
-                        Valuation::from_bits(self.current.bits() & self.masks[i]),
+                        Valuation::from_bits(self.current & self.masks[i]),
                     )
                 }),
         );
@@ -793,14 +585,17 @@ impl<R: BufRead> GlobalVcdStream<R> {
 
     /// Clears `buf` and refills it with up to `max` global steps,
     /// returning how many were produced. `Ok(0)` signals end of input
-    /// (`max == 0` also returns `Ok(0)` without consuming anything).
+    /// — except that `max == 0` also returns `Ok(0)` without consuming
+    /// anything (like `Read::read` with an empty buffer), so never poll
+    /// for end of input with a zero chunk size.
     ///
     /// # Errors
     ///
     /// Returns [`VcdReadError::Malformed`] on unparseable value
     /// changes, unparseable or decreasing timestamps, or
-    /// [`VcdReadError::Io`] if the reader fails. Errors poison the
-    /// stream (subsequent calls return `Ok(0)`).
+    /// [`VcdReadError::Io`] if the reader fails. An error poisons the
+    /// stream: every subsequent call returns `Ok(0)`, so a caller that
+    /// retries cannot silently resume past corrupt input.
     pub fn next_chunk(
         &mut self,
         buf: &mut Vec<GlobalStep>,
@@ -813,53 +608,59 @@ impl<R: BufRead> GlobalVcdStream<R> {
         if self.done || max == 0 {
             return Ok(0);
         }
+        let filled = self.fill(buf, max);
+        if filled.is_err() {
+            self.done = true;
+        }
+        filled
+    }
+
+    /// The sampling loop behind [`GlobalVcdStream::next_chunk`].
+    fn fill(&mut self, buf: &mut Vec<GlobalStep>, max: usize) -> Result<usize, VcdReadError> {
         while buf.len() < max {
-            let more = match read_line(&mut self.reader, &mut self.line, &mut self.lineno) {
-                Ok(m) => m,
-                Err(e) => {
-                    self.done = true;
-                    return Err(e);
-                }
-            };
-            if !more {
+            if !read_line(&mut self.reader, &mut self.line, &mut self.lineno)? {
                 self.done = true;
                 let t = self.cur_time;
                 self.flush_at(t, buf);
                 break;
             }
-            // a pending step belongs to the instant it was sampled at,
-            // so the flush uses the time *before* the advance
-            let prev_time = self.cur_time;
-            let classified = classify_body_line(self.line.trim(), self.lineno)
-                .and_then(|parsed| match parsed {
-                    BodyLine::Time(t) => advance_time(&mut self.cur_time, t, self.lineno)
-                        .map(|advanced| if advanced { parsed } else { BodyLine::Skip }),
-                    other => Ok(other),
-                });
-            match classified {
-                Err(e) => {
-                    self.done = true;
-                    return Err(e);
+            let line = self.line.trim();
+            if line.is_empty() || line.starts_with('$') {
+                continue; // directives ($dumpvars bodies are value changes)
+            }
+            if let Some(rest) = line.strip_prefix('#') {
+                let t = parse_timestamp(rest, self.lineno)?;
+                if t < self.cur_time {
+                    let cur = self.cur_time;
+                    return Err(VcdReadError::Malformed {
+                        line: self.lineno,
+                        message: format!("timestamp #{t} goes backwards (after #{cur})"),
+                    });
                 }
-                Ok(BodyLine::Skip) => {}
-                Ok(BodyLine::Time(_)) => self.flush_at(prev_time, buf),
-                Ok(BodyLine::Change(value, code)) => {
-                    if let Some(indices) = self.clock_codes.get(code) {
-                        for &ci in indices {
-                            let ci = ci as usize;
-                            if value && !self.levels[ci] {
-                                self.pending[ci] = true;
-                                self.any_pending = true;
-                            }
-                            self.levels[ci] = value;
-                        }
-                    } else if let Some(&id) = self.code_to_symbol.get(code) {
-                        if value {
-                            self.current.insert(id);
-                        } else {
-                            self.current.remove(id);
-                        }
+                if t > self.cur_time {
+                    // a pending step belongs to the instant it was
+                    // sampled at, so the flush uses the time *before*
+                    // the advance
+                    let prev = self.cur_time;
+                    self.cur_time = t;
+                    self.flush_at(prev, buf);
+                }
+                continue;
+            }
+            let (value, code) = parse_change(line, self.lineno)?;
+            if let Some(binding) = self.codes.get(code) {
+                for &ci in &binding.clocks {
+                    let ci = ci as usize;
+                    if value && !self.levels[ci] {
+                        self.pending[ci] = true;
+                        self.any_pending = true;
                     }
+                    self.levels[ci] = value;
+                }
+                if value {
+                    self.current |= binding.symbols;
+                } else {
+                    self.current &= !binding.symbols;
                 }
             }
         }
@@ -908,9 +709,9 @@ fn parse_change(line: &str, lineno: usize) -> Result<(bool, &str), VcdReadError>
 /// Parses VCD text and samples the signals named in `alphabet` at each
 /// rising edge of `clock_name`, returning the reconstructed trace.
 ///
-/// Convenience wrapper draining a [`VcdStream`] — use the stream
-/// directly (over a `BufReader<File>`) to check long waveforms in
-/// bounded memory.
+/// A one-clock drain of [`GlobalVcdStream`] — use the stream directly
+/// (over a `BufReader<File>`) to check long waveforms in bounded
+/// memory.
 ///
 /// # Errors
 ///
@@ -921,11 +722,12 @@ pub fn read_vcd(
     alphabet: &Alphabet,
     clock_name: &str,
 ) -> Result<Trace, VcdReadError> {
-    let mut stream = VcdStream::new(vcd, alphabet, clock_name)?;
+    let mut stream = GlobalVcdStream::new(vcd, alphabet, &[VcdClockSpec::new(clock_name)])?;
     let mut trace = Trace::new();
     let mut chunk = Vec::new();
     while stream.next_chunk(&mut chunk, 4096)? > 0 {
-        trace.extend(chunk.iter().copied());
+        // one clock: every step carries exactly its one tick
+        trace.extend(chunk.iter().map(|step| step.ticks[0].1));
     }
     Ok(trace)
 }
@@ -934,6 +736,26 @@ pub fn read_vcd(
 mod tests {
     use super::*;
     use crate::clock::ClockDomain;
+    use cesc_expr::SymbolId;
+
+    /// One-clock stream over in-memory text, sampling `clk`.
+    fn clk_stream<'a>(
+        vcd: &'a str,
+        ab: &Alphabet,
+    ) -> Result<GlobalVcdStream<&'a [u8]>, VcdReadError> {
+        GlobalVcdStream::new(vcd, ab, &[VcdClockSpec::new("clk")])
+    }
+
+    /// Drains a one-clock stream in `chunk_size` pieces.
+    fn drain<R: BufRead>(stream: &mut GlobalVcdStream<R>, chunk_size: usize) -> Trace {
+        let mut got = Trace::new();
+        let mut chunk = Vec::new();
+        while stream.next_chunk(&mut chunk, chunk_size).unwrap() > 0 {
+            assert!(chunk.len() <= chunk_size);
+            got.extend(chunk.iter().map(|s| s.ticks[0].1));
+        }
+        got
+    }
 
     fn setup() -> (Alphabet, SymbolId, SymbolId) {
         let mut ab = Alphabet::new();
@@ -998,6 +820,31 @@ $enddefinitions $end
         let t = read_vcd(vcd, &ab, "clk").unwrap();
         assert_eq!(t.len(), 1);
         assert!(t[0].contains(a));
+    }
+
+    #[test]
+    fn aliased_codes_drive_every_declared_name() {
+        // one identifier code declared under two names (an aliased
+        // net): a change on the code drives both symbols
+        let (ab, req, burst) = setup();
+        let vcd = "\
+$var wire 1 ! clk $end
+$var wire 1 \" req $end
+$var wire 1 \" burst $end
+$enddefinitions $end
+#0
+1\"
+1!
+#5
+0!
+0\"
+#10
+1!
+";
+        let t = read_vcd(vcd, &ab, "clk").unwrap();
+        assert_eq!(t.len(), 2);
+        assert_eq!(t[0], Valuation::of([req, burst]));
+        assert_eq!(t[1], Valuation::empty());
     }
 
     #[test]
@@ -1132,7 +979,7 @@ b10000000 \"
             "$var wire 1 ! $end\n$enddefinitions $end\n",
             "$var wire 1 $end\n$enddefinitions $end\n",
         ] {
-            let err = VcdStream::new(vcd, &ab, "clk").unwrap_err();
+            let err = clk_stream(vcd, &ab).unwrap_err();
             assert!(matches!(err, VcdReadError::Malformed { line: 1, .. }), "{err}");
         }
     }
@@ -1197,20 +1044,10 @@ $enddefinitions $end
         let whole = read_vcd(&vcd, &ab, "clk").unwrap();
         assert_eq!(whole, t);
         for chunk_size in [1usize, 3, 7, 64, 1000] {
-            let mut stream = VcdStream::new(&vcd, &ab, "clk").unwrap();
-            let mut got = Trace::new();
-            let mut chunk = Vec::new();
-            loop {
-                let n = stream.next_chunk(&mut chunk, chunk_size).unwrap();
-                if n == 0 {
-                    break;
-                }
-                assert!(chunk.len() <= chunk_size);
-                got.extend(chunk.iter().copied());
-            }
-            assert_eq!(got, t, "chunk size {chunk_size}");
+            let mut stream = clk_stream(&vcd, &ab).unwrap();
+            assert_eq!(drain(&mut stream, chunk_size), t, "chunk size {chunk_size}");
             // drained stream stays at EOF
-            assert_eq!(stream.next_chunk(&mut chunk, chunk_size).unwrap(), 0);
+            assert_eq!(stream.next_chunk(&mut Vec::new(), chunk_size).unwrap(), 0);
         }
     }
 
@@ -1235,13 +1072,9 @@ $enddefinitions $end
         let whole = read_vcd(&vcd, &ab, "clk").unwrap();
 
         let reader = io::BufReader::with_capacity(7, vcd.as_bytes());
-        let mut stream = VcdStream::from_reader(reader, &ab, "clk").unwrap();
-        let mut got = Trace::new();
-        let mut chunk = Vec::new();
-        while stream.next_chunk(&mut chunk, 16).unwrap() > 0 {
-            got.extend(chunk.iter().copied());
-        }
-        assert_eq!(got, whole);
+        let mut stream =
+            GlobalVcdStream::from_reader(reader, &ab, &[VcdClockSpec::new("clk")]).unwrap();
+        assert_eq!(drain(&mut stream, 16), whole);
     }
 
     #[test]
@@ -1259,7 +1092,7 @@ q\"
 #10
 1!
 ";
-        let mut stream = VcdStream::new(vcd, &ab, "clk").unwrap();
+        let mut stream = clk_stream(vcd, &ab).unwrap();
         let mut chunk = Vec::new();
         assert!(matches!(
             stream.next_chunk(&mut chunk, 100),
@@ -1275,7 +1108,7 @@ q\"
         let t = Trace::from_elements([Valuation::empty()]);
         let vcd = write_vcd(&t, &ab, &VcdWriteOptions::default());
         assert!(matches!(
-            VcdStream::new(&vcd, &ab, "ghost"),
+            GlobalVcdStream::new(&vcd, &ab, &[VcdClockSpec::new("ghost")]),
             Err(VcdReadError::MissingClock { .. })
         ));
     }

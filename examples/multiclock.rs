@@ -58,7 +58,7 @@ fn main() {
     )));
 
     let mut harness = OnlineHarness::new();
-    let idx = harness.attach_multiclock(&mm);
+    let idx = harness.attach_multiclock(sim.clocks(), &mm);
     let run = sim.run_with(7, |clocks, step| harness.observe(clocks, step));
 
     println!("\n=== global run ===");

@@ -24,14 +24,12 @@
 //! unless `--no-opt` asks for the raw tables. The subcommands only
 //! pick targets, stream waveforms and render reports.
 //!
-//! `check` has three library entry points: the single-target streaming
-//! [`check`] (one basic chart or multiclock spec, kept for its
-//! tick-indexed report), the fleet-mode [`check_fleet`] the binary
-//! uses — every selected chart, multiclock spec and `implies(...)`
-//! assertion is verified in **one pass** over the dump, optionally
-//! sharded across worker threads (`--jobs`), with text or JSON
-//! ([`CHECK_JSON_SCHEMA`]) output and a CI-gating `failed` flag — and
-//! the differential [`check_cosim`] (`--cosim`), which drives the dump
+//! `check` has two library entry points: [`check_fleet`], the route
+//! the binary runs — every selected chart, multiclock spec and
+//! `implies(...)` assertion is verified in **one pass** over the dump,
+//! optionally sharded across worker threads (`--jobs`), with text or
+//! JSON ([`CHECK_JSON_SCHEMA`]) output and a CI-gating `failed` flag —
+//! and the differential [`check_cosim`] (`--cosim`), which drives the dump
 //! into both the *interpreted emitted RTL* (`cesc-rtl`, lowered from
 //! the **optimized** monitor) and the **unoptimized** batch engine
 //! ([`cesc_spec::ChartSpec::baseline`]) and fails when their
@@ -49,10 +47,10 @@ use cesc_hdl::{
     SvaOptions, TestbenchOptions, VerilogOptions,
 };
 use cesc_obs::{key, Obs};
-use cesc_par::{plan_shards, run_sharded, AssertSpec, Fleet, MatchLog, ParOptions};
+use cesc_par::{plan_shards, run_sharded, AssertSpec, Fleet, ParOptions};
 use cesc_rtl::CoSim;
 use cesc_spec::{SpecError, SpecOptions, SpecSet, TargetRef};
-use cesc_trace::{ClockId, GlobalVcdStream, VcdStream};
+use cesc_trace::{ClockId, GlobalVcdStream};
 
 use crate::json;
 
@@ -99,21 +97,6 @@ fn load_obs(source: &str, optimize: bool, obs: Obs) -> Result<SpecSet, CliError>
         source,
         SpecOptions {
             optimize,
-            obs,
-            ..SpecOptions::new()
-        },
-    )
-    .map_err(lift)
-}
-
-/// The `check` routes' loader: `--no-opt` and `--no-simd` both reach
-/// the compile front door here.
-fn load_check(source: &str, opts: &CheckOptions, obs: Obs) -> Result<SpecSet, CliError> {
-    SpecSet::load_with(
-        source,
-        SpecOptions {
-            optimize: !opts.no_opt,
-            simd: !opts.no_simd,
             obs,
             ..SpecOptions::new()
         },
@@ -484,7 +467,7 @@ pub fn synth_all_with(
     Ok(listing)
 }
 
-/// Options for [`check`] / [`check_fleet`].
+/// Options for [`check_fleet`] / [`check_cosim`].
 #[derive(Debug, Clone)]
 pub struct CheckOptions {
     /// Print every match tick/time instead of the default summary
@@ -500,14 +483,6 @@ pub struct CheckOptions {
     /// Skip the optimization pass pipeline and run the monitors
     /// exactly as synthesized — the `--no-opt` flag.
     pub no_opt: bool,
-    /// Skip the bit-sliced 64-tick engine and run optimized monitors
-    /// tick by tick — the `--no-simd` escape hatch (`--no-opt` implies
-    /// scalar execution already).
-    pub no_simd: bool,
-    /// Split the dump into this many windows and run them with
-    /// trace-segment speculative parallelism — the `--segments N`
-    /// flag ([`check_segmented`]; `0` streams normally).
-    pub segments: usize,
     /// Observability switches (`--stats`/`--stats-json`/`--progress`).
     /// [`check_fleet`] records into an internal registry even when this
     /// one is disabled, so the JSON report's timing fields are always
@@ -522,238 +497,49 @@ impl Default for CheckOptions {
             jobs: 1,
             json: false,
             no_opt: false,
-            no_simd: false,
-            segments: 0,
             stats: StatsOptions::default(),
         }
     }
 }
 
-/// How many leading and trailing matches the default [`check`] summary
+/// How many leading and trailing matches the default check summary
 /// prints; everything in between is elided as a count.
 pub const MATCH_EDGE: usize = 5;
 
-fn tally(opts: &CheckOptions) -> MatchLog {
-    MatchLog::new(MATCH_EDGE, opts.all_matches)
-}
-
-/// `cesc check`, single-target form: run one chart's monitor over a
-/// VCD waveform.
+/// The target selection both `check` routes share: every checkable
+/// target under `all_charts`, then each of `names` resolved in order
+/// (duplicates dropped, order preserved).
 ///
-/// `chart_name` may name a basic chart (checked on `clock`) or a
-/// `multiclock` spec (each local chart is checked on its own declared
-/// clock; `clock` is ignored). For several charts in one pass,
-/// `implies(...)` assertion gating, `--jobs` sharding or JSON output,
-/// use [`check_fleet`].
+/// # Errors
 ///
-/// The waveform is streamed end to end: lines are pulled from the
-/// [`BufRead`] and samples are decoded in [`BATCH_CHUNK`]-sized chunks
-/// for the compiled batch engine, so neither the VCD text, the decoded
-/// trace, nor the match list ever materialises in full — a multi-GB
-/// dump is checked in constant memory. (Only
-/// [`CheckOptions::all_matches`] retains the complete match list, for
-/// output.)
-pub fn check(
-    source: &str,
-    chart_name: &str,
-    vcd: impl BufRead,
-    clock: &str,
-    opts: &CheckOptions,
-) -> Result<String, CliError> {
-    let specs = load_check(source, opts, Obs::disabled())?;
-    match specs.resolve(chart_name) {
-        Ok(TargetRef::Chart(idx)) => check_single(&specs, idx, vcd, clock, opts),
-        Ok(TargetRef::Multi(idx)) => check_multiclock(&specs, idx, vcd, opts),
-        Ok(TargetRef::Assert(_)) => Err(CliError::Pipeline(format!(
-            "`{chart_name}` is an implies(...) assertion; the single-target check reports \
-             tick-indexed matches only — use the fleet form (the `cesc check` binary route) \
-             to verify assertions"
-        ))),
-        Err(e) => Err(lift(e)),
-    }
-}
-
-fn check_single(
+/// An unknown name, a document with no checkable target under
+/// `all_charts`, or an empty selection.
+fn select_targets(
     specs: &SpecSet,
-    idx: usize,
-    vcd: impl BufRead,
-    clock: &str,
-    opts: &CheckOptions,
-) -> Result<String, CliError> {
-    let chart = &specs.document().charts[idx];
-    let spec = specs.chart_spec(idx).map_err(lift)?;
-    let mut stream = VcdStream::from_reader(vcd, specs.alphabet(), clock)
-        .map_err(|e| CliError::Pipeline(e.to_string()))?;
-    let mut exec = spec.compiled().executor();
-    let mut tally = tally(opts);
-    let mut chunk_hits = Vec::new();
-    let mut chunk = Vec::new();
-    loop {
-        let n = stream
-            .next_chunk(&mut chunk, BATCH_CHUNK)
-            .map_err(|e| CliError::Pipeline(e.to_string()))?;
-        if n == 0 {
-            break;
-        }
-        chunk_hits.clear();
-        exec.feed(&chunk, &mut chunk_hits);
-        tally.absorb(&chunk_hits);
-    }
-    let verdict = if tally.detected() { "DETECTED" } else { "NOT OBSERVED" };
-    Ok(format!(
-        "chart `{}` over {} sampled cycles: {} — {} occurrence(s) at ticks {}, \
-         scoreboard underflows {}\n",
-        chart.name(),
-        exec.ticks(),
-        verdict,
-        tally.count(),
-        tally.render(),
-        exec.underflows()
-    ))
-}
-
-fn check_multiclock(
-    specs: &SpecSet,
-    idx: usize,
-    vcd: impl BufRead,
-    opts: &CheckOptions,
-) -> Result<String, CliError> {
-    let spec = specs.multi_spec(idx).map_err(lift)?;
-    // one VCD clock per local chart, in chart order; each tick carries
-    // only its own chart's signals
-    let plan = specs
-        .clock_plan(&[TargetRef::Multi(idx)], None)
-        .map_err(lift)?;
-    let mut stream = GlobalVcdStream::from_reader(vcd, specs.alphabet(), &plan.vcd_specs())
-        .map_err(|e| CliError::Pipeline(e.to_string()))?;
-    let compiled = spec.compiled();
-    let mut state = compiled.state();
-    state.bind(compiled, &plan.clock_set());
-    let mut tally = tally(opts);
-    let mut chunk_hits = Vec::new();
-    let mut chunk = Vec::new();
-    let mut steps = 0u64;
-    loop {
-        let n = stream
-            .next_chunk(&mut chunk, BATCH_CHUNK)
-            .map_err(|e| CliError::Pipeline(e.to_string()))?;
-        if n == 0 {
-            break;
-        }
-        steps += n as u64;
-        chunk_hits.clear();
-        compiled.feed(&mut state, &chunk, &mut chunk_hits);
-        tally.absorb(&chunk_hits);
-    }
-    let verdict = if tally.detected() { "DETECTED" } else { "NOT OBSERVED" };
-    let clock_list: Vec<&str> = plan.declared().iter().map(String::as_str).collect();
-    Ok(format!(
-        "multiclock `{}` over {} global steps (clocks {}): {} — {} occurrence(s) at times {}, \
-         scoreboard underflows {}\n",
-        specs.document().multiclock[idx].name(),
-        steps,
-        clock_list.join(", "),
-        verdict,
-        tally.count(),
-        tally.render(),
-        state.underflows()
-    ))
-}
-
-/// `cesc check --segments N`: trace-segment speculative parallelism
-/// for **one basic chart** — the single-big-monitor case `--jobs`
-/// fleet sharding cannot speed up.
-///
-/// The dump is decoded into a resident trace (unlike the streaming
-/// routes — random window access is what buys the parallelism), cut
-/// into `N` windows, and run through
-/// [`cesc_par::scan_segmented`]: every window executes speculatively
-/// from every reachable monitor state across [`CheckOptions::jobs`]
-/// worker threads, clean runs are adopted at the stitch joins and the
-/// rest replay exactly, so the verdict is bit-identical to the serial
-/// scan. The per-event *may-be-non-zero* scoreboard mask that bounds
-/// adoption comes from the chart's counter-bounds analysis
-/// ([`cesc_spec::ChartSpec::bounds`]).
-pub fn check_segmented(
-    source: &str,
-    chart_name: &str,
-    vcd: impl BufRead,
-    clock_override: Option<&str>,
-    opts: &CheckOptions,
-) -> Result<String, CliError> {
-    let obs = &opts.stats.obs;
-    let specs = load_check(source, opts, obs.clone())?;
-    let idx = match specs.resolve(chart_name).map_err(lift)? {
-        TargetRef::Chart(i) => i,
-        TargetRef::Multi(_) | TargetRef::Assert(_) => {
-            return Err(CliError::Pipeline(format!(
-                "--segments parallelizes one basic chart's monitor over the trace; \
-                 `{chart_name}` is not a basic chart"
-            )))
-        }
-    };
-    let chart = &specs.document().charts[idx];
-    let spec = specs.chart_spec(idx).map_err(lift)?;
-    let clock = clock_override.unwrap_or(chart.clock());
-    let mut stream = VcdStream::from_reader(vcd, specs.alphabet(), clock)
-        .map_err(|e| CliError::Pipeline(e.to_string()))?;
-
-    // window speculation needs random access: buffer the decoded trace
-    // (one Valuation per sampled cycle — far smaller than the VCD text)
-    let decode_span = obs.span("decode");
-    let mut trace: Vec<cesc_expr::Valuation> = Vec::new();
-    let mut chunk = Vec::new();
-    loop {
-        let n = stream
-            .next_chunk(&mut chunk, BATCH_CHUNK)
-            .map_err(|e| CliError::Pipeline(e.to_string()))?;
-        if n == 0 {
-            break;
-        }
-        trace.extend_from_slice(&chunk);
-    }
-    drop(decode_span);
-
-    // may-be-non-zero scoreboard events: everything the monitor
-    // touches, minus what the interval analysis proved stays [0, 0]
-    let compiled = spec.compiled();
-    let mut may = compiled.touched_symbols();
-    for (e, b) in spec.bounds().bounds() {
-        if b.hi == Some(0) {
-            may &= !(1u128 << e.index());
+    names: &[String],
+    all_charts: bool,
+) -> Result<Vec<TargetRef>, CliError> {
+    let mut targets: Vec<TargetRef> = Vec::new();
+    if all_charts {
+        targets = specs.checkable_targets();
+        if targets.is_empty() {
+            return Err(CliError::Pipeline(
+                "document contains no checkable charts".to_owned(),
+            ));
         }
     }
-
-    let segments = opts.segments.max(1);
-    let seg_opts = cesc_par::SegmentOptions {
-        jobs: opts.jobs.max(1),
-        window: trace.len().div_ceil(segments).max(1),
-        obs: obs.clone(),
-    };
-    let exec_span = obs.span("execute");
-    let got = cesc_par::scan_segmented(compiled, may, &trace, &seg_opts);
-    drop(exec_span);
-
-    let mut tally = tally(opts);
-    tally.absorb(&got.report.matches);
-    let verdict = if tally.detected() { "DETECTED" } else { "NOT OBSERVED" };
-    Ok(format!(
-        "chart `{}` over {} sampled cycles: {} — {} occurrence(s) at ticks {}, \
-         scoreboard underflows {}\n\
-         segments: {} window(s) across {} worker(s): {} adopted, {} replayed, \
-         {} speculative tick(s)\n",
-        chart.name(),
-        got.report.ticks,
-        verdict,
-        tally.count(),
-        tally.render(),
-        got.report.underflows,
-        got.windows,
-        seg_opts.jobs,
-        got.adopted,
-        got.replayed,
-        got.speculative_steps,
-    ))
+    for name in names {
+        let t = specs.resolve(name).map_err(lift)?;
+        if !targets.contains(&t) {
+            targets.push(t);
+        }
+    }
+    if targets.is_empty() {
+        return Err(CliError::Usage(
+            "check requires --chart NAME (repeatable) or --all-charts".to_owned(),
+        ));
+    }
+    Ok(targets)
 }
 
 /// Result of a fleet-mode check: the rendered report plus the CI-gate
@@ -848,7 +634,7 @@ struct Slot {
 ///
 /// The dump is streamed in [`BATCH_CHUNK`]-sized [`cesc_trace::GlobalStep`]
 /// chunks broadcast to the shard workers, and match accounting is
-/// bounded ([`MatchLog`]) unless [`CheckOptions::all_matches`] asks
+/// bounded ([`cesc_par::MatchLog`]) unless [`CheckOptions::all_matches`] asks
 /// for every hit — memory stays constant in dump length and match
 /// count.
 ///
@@ -872,29 +658,8 @@ pub fn check_fleet(
     // JSON report's ticks/wall_ms/exec_ms are real either way
     let obs = opts.stats.obs.or_enabled();
     let wall = std::time::Instant::now();
-    let specs = load_check(source, opts, obs.clone())?;
-
-    // -- resolve the target selection (dedupe, validate) -------------
-    let mut targets: Vec<TargetRef> = Vec::new();
-    if all_charts {
-        targets = specs.checkable_targets();
-        if targets.is_empty() {
-            return Err(CliError::Pipeline(
-                "document contains no checkable charts".to_owned(),
-            ));
-        }
-    }
-    for name in names {
-        let t = specs.resolve(name).map_err(lift)?;
-        if !targets.contains(&t) {
-            targets.push(t);
-        }
-    }
-    if targets.is_empty() {
-        return Err(CliError::Usage(
-            "check requires --chart NAME (repeatable) or --all-charts".to_owned(),
-        ));
-    }
+    let specs = load_obs(source, !opts.no_opt, obs.clone())?;
+    let targets = select_targets(&specs, names, all_charts)?;
 
     // -- build the fleet from the cached compiled artifacts ----------
     let mut fleet = Fleet::new();
@@ -1007,45 +772,30 @@ pub fn check_cosim(
     opts: &CheckOptions,
 ) -> Result<CheckOutcome, CliError> {
     let obs = &opts.stats.obs;
-    let specs = load_check(source, opts, obs.clone())?;
+    let specs = load_obs(source, !opts.no_opt, obs.clone())?;
     let doc = specs.document();
 
-    // -- resolve the selection (basic charts only) -------------------
+    // -- keep the basic charts; a named non-basic target is an error,
+    // the rest of an --all-charts selection is listed as skipped -----
     let mut selected: Vec<usize> = Vec::new();
     let mut skipped: Vec<String> = Vec::new();
-    if all_charts {
-        selected.extend(0..doc.charts.len());
-        skipped.extend(doc.multiclock.iter().map(|m| format!("multiclock `{}`", m.name())));
-        skipped.extend(
-            doc.compositions
-                .iter()
-                .filter(|(_, c)| cesc_spec::assert_capable(c))
-                .map(|(n, _)| format!("assert `{n}`")),
-        );
-        if selected.is_empty() {
-            return Err(CliError::Pipeline(
-                "document contains no basic charts to co-simulate".to_owned(),
-            ));
-        }
-    }
-    for name in names {
-        match specs.resolve(name).map_err(lift)? {
-            TargetRef::Chart(i) => {
-                if !selected.contains(&i) {
-                    selected.push(i);
-                }
-            }
-            TargetRef::Multi(_) | TargetRef::Assert(_) => {
+    for target in select_targets(&specs, names, all_charts)? {
+        let name = specs.target_name(target);
+        match target {
+            TargetRef::Chart(i) => selected.push(i),
+            _ if names.iter().any(|n| n == name) => {
                 return Err(CliError::Pipeline(format!(
                     "--cosim interprets the emitted RTL of basic charts; `{name}` is not a \
                      basic chart (multiclock specs and compositions have no single module)"
                 )));
             }
+            TargetRef::Multi(_) => skipped.push(format!("multiclock `{name}`")),
+            TargetRef::Assert(_) => skipped.push(format!("assert `{name}`")),
         }
     }
     if selected.is_empty() {
-        return Err(CliError::Usage(
-            "check requires --chart NAME (repeatable) or --all-charts".to_owned(),
+        return Err(CliError::Pipeline(
+            "document contains no basic charts to co-simulate".to_owned(),
         ));
     }
 
@@ -1386,8 +1136,8 @@ pub fn usage() -> &'static str {
      synth  <spec> [--chart NAME] [--format summary|dot|verilog|sva|testbench]\n\
             [--force] [--no-opt] [--counter-width N] [--all-charts --out-dir DIR]\n\
      check  <spec> (--chart NAME)... | --all-charts  --vcd FILE\n\
-            [--clock NAME] [--jobs N] [--segments N] [--json] [--all-matches]\n\
-            [--cosim] [--no-opt] [--no-simd]\n\
+            [--clock NAME] [--jobs N] [--json] [--all-matches]\n\
+            [--cosim] [--no-opt]\n\
             [--stats] [--stats-json FILE] [--progress]\n\
      lint   <spec> [--chart NAME]... [--json] [--deny] [--allow RULE]...\n\
             [--counter-width N] [--no-opt] [--stats] [--stats-json FILE]\n\
@@ -1409,10 +1159,6 @@ pub fn usage() -> &'static str {
      --chart may repeat (duplicates are deduplicated); --all-charts checks\n\
      every chart, spec and implication in one pass over the dump.\n\
      --jobs N      shard the monitor fleet across N worker threads\n\
-     --segments N  split the dump into N windows and run ONE basic chart's\n\
-                   monitor with trace-segment speculative parallelism across\n\
-                   --jobs threads (buffers the decoded trace; verdicts are\n\
-                   bit-identical to the streaming scan)\n\
      --json        machine-readable report (schema cesc-check/3)\n\
      --all-matches list every match tick; default summarises (count + first/last 5)\n\
      --clock NAME  rename the sampled clock signal (single-clock charts only;\n\
@@ -1420,9 +1166,6 @@ pub fn usage() -> &'static str {
      --no-opt      skip the monitor optimization pass pipeline (dead-state/\n\
                    dead-transition pruning, guard CSE, scoreboard narrowing);\n\
                    monitors run exactly as synthesized\n\
-     --no-simd     run optimized monitors tick by tick instead of through the\n\
-                   bit-sliced 64-ticks-per-word engine (the default engine;\n\
-                   verdicts are identical either way)\n\
      --cosim       differentially execute the emitted RTL (cesc-rtl\n\
                    interpreter, lowered from the optimized monitor) against\n\
                    the unoptimized engine over the dump; any match_pulse\n\

@@ -88,18 +88,6 @@ fn run() -> Result<(String, bool), cli::CliError> {
             "--no-opt" => {
                 check_opts.no_opt = true;
             }
-            "--no-simd" => {
-                check_opts.no_simd = true;
-            }
-            "--segments" => {
-                let raw = expect_value(&mut it, "--segments")?;
-                check_opts.segments =
-                    raw.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        cli::CliError::Usage(format!(
-                            "--segments {raw}: expected a positive integer"
-                        ))
-                    })?;
-            }
             "--cosim" => {
                 cosim = true;
             }
@@ -247,26 +235,6 @@ fn run() -> Result<(String, bool), cli::CliError> {
             })?;
             let total_bytes = file.metadata().map(|m| m.len()).unwrap_or(0);
             let reader = std::io::BufReader::new(file);
-            if check_opts.segments > 0 {
-                if cosim || check_opts.json || progress {
-                    return Err(cli::CliError::Usage(
-                        "--segments emits a text report over one basic chart; drop \
-                         --cosim/--json/--progress"
-                            .to_owned(),
-                    ));
-                }
-                let [chart] = charts.as_slice() else {
-                    return Err(cli::CliError::Usage(
-                        "--segments parallelizes a single monitor: pass exactly one --chart \
-                         naming a basic chart"
-                            .to_owned(),
-                    ));
-                };
-                let out =
-                    cli::check_segmented(&source, chart, reader, clock.as_deref(), &check_opts)?;
-                cli::finish_stats(&stats, "check")?;
-                return Ok((out, false));
-            }
             let outcome = if cosim {
                 if check_opts.json {
                     return Err(cli::CliError::Usage(

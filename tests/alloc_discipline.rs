@@ -1,7 +1,7 @@
 //! Steady-state allocation discipline, pinned by a counting global
-//! allocator: after a one-chunk warmup, (a) `VcdStream::next_chunk`,
-//! (b) `GlobalVcdStream::next_chunk` and (c) the bit-sliced
-//! `BatchExec::feed` hot loop must perform **zero** heap allocations
+//! allocator: after a warmup, `GlobalVcdStream::next_chunk` on (a) one
+//! and (b) two clocks, and (c) the bit-sliced `BatchExec::feed` hot
+//! loop must perform **zero** heap allocations
 //! per chunk. This is the contract behind the streaming `cesc check`
 //! path: decode buffers, recycled `GlobalStep::ticks` vectors and the
 //! slice scratch are all reused, so throughput does not degrade into
@@ -19,7 +19,7 @@ use cesc::expr::Valuation;
 use cesc::prelude::parse_document;
 use cesc::trace::{
     write_vcd, write_vcd_global, ClockDomain, ClockSet, GlobalRun, GlobalStep, GlobalVcdStream,
-    Trace, VcdClockSpec, VcdStream, VcdWriteOptions,
+    Trace, VcdClockSpec, VcdWriteOptions,
 };
 
 /// Counts every `alloc`/`realloc` handed to the system allocator.
@@ -80,28 +80,37 @@ fn streaming_hot_loops_allocate_nothing_after_warmup() {
         })
         .collect();
 
+    // warmup: two chunks, so the spare pool has absorbed one full
+    // recycle cycle (the pool vector itself grows on the first drain)
+    let steady_decode = |text: &str, specs: &[VcdClockSpec]| {
+        let mut stream =
+            GlobalVcdStream::from_reader(Cursor::new(text), &doc.alphabet, specs).unwrap();
+        let mut buf: Vec<GlobalStep> = Vec::with_capacity(CHUNK);
+        let mut decoded = stream.next_chunk(&mut buf, CHUNK).unwrap();
+        decoded += stream.next_chunk(&mut buf, CHUNK).unwrap();
+        let steady = allocs_during(|| loop {
+            let n = stream.next_chunk(&mut buf, CHUNK).unwrap();
+            if n == 0 {
+                break;
+            }
+            decoded += n;
+        });
+        assert_eq!(decoded, CHUNK * CHUNKS, "whole dump decoded");
+        steady
+    };
+
     // (a) single-clock VCD streaming: the parser reuses its line
-    // buffer and the caller's chunk buffer.
+    // buffer, and `GlobalStep::ticks` vectors are recycled through
+    // the stream's spare pool across chunks.
     let text = write_vcd(
         &Trace::from_elements(elements.clone()),
         &doc.alphabet,
         &VcdWriteOptions::default(),
     );
-    let mut stream = VcdStream::from_reader(Cursor::new(&text), &doc.alphabet, "clk").unwrap();
-    let mut buf: Vec<Valuation> = Vec::with_capacity(CHUNK);
-    let mut decoded = stream.next_chunk(&mut buf, CHUNK).unwrap(); // warmup
-    let steady = allocs_during(|| loop {
-        let n = stream.next_chunk(&mut buf, CHUNK).unwrap();
-        if n == 0 {
-            break;
-        }
-        decoded += n;
-    });
-    assert_eq!(decoded, CHUNK * CHUNKS, "whole dump decoded");
-    assert_eq!(steady, 0, "VcdStream::next_chunk allocated in steady state");
+    let steady = steady_decode(&text, &[VcdClockSpec::new("clk")]);
+    assert_eq!(steady, 0, "one-clock GlobalVcdStream::next_chunk allocated in steady state");
 
-    // (b) multi-clock VCD streaming: `GlobalStep::ticks` vectors are
-    // recycled through the stream's spare pool across chunks.
+    // (b) multi-clock VCD streaming over two interleaved domains.
     let mut clocks = ClockSet::new();
     let c1 = clocks.add(ClockDomain::new("clk1", 2, 0));
     let c2 = clocks.add(ClockDomain::new("clk2", 2, 1));
@@ -126,22 +135,8 @@ fn streaming_hot_loops_allocate_nothing_after_warmup() {
         VcdClockSpec::masked("clk1", owners[0]),
         VcdClockSpec::masked("clk2", owners[1]),
     ];
-    let mut stream =
-        GlobalVcdStream::from_reader(Cursor::new(&text), &doc.alphabet, &specs).unwrap();
-    let mut gbuf: Vec<GlobalStep> = Vec::with_capacity(CHUNK);
-    // warmup: two chunks, so the spare pool has absorbed one full
-    // recycle cycle (the pool vector itself grows on the first drain)
-    let mut decoded = stream.next_chunk(&mut gbuf, CHUNK).unwrap();
-    decoded += stream.next_chunk(&mut gbuf, CHUNK).unwrap();
-    let steady = allocs_during(|| loop {
-        let n = stream.next_chunk(&mut gbuf, CHUNK).unwrap();
-        if n == 0 {
-            break;
-        }
-        decoded += n;
-    });
-    assert_eq!(decoded, CHUNK * CHUNKS, "whole dump decoded");
-    assert_eq!(steady, 0, "GlobalVcdStream::next_chunk allocated in steady state");
+    let steady = steady_decode(&text, &specs);
+    assert_eq!(steady, 0, "two-clock GlobalVcdStream::next_chunk allocated in steady state");
 
     // (c) the bit-sliced execution hot loop: transpose scratch and the
     // word cache live in the executor; only hit recording may touch

@@ -15,8 +15,8 @@ use cesc::expr::{SymbolId, Valuation};
 use cesc::par::{plan_shards, scan_sharded, scan_sharded_global, Fleet, ParOptions};
 use cesc::prelude::{parse_document, Alphabet, ScescBuilder};
 use cesc::trace::{
-    read_vcd, write_vcd, ClockDomain, ClockId, ClockSet, GlobalRun, GlobalStep, Trace, VcdStream,
-    VcdWriteOptions,
+    read_vcd, write_vcd, ClockDomain, ClockId, ClockSet, GlobalRun, GlobalStep, GlobalVcdStream,
+    Trace, VcdClockSpec, VcdWriteOptions,
 };
 use proptest::prelude::*;
 
@@ -283,11 +283,12 @@ proptest! {
         prop_assert_eq!(&whole, &trace);
 
         let reader = std::io::BufReader::with_capacity(cap, vcd.as_bytes());
-        let mut stream = VcdStream::from_reader(reader, &ab, "clk").unwrap();
+        let mut stream =
+            GlobalVcdStream::from_reader(reader, &ab, &[VcdClockSpec::new("clk")]).unwrap();
         let mut got = Trace::new();
         let mut chunk = Vec::new();
         while stream.next_chunk(&mut chunk, chunk_size).unwrap() > 0 {
-            got.extend(chunk.iter().copied());
+            got.extend(chunk.iter().map(|step| step.ticks[0].1));
         }
         prop_assert_eq!(got, whole);
     }

@@ -1,9 +1,7 @@
 //! Tests for the `cesc` command-line front end (the pure command
 //! functions in `cesc::cli`; `src/main.rs` only parses argv).
 
-use cesc::cli::{
-    check, check_fleet, render, synth, usage, CheckOptions, CliError, SynthFormat,
-};
+use cesc::cli::{check_fleet, render, synth, usage, CheckOptions, CliError, SynthFormat};
 use cesc::core::{synthesize, SynthOptions};
 use cesc::trace::{write_vcd, VcdWriteOptions};
 
@@ -184,8 +182,19 @@ fn check_cosim_rejects_non_basic_targets_by_name() {
     assert!(err.to_string().contains("not found"), "{err}");
 }
 
+/// `cesc check --chart NAME`: one target through the fleet route,
+/// text report.
+fn check_one(
+    source: &str,
+    name: &str,
+    vcd: &[u8],
+    opts: &CheckOptions,
+) -> Result<String, CliError> {
+    check_fleet(source, &[name.to_owned()], false, vcd, None, opts).map(|o| o.output)
+}
+
 #[test]
-fn check_against_vcd() {
+fn fleet_check_against_vcd() {
     // produce a VCD with one compliant handshake using the library
     let doc = cesc::chart::parse_document(SPEC).unwrap();
     let req = doc.alphabet.lookup("req").unwrap();
@@ -202,7 +211,7 @@ fn check_against_vcd() {
     assert!(monitor.scan(&trace).detected());
     let vcd = write_vcd(&trace, &doc.alphabet, &VcdWriteOptions::default());
 
-    let out = check(SPEC, "hs", vcd.as_bytes(), "clk", &CheckOptions::default()).unwrap();
+    let out = check_one(SPEC, "hs", vcd.as_bytes(), &CheckOptions::default()).unwrap();
     assert!(out.contains("DETECTED"));
     assert!(out.contains("1 occurrence(s)"));
 
@@ -214,30 +223,29 @@ fn check_against_vcd() {
     .into_iter()
     .collect();
     let vcd = write_vcd(&broken, &doc.alphabet, &VcdWriteOptions::default());
-    let out = check(SPEC, "hs", vcd.as_bytes(), "clk", &CheckOptions::default()).unwrap();
+    let out = check_one(SPEC, "hs", vcd.as_bytes(), &CheckOptions::default()).unwrap();
     assert!(out.contains("NOT OBSERVED"));
 }
 
 #[test]
-fn check_summarizes_bulk_matches_unless_asked() {
+fn fleet_check_summarizes_bulk_matches_unless_asked() {
     // 40 back-to-back pulses → 40 matches; default output elides the
-    // middle, --all-matches lists every tick
+    // middle, --all-matches lists every match time (tick k at time 10k)
     let doc = cesc::chart::parse_document(SPEC).unwrap();
     let p = doc.alphabet.lookup("p").unwrap();
     let trace: cesc::trace::Trace =
         std::iter::repeat_n(cesc::expr::Valuation::of([p]), 40).collect();
     let vcd = write_vcd(&trace, &doc.alphabet, &VcdWriteOptions::default());
 
-    let out = check(SPEC, "pulse", vcd.as_bytes(), "clk", &CheckOptions::default()).unwrap();
+    let out = check_one(SPEC, "pulse", vcd.as_bytes(), &CheckOptions::default()).unwrap();
     assert!(out.contains("40 occurrence(s)"), "{out}");
     assert!(out.contains("... 30 more ..."), "{out}");
     assert!(!out.contains("17"), "middle ticks elided: {out}");
 
-    let all = check(
+    let all = check_one(
         SPEC,
         "pulse",
         vcd.as_bytes(),
-        "clk",
         &CheckOptions {
             all_matches: true,
             ..Default::default()
@@ -255,7 +263,7 @@ multiclock pair { charts { m1, m2 } cause go -> done; }
 "#;
 
 #[test]
-fn check_multiclock_spec_against_global_vcd() {
+fn fleet_check_multiclock_spec_against_global_vcd() {
     use cesc::expr::Valuation;
     use cesc::trace::{write_vcd_global, ClockDomain, ClockSet, GlobalRun, Trace};
 
@@ -276,7 +284,7 @@ fn check_multiclock_spec_against_global_vcd() {
     let owners = [Valuation::of([go]), Valuation::of([done])];
     let vcd = write_vcd_global(&run, &clocks, &doc.alphabet, &owners, &VcdWriteOptions::default());
 
-    let out = check(MULTI_SPEC, "pair", vcd.as_bytes(), "clk", &CheckOptions::default()).unwrap();
+    let out = check_one(MULTI_SPEC, "pair", vcd.as_bytes(), &CheckOptions::default()).unwrap();
     assert!(out.contains("multiclock `pair`"), "{out}");
     assert!(out.contains("DETECTED"), "{out}");
     assert!(out.contains("clk1, clk2"), "{out}");
@@ -292,30 +300,59 @@ fn check_multiclock_spec_against_global_vcd() {
     )
     .unwrap();
     let vcd = write_vcd_global(&run, &clocks, &doc.alphabet, &owners, &VcdWriteOptions::default());
-    let out = check(MULTI_SPEC, "pair", vcd.as_bytes(), "clk", &CheckOptions::default()).unwrap();
+    let out = check_one(MULTI_SPEC, "pair", vcd.as_bytes(), &CheckOptions::default()).unwrap();
     assert!(out.contains("NOT OBSERVED"), "{out}");
 }
 
 #[test]
-fn check_survives_hostile_vcd_input() {
+fn fleet_check_survives_hostile_vcd_input() {
     // binary junk (invalid UTF-8), truncated dumps and malformed
     // timestamps must come back as pipeline errors, never panics
+    let opts = CheckOptions::default();
     let junk: Vec<u8> = (0u8..=255).cycle().take(4096).collect();
-    let err = check(SPEC, "hs", junk.as_slice(), "clk", &CheckOptions::default()).unwrap_err();
+    let err = check_one(SPEC, "hs", junk.as_slice(), &opts).unwrap_err();
     assert!(matches!(err, CliError::Pipeline(_)));
 
     let truncated = "$var wire 1 ! clk $end\n$enddefinitions $end\n#0\n1!\n#z";
-    let err = check(SPEC, "hs", truncated.as_bytes(), "clk", &CheckOptions::default()).unwrap_err();
+    let err = check_one(SPEC, "hs", truncated.as_bytes(), &opts).unwrap_err();
     assert!(err.to_string().contains("timestamp"), "{err}");
 
     let short_var = "$var wire 1 $end\n";
-    let err = check(SPEC, "hs", short_var.as_bytes(), "clk", &CheckOptions::default()).unwrap_err();
+    let err = check_one(SPEC, "hs", short_var.as_bytes(), &opts).unwrap_err();
     assert!(err.to_string().contains("$var"), "{err}");
+
+    // no header at all: the sampled clock is reported missing by name
+    let err = check_one(SPEC, "hs", b"not a vcd".as_slice(), &opts).unwrap_err();
+    assert!(err.to_string().contains("clk"));
 }
 
 #[test]
-fn check_unknown_name_lists_charts_and_multiclock_specs() {
-    let err = check(MULTI_SPEC, "ghost", b"".as_slice(), "clk", &CheckOptions::default())
+fn fleet_check_reads_aliased_identifier_codes() {
+    // one identifier code declared for two names (an aliased net): a
+    // rise on the code raises both `a` and `b`
+    const ALIAS_SPEC: &str =
+        "scesc both on clk { instances { M } events { a, b } tick { M: a, b } }";
+    let vcd = "\
+$var wire 1 ! clk $end
+$var wire 1 \" a $end
+$var wire 1 \" b $end
+$enddefinitions $end
+#0
+0!
+0\"
+#5
+1\"
+1!
+#10
+0!
+";
+    let out = check_one(ALIAS_SPEC, "both", vcd.as_bytes(), &CheckOptions::default()).unwrap();
+    assert!(out.contains("DETECTED — 1 occurrence(s)"), "{out}");
+}
+
+#[test]
+fn fleet_check_unknown_name_lists_charts_and_multiclock_specs() {
+    let err = check_one(MULTI_SPEC, "ghost", b"".as_slice(), &CheckOptions::default())
         .unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("m1, m2"), "{msg}");
@@ -601,9 +638,6 @@ fn errors_are_reported() {
     ));
     let err = synth(SPEC, Some("ghost"), SynthFormat::Summary, false).unwrap_err();
     assert!(err.to_string().contains("available: hs, pulse"));
-    let err = check(SPEC, "hs", b"not a vcd".as_slice(), "clk", &CheckOptions::default())
-        .unwrap_err();
-    assert!(err.to_string().contains("clk"));
 }
 
 #[test]
@@ -677,21 +711,13 @@ fn fleet_json_opt_report_follows_the_no_opt_flag() {
 }
 
 #[test]
-fn no_opt_check_matches_optimized_verdicts() {
+fn fleet_no_opt_check_matches_optimized_verdicts() {
     let vcd = fleet_vcd(true);
-    let optimized = check(
+    let optimized = check_one(FLEET_SPEC, "hs", vcd.as_bytes(), &CheckOptions::default()).unwrap();
+    let raw = check_one(
         FLEET_SPEC,
         "hs",
         vcd.as_bytes(),
-        "clk",
-        &CheckOptions::default(),
-    )
-    .unwrap();
-    let raw = check(
-        FLEET_SPEC,
-        "hs",
-        vcd.as_bytes(),
-        "clk",
         &CheckOptions {
             no_opt: true,
             ..Default::default()

@@ -1,19 +1,14 @@
-//! Property pins for the bit-sliced 64-tick engine and the
-//! trace-segment speculative executor: over arbitrary charts, traces
-//! and chunkings the sliced path ([`CompileOptions::bit_slice`])
-//! produces exactly the verdicts of the step-wise `Monitor::scan`,
-//! `Monitor::scan_batch` and the scalar compiled engine — same
-//! detection ticks, same final state, same underflow count. The wide
-//! sections stress the 63/64/65-symbol alphabet boundary where the
-//! `u64` column transpose runs out of lanes and states must fall back
-//! to exact scalar stepping, and the segment section pins
-//! `cesc_par::scan_segmented` against the serial executor for jobs
-//! 1–8 and arbitrary window splits.
+//! Property pins for the bit-sliced 64-tick engine: over arbitrary
+//! charts, traces and chunkings the sliced path
+//! ([`CompileOptions::bit_slice`]) produces exactly the verdicts of
+//! the step-wise `Monitor::scan`, `Monitor::scan_batch` and the scalar
+//! compiled engine — same detection ticks, same final state, same
+//! underflow count. The wide sections stress the 63/64/65-symbol
+//! alphabet boundary where the `u64` column transpose runs out of
+//! lanes and states must fall back to exact scalar stepping.
 
 use cesc::core::{synthesize, CompileOptions, SynthOptions};
 use cesc::expr::{SymbolId, Valuation};
-use cesc::obs::Obs;
-use cesc::par::{scan_segmented, SegmentOptions};
 use cesc::prelude::{parse_document, Alphabet, ScescBuilder};
 use proptest::prelude::*;
 
@@ -204,54 +199,5 @@ proptest! {
         prop_assert_eq!(&hits, &reference.matches);
         prop_assert_eq!(ticks, reference.ticks);
         prop_assert_eq!(underflows, reference.underflows);
-    }
-
-    /// Segment-parallel == serial for any jobs 1–8 and any window
-    /// split, pattern-only charts: the `SegmentReport` carries exactly
-    /// the serial `ScanReport` and accounts for every window.
-    #[test]
-    fn segmented_equals_serial(
-        pattern in arb_pattern(),
-        raw in arb_trace(),
-        jobs in 1usize..9,
-        window in 1usize..80,
-    ) {
-        let Some((ids, chart)) = build_chart(&pattern, SYMS, [0, 1, 2, 3]) else {
-            return Ok(());
-        };
-        let trace = decode_trace(&raw, &ids);
-        let monitor = synthesize(&chart, &SynthOptions::default()).unwrap();
-        let compiled = monitor.compiled_with(&sliced());
-        let reference = monitor.scan(trace.iter().copied());
-
-        let opts = SegmentOptions { jobs, window, obs: Obs::disabled() };
-        let seg = scan_segmented(&compiled, compiled.touched_symbols(), &trace, &opts);
-        prop_assert_eq!(&seg.report, &reference);
-        prop_assert_eq!(seg.windows, trace.len().div_ceil(window));
-        prop_assert_eq!(seg.adopted + seg.replayed, seg.windows);
-    }
-
-    /// Segment-parallel == serial under scoreboard traffic: windows
-    /// whose speculative runs touched the scoreboard are replayed, and
-    /// the stitched verdict still equals the serial one.
-    #[test]
-    fn segmented_equals_serial_with_scoreboard(
-        raw in arb_trace(),
-        jobs in 1usize..9,
-        window in 1usize..80,
-    ) {
-        let doc = causality_doc();
-        let ids: Vec<SymbolId> = (0..SYMS)
-            .map(|i| doc.alphabet.lookup(&format!("s{i}")).unwrap())
-            .collect();
-        let trace = decode_trace(&raw, &ids);
-        let monitor =
-            synthesize(doc.chart("cz").unwrap(), &SynthOptions::default()).unwrap();
-        let compiled = monitor.compiled_with(&sliced());
-        let reference = monitor.scan(trace.iter().copied());
-
-        let opts = SegmentOptions { jobs, window, obs: Obs::disabled() };
-        let seg = scan_segmented(&compiled, compiled.touched_symbols(), &trace, &opts);
-        prop_assert_eq!(&seg.report, &reference);
     }
 }

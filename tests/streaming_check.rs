@@ -1,16 +1,15 @@
-//! End-to-end streaming check: a large generated multi-clock VCD on
-//! disk is verified by `cesc::cli::check` through a `BufReader` — the
-//! deployment where the dump never fits in memory. Exercises the full
-//! pipeline: `write_vcd_global_to` → file → `GlobalVcdStream` →
-//! `CompiledMultiClock` batch execution → summarised CLI report. The
-//! fleet-mode section drives `cesc::cli::check_fleet` (`cesc check
-//! --jobs 4 --all-charts`) over the same class of 100k+-tick dumps:
-//! every chart, multiclock spec and `implies(...)` assertion verified
-//! in one sharded pass.
+//! End-to-end streaming check: large generated VCDs on disk are
+//! verified by `cesc::cli::check_fleet` (the `cesc check` route)
+//! through a `BufReader` — the deployment where the dump never fits in
+//! memory. Exercises the full pipeline: `write_vcd_global_to` → file →
+//! `GlobalVcdStream` → batch execution → summarised CLI report, for one
+//! target per run and for `--jobs 4 --all-charts` over 100k+-tick
+//! dumps: every chart, multiclock spec and `implies(...)` assertion
+//! verified in one sharded pass.
 
 use std::io::{BufWriter, Write as _};
 
-use cesc::cli::{check, check_fleet, CheckOptions};
+use cesc::cli::{check_fleet, CheckOptions};
 use cesc::core::{synthesize_multiclock, SynthOptions};
 use cesc::expr::Valuation;
 use cesc::trace::{
@@ -42,7 +41,7 @@ fn big_run(go: Valuation, done: Valuation, per_domain: usize) -> (ClockSet, Glob
 }
 
 #[test]
-fn large_multiclock_vcd_checks_via_streaming_reader() {
+fn fleet_mode_checks_large_multiclock_vcd_via_streaming_reader() {
     const PER_DOMAIN: usize = 60_000; // 120k global steps total
 
     let doc = cesc::chart::parse_document(MULTI_SPEC).unwrap();
@@ -73,7 +72,10 @@ fn large_multiclock_vcd_checks_via_streaming_reader() {
 
     // ...and check it back through the CLI's streaming path
     let reader = std::io::BufReader::new(std::fs::File::open(&path).unwrap());
-    let out = check(MULTI_SPEC, "pair", reader, "clk", &CheckOptions::default()).unwrap();
+    let names = ["pair".to_owned()];
+    let out = check_fleet(MULTI_SPEC, &names, false, reader, None, &CheckOptions::default())
+        .unwrap()
+        .output;
     assert!(out.contains("DETECTED"), "{out}");
     assert!(out.contains(&format!("{PER_DOMAIN} occurrence(s)")), "{out}");
     assert!(out.contains(&format!("over {} global steps", 2 * PER_DOMAIN)), "{out}");
@@ -246,7 +248,7 @@ fn cosim_mode_validates_rtl_over_100k_tick_dump_on_disk() {
 }
 
 #[test]
-fn large_single_clock_vcd_checks_via_streaming_reader() {
+fn fleet_mode_checks_large_single_clock_vcd_via_streaming_reader() {
     const TICKS: usize = 100_000;
     const SPEC: &str =
         "scesc pulse on clk { instances { M } events { p } tick { M: p } }";
@@ -283,7 +285,10 @@ fn large_single_clock_vcd_checks_via_streaming_reader() {
     }
 
     let reader = std::io::BufReader::new(std::fs::File::open(&path).unwrap());
-    let out = check(SPEC, "pulse", reader, "clk", &CheckOptions::default()).unwrap();
+    let names = ["pulse".to_owned()];
+    let out = check_fleet(SPEC, &names, false, reader, None, &CheckOptions::default())
+        .unwrap()
+        .output;
     assert!(out.contains(&format!("over {TICKS} sampled cycles")), "{out}");
     assert!(out.contains(&format!("{} occurrence(s)", TICKS / 2)), "{out}");
     assert!(out.len() < 400, "summary stays short: {} bytes", out.len());
