@@ -8,17 +8,17 @@
 //! every monitor from one `MonitorBank::feed` over raw-compiled
 //! tables; the fleet variants run the deployment configuration —
 //! `cesc check` hands the fleet the spec cache's
-//! [`CompileOptions::optimized`] (bit-sliced) artifacts, so this bench
+//! [`CompileOptions::optimized`] artifacts, so this bench
 //! does too — streaming the same `BATCH_CHUNK`-sized chunks to 1, 2
 //! and 4 shard workers planned by the cost-model LPT planner.
 //!
 //! Verdict equivalence between the serial and sharded paths is
 //! asserted inline here and property-tested in
-//! `tests/batch_equivalence.rs` / `tests/simd_equivalence.rs`; this
-//! bench produces the measured speedup. Acceptance bar: the recorded
-//! host-clamped configuration must show speedup ≥ 1.0 on any host.
-//! Single-shard plans take the no-thread direct path, so even a
-//! single-core host keeps the bit-sliced engine's win instead of
+//! `tests/batch_equivalence.rs`; this bench produces the measured
+//! speedup. Acceptance bar (checked by `make verify-par`): the
+//! recorded host-clamped configuration must show speedup ≥ 1.0 on
+//! any host. Single-shard plans take the no-thread direct path, so
+//! even a single-core host keeps the optimized tables' edge instead of
 //! paying channel/broadcast overhead for no parallelism; multi-core
 //! hosts stack shard parallelism on top.
 
@@ -71,7 +71,7 @@ fn bench(c: &mut Criterion) {
     }
     bank.feed(trace.as_slice());
     // deployment fleet: `cesc check` builds its fleet from the spec
-    // cache's optimized (bit-sliced) artifacts, not raw tables
+    // cache's optimized artifacts, not raw tables
     let mut fleet = Fleet::new();
     for m in &monitors {
         fleet.add_compiled(m.compiled_with(&CompileOptions::optimized()));
@@ -138,7 +138,7 @@ fn bench(c: &mut Criterion) {
     // measures broadcast overhead. On a single-core host that clamps
     // to one shard, which the planner runs on the no-thread direct
     // path — the recorded speedup then measures the deployment
-    // engine's edge (bit-sliced tables) over the raw serial bank
+    // engine's edge (optimized tables) over the raw serial bank
     // rather than going sub-serial on channel overhead.
     let host_jobs = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let jobs = host_jobs.min(4);

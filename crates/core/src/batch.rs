@@ -114,17 +114,17 @@ impl GuardMask {
     }
 }
 
-/// Knobs for [`CompiledMonitor::with_options`] — the compile-level
-/// half of the optimization pass pipeline (the automaton-level half is
-/// [`crate::optimize`]).
+/// Table layout for [`CompiledMonitor::with_options`] — the
+/// compile-level half of the optimization pass pipeline (the
+/// automaton-level half is [`crate::optimize`]).
 ///
-/// [`CompiledMonitor::new`] / [`Monitor::compiled`] use
-/// [`CompileOptions::raw`], preserving the historical table layout;
-/// the `cesc-spec` front door compiles with
+/// There are exactly two layouts. [`CompiledMonitor::new`] /
+/// [`Monitor::compiled`] use [`CompileOptions::raw`], the historical
+/// table layout; the `cesc-spec` front door compiles with
 /// [`CompileOptions::optimized`] unless `--no-opt` asks otherwise.
 /// Either way the executed semantics are identical (pinned by the
-/// `opt_equivalence` property suite) — the options only change table
-/// size and memory footprint.
+/// `opt_equivalence` property suite) — the layout only changes table
+/// size, memory footprint and guard width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompileOptions {
     /// Deduplicate identical postfix guard programs into one shared
@@ -132,7 +132,7 @@ pub struct CompileOptions {
     /// same slide-back guard from many states, so the op pool — and
     /// with it [`CompiledMonitor::step_cost`]'s program surcharge —
     /// shrinks accordingly.
-    pub dedupe_programs: bool,
+    dedupe_programs: bool,
     /// Renumber scoreboard symbols (the `Chk_evt`/`Add_evt`/`Del_evt`
     /// targets) into a dense slot space, so the count table is sized
     /// by the symbols with scoreboard traffic instead of by the
@@ -140,24 +140,14 @@ pub struct CompileOptions {
     /// `Chk` ops, packed actions and the presence bitmap all move to
     /// the dense space together; [`CompiledMonitor::touched_symbols`]
     /// keeps reporting the *global* footprint.
-    pub narrow_slots: bool,
+    narrow_slots: bool,
     /// Narrow guard bitmasks to the observed alphabet: when a guard's
     /// trace and scoreboard masks all fit in 64 bits (every document
     /// with ≤ 64 symbols — all the protocol case studies), it is
     /// evaluated with `u64` operations instead of four `u128`
     /// tests — the measurable hot-path win of the pass pipeline on
     /// monitors the automaton passes cannot shrink.
-    pub narrow_masks: bool,
-    /// Precompute the bit-slicing tables ([`crate::simd`]) so
-    /// [`BatchExec::feed`] / [`MonitorBank::feed`] evaluate 64 ticks
-    /// per machine word: chunks are transposed into per-symbol bit
-    /// columns, every [`CompileOptions::narrow_masks`] conjunction
-    /// guard becomes whole-word AND/AND-NOT ops, and quiescent
-    /// stretches are skipped with one `popcount` per word. Verdicts
-    /// are bit-identical to the scalar path (the `simd_equivalence`
-    /// suite and a cesc-fuzz leg pin it); states with program or
-    /// wide-mask guards transparently fall back to scalar stepping.
-    pub bit_slice: bool,
+    narrow_masks: bool,
 }
 
 impl CompileOptions {
@@ -167,24 +157,16 @@ impl CompileOptions {
             dedupe_programs: true,
             narrow_slots: true,
             narrow_masks: true,
-            bit_slice: true,
         }
     }
 
-    /// All passes off: the historical (and default) table layout.
+    /// All passes off: the historical table layout.
     pub fn raw() -> Self {
         CompileOptions {
             dedupe_programs: false,
             narrow_slots: false,
             narrow_masks: false,
-            bit_slice: false,
         }
-    }
-}
-
-impl Default for CompileOptions {
-    fn default() -> Self {
-        Self::raw()
     }
 }
 
@@ -332,9 +314,6 @@ pub struct CompiledMonitor {
     /// through a shared scoreboard — `CompiledMultiClock` uses this to
     /// pick its clock-major fast path.
     touched: u128,
-    /// Bit-slicing tables, precomputed when
-    /// [`CompileOptions::bit_slice`] is on (see [`crate::simd`]).
-    slice: Option<crate::simd::SlicePlan>,
 }
 
 /// Bitmask (global symbol space) of every symbol with scoreboard
@@ -376,13 +355,12 @@ impl CompiledMonitor {
     /// layout — see [`CompiledMonitor::with_options`] for the compile-
     /// level optimization passes.
     pub fn new(monitor: &Monitor) -> Self {
-        Self::with_options(monitor, &CompileOptions::default())
+        Self::with_options(monitor, &CompileOptions::raw())
     }
 
     /// Compiles `monitor` into flat form under `opts` (guard-program
-    /// deduplication, scoreboard-slot narrowing). Semantics are
-    /// identical for every option combination; only table sizes
-    /// change.
+    /// deduplication, scoreboard-slot and mask narrowing). Semantics
+    /// are identical for both layouts; only table sizes change.
     pub fn with_options(monitor: &Monitor, opts: &CompileOptions) -> Self {
         Self::build(monitor, opts, None)
     }
@@ -515,7 +493,7 @@ impl CompiledMonitor {
             0
         };
 
-        let mut compiled = CompiledMonitor {
+        CompiledMonitor {
             name: monitor.name().to_owned(),
             clock: monitor.clock().to_owned(),
             state_off,
@@ -531,12 +509,7 @@ impl CompiledMonitor {
             sb_mask,
             dense_slots: opts.narrow_slots,
             touched,
-            slice: None,
-        };
-        if opts.bit_slice {
-            compiled.slice = Some(crate::simd::SlicePlan::build(&compiled, monitor));
         }
-        compiled
     }
 
     /// Transition-array range of state `s` (priority order preserved).
@@ -602,41 +575,18 @@ impl CompiledMonitor {
         self.slots
     }
 
-    /// Action-array range of flat transition `t`.
-    pub(crate) fn action_range(&self, t: usize) -> std::ops::Range<usize> {
-        self.action_off[t] as usize..self.action_off[t + 1] as usize
-    }
-
-    /// The precomputed bit-slicing tables, if compiled with
-    /// [`CompileOptions::bit_slice`].
-    pub(crate) fn slice_plan(&self) -> Option<&crate::simd::SlicePlan> {
-        self.slice.as_ref()
-    }
-
-    /// Whether this monitor carries bit-slicing tables
-    /// ([`CompileOptions::bit_slice`]) — i.e. its executors take the
-    /// 64-ticks-per-word path for conjunction-guard states.
-    pub fn bit_sliced(&self) -> bool {
-        self.slice.is_some()
-    }
-
-    /// How many states the bit-sliced engine can word-evaluate (zero
-    /// when compiled without [`CompileOptions::bit_slice`]); the rest
-    /// scalar-step. A diagnostics signal for `cesc check --stats`.
-    pub fn sliceable_states(&self) -> usize {
-        self.slice.as_ref().map_or(0, crate::simd::SlicePlan::sliceable_states)
-    }
-
     /// Size of the count table a scoreboard for this monitor
     /// allocates: the dense scoreboard-symbol count under
-    /// [`CompileOptions::narrow_slots`], one slot per alphabet symbol
-    /// up to the highest mentioned index otherwise.
+    /// [`CompileOptions::optimized`] (slot narrowing), one slot per
+    /// alphabet symbol up to the highest mentioned index under
+    /// [`CompileOptions::raw`].
     pub fn scoreboard_slots(&self) -> usize {
         self.slots
     }
 
     /// Total instructions in the postfix guard-program pool (shared
-    /// between transitions under [`CompileOptions::dedupe_programs`]).
+    /// between transitions under [`CompileOptions::optimized`], which
+    /// deduplicates identical programs).
     pub fn program_op_count(&self) -> usize {
         self.ops.len()
     }
@@ -713,9 +663,6 @@ impl CompiledMonitor {
             monitor: self,
             state: ExecState::new(self),
             board: BatchBoard::sized(self.count_slots()),
-            scratch: crate::simd::SliceScratch::default(),
-            words: 0,
-            dense_words: 0,
         }
     }
 }
@@ -907,11 +854,6 @@ pub struct BatchExec<'m> {
     monitor: &'m CompiledMonitor,
     state: ExecState,
     board: BatchBoard,
-    /// Transpose scratch for the bit-sliced path, reused across every
-    /// chunk this executor is fed.
-    scratch: crate::simd::SliceScratch,
-    words: u64,
-    dense_words: u64,
 }
 
 impl BatchExec<'_> {
@@ -923,45 +865,14 @@ impl BatchExec<'_> {
     }
 
     /// Consumes a chunk of valuations, appending the absolute tick
-    /// index of every detection to `hits`. Takes the bit-sliced
-    /// 64-ticks-per-word path when the monitor was compiled with
-    /// [`CompileOptions::bit_slice`]; verdicts are identical either
-    /// way.
+    /// index of every detection to `hits`.
     pub fn feed(&mut self, chunk: &[Valuation], hits: &mut Vec<u64>) {
-        if let Some(plan) = self.monitor.slice_plan() {
-            let (w, d) = crate::simd::feed_sliced(
-                self.monitor,
-                plan,
-                &mut self.state,
-                &mut self.board,
-                &mut self.scratch,
-                chunk,
-                |tick| hits.push(tick),
-            );
-            self.words += w;
-            self.dense_words += d;
-        } else {
-            for &v in chunk {
-                let tick = self.state.ticks;
-                if self.state.step(self.monitor, v, &mut self.board) {
-                    hits.push(tick);
-                }
+        for &v in chunk {
+            let tick = self.state.ticks;
+            if self.state.step(self.monitor, v, &mut self.board) {
+                hits.push(tick);
             }
         }
-    }
-
-    /// Word evaluations the bit-sliced path performed (zero without
-    /// [`CompileOptions::bit_slice`]) — the `engine.words` signal.
-    pub fn words(&self) -> u64 {
-        self.words
-    }
-
-    /// Word evaluations that contained at least one non-quiet tick and
-    /// so paid a scalar fallback — the `engine.dense_words` signal.
-    /// `dense_words / words` measures how dense the trace is from the
-    /// sliced engine's point of view.
-    pub fn dense_words(&self) -> u64 {
-        self.dense_words
     }
 
     /// Ticks consumed so far.
@@ -979,13 +890,10 @@ impl BatchExec<'_> {
         self.board.underflows
     }
 
-    /// Resets state, scoreboard and counters to the initial
-    /// configuration.
+    /// Resets state and scoreboard to the initial configuration.
     pub fn reset(&mut self) {
         self.state.reset(self.monitor);
         self.board.reset();
-        self.words = 0;
-        self.dense_words = 0;
     }
 
     /// Closes the stream, producing a [`ScanReport`] consistent with
@@ -1099,11 +1007,6 @@ pub struct MonitorBank {
     pub(crate) timing: bool,
     pub(crate) member_ns: Vec<u64>,
     pub(crate) multi_member_ns: Vec<u64>,
-    /// Transpose scratch shared by every bit-sliced member, reused
-    /// across chunks (no per-chunk allocation).
-    pub(crate) scratch: crate::simd::SliceScratch,
-    pub(crate) words: u64,
-    pub(crate) dense_words: u64,
 }
 
 impl MonitorBank {
@@ -1155,18 +1058,6 @@ impl MonitorBank {
         self.multi_member_ns[idx]
     }
 
-    /// Word evaluations the bank's bit-sliced members performed across
-    /// every feed so far — the `engine.words` observability signal.
-    pub fn engine_words(&self) -> u64 {
-        self.words
-    }
-
-    /// Word evaluations that paid at least one scalar fallback — the
-    /// `engine.dense_words` observability signal.
-    pub fn engine_dense_words(&self) -> u64 {
-        self.dense_words
-    }
-
     /// Number of attached single-clock monitors (multi-clock members
     /// are counted by [`MonitorBank::multiclock_len`]).
     pub fn len(&self) -> usize {
@@ -1187,47 +1078,8 @@ impl MonitorBank {
         &self.monitors[idx]
     }
 
-    /// Monitor-major feed with caller-owned hit handling: each
-    /// attached monitor runs the whole chunk in turn (tables staying
-    /// hot), and every detection invokes `on_hit(monitor, offset)`
-    /// with the detecting monitor's index and the position *within
-    /// `chunk`*. Unlike [`MonitorBank::feed`] nothing is recorded
-    /// internally — callers that need their own timestamping (e.g.
-    /// the global-time harness in `cesc-sim`) own the hit log.
-    pub fn feed_with(&mut self, chunk: &[Valuation], mut on_hit: impl FnMut(usize, usize)) {
-        for (idx, ((m, st), board)) in self
-            .monitors
-            .iter()
-            .zip(&mut self.states)
-            .zip(&mut self.boards)
-            .enumerate()
-        {
-            if let Some(plan) = m.slice_plan() {
-                let base = st.ticks;
-                let (w, d) = crate::simd::feed_sliced(
-                    m,
-                    plan,
-                    st,
-                    board,
-                    &mut self.scratch,
-                    chunk,
-                    |tick| on_hit(idx, (tick - base) as usize),
-                );
-                self.words += w;
-                self.dense_words += d;
-            } else {
-                for (off, &v) in chunk.iter().enumerate() {
-                    if st.step(m, v, board) {
-                        on_hit(idx, off);
-                    }
-                }
-            }
-        }
-    }
-
     /// Feeds one shared chunk to every monitor (each visits the chunk
-    /// once, tables staying hot per monitor). Members compiled with
-    /// [`CompileOptions::bit_slice`] take the 64-ticks-per-word path.
+    /// once, tables staying hot per monitor).
     pub fn feed(&mut self, chunk: &[Valuation]) {
         let timing = self.timing;
         for (idx, (((m, st), board), hits)) in self
@@ -1239,24 +1091,10 @@ impl MonitorBank {
             .enumerate()
         {
             let started = timing.then(std::time::Instant::now);
-            if let Some(plan) = m.slice_plan() {
-                let (w, d) = crate::simd::feed_sliced(
-                    m,
-                    plan,
-                    st,
-                    board,
-                    &mut self.scratch,
-                    chunk,
-                    |tick| hits.push(tick),
-                );
-                self.words += w;
-                self.dense_words += d;
-            } else {
-                for &v in chunk {
-                    let tick = st.ticks;
-                    if st.step(m, v, board) {
-                        hits.push(tick);
-                    }
+            for &v in chunk {
+                let tick = st.ticks;
+                if st.step(m, v, board) {
+                    hits.push(tick);
                 }
             }
             if let Some(t0) = started {
@@ -1309,11 +1147,6 @@ impl MonitorBank {
     /// Per-monitor reports for everything fed through
     /// [`MonitorBank::feed`] / [`MonitorBank::scan_batch`] so far (the
     /// bank remains usable; reports snapshot current state).
-    ///
-    /// Detections delivered through [`MonitorBank::feed_with`] are
-    /// *not* in `matches` (their ticks still advance) — the caller
-    /// owns that hit log, so don't mix the two feeding styles on one
-    /// bank if you rely on `reports()`/`hits()`.
     pub fn reports(&self) -> Vec<ScanReport> {
         self.states
             .iter()
@@ -1344,8 +1177,6 @@ impl MonitorBank {
         for h in &mut self.multi_hits {
             h.clear();
         }
-        self.words = 0;
-        self.dense_words = 0;
     }
 }
 

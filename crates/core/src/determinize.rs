@@ -158,16 +158,6 @@ impl Determinized {
     pub fn reset(&mut self) {
         self.current = 0;
     }
-
-    /// Whether the automaton collapsed to the greedy size `n + 1`.
-    ///
-    /// Sufficient — but not necessary — for the greedy construction to
-    /// be lossless: subset states unreachable under real traffic (e.g.
-    /// request and response asserted in one cycle) can push the count
-    /// past `n + 1` even when greedy and exact agree behaviourally.
-    pub fn is_greedy_sized(&self) -> bool {
-        self.state_count() <= self.n + 1
-    }
 }
 
 #[cfg(test)]

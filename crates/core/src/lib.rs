@@ -27,8 +27,6 @@
 //!   multi-clock engine: per-domain flat tables over one shared
 //!   counts-only scoreboard, clock-major chunk execution where the
 //!   domains' scoreboard footprints permit;
-//! * [`simd`] — the bit-sliced engine: 64 ticks evaluated per machine
-//!   word over transposed bit columns;
 //! * [`optimize`] / [`CompileOptions`] — the optimization pass
 //!   pipeline: unreachable-state and dead-transition pruning with
 //!   state renumbering at the automaton level, guard-program
@@ -90,7 +88,6 @@ pub mod opt;
 pub mod product;
 pub mod sat;
 mod scoreboard;
-pub mod simd;
 mod synth;
 
 pub use analysis::{analyze, MonitorStats};

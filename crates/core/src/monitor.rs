@@ -490,11 +490,6 @@ impl<'m, S: ScoreboardOps> MonitorExec<'m, S> {
             transition: idx,
         }
     }
-
-    /// Resets to the initial state (scoreboard is left untouched).
-    pub fn reset_state(&mut self) {
-        self.state = self.monitor.initial;
-    }
 }
 
 struct DisplayMonitor<'a> {

@@ -58,7 +58,7 @@ impl CompiledMultiClock {
     /// Compiles every local monitor of `monitor` into flat form and
     /// analyses scoreboard coupling between the domains.
     pub fn new(monitor: &MultiClockMonitor) -> Self {
-        Self::with_options(monitor, &crate::CompileOptions::default())
+        Self::with_options(monitor, &crate::CompileOptions::raw())
     }
 
     /// Compiles with explicit [`crate::CompileOptions`]. Because the

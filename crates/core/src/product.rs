@@ -118,11 +118,6 @@ impl ProductReport {
     pub fn is_reachable(&self, a: usize, b: usize) -> bool {
         self.reachable[a * self.b_states + b]
     }
-
-    /// Number of reachable product states.
-    pub fn reachable_count(&self) -> usize {
-        self.reachable.iter().filter(|&&r| r).count()
-    }
 }
 
 /// On-the-fly reachability over the product of two detectors run in

@@ -25,13 +25,6 @@
 //! counter drifting from the verdicts the other legs agreed on is a
 //! bug in the metrics plumbing, and fails the case the same way.
 //!
-//! An eighth leg targets the bit-sliced 64-tick engine: the same
-//! optimized monitor compiled with and without
-//! [`cesc_core::CompileOptions::bit_slice`] must produce identical
-//! `ScanReport`s (full equality — shared state numbering). This is the
-//! dynamic pin behind the engine choice: the transpose and
-//! word-evaluation machinery can never change a verdict.
-//!
 //! A seventh leg cross-checks the *static prover*
 //! (`cesc_core::prove_implication`, the engine behind `cesc prove`)
 //! against the dynamic checker: an assert the prover discharged as
@@ -45,7 +38,7 @@
 //! serial-vs-sharded, and multiclock specs serial-vs-sharded over an
 //! interleaved global run.
 
-use cesc_core::{CompileOptions, CompiledMonitor, MonitorExec, ScanReport};
+use cesc_core::{CompiledMonitor, MonitorExec, ScanReport};
 use cesc_expr::Valuation;
 use cesc_hdl::VerilogOptions;
 use cesc_par::{plan_shards, scan_sharded, scan_sharded_global, Fleet, ParOptions};
@@ -162,46 +155,6 @@ pub fn run_case(input: &CaseInput) -> Result<CaseReport, Box<Discrepancy>> {
                     "baseline matches {:?} (ticks {}, underflows {}) vs optimized {:?} ({}, {})",
                     base.matches, base.ticks, base.underflows, opt.matches, opt.ticks,
                     opt.underflows
-                ),
-            }));
-        }
-    }
-
-    // leg 2b: the bit-sliced 64-tick engine against the scalar
-    // compilation of the *same* optimized monitor (full ScanReport
-    // equality — state numbering is shared, so nothing is masked)
-    for &(idx, ref base) in &baselines {
-        let spec = set.chart_spec(idx).expect("compiled above");
-        let name = set.target_name(TargetRef::Chart(idx)).to_owned();
-        let sliced_monitor = spec.monitor().compiled_with(&CompileOptions::optimized());
-        let scalar_monitor = spec.monitor().compiled_with(&CompileOptions {
-            bit_slice: false,
-            ..CompileOptions::optimized()
-        });
-        let sliced = scan_chunked(&sliced_monitor, trace, chunk);
-        let scalar = scan_chunked(&scalar_monitor, trace, chunk);
-        if sliced != scalar {
-            return Err(Box::new(Discrepancy {
-                stage: "bit-sliced-engine".into(),
-                target: name,
-                detail: format!(
-                    "scalar matches {:?} (ticks {}, underflows {}) vs sliced {:?} ({}, {})",
-                    scalar.matches, scalar.ticks, scalar.underflows, sliced.matches,
-                    sliced.ticks, sliced.underflows
-                ),
-            }));
-        }
-        if sliced.matches != base.matches
-            || sliced.ticks != base.ticks
-            || sliced.underflows != base.underflows
-        {
-            return Err(Box::new(Discrepancy {
-                stage: "bit-sliced-baseline".into(),
-                target: name,
-                detail: format!(
-                    "baseline matches {:?} (ticks {}, underflows {}) vs sliced {:?} ({}, {})",
-                    base.matches, base.ticks, base.underflows, sliced.matches, sliced.ticks,
-                    sliced.underflows
                 ),
             }));
         }

@@ -67,9 +67,12 @@ pub mod key {
     pub const ENGINE_MATCHES: &str = "engine.matches";
     /// `Del_evt` scoreboard underflows (summed over fleet members).
     pub const ENGINE_UNDERFLOWS: &str = "engine.underflows";
-    /// 64-tick word evaluations the bit-sliced engine performed.
+    /// No-op: no engine records this counter, so it always reads 0.
+    /// It names the word evaluations of a bit-sliced engine that no
+    /// longer exists, and stays only because the frozen `checkbench/`
+    /// helper still reads it.
     pub const ENGINE_WORDS: &str = "engine.words";
-    /// Word evaluations that paid at least one scalar fallback.
+    /// No-op, like [`ENGINE_WORDS`]: always reads 0.
     pub const ENGINE_DENSE_WORDS: &str = "engine.dense_words";
     /// Global steps fed through the streaming check loop.
     pub const FLEET_STEPS: &str = "fleet.steps";

@@ -263,12 +263,6 @@ pub struct FleetReport {
     pub multis: Vec<MultiReport>,
     /// One report per assertion checker.
     pub asserts: Vec<AssertReport>,
-    /// 64-tick word evaluations the bit-sliced engine performed,
-    /// summed over shards (zero when no member compiled with
-    /// `bit_slice`).
-    pub engine_words: u64,
-    /// Word evaluations that contained at least one scalar fallback.
-    pub engine_dense_words: u64,
 }
 
 impl FleetReport {
@@ -444,8 +438,6 @@ struct ShardResult {
     singles: Vec<(usize, SingleReport)>,
     multis: Vec<(usize, MultiReport)>,
     asserts: Vec<(usize, AssertReport)>,
-    words: u64,
-    dense_words: u64,
 }
 
 impl ShardWorker {
@@ -556,8 +548,6 @@ impl ShardWorker {
     }
 
     fn finish(mut self) -> ShardResult {
-        let words = self.bank.engine_words();
-        let dense_words = self.bank.engine_dense_words();
         let bank_reports = self.bank.reports();
         let singles = self
             .single_map
@@ -617,8 +607,6 @@ impl ShardWorker {
             singles,
             multis,
             asserts,
-            words,
-            dense_words,
         }
     }
 }
@@ -781,11 +769,7 @@ fn merge_results(fleet: &Fleet, results: impl IntoIterator<Item = ShardResult>) 
     let mut singles: Vec<Option<SingleReport>> = vec![None; fleet.single_len()];
     let mut multis: Vec<Option<MultiReport>> = vec![None; fleet.multiclock_len()];
     let mut asserts: Vec<Option<AssertReport>> = vec![None; fleet.assert_len()];
-    let mut words = 0u64;
-    let mut dense_words = 0u64;
     for result in results {
-        words += result.words;
-        dense_words += result.dense_words;
         for (i, r) in result.singles {
             singles[i] = Some(r);
         }
@@ -809,8 +793,6 @@ fn merge_results(fleet: &Fleet, results: impl IntoIterator<Item = ShardResult>) 
             .into_iter()
             .map(|r| r.expect("plan covers every assert member"))
             .collect(),
-        engine_words: words,
-        engine_dense_words: dense_words,
     }
 }
 
@@ -839,8 +821,6 @@ fn record_semantics(obs: &Obs, report: &FleetReport) {
     obs.counter(key::ENGINE_TICKS).add(ticks);
     obs.counter(key::ENGINE_MATCHES).add(matches);
     obs.counter(key::ENGINE_UNDERFLOWS).add(underflows);
-    obs.counter(key::ENGINE_WORDS).add(report.engine_words);
-    obs.counter(key::ENGINE_DENSE_WORDS).add(report.engine_dense_words);
 }
 
 fn plan_depth(opts: &ParOptions) -> usize {

@@ -92,13 +92,6 @@ impl<'m> OnlineHarness<'m> {
         }
     }
 
-    /// Feeds a chunk of global steps to every attached monitor.
-    pub fn observe_batch(&mut self, clocks: &ClockSet, steps: &[GlobalStep]) {
-        for step in steps {
-            self.observe(clocks, step);
-        }
-    }
-
     /// Global times at which single-clock monitor `idx` completed.
     pub fn hits(&self, idx: usize) -> &[u64] {
         &self.single_hits[idx]

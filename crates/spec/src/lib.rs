@@ -87,11 +87,9 @@ pub struct SpecOptions {
     /// (the default; the CLI's `--no-opt` turns it off). Off, targets
     /// compile exactly as synthesized, with the raw table layout.
     pub optimize: bool,
-    /// Build the bit-sliced 64-tick word plan for optimized targets
-    /// (the default; differential tests turn it off to compare against
-    /// the scalar engine). Only
-    /// meaningful when `optimize` is on — raw compiles always stay
-    /// scalar so the baseline oracle is engine-independent.
+    /// No-op: targets compile the same whatever its value. It selected
+    /// a bit-sliced engine that no longer exists, and stays only
+    /// because the frozen `checkbench/` helper still sets it.
     pub simd: bool,
     /// Synthesis options forwarded to the `Tr` algorithm.
     pub synth: SynthOptions,
@@ -106,18 +104,9 @@ impl SpecOptions {
     pub fn new() -> Self {
         SpecOptions {
             optimize: true,
-            simd: true,
+            simd: false,
             synth: SynthOptions::default(),
             obs: cesc_obs::Obs::disabled(),
-        }
-    }
-
-    /// The [`CompileOptions`] an optimized target compiles with:
-    /// the full pass pipeline, bit-slicing per the `simd` knob.
-    fn optimized_compile(&self) -> CompileOptions {
-        CompileOptions {
-            bit_slice: self.simd,
-            ..CompileOptions::optimized()
         }
     }
 }
@@ -624,7 +613,7 @@ impl SpecSet {
         Ok(if self.options.optimize {
             let _span = obs.span("optimize");
             let (opt, _) = optimize(&monitor);
-            let compiled = opt.compiled_with(&self.options.optimized_compile());
+            let compiled = opt.compiled_with(&CompileOptions::optimized());
             let report = PassReport::measure(&baseline, &compiled);
             ChartSpec {
                 monitor: opt,
@@ -701,7 +690,7 @@ impl SpecSet {
                 .collect();
             let opt = MultiClockMonitor::from_locals(monitor.name(), locals);
             let compiled =
-                CompiledMultiClock::with_options(&opt, &self.options.optimized_compile());
+                CompiledMultiClock::with_options(&opt, &CompileOptions::optimized());
             let report = PassReport::measure_multi(&baseline, &compiled);
             MultiSpec {
                 monitor: opt,

@@ -1,35 +1,16 @@
-//! The one escaped JSON writer behind `cesc check --json`.
+//! The JSON composition helpers behind `cesc check --json`.
 //!
 //! `cesc` emits its machine-readable report by hand (no serde in the
 //! offline workspace), so every string that reaches the output — chart
 //! names in particular — must pass through exactly one escaping
-//! routine. This module is that routine plus the small composition
-//! helpers the report layout needs; `cli::render_json` assembles the
-//! document from these pieces and nothing else writes JSON.
+//! routine: `cesc_obs::json::string`, re-exported here. The rest of
+//! this module is the small composition helpers the report layout
+//! needs; `cli::render_json` assembles the document from these pieces
+//! and nothing else writes JSON.
 
 use cesc_par::MatchLog;
 
-/// Renders `s` as a JSON string literal: quotes, backslashes and every
-/// control character (`U+0000`–`U+001F`) escaped.
-pub(crate) fn string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+pub(crate) use cesc_obs::json::string;
 
 /// Renders a `u64` array.
 pub(crate) fn times(ts: &[u64]) -> String {
@@ -68,44 +49,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn escapes_quotes_and_backslashes() {
-        assert_eq!(string(r#"a"b"#), r#""a\"b""#);
-        assert_eq!(string(r"a\b"), r#""a\\b""#);
-        assert_eq!(string(r#"\""#), r#""\\\"""#);
-    }
-
-    #[test]
-    fn escapes_control_characters() {
-        assert_eq!(string("a\nb"), r#""a\nb""#);
-        assert_eq!(string("a\rb"), r#""a\rb""#);
-        assert_eq!(string("a\tb"), r#""a\tb""#);
-        assert_eq!(string("a\u{1}b"), "\"a\\u0001b\"");
-        assert_eq!(string("\u{1f}"), "\"\\u001f\"");
-        // 0x20 and above pass through
-        assert_eq!(string(" ~"), "\" ~\"");
-    }
-
-    #[test]
-    fn hostile_chart_name_stays_well_formed() {
-        // a chart name with every hazardous class at once
-        let name = "ocp\"read\\v1\n\u{2}";
-        let rendered = string(name);
-        assert_eq!(rendered, "\"ocp\\\"read\\\\v1\\n\\u0002\"");
-        // no raw control bytes or unescaped quotes survive inside
-        let inner = &rendered[1..rendered.len() - 1];
-        assert!(inner.chars().all(|c| (c as u32) >= 0x20));
-    }
-
-    #[test]
     fn arrays_render_flat() {
         assert_eq!(times(&[1, 2, 30]), "[1,2,30]");
         assert_eq!(times(&[]), "[]");
         assert_eq!(strings(&["clk", "a\"b"]), "[\"clk\",\"a\\\"b\"]");
         assert_eq!(pair((14, 9)), "[14,9]");
-    }
-
-    #[test]
-    fn unicode_passes_through_unescaped() {
-        assert_eq!(string("çλ→k"), "\"çλ→k\"");
     }
 }

@@ -1,11 +1,12 @@
 //! Steady-state allocation discipline, pinned by a counting global
 //! allocator: after a warmup, `GlobalVcdStream::next_chunk` on (a) one
-//! and (b) two clocks, and (c) the bit-sliced `BatchExec::feed` hot
-//! loop must perform **zero** heap allocations
-//! per chunk. This is the contract behind the streaming `cesc check`
-//! path: decode buffers, recycled `GlobalStep::ticks` vectors and the
-//! slice scratch are all reused, so throughput does not degrade into
-//! allocator traffic on 100k+-tick dumps.
+//! and (b) two clocks, and (c) `MonitorBank::feed_global` over
+//! `GlobalStep` chunks must perform **zero** heap allocations per
+//! chunk. This is the contract behind the streaming `cesc check`
+//! path: decode buffers, recycled `GlobalStep::ticks` vectors, the
+//! bank's projection buffers and its drained hit logs are all reused,
+//! so throughput does not degrade into allocator traffic on
+//! 100k+-tick dumps.
 //!
 //! Everything runs inside ONE `#[test]` — the counter is process-wide
 //! and the harness runs separate tests concurrently.
@@ -14,9 +15,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Cursor;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cesc::core::{synthesize, CompileOptions, SynthOptions};
+use cesc::core::MonitorBank;
 use cesc::expr::Valuation;
 use cesc::prelude::parse_document;
+use cesc::spec::SpecSet;
 use cesc::trace::{
     write_vcd, write_vcd_global, ClockDomain, ClockSet, GlobalRun, GlobalStep, GlobalVcdStream,
     Trace, VcdClockSpec, VcdWriteOptions,
@@ -62,6 +64,25 @@ scesc flow on clk {
 }
 "#;
 
+/// One single-clock chart plus a multiclock spec that reuses it across
+/// two domains with a cross-domain causality (scoreboard traffic).
+const FLEET_SPEC: &str = r#"
+scesc flow on clk1 {
+    instances { A, B }
+    events { req, ack }
+    tick { A: req }
+    tick { B: ack }
+    cause req -> ack;
+}
+scesc side on clk2 {
+    instances { C, D }
+    events { go, done }
+    tick { C: go }
+    tick { D: done }
+}
+multiclock pair { charts { flow, side } cause req -> go; }
+"#;
+
 const CHUNK: usize = 256;
 const CHUNKS: usize = 8;
 
@@ -103,7 +124,7 @@ fn streaming_hot_loops_allocate_nothing_after_warmup() {
     // buffer, and `GlobalStep::ticks` vectors are recycled through
     // the stream's spare pool across chunks.
     let text = write_vcd(
-        &Trace::from_elements(elements.clone()),
+        &Trace::from_elements(elements),
         &doc.alphabet,
         &VcdWriteOptions::default(),
     );
@@ -138,25 +159,46 @@ fn streaming_hot_loops_allocate_nothing_after_warmup() {
     let steady = steady_decode(&text, &specs);
     assert_eq!(steady, 0, "two-clock GlobalVcdStream::next_chunk allocated in steady state");
 
-    // (c) the bit-sliced execution hot loop: transpose scratch and the
-    // word cache live in the executor; only hit recording may touch
-    // the (pre-sized) hits vector.
-    let monitor = synthesize(doc.chart("flow").unwrap(), &SynthOptions::default()).unwrap();
-    let compiled = monitor.compiled_with(&CompileOptions::optimized());
-    let mut exec = compiled.executor();
-    let mut hits: Vec<u64> = Vec::with_capacity(elements.len());
-    exec.feed(&elements[..CHUNK], &mut hits); // warmup
-    let steady = allocs_during(|| {
-        for chunk in elements[CHUNK..].chunks(CHUNK) {
-            exec.feed(chunk, &mut hits);
-        }
-    });
-    assert_eq!(steady, 0, "bit-sliced BatchExec::feed allocated in steady state");
-    assert!(exec.words() > 0, "the bit-sliced path must actually run");
-    let report = exec.finish(hits);
+    // (c) the engine hot loop `cesc check` runs: a bank with one
+    // optimized single-clock member and one multiclock member, fed
+    // `GlobalStep` chunks and drained after every chunk the way the
+    // shard workers drain it.
+    let set = SpecSet::load(FLEET_SPEC).unwrap();
+    let ab = set.alphabet();
+    let ev = |n: &str| ab.lookup(n).unwrap();
+    let mut bank = MonitorBank::new();
+    bank.add_compiled(set.chart_spec(0).unwrap().compiled().clone());
+    bank.add_compiled_multiclock(set.multi_spec(0).unwrap().compiled().clone());
+    let alternate = |a: &str, b: &str| {
+        let (a, b) = (Valuation::of([ev(a)]), Valuation::of([ev(b)]));
+        let elems = (0..per_domain).map(|i| if i % 2 == 0 { a } else { b });
+        Trace::from_elements(elems.collect::<Vec<_>>())
+    };
+    let run = GlobalRun::interleave(
+        &clocks,
+        &[(c1, alternate("req", "ack")), (c2, alternate("go", "done"))],
+    )
+    .unwrap();
+    let (mut single_hits, mut multi_hits) = (0usize, 0usize);
+    let mut feed = |bank: &mut MonitorBank, chunk: &[GlobalStep]| {
+        bank.feed_global(&clocks, chunk);
+        bank.drain_hits(|_, h| single_hits += h.len());
+        bank.drain_multiclock_hits(|_, h| multi_hits += h.len());
+    };
+    let mut chunks = run.as_slice().chunks(CHUNK);
+    feed(&mut bank, chunks.next().unwrap()); // warmup: binds clocks, sizes buffers
+    let steady = allocs_during(|| chunks.for_each(|chunk| feed(&mut bank, chunk)));
     assert_eq!(
-        report,
-        monitor.scan(Trace::from_elements(elements)),
-        "zero-alloc run still matches the step-wise verdict"
+        steady, 0,
+        "MonitorBank::feed_global allocated in steady state"
+    );
+    assert_eq!(
+        bank.reports()[0].ticks,
+        per_domain as u64,
+        "every clk1 tick reached the chart"
+    );
+    assert!(
+        single_hits > 0 && multi_hits > 0,
+        "both members must detect: {single_hits}/{multi_hits}"
     );
 }

@@ -10,7 +10,9 @@
 //! count, chunk size and mixed single/multi-clock fleet, parallel
 //! results are bit-identical to `MonitorBank::feed` / `feed_global`.
 
-use cesc::core::{synthesize, synthesize_multiclock, MonitorBank, OverlapPolicy, SynthOptions};
+use cesc::core::{
+    synthesize, synthesize_multiclock, CompileOptions, MonitorBank, OverlapPolicy, SynthOptions,
+};
 use cesc::expr::{SymbolId, Valuation};
 use cesc::par::{plan_shards, scan_sharded, scan_sharded_global, Fleet, ParOptions};
 use cesc::prelude::{parse_document, Alphabet, ScescBuilder};
@@ -345,15 +347,30 @@ proptest! {
     }
 
     /// A causality chart (scoreboard actions live) under random traffic:
-    /// batch and step-wise agree on matches AND underflow accounting.
+    /// batch and step-wise agree on matches AND underflow accounting,
+    /// and so do the optimized tables (narrowed slots and masks) fed
+    /// in any chunking.
     #[test]
-    fn causality_chart_batch_equals_scan(raw in arb_trace(48)) {
+    fn causality_chart_batch_equals_scan(raw in arb_trace(48), chunking in arb_chunking()) {
         let doc = causality_doc();
         let monitor = synthesize(doc.chart("cz").unwrap(), &SynthOptions::default()).unwrap();
         let trace = decode_trace(&raw);
         let stepwise = monitor.scan(&trace);
         let batched = monitor.scan_batch(trace.as_slice());
-        prop_assert_eq!(stepwise, batched);
+        prop_assert_eq!(&stepwise, &batched);
+
+        let compiled = monitor.compiled_with(&CompileOptions::optimized());
+        let mut exec = compiled.executor();
+        let mut hits = Vec::new();
+        let elements = trace.as_slice();
+        let mut at = 0usize;
+        for &len in &chunking {
+            let end = (at + len).min(elements.len());
+            exec.feed(&elements[at..end], &mut hits);
+            at = end;
+        }
+        exec.feed(&elements[at..], &mut hits);
+        prop_assert_eq!(&exec.finish(hits), &stepwise, "chunking {:?}", chunking);
     }
 
     /// The sharded fleet executor over any single-clock fleet, shard

@@ -59,8 +59,27 @@ fn arb_chunking() -> impl Strategy<Value = Vec<usize>> {
 }
 
 fn build_chart(pattern: &[Vec<(usize, bool)>]) -> Option<(Alphabet, cesc::chart::Scesc)> {
+    build_wide_chart(pattern, SYMS).map(|(ab, _, chart)| (ab, chart))
+}
+
+/// Builds the chart over a `width`-symbol alphabet. Its four pattern
+/// slots are the identity at `width == SYMS`; wider alphabets map
+/// them to symbols `0, width/2, width-2, width-1`, so guards straddle
+/// the 64-bit boundary where narrowed masks stop fitting. Returns the
+/// slot symbols alongside the chart.
+fn build_wide_chart(
+    pattern: &[Vec<(usize, bool)>],
+    width: usize,
+) -> Option<(Alphabet, Vec<SymbolId>, cesc::chart::Scesc)> {
     let mut ab = Alphabet::new();
-    let ids: Vec<SymbolId> = (0..SYMS).map(|i| ab.event(&format!("s{i}"))).collect();
+    let all: Vec<SymbolId> = (0..width).map(|i| ab.event(&format!("s{i}"))).collect();
+    let ids: Vec<SymbolId> = if width == SYMS {
+        all
+    } else {
+        [0, width / 2, width - 2, width - 1]
+            .map(|i| all[i])
+            .to_vec()
+    };
     let mut b = ScescBuilder::new("prop", "clk");
     let m = b.instance("M");
     for elem in pattern {
@@ -79,12 +98,26 @@ fn build_chart(pattern: &[Vec<(usize, bool)>]) -> Option<(Alphabet, cesc::chart:
             return None;
         }
     }
-    Some((ab, chart))
+    Some((ab, ids, chart))
 }
 
 fn decode_trace(raw: &[u8]) -> Vec<Valuation> {
     raw.iter()
         .map(|&bits| Valuation::from_bits(bits as u128))
+        .collect()
+}
+
+/// Decodes 4 random bits per element onto the given slot symbols.
+fn decode_onto(raw: &[u8], ids: &[SymbolId]) -> Vec<Valuation> {
+    raw.iter()
+        .map(|&bits| {
+            Valuation::of(
+                ids.iter()
+                    .enumerate()
+                    .filter(|&(i, _)| bits >> i & 1 == 1)
+                    .map(|(_, &id)| id),
+            )
+        })
         .collect()
 }
 
@@ -310,17 +343,20 @@ proptest! {
     /// `cesc-spec` end to end: the optimized artifact's compacted
     /// tables agree with the `--no-opt` baseline engine for arbitrary
     /// charts × traces × chunkings — and the pass report's table
-    /// dimensions never grow.
+    /// dimensions never grow. The 63/64/65-symbol alphabets pin the
+    /// narrowed-mask boundary: guards on bit 63 narrow, guards on
+    /// bit 64 must stay wide.
     #[test]
     fn spec_artifacts_agree_with_baseline_engine(
+        width in prop_oneof![Just(SYMS), Just(63usize), Just(64), Just(65)],
         pattern in arb_pattern(),
         trace_raw in arb_trace(48),
         chunking in arb_chunking(),
     ) {
-        let Some((ab, chart)) = build_chart(&pattern) else {
+        let Some((ab, ids, chart)) = build_wide_chart(&pattern, width) else {
             return Ok(());
         };
-        let trace = decode_trace(&trace_raw);
+        let trace = decode_onto(&trace_raw, &ids);
         let specs = spec_set_of(&ab, &chart, true);
         let spec = specs.chart_spec(0).unwrap();
 
