@@ -59,7 +59,7 @@ verify-prove: ## semantic static-analysis gate: guard-SAT / product-reachability
 	./target/release/cesc prove target/bus_library.cesc
 	$(CARGO) bench -p cesc-bench --bench prove_throughput --no-run
 
-verify-obs: ## observability gate: cesc-obs unit suite + the cross-layer serial==sharded counter properties + a release `check --jobs 4 --stats-json` smoke over a generated 120k-step dump
+verify-obs: ## observability gate: cesc-obs unit suite + the cross-layer serial==sharded counter properties + a release `check --jobs 4 --stats-json` smoke over a generated 120k-step dump (schema, `execute` and `decode` spans, per-shard utilization)
 	$(CARGO) test -q -p cesc-obs
 	$(CARGO) test -q --test obs_stats
 	$(CARGO) build --release --quiet
@@ -68,6 +68,7 @@ verify-obs: ## observability gate: cesc-obs unit suite + the cross-layer serial=
 		--jobs 4 --stats --stats-json target/obs_smoke.json
 	grep -q '"schema":"cesc-obs/1"' target/obs_smoke.json
 	grep -q '"name":"execute"' target/obs_smoke.json
+	grep -q '"name":"decode"' target/obs_smoke.json
 	grep -q '"utilization":' target/obs_smoke.json
 
 verify-bench: ## compile every bench without running it, so bench bit-rot fails tier-1 locally

@@ -1,8 +1,9 @@
 //! [`CountingReader`]: a `BufRead` adapter that counts consumed bytes.
 //!
-//! The streaming check loop reads VCDs through `BufRead::read_line`,
-//! which drains data via `fill_buf`/`consume` — so counting inside
-//! `consume` sees every byte exactly once. The count lives in a
+//! The streaming check loop drains VCDs via `fill_buf`/`consume` —
+//! the header through `BufRead::read_line`, the body by decoding each
+//! window in place — so counting inside `consume` sees every byte
+//! exactly once. The count lives in a
 //! shared atomic cell so the progress heartbeat thread can read it
 //! while the reader is mid-stream.
 

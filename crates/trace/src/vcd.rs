@@ -252,7 +252,10 @@ pub enum VcdReadError {
         /// The clock name that was looked for.
         name: String,
     },
-    /// The underlying reader failed (I/O error or non-UTF-8 input).
+    /// The underlying reader failed, or a line is not UTF-8. Header
+    /// lines are validated as they are read; a body line is validated
+    /// when it holds a byte outside ASCII, since an all-ASCII line is
+    /// UTF-8 already.
     Io {
         /// The I/O error's message.
         message: String,
@@ -275,8 +278,9 @@ impl std::fmt::Display for VcdReadError {
 
 impl std::error::Error for VcdReadError {}
 
-/// Reads one line (without trailing newline handling — callers trim)
-/// into `buf`, bumping the 1-based line counter. `Ok(false)` is EOF.
+/// Reads one header line (without trailing newline handling — callers
+/// trim) into `buf`, bumping the 1-based line counter. `Ok(false)` is
+/// EOF.
 fn read_line<R: BufRead>(
     reader: &mut R,
     buf: &mut String,
@@ -307,14 +311,80 @@ fn parse_timestamp(rest: &str, lineno: usize) -> Result<u64, VcdReadError> {
 
 /// What one VCD identifier code drives. Standard VCD lets several
 /// `$var`s share a code (aliased nets), so a code carries a *set* of
-/// symbols and of clocks, resolved with one hash lookup per value
-/// change.
+/// symbols and of clocks.
 #[derive(Debug, Default)]
 struct CodeBinding {
     /// Bitmask of the alphabet symbols declared under this code.
     symbols: u128,
     /// Indices of the requested clocks declared under this code.
     clocks: Vec<u32>,
+}
+
+/// Number of printable identifier-code characters, `!`..=`~`.
+const CODE_CHARS: usize = 94;
+
+#[inline]
+fn is_code_byte(b: u8) -> bool {
+    (b'!'..=b'~').contains(&b)
+}
+
+/// Identifier code → [`CodeBinding`], resolved without hashing for the
+/// 1- and 2-character codes simulators hand out first.
+///
+/// `dense` holds one `u32` per such code — 94 one-character slots,
+/// then 94² two-character slots in row-major order, about 35 KB — and
+/// each slot is `index + 1` into `bindings`, `0` meaning unbound, so a
+/// value change on an unnamed signal costs one load. Longer codes,
+/// and codes with bytes outside `!`..=`~`, go through `long`.
+#[derive(Debug)]
+struct CodeTable {
+    dense: Vec<u32>,
+    long: HashMap<Vec<u8>, u32>,
+    bindings: Vec<CodeBinding>,
+}
+
+impl CodeTable {
+    fn new() -> Self {
+        CodeTable {
+            dense: vec![0; CODE_CHARS + CODE_CHARS * CODE_CHARS],
+            long: HashMap::new(),
+            bindings: Vec::new(),
+        }
+    }
+
+    /// The `dense` slot of a 1- or 2-character printable code.
+    #[inline]
+    fn dense_slot(code: &[u8]) -> Option<usize> {
+        let digit = |b: u8| is_code_byte(b).then(|| usize::from(b - b'!'));
+        match *code {
+            [a] => digit(a),
+            [a, b] => Some(CODE_CHARS + digit(a)? * CODE_CHARS + digit(b)?),
+            _ => None,
+        }
+    }
+
+    /// The binding for `code`, created unbound on first use.
+    fn entry(&mut self, code: &str) -> &mut CodeBinding {
+        let code = code.as_bytes();
+        let slot = match Self::dense_slot(code) {
+            Some(i) => &mut self.dense[i],
+            None => self.long.entry(code.to_vec()).or_insert(0),
+        };
+        if *slot == 0 {
+            self.bindings.push(CodeBinding::default());
+            *slot = u32::try_from(self.bindings.len()).expect("fewer than 2^32 declared codes");
+        }
+        &mut self.bindings[*slot as usize - 1]
+    }
+
+    #[inline]
+    fn get(&self, code: &[u8]) -> Option<&CodeBinding> {
+        let slot = match Self::dense_slot(code) {
+            Some(i) => self.dense[i],
+            None => self.long.get(code).copied().unwrap_or(0),
+        };
+        (slot != 0).then(|| &self.bindings[slot as usize - 1])
+    }
 }
 
 /// Reads `$var` declarations up to `$enddefinitions` and binds every
@@ -328,14 +398,14 @@ struct CodeBinding {
 /// never also read as a symbol.
 fn parse_header<R: BufRead>(
     reader: &mut R,
-    buf: &mut String,
     lineno: &mut usize,
     alphabet: &Alphabet,
     clocks: &[VcdClockSpec],
-) -> Result<HashMap<String, CodeBinding>, VcdReadError> {
-    let mut codes: HashMap<String, CodeBinding> = HashMap::new();
+) -> Result<CodeTable, VcdReadError> {
+    let mut codes = CodeTable::new();
     let mut declared = vec![false; clocks.len()];
-    while read_line(reader, buf, lineno)? {
+    let mut buf = String::new();
+    while read_line(reader, &mut buf, lineno)? {
         let toks: Vec<&str> = buf.split_whitespace().collect();
         if toks.first() == Some(&"$var") {
             // $var var_type size code reference [range] $end
@@ -357,13 +427,13 @@ fn parse_header<R: BufRead>(
                     is_clock = true;
                     if !declared[ci] {
                         declared[ci] = true;
-                        codes.entry(code.to_owned()).or_default().clocks.push(ci as u32);
+                        codes.entry(code).clocks.push(ci as u32);
                     }
                 }
             }
             if !is_clock {
                 if let Some(id) = alphabet.lookup(name).or_else(|| alphabet.lookup(base)) {
-                    codes.entry(code.to_owned()).or_default().symbols |= 1u128 << id.index();
+                    codes.entry(code).symbols |= 1u128 << id.index();
                 }
             }
         } else if toks.first() == Some(&"$enddefinitions") {
@@ -420,11 +490,12 @@ impl VcdClockSpec {
 /// caller-sized pieces instead of materialising the whole trace — the
 /// input side of `cesc check`.
 ///
-/// The reader pulls lines from any [`io::BufRead`] — a
+/// The reader pulls bytes from any [`io::BufRead`] — a
 /// `BufReader<File>` for dumps on disk, a byte slice for in-memory
-/// text — so resident memory is one line plus one decoded chunk,
-/// regardless of dump size. [`read_vcd`] drains a one-clock stream
-/// into a [`Trace`].
+/// text — and decodes each body line in place inside the reader's
+/// window, so resident memory is one reader window plus one carried
+/// partial line (a line split across two windows), regardless of dump
+/// size. [`read_vcd`] drains a one-clock stream into a [`Trace`].
 ///
 /// Clock `i` of the constructor's list becomes [`ClockId`] index `i`
 /// in the produced steps, so a consumer whose locals are listed in the
@@ -471,12 +542,22 @@ impl VcdClockSpec {
 #[derive(Debug)]
 pub struct GlobalVcdStream<R> {
     reader: R,
-    /// Reused line buffer.
-    line: String,
+    /// The start of a line that ran past the end of the reader's
+    /// window (reused, so it allocates only when a longer line splits).
+    carry: Vec<u8>,
+    sampler: Sampler,
+    done: bool,
+}
+
+/// The decoding state of a [`GlobalVcdStream`], kept apart from its
+/// reader so a line can be decoded while it is still borrowed from the
+/// reader's window.
+#[derive(Debug)]
+struct Sampler {
     /// 1-based number of the last line read.
     lineno: usize,
     /// Identifier code → the symbols and clocks it drives.
-    codes: HashMap<String, CodeBinding>,
+    codes: CodeTable,
     /// Per clock: symbol mask its ticks carry (`u128::MAX` = all).
     masks: Vec<u128>,
     /// Current signal values, one bit per alphabet symbol.
@@ -490,12 +571,11 @@ pub struct GlobalVcdStream<R> {
     any_pending: bool,
     /// Recycled tick vectors: [`GlobalVcdStream::next_chunk`] reclaims
     /// the caller's previous chunk's `ticks` allocations here and
-    /// [`GlobalVcdStream::flush_at`] reuses them, so steady-state
-    /// streaming allocates nothing per step (pinned by the workspace
+    /// [`Sampler::flush_at`] reuses them, so steady-state streaming
+    /// allocates nothing per step (pinned by the workspace
     /// counting-allocator test).
     spare: Vec<Vec<(ClockId, Valuation)>>,
     cur_time: u64,
-    done: bool,
 }
 
 impl<'a> GlobalVcdStream<&'a [u8]> {
@@ -537,26 +617,240 @@ impl<R: BufRead> GlobalVcdStream<R> {
         alphabet: &Alphabet,
         clocks: &[VcdClockSpec],
     ) -> Result<Self, VcdReadError> {
-        let mut line = String::new();
         let mut lineno = 0usize;
-        let codes = parse_header(&mut reader, &mut line, &mut lineno, alphabet, clocks)?;
+        let codes = parse_header(&mut reader, &mut lineno, alphabet, clocks)?;
         Ok(GlobalVcdStream {
             reader,
-            line,
-            lineno,
-            codes,
-            masks: clocks
-                .iter()
-                .map(|s| s.mask.map_or(u128::MAX, Valuation::bits))
-                .collect(),
-            current: 0,
-            levels: vec![false; clocks.len()],
-            pending: vec![false; clocks.len()],
-            any_pending: false,
-            spare: Vec::new(),
-            cur_time: 0,
+            carry: Vec::new(),
+            sampler: Sampler {
+                lineno,
+                codes,
+                masks: clocks
+                    .iter()
+                    .map(|s| s.mask.map_or(u128::MAX, Valuation::bits))
+                    .collect(),
+                current: 0,
+                levels: vec![false; clocks.len()],
+                pending: vec![false; clocks.len()],
+                any_pending: false,
+                spare: Vec::new(),
+                cur_time: 0,
+            },
             done: false,
         })
+    }
+
+    /// Clears `buf` and refills it with up to `max` global steps,
+    /// returning how many were produced. `Ok(0)` signals end of input
+    /// — except that `max == 0` also returns `Ok(0)` without consuming
+    /// anything (like `Read::read` with an empty buffer), so never poll
+    /// for end of input with a zero chunk size.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VcdReadError::Malformed`] on unparseable value
+    /// changes, unparseable or decreasing timestamps, or
+    /// [`VcdReadError::Io`] if the reader fails or a line is not
+    /// UTF-8. An error poisons the stream: every subsequent call
+    /// returns `Ok(0)`, so a caller that retries cannot silently resume
+    /// past corrupt input.
+    pub fn next_chunk(
+        &mut self,
+        buf: &mut Vec<GlobalStep>,
+        max: usize,
+    ) -> Result<usize, VcdReadError> {
+        for mut step in buf.drain(..) {
+            step.ticks.clear();
+            self.sampler.spare.push(step.ticks);
+        }
+        if self.done || max == 0 {
+            return Ok(0);
+        }
+        let filled = self.fill(buf, max);
+        if filled.is_err() {
+            self.done = true;
+        }
+        filled
+    }
+
+    /// The scanning loop behind [`GlobalVcdStream::next_chunk`]: splits
+    /// each reader window into lines, decodes them in place and
+    /// consumes them; the tail of a window that ends mid-line moves to
+    /// `carry` until the next window completes it. Each line yields at
+    /// most one step, so the loop stops exactly when `buf` is full.
+    fn fill(&mut self, buf: &mut Vec<GlobalStep>, max: usize) -> Result<usize, VcdReadError> {
+        while buf.len() < max {
+            let window = match self.reader.fill_buf() {
+                Ok(window) => window,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => {
+                    return Err(VcdReadError::Io {
+                        message: e.to_string(),
+                    })
+                }
+            };
+            if window.is_empty() {
+                if self.carry.is_empty() {
+                    self.done = true;
+                    let t = self.sampler.cur_time;
+                    self.sampler.flush_at(t, buf);
+                    break;
+                }
+                // the last line has no newline
+                self.sampler.line(&self.carry, buf)?;
+                self.carry.clear();
+                continue;
+            }
+            let mut used = 0;
+            while buf.len() < max {
+                let rest = &window[used..];
+                let Some(end) = newline_at(rest) else {
+                    self.carry.extend_from_slice(rest);
+                    used = window.len();
+                    break;
+                };
+                if self.carry.is_empty() {
+                    self.sampler.line(&rest[..end], buf)?;
+                } else {
+                    self.carry.extend_from_slice(&rest[..end]);
+                    self.sampler.line(&self.carry, buf)?;
+                    self.carry.clear();
+                }
+                used += end + 1;
+            }
+            self.reader.consume(used);
+        }
+        Ok(buf.len())
+    }
+}
+
+/// Offset of the first `\n` in `bytes`, eight bytes per step: a
+/// byte of `x = word ^ b"\n\n\n\n\n\n\n\n"` is zero exactly where the
+/// word holds a newline, and the lowest high bit of
+/// `(x - 0x01…01) & !x & 0x80…80` marks the first such byte.
+#[inline]
+fn newline_at(bytes: &[u8]) -> Option<usize> {
+    const NL: u64 = u64::from_le_bytes([b'\n'; 8]);
+    const LOW: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGH: u64 = u64::from_le_bytes([0x80; 8]);
+    let mut words = bytes.chunks_exact(8);
+    let mut offset = 0;
+    for word in words.by_ref() {
+        let x = u64::from_le_bytes(word.try_into().expect("chunks_exact yields 8 bytes")) ^ NL;
+        let hit = x.wrapping_sub(LOW) & !x & HIGH;
+        if hit != 0 {
+            return Some(offset + (hit.trailing_zeros() / 8) as usize);
+        }
+        offset += 8;
+    }
+    let tail = words.remainder().iter().position(|&b| b == b'\n');
+    tail.map(|i| offset + i)
+}
+
+/// A timestamp written as 1 to 19 plain decimal digits (so it cannot
+/// overflow), or `None` for anything else — signs, inner blanks, longer
+/// numbers — which [`parse_timestamp`] then decides.
+#[inline]
+fn plain_timestamp(digits: &[u8]) -> Option<u64> {
+    if digits.is_empty() || digits.len() > 19 {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |t, &d| {
+        d.is_ascii_digit().then(|| t * 10 + u64::from(d - b'0'))
+    })
+}
+
+/// [`VcdReadError::Io`]'s message for a body line that is not UTF-8,
+/// the same words `BufRead::read_line` uses for the header.
+const NOT_UTF8: &str = "stream did not contain valid UTF-8";
+
+impl Sampler {
+    /// Decodes one body line (without its `\n`). Plain-digit
+    /// timestamps and scalar changes on printable codes are decoded
+    /// from the bytes; every other line — directives, vectors, signed
+    /// or spaced timestamps, non-ASCII bytes, errors — goes through
+    /// [`Sampler::text_line`], so both paths share one set of
+    /// semantics.
+    #[inline]
+    fn line(&mut self, raw: &[u8], buf: &mut Vec<GlobalStep>) -> Result<(), VcdReadError> {
+        self.lineno += 1;
+        match raw.trim_ascii() {
+            [] => return Ok(()),
+            [b'#', digits @ ..] => {
+                if let Some(t) = plain_timestamp(digits) {
+                    return self.advance(t, buf);
+                }
+            }
+            [v @ (b'0' | b'1' | b'x' | b'X' | b'z' | b'Z'), code @ ..] => {
+                let code = code.trim_ascii_start();
+                if !code.is_empty() && code.iter().all(|&b| is_code_byte(b)) {
+                    self.change(*v == b'1', code);
+                    return Ok(());
+                }
+            }
+            _ => {}
+        }
+        self.text_line(raw, buf)
+    }
+
+    /// The general path over a line validated as UTF-8.
+    fn text_line(&mut self, raw: &[u8], buf: &mut Vec<GlobalStep>) -> Result<(), VcdReadError> {
+        let text = std::str::from_utf8(raw).map_err(|_| VcdReadError::Io {
+            message: NOT_UTF8.to_owned(),
+        })?;
+        let line = text.trim();
+        if line.is_empty() || line.starts_with('$') {
+            return Ok(()); // directives ($dumpvars bodies are value changes)
+        }
+        if let Some(rest) = line.strip_prefix('#') {
+            let t = parse_timestamp(rest, self.lineno)?;
+            return self.advance(t, buf);
+        }
+        let (value, code) = parse_change(line, self.lineno)?;
+        self.change(value, code.as_bytes());
+        Ok(())
+    }
+
+    /// Moves to timestamp `t`, emitting the step sampled at the
+    /// previous one.
+    #[inline]
+    fn advance(&mut self, t: u64, buf: &mut Vec<GlobalStep>) -> Result<(), VcdReadError> {
+        if t < self.cur_time {
+            let cur = self.cur_time;
+            return Err(VcdReadError::Malformed {
+                line: self.lineno,
+                message: format!("timestamp #{t} goes backwards (after #{cur})"),
+            });
+        }
+        if t > self.cur_time {
+            // a pending step belongs to the instant it was sampled at,
+            // so the flush uses the time *before* the advance
+            let prev = self.cur_time;
+            self.cur_time = t;
+            self.flush_at(prev, buf);
+        }
+        Ok(())
+    }
+
+    /// Applies a value change on identifier `code`.
+    #[inline]
+    fn change(&mut self, value: bool, code: &[u8]) {
+        let Some(binding) = self.codes.get(code) else {
+            return;
+        };
+        for &ci in &binding.clocks {
+            let ci = ci as usize;
+            if value && !self.levels[ci] {
+                self.pending[ci] = true;
+                self.any_pending = true;
+            }
+            self.levels[ci] = value;
+        }
+        if value {
+            self.current |= binding.symbols;
+        } else {
+            self.current &= !binding.symbols;
+        }
     }
 
     /// Emits the clocks that rose at instant `time` as one step,
@@ -581,90 +875,6 @@ impl<R: BufRead> GlobalVcdStream<R> {
         buf.push(GlobalStep { time, ticks });
         self.pending.iter_mut().for_each(|p| *p = false);
         self.any_pending = false;
-    }
-
-    /// Clears `buf` and refills it with up to `max` global steps,
-    /// returning how many were produced. `Ok(0)` signals end of input
-    /// — except that `max == 0` also returns `Ok(0)` without consuming
-    /// anything (like `Read::read` with an empty buffer), so never poll
-    /// for end of input with a zero chunk size.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VcdReadError::Malformed`] on unparseable value
-    /// changes, unparseable or decreasing timestamps, or
-    /// [`VcdReadError::Io`] if the reader fails. An error poisons the
-    /// stream: every subsequent call returns `Ok(0)`, so a caller that
-    /// retries cannot silently resume past corrupt input.
-    pub fn next_chunk(
-        &mut self,
-        buf: &mut Vec<GlobalStep>,
-        max: usize,
-    ) -> Result<usize, VcdReadError> {
-        for mut step in buf.drain(..) {
-            step.ticks.clear();
-            self.spare.push(step.ticks);
-        }
-        if self.done || max == 0 {
-            return Ok(0);
-        }
-        let filled = self.fill(buf, max);
-        if filled.is_err() {
-            self.done = true;
-        }
-        filled
-    }
-
-    /// The sampling loop behind [`GlobalVcdStream::next_chunk`].
-    fn fill(&mut self, buf: &mut Vec<GlobalStep>, max: usize) -> Result<usize, VcdReadError> {
-        while buf.len() < max {
-            if !read_line(&mut self.reader, &mut self.line, &mut self.lineno)? {
-                self.done = true;
-                let t = self.cur_time;
-                self.flush_at(t, buf);
-                break;
-            }
-            let line = self.line.trim();
-            if line.is_empty() || line.starts_with('$') {
-                continue; // directives ($dumpvars bodies are value changes)
-            }
-            if let Some(rest) = line.strip_prefix('#') {
-                let t = parse_timestamp(rest, self.lineno)?;
-                if t < self.cur_time {
-                    let cur = self.cur_time;
-                    return Err(VcdReadError::Malformed {
-                        line: self.lineno,
-                        message: format!("timestamp #{t} goes backwards (after #{cur})"),
-                    });
-                }
-                if t > self.cur_time {
-                    // a pending step belongs to the instant it was
-                    // sampled at, so the flush uses the time *before*
-                    // the advance
-                    let prev = self.cur_time;
-                    self.cur_time = t;
-                    self.flush_at(prev, buf);
-                }
-                continue;
-            }
-            let (value, code) = parse_change(line, self.lineno)?;
-            if let Some(binding) = self.codes.get(code) {
-                for &ci in &binding.clocks {
-                    let ci = ci as usize;
-                    if value && !self.levels[ci] {
-                        self.pending[ci] = true;
-                        self.any_pending = true;
-                    }
-                    self.levels[ci] = value;
-                }
-                if value {
-                    self.current |= binding.symbols;
-                } else {
-                    self.current &= !binding.symbols;
-                }
-            }
-        }
-        Ok(buf.len())
     }
 }
 
@@ -736,6 +946,7 @@ pub fn read_vcd(
 mod tests {
     use super::*;
     use crate::clock::ClockDomain;
+    use crate::gen::TraceGen;
     use cesc_expr::SymbolId;
 
     /// One-clock stream over in-memory text, sampling `clk`.
@@ -1051,30 +1262,265 @@ $enddefinitions $end
         }
     }
 
-    #[test]
-    fn buffered_reader_parse_equals_whole_string_parse() {
-        // same bytes through a tiny-capacity BufReader — the streamed
-        // path must be byte-for-byte equivalent to the &str path
-        let (ab, a, b) = setup();
-        let t: Trace = (0..50u32)
-            .map(|i| {
-                let mut v = Valuation::empty();
-                if i % 5 == 0 {
-                    v.insert(a);
-                }
-                if i % 7 == 0 {
-                    v.insert(b);
-                }
-                v
+    /// Every step of `stream`, drained in `chunk`-sized pieces.
+    fn steps_of<R: BufRead>(
+        mut stream: GlobalVcdStream<R>,
+        chunk: usize,
+    ) -> Result<Vec<GlobalStep>, VcdReadError> {
+        let mut all = Vec::new();
+        let mut buf = Vec::new();
+        while stream.next_chunk(&mut buf, chunk)? > 0 {
+            all.extend(buf.iter().cloned());
+        }
+        Ok(all)
+    }
+
+    /// The same dump with CRLF line ends, with blanks around every
+    /// line, and cut after its last rising edge with no final newline
+    /// (the writers end on a falling edge, which samples nothing).
+    fn layout_variants(vcd: &str) -> Vec<String> {
+        let blanks: String = vcd.lines().map(|l| format!("  {l} \t\n")).collect();
+        let last_fall = vcd.rfind("\n#").unwrap_or(vcd.len());
+        vec![
+            vcd.to_owned(),
+            vcd.replace('\n', "\r\n"),
+            blanks,
+            vcd[..last_fall].to_owned(),
+        ]
+    }
+
+    /// A random multi-clock run on 2–3 domains whose ticks carry only
+    /// their own domain's symbols, with those owner masks.
+    fn random_global_run(
+        rng: &mut rand::rngs::StdRng,
+        ab: &Alphabet,
+    ) -> (ClockSet, GlobalRun, Vec<Valuation>) {
+        use rand::Rng as _;
+        let symbols: Vec<SymbolId> = ab.iter().map(|(id, _)| id).collect();
+        let domains = rng.random_range(2..=3usize);
+        let mut clocks = ClockSet::new();
+        let mut owners = vec![Valuation::empty(); domains];
+        for (i, &s) in symbols.iter().enumerate() {
+            owners[i % domains].insert(s);
+        }
+        let mut gens: Vec<TraceGen> = owners
+            .iter()
+            .enumerate()
+            .map(|(d, own)| {
+                clocks.add(ClockDomain::new(&format!("clk{d}"), 1, 0));
+                let mine = symbols.iter().copied().filter(|&s| own.contains(s));
+                TraceGen::with_symbols(rng.next_u64(), mine)
             })
             .collect();
-        let vcd = write_vcd(&t, &ab, &VcdWriteOptions::default());
-        let whole = read_vcd(&vcd, &ab, "clk").unwrap();
+        let mut run = GlobalRun::new();
+        let mut time = 0;
+        for _ in 0..rng.random_range(0..40usize) {
+            time += rng.random_range(1..=3u64);
+            let ticks: Vec<(ClockId, Valuation)> = (0..domains)
+                .filter(|_| rng.random_bool(0.6))
+                .map(|d| (ClockId::from_index(d), gens[d].valuation(0.4)))
+                .collect();
+            if !ticks.is_empty() {
+                run.push(GlobalStep { time, ticks });
+            }
+        }
+        (clocks, run, owners)
+    }
 
-        let reader = io::BufReader::with_capacity(7, vcd.as_bytes());
-        let mut stream =
-            GlobalVcdStream::from_reader(reader, &ab, &[VcdClockSpec::new("clk")]).unwrap();
-        assert_eq!(drain(&mut stream, 16), whole);
+    #[test]
+    fn buffered_reader_parse_equals_whole_string_parse() {
+        // the same bytes through BufReaders of every small capacity (so
+        // lines split across windows at every offset) must decode to
+        // exactly the in-memory read and the source run, whatever the
+        // line layout
+        use rand::{Rng as _, SeedableRng as _};
+        let mut ab = Alphabet::new();
+        for name in ["req", "ack", "burst", "go", "done"] {
+            ab.event(name);
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5CA4);
+        for case in 0..12u64 {
+            let opts = VcdWriteOptions::default();
+            let scale = 2 * opts.half_period;
+            let (vcd, specs, expected) = if case % 2 == 0 {
+                let len = rng.random_range(0..60usize);
+                let trace = TraceGen::new(case, &ab).noise(len, 0.3);
+                let expected: Vec<GlobalStep> = trace
+                    .iter()
+                    .enumerate()
+                    .map(|(k, v)| GlobalStep {
+                        time: k as u64 * scale,
+                        ticks: vec![(ClockId::from_index(0), v)],
+                    })
+                    .collect();
+                (
+                    write_vcd(&trace, &ab, &opts),
+                    vec![VcdClockSpec::new("clk")],
+                    expected,
+                )
+            } else {
+                let (clocks, run, owners) = random_global_run(&mut rng, &ab);
+                let specs = clocks
+                    .iter()
+                    .map(|(id, d)| VcdClockSpec::masked(d.name(), owners[id.index()]))
+                    .collect();
+                let expected = run
+                    .iter()
+                    .map(|s| GlobalStep {
+                        time: s.time * scale,
+                        ticks: s.ticks.clone(),
+                    })
+                    .collect();
+                (
+                    write_vcd_global(&run, &clocks, &ab, &owners, &opts),
+                    specs,
+                    expected,
+                )
+            };
+            for text in layout_variants(&vcd) {
+                let whole = GlobalVcdStream::from_reader(text.as_bytes(), &ab, &specs).unwrap();
+                assert_eq!(
+                    steps_of(whole, 7).unwrap(),
+                    expected,
+                    "case {case}: {text:?}"
+                );
+                let large = rng.random_range(17..=4096usize);
+                for cap in (1..=16).chain([large]) {
+                    let reader = io::BufReader::with_capacity(cap, text.as_bytes());
+                    let stream = GlobalVcdStream::from_reader(reader, &ab, &specs).unwrap();
+                    let chunk = rng.random_range(1..=9usize);
+                    assert_eq!(
+                        steps_of(stream, chunk).unwrap(),
+                        expected,
+                        "case {case}, capacity {cap}, chunk {chunk}: {text:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A one-clock stream over raw bytes, sampling `clk` and `req`.
+    fn req_steps(vcd: &[u8], cap: usize) -> Result<Vec<GlobalStep>, VcdReadError> {
+        let (ab, _, _) = setup();
+        let reader = io::BufReader::with_capacity(cap, vcd);
+        steps_of(
+            GlobalVcdStream::from_reader(reader, &ab, &[VcdClockSpec::new("clk")])?,
+            4,
+        )
+    }
+
+    #[test]
+    fn long_and_non_ascii_codes_resolve() {
+        // 3-character codes (past the dense table) and a non-ASCII
+        // code resolve like 1-character ones; a 3-character code that
+        // extends a 1-character one is a different signal
+        let (_, req, burst) = setup();
+        let vcd = "\
+$var wire 1 !!! clk $end
+$var wire 1 a#% req $end
+$var wire 1 é burst $end
+$var wire 1 ! other $end
+$enddefinitions $end
+#0
+1a#%
+1é
+1!
+1!!!
+#5
+0!!!
+0é
+#10
+1!!!
+";
+        for cap in [1, 3, 64] {
+            let steps = req_steps(vcd.as_bytes(), cap).unwrap();
+            let vals: Vec<Valuation> = steps.iter().map(|s| s.ticks[0].1).collect();
+            assert_eq!(
+                vals,
+                [Valuation::of([req, burst]), Valuation::of([req])],
+                "capacity {cap}"
+            );
+        }
+    }
+
+    #[test]
+    fn signed_spaced_and_overflowing_timestamps() {
+        // `#+5` and `# 5` are the timestamp 5, as `u64::from_str` and
+        // `trim` read them; 20 digits past `u64::MAX` are malformed,
+        // 20 digits within it are fine
+        let vcd = "\
+$var wire 1 ! clk $end
+$enddefinitions $end
+#+5
+1!
+# 7
+0!
+#10000000000000000000
+1!
+";
+        let times: Vec<u64> = req_steps(vcd.as_bytes(), 5)
+            .unwrap()
+            .iter()
+            .map(|s| s.time)
+            .collect();
+        assert_eq!(times, [5, 10_000_000_000_000_000_000]);
+        let vcd = "\
+$var wire 1 ! clk $end
+$enddefinitions $end
+#0
+1!
+#99999999999999999999
+0!
+";
+        for cap in [1, 2, 8192] {
+            match req_steps(vcd.as_bytes(), cap) {
+                Err(VcdReadError::Malformed { line, message }) => {
+                    assert_eq!(line, 5);
+                    assert!(message.contains("bad timestamp"), "{message}");
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn invalid_utf8_in_the_body_is_an_io_error() {
+        for line in [&b"1\xff\n"[..], b"$comment \xc3( $end\n", b"b1 \x80\n"] {
+            let mut vcd = b"$var wire 1 ! clk $end\n$enddefinitions $end\n#0\n1!\n".to_vec();
+            vcd.extend_from_slice(line);
+            for cap in [1, 4, 8192] {
+                match req_steps(&vcd, cap) {
+                    Err(VcdReadError::Io { message }) => {
+                        assert_eq!(message, "stream did not contain valid UTF-8");
+                    }
+                    other => panic!("{line:?}: unexpected {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn error_lines_survive_window_splits() {
+        // a malformed line after lines of every length reports the same
+        // line number however the reader's windows cut the input
+        let vcd = "\
+$var wire 1 ! clk $end
+$var wire 4 \" req $end
+$enddefinitions $end
+#0
+b0101 \"
+1!
+#123456
+0!
+$comment a longer directive line $end
+q!
+";
+        for cap in 1..=16 {
+            match req_steps(vcd.as_bytes(), cap) {
+                Err(VcdReadError::Malformed { line, .. }) => assert_eq!(line, 10, "capacity {cap}"),
+                other => panic!("capacity {cap}: unexpected {other:?}"),
+            }
+        }
     }
 
     #[test]

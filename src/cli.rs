@@ -712,8 +712,10 @@ pub fn check_fleet(
             let mut chunk = Vec::new();
             let mut steps = 0u64;
             loop {
-                let n = stream
-                    .next_chunk(&mut chunk, BATCH_CHUNK)
+                // `decode` runs inside `execute`: the rest of `execute`
+                // is the engine plus the shard hand-off
+                let n = obs
+                    .time("decode", || stream.next_chunk(&mut chunk, BATCH_CHUNK))
                     .map_err(|e| CliError::Pipeline(e.to_string()))?;
                 if n == 0 {
                     return Ok(steps);

@@ -156,10 +156,17 @@ fn sharded_check_over_120k_step_dump_renders_schema_valid_stats_json() {
     assert_eq!(json.matches('[').count(), json.matches(']').count(), "balanced");
 
     // per-stage pipeline timings
-    for stage in ["parse", "compile", "optimize", "plan", "execute", "render"] {
+    for stage in [
+        "parse", "compile", "optimize", "plan", "decode", "execute", "render",
+    ] {
         assert!(json.contains(&format!("{{\"name\":\"{stage}\",\"calls\":")), "{stage}: {json}");
         assert!(report.span_ns(stage).is_some(), "{stage} span recorded");
     }
+    // one `decode` call per `next_chunk`, all of them inside `execute`
+    let decode = report.spans.iter().find(|s| s.name == "decode").unwrap();
+    let chunks = (2 * PER_DOMAIN).div_ceil(cesc::core::BATCH_CHUNK) as u64;
+    assert_eq!(decode.calls, chunks + 1, "the last call reads end of input");
+    assert!(decode.total_ns <= report.span_ns("execute").unwrap());
 
     // semantic counters and per-shard utilization
     assert!(json.contains(&format!("\"fleet.steps\":{}", 2 * PER_DOMAIN)), "{json}");
