@@ -80,6 +80,11 @@ pub mod key {
     pub const FLEET_CHUNKS: &str = "fleet.chunks";
     /// Per-clock ticks carried by the fed global steps.
     pub const FLEET_TICKS: &str = "fleet.ticks";
+    /// VCD body blocks the streaming reader decoded.
+    pub const DECODE_BLOCKS: &str = "decode.blocks";
+    /// Nanoseconds the streaming reader's caller spent blocked waiting
+    /// for a decode worker to hand back a block.
+    pub const DECODE_WAIT_NS: &str = "decode.wait_ns";
     /// Cycles driven through the RTL co-simulator.
     pub const COSIM_TICKS: &str = "cosim.ticks";
     /// Matches the RTL co-simulator agreed on.

@@ -197,6 +197,17 @@ impl RunReport {
                 ));
             }
         }
+        // the producer beside its consumers: a reader that mostly
+        // waits on its decode workers is bound by decoding, one that
+        // rarely waits by stitching and feeding
+        let blocks = self.counter(crate::key::DECODE_BLOCKS);
+        if blocks > 0 {
+            out.push_str(&format!(
+                "decode:\n  blocks {:<10} wait {:>10.3} ms\n",
+                blocks,
+                ms(self.counter(crate::key::DECODE_WAIT_NS))
+            ));
+        }
         out
     }
 

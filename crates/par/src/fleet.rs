@@ -7,8 +7,8 @@
 //! ```text
 //!                        ┌────────────────────┐
 //!   VCD / simulation ──▶ │ FleetFeeder        │  one bounded channel
-//!   (decoded chunks)     │ (Arc<chunk> clone  │  per shard; the chunk
-//!                        │  per shard)        │  itself is shared
+//!   (decoded chunks)     │ (one copy into a   │  per shard; the copy
+//!                        │  recycled Arc)     │  is shared by them all
 //!                        └───┬────┬────┬──────┘
 //!                            ▼    ▼    ▼
 //!                        shard0 shard1 shard2   each: own MonitorBank
@@ -23,7 +23,10 @@
 //! states, scoreboards, tallies), so the hot path takes **no lock and
 //! shares no cache line** with other shards; the only synchronisation
 //! is the bounded channel hand-off of reference-counted chunks, and the
-//! per-shard results merge once, at join time. Verdicts are
+//! per-shard results merge once, at join time. The feeder copies each
+//! borrowed chunk once, into a chunk buffer it recycles once every
+//! shard has dropped it, so a steady-state broadcast allocates nothing
+//! on any thread. Verdicts are
 //! bit-identical to a serial [`MonitorBank`] run over the same chunks
 //! (pinned by the workspace `batch_equivalence` property suite).
 //!
@@ -35,7 +38,7 @@
 //! ([`FeedMode::Direct`]): `feed` borrows the chunk straight into the
 //! bank, no allocation, no thread, identical results.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -281,11 +284,67 @@ enum Msg {
     Global(Arc<Vec<GlobalStep>>),
 }
 
+/// The chunk buffers a broadcast feeder hands out, reused in turn.
+///
+/// The pool keeps one reference to each buffer, so a buffer every
+/// shard has dropped is unique again and is refilled in place. A shard
+/// drops each chunk before it receives the next, and a send to a full
+/// channel waits, so once the feeder has sent chunk `k - 1` every shard
+/// has dropped chunk `k - depth - 2`: a ring of `depth + 2` buffers,
+/// taken in turn, always finds its next buffer free.
+struct ChunkPool<T> {
+    ring: RefCell<Vec<Arc<Vec<T>>>>,
+    next: Cell<usize>,
+}
+
+impl<T> ChunkPool<T> {
+    fn new(depth: usize) -> Self {
+        ChunkPool {
+            ring: RefCell::new((0..depth + 2).map(|_| Arc::new(Vec::new())).collect()),
+            next: Cell::new(0),
+        }
+    }
+
+    /// The next buffer in turn, filled by `fill`.
+    fn next(&self, fill: impl FnOnce(&mut Vec<T>)) -> Arc<Vec<T>> {
+        let mut ring = self.ring.borrow_mut();
+        let i = self.next.get();
+        self.next.set((i + 1) % ring.len());
+        let slot = &mut ring[i];
+        if Arc::get_mut(slot).is_none() {
+            // unreachable by the argument above; stay correct anyway
+            *slot = Arc::new(Vec::new());
+        }
+        fill(Arc::get_mut(slot).expect("a fresh or released buffer is unique"));
+        Arc::clone(slot)
+    }
+}
+
+/// Copies `src` into `dst`, reusing the tick vectors of the steps
+/// `dst` already holds.
+fn copy_steps(dst: &mut Vec<GlobalStep>, src: &[GlobalStep]) {
+    dst.truncate(src.len());
+    let reused = dst.len();
+    for (d, s) in dst.iter_mut().zip(src) {
+        d.time = s.time;
+        d.ticks.clone_from(&s.ticks);
+    }
+    dst.extend_from_slice(&src[reused..]);
+}
+
+/// The multi-shard feed: one bounded channel per shard, and the
+/// recycled chunk buffers broadcast over them.
+struct Broadcast {
+    txs: Vec<channel::Sender<Msg>>,
+    local: ChunkPool<Valuation>,
+    global: ChunkPool<GlobalStep>,
+}
+
 /// How chunks reach the shard worker(s) — see the module docs.
 enum FeedMode {
     /// Multi-shard: reference-counted chunks over one bounded channel
     /// per shard.
-    Broadcast(Vec<channel::Sender<Msg>>),
+    Broadcast(Broadcast),
     /// Single-shard fast path: the one worker runs inline on the
     /// caller thread — chunks are borrowed, never copied, and there is
     /// no channel hop. `wait_ns` of the recorded [`ShardStats`] stays
@@ -296,7 +355,7 @@ enum FeedMode {
 impl std::fmt::Debug for FeedMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FeedMode::Broadcast(txs) => write!(f, "Broadcast({} shard(s))", txs.len()),
+            FeedMode::Broadcast(b) => write!(f, "Broadcast({} shard(s))", b.txs.len()),
             FeedMode::Direct(_) => write!(f, "Direct"),
         }
     }
@@ -331,10 +390,7 @@ impl FleetFeeder {
         self.chunk_sizes.record(len as u64);
     }
 
-    fn broadcast(&self, msg: Msg) {
-        let FeedMode::Broadcast(txs) = &self.mode else {
-            unreachable!("direct mode handled by the caller")
-        };
+    fn broadcast(txs: &[channel::Sender<Msg>], msg: Msg) {
         for tx in txs {
             tx.send(msg.clone()).expect("shard worker alive");
         }
@@ -368,7 +424,13 @@ impl FleetFeeder {
             FeedMode::Direct(cell) => {
                 Self::direct(cell, chunk.len(), |w| w.consume_local(chunk));
             }
-            FeedMode::Broadcast(_) => self.broadcast(Msg::Local(Arc::new(chunk.to_vec()))),
+            FeedMode::Broadcast(b) => {
+                let copy = b.local.next(|dst| {
+                    dst.clear();
+                    dst.extend_from_slice(chunk);
+                });
+                Self::broadcast(&b.txs, Msg::Local(copy));
+            }
         }
     }
 
@@ -384,7 +446,10 @@ impl FleetFeeder {
             FeedMode::Direct(cell) => {
                 Self::direct(cell, chunk.len(), |w| w.consume_global(chunk));
             }
-            FeedMode::Broadcast(_) => self.broadcast(Msg::Global(Arc::new(chunk.to_vec()))),
+            FeedMode::Broadcast(b) => {
+                let copy = b.global.next(|dst| copy_steps(dst, chunk));
+                Self::broadcast(&b.txs, Msg::Global(copy));
+            }
         }
     }
 }
@@ -749,7 +814,11 @@ fn run_broadcast<R>(
             }));
         }
         let feeder = FleetFeeder {
-            mode: FeedMode::Broadcast(txs),
+            mode: FeedMode::Broadcast(Broadcast {
+                txs,
+                local: ChunkPool::new(depth),
+                global: ChunkPool::new(depth),
+            }),
             steps: opts.obs.counter(key::FLEET_STEPS),
             chunks: opts.obs.counter(key::FLEET_CHUNKS),
             chunk_sizes: opts.obs.histogram("chunk.steps"),

@@ -39,6 +39,7 @@
 #![warn(missing_debug_implementations)]
 
 mod clock;
+mod decode;
 mod gen;
 mod global;
 mod trace;

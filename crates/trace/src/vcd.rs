@@ -11,17 +11,20 @@
 //! clocks and yields [`GlobalStep`] chunks pulled from any
 //! [`io::BufRead`], so a multi-GB dump is checked in constant memory —
 //! neither the VCD text nor the decoded trace is ever resident in
-//! full. It is the one sampling loop: [`read_vcd`] is its one-clock
-//! drain into a [`Trace`], and the `&str` constructor is a thin wrapper
-//! over the byte-slice reader.
+//! full. It is the one sampling loop — a fold of byte blocks and an
+//! ordered stitch, inline or on decode workers (`crate::decode`):
+//! [`read_vcd`] is its one-clock drain into a [`Trace`], and the `&str`
+//! constructor is a thin wrapper over the byte-slice reader.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{self, BufRead};
+use std::sync::Arc;
+use std::time::Instant;
 
 use cesc_expr::{Alphabet, Valuation};
 
-use crate::clock::{ClockId, ClockSet};
+use crate::clock::ClockSet;
+use crate::decode::{BlockReader, CodeTable, FoldFn, Job, Stitcher, Workers, MAX_CLOCKS};
 use crate::global::{GlobalRun, GlobalStep};
 use crate::trace::Trace;
 
@@ -260,6 +263,11 @@ pub enum VcdReadError {
         /// The I/O error's message.
         message: String,
     },
+    /// More clocks were requested than one stream samples (64).
+    TooManyClocks {
+        /// The number of clocks requested.
+        requested: usize,
+    },
 }
 
 impl std::fmt::Display for VcdReadError {
@@ -272,6 +280,10 @@ impl std::fmt::Display for VcdReadError {
                 write!(f, "clock signal `{name}` not found in VCD")
             }
             VcdReadError::Io { message } => write!(f, "VCD read failed: {message}"),
+            VcdReadError::TooManyClocks { requested } => write!(
+                f,
+                "{requested} clocks requested; one VCD stream samples at most {MAX_CLOCKS}"
+            ),
         }
     }
 }
@@ -296,94 +308,6 @@ fn read_line<R: BufRead>(
         Err(e) => Err(VcdReadError::Io {
             message: e.to_string(),
         }),
-    }
-}
-
-/// Parses the text after `#` as a timestamp.
-fn parse_timestamp(rest: &str, lineno: usize) -> Result<u64, VcdReadError> {
-    rest.trim()
-        .parse::<u64>()
-        .map_err(|_| VcdReadError::Malformed {
-            line: lineno,
-            message: format!("bad timestamp `#{}`", rest.trim()),
-        })
-}
-
-/// What one VCD identifier code drives. Standard VCD lets several
-/// `$var`s share a code (aliased nets), so a code carries a *set* of
-/// symbols and of clocks.
-#[derive(Debug, Default)]
-struct CodeBinding {
-    /// Bitmask of the alphabet symbols declared under this code.
-    symbols: u128,
-    /// Indices of the requested clocks declared under this code.
-    clocks: Vec<u32>,
-}
-
-/// Number of printable identifier-code characters, `!`..=`~`.
-const CODE_CHARS: usize = 94;
-
-#[inline]
-fn is_code_byte(b: u8) -> bool {
-    (b'!'..=b'~').contains(&b)
-}
-
-/// Identifier code → [`CodeBinding`], resolved without hashing for the
-/// 1- and 2-character codes simulators hand out first.
-///
-/// `dense` holds one `u32` per such code — 94 one-character slots,
-/// then 94² two-character slots in row-major order, about 35 KB — and
-/// each slot is `index + 1` into `bindings`, `0` meaning unbound, so a
-/// value change on an unnamed signal costs one load. Longer codes,
-/// and codes with bytes outside `!`..=`~`, go through `long`.
-#[derive(Debug)]
-struct CodeTable {
-    dense: Vec<u32>,
-    long: HashMap<Vec<u8>, u32>,
-    bindings: Vec<CodeBinding>,
-}
-
-impl CodeTable {
-    fn new() -> Self {
-        CodeTable {
-            dense: vec![0; CODE_CHARS + CODE_CHARS * CODE_CHARS],
-            long: HashMap::new(),
-            bindings: Vec::new(),
-        }
-    }
-
-    /// The `dense` slot of a 1- or 2-character printable code.
-    #[inline]
-    fn dense_slot(code: &[u8]) -> Option<usize> {
-        let digit = |b: u8| is_code_byte(b).then(|| usize::from(b - b'!'));
-        match *code {
-            [a] => digit(a),
-            [a, b] => Some(CODE_CHARS + digit(a)? * CODE_CHARS + digit(b)?),
-            _ => None,
-        }
-    }
-
-    /// The binding for `code`, created unbound on first use.
-    fn entry(&mut self, code: &str) -> &mut CodeBinding {
-        let code = code.as_bytes();
-        let slot = match Self::dense_slot(code) {
-            Some(i) => &mut self.dense[i],
-            None => self.long.entry(code.to_vec()).or_insert(0),
-        };
-        if *slot == 0 {
-            self.bindings.push(CodeBinding::default());
-            *slot = u32::try_from(self.bindings.len()).expect("fewer than 2^32 declared codes");
-        }
-        &mut self.bindings[*slot as usize - 1]
-    }
-
-    #[inline]
-    fn get(&self, code: &[u8]) -> Option<&CodeBinding> {
-        let slot = match Self::dense_slot(code) {
-            Some(i) => self.dense[i],
-            None => self.long.get(code).copied().unwrap_or(0),
-        };
-        (slot != 0).then(|| &self.bindings[slot as usize - 1])
     }
 }
 
@@ -427,7 +351,7 @@ fn parse_header<R: BufRead>(
                     is_clock = true;
                     if !declared[ci] {
                         declared[ci] = true;
-                        codes.entry(code).clocks.push(ci as u32);
+                        codes.entry(code).clocks |= 1 << ci;
                     }
                 }
             }
@@ -492,12 +416,18 @@ impl VcdClockSpec {
 ///
 /// The reader pulls bytes from any [`io::BufRead`] — a
 /// `BufReader<File>` for dumps on disk, a byte slice for in-memory
-/// text — and decodes each body line in place inside the reader's
-/// window, so resident memory is one reader window plus one carried
-/// partial line (a line split across two windows), regardless of dump
-/// size. [`read_vcd`] drains a one-clock stream into a [`Trace`].
+/// text. The body is read in blocks of about 64 KB cut at line ends;
+/// each block is folded into per-instant records of clock rises and
+/// `(set, clear)` signal masks, and the records are stitched into steps
+/// in input order. By default the fold runs on the caller's thread;
+/// [`GlobalVcdStream::with_workers`] folds blocks on worker threads
+/// while the caller reads ahead and stitches, with the same steps,
+/// chunk lengths and errors. Resident memory is a fixed number of
+/// blocks and their records — one on the caller's thread, two per
+/// worker — plus one carried partial line, regardless of dump size.
+/// [`read_vcd`] drains a one-clock stream into a [`Trace`].
 ///
-/// Clock `i` of the constructor's list becomes [`ClockId`] index `i`
+/// Clock `i` of the constructor's list becomes [`ClockId`](crate::ClockId) index `i`
 /// in the produced steps, so a consumer whose locals are listed in the
 /// same order can use an identity binding. Step times are VCD
 /// timestamps. Clocks rising at the same timestamp share one step
@@ -532,7 +462,7 @@ impl VcdClockSpec {
 ///     VcdClockSpec::masked("clk1", owners[0]),
 ///     VcdClockSpec::masked("clk2", owners[1]),
 /// ];
-/// let mut stream = GlobalVcdStream::new(&vcd, &ab, &specs)?;
+/// let mut stream = GlobalVcdStream::new(&vcd, &ab, &specs)?.with_workers(2);
 /// let mut steps = Vec::new();
 /// stream.next_chunk(&mut steps, 16)?;
 /// assert_eq!(steps.len(), run.len());
@@ -541,41 +471,21 @@ impl VcdClockSpec {
 /// ```
 #[derive(Debug)]
 pub struct GlobalVcdStream<R> {
-    reader: R,
-    /// The start of a line that ran past the end of the reader's
-    /// window (reused, so it allocates only when a longer line splits).
-    carry: Vec<u8>,
-    sampler: Sampler,
+    input: BlockReader<R>,
+    codes: Arc<CodeTable>,
+    stitch: Stitcher,
+    /// The block being stitched.
+    current: Option<Job>,
+    /// Recycled blocks.
+    free: Vec<Job>,
+    /// Decode workers asked for and not yet started: how many, and the
+    /// fold they run.
+    spawn: Option<(usize, FoldFn)>,
+    /// Decode workers, when blocks are folded off the caller's thread.
+    workers: Option<Workers>,
+    blocks: u64,
+    wait_ns: u64,
     done: bool,
-}
-
-/// The decoding state of a [`GlobalVcdStream`], kept apart from its
-/// reader so a line can be decoded while it is still borrowed from the
-/// reader's window.
-#[derive(Debug)]
-struct Sampler {
-    /// 1-based number of the last line read.
-    lineno: usize,
-    /// Identifier code → the symbols and clocks it drives.
-    codes: CodeTable,
-    /// Per clock: symbol mask its ticks carry (`u128::MAX` = all).
-    masks: Vec<u128>,
-    /// Current signal values, one bit per alphabet symbol.
-    current: u128,
-    levels: Vec<bool>,
-    /// All changes dumped at one `#time` are simultaneous: clocks that
-    /// rose at the current timestamp are sampled *after* every change
-    /// of that timestamp has been applied, so their shared step is
-    /// emitted when the timestamp advances (or input ends).
-    pending: Vec<bool>,
-    any_pending: bool,
-    /// Recycled tick vectors: [`GlobalVcdStream::next_chunk`] reclaims
-    /// the caller's previous chunk's `ticks` allocations here and
-    /// [`Sampler::flush_at`] reuses them, so steady-state streaming
-    /// allocates nothing per step (pinned by the workspace
-    /// counting-allocator test).
-    spare: Vec<Vec<(ClockId, Valuation)>>,
-    cur_time: u64,
 }
 
 impl<'a> GlobalVcdStream<&'a [u8]> {
@@ -596,7 +506,8 @@ impl<'a> GlobalVcdStream<&'a [u8]> {
 impl<R: BufRead> GlobalVcdStream<R> {
     /// Parses the VCD header from `reader` and positions the stream at
     /// the first value change. Every clock in `clocks` must be
-    /// declared.
+    /// declared. The body is decoded on the caller's thread until
+    /// [`GlobalVcdStream::with_workers`] says otherwise.
     ///
     /// Signals present in the VCD but absent from `alphabet` are
     /// ignored; alphabet symbols absent from the VCD read as constant
@@ -608,7 +519,8 @@ impl<R: BufRead> GlobalVcdStream<R> {
     ///
     /// # Errors
     ///
-    /// Returns [`VcdReadError::MissingClock`] naming the first
+    /// Returns [`VcdReadError::TooManyClocks`] for more than 64
+    /// clocks, [`VcdReadError::MissingClock`] naming the first
     /// undeclared clock, [`VcdReadError::Malformed`] on an unparseable
     /// `$var` declaration, or [`VcdReadError::Io`] if the reader
     /// fails.
@@ -617,27 +529,71 @@ impl<R: BufRead> GlobalVcdStream<R> {
         alphabet: &Alphabet,
         clocks: &[VcdClockSpec],
     ) -> Result<Self, VcdReadError> {
+        if clocks.len() > MAX_CLOCKS {
+            return Err(VcdReadError::TooManyClocks {
+                requested: clocks.len(),
+            });
+        }
         let mut lineno = 0usize;
         let codes = parse_header(&mut reader, &mut lineno, alphabet, clocks)?;
+        let masks = clocks
+            .iter()
+            .map(|s| s.mask.map_or(u128::MAX, Valuation::bits))
+            .collect();
         Ok(GlobalVcdStream {
-            reader,
-            carry: Vec::new(),
-            sampler: Sampler {
-                lineno,
-                codes,
-                masks: clocks
-                    .iter()
-                    .map(|s| s.mask.map_or(u128::MAX, Valuation::bits))
-                    .collect(),
-                current: 0,
-                levels: vec![false; clocks.len()],
-                pending: vec![false; clocks.len()],
-                any_pending: false,
-                spare: Vec::new(),
-                cur_time: 0,
-            },
+            input: BlockReader::new(reader),
+            codes: Arc::new(codes),
+            stitch: Stitcher::new(masks, lineno),
+            current: None,
+            free: vec![Job::default()],
+            spawn: None,
+            workers: None,
+            blocks: 0,
+            wait_ns: 0,
             done: false,
         })
+    }
+
+    /// Folds the body on `n` decode worker threads while the calling
+    /// thread reads blocks and stitches them in order; `n <= 1` folds
+    /// on the calling thread. Steps, chunk lengths and errors are the
+    /// same either way. The workers start when a second body block
+    /// follows the first, so a body that fits in one block never starts
+    /// a thread. They stop at end of input, on the first error, or when
+    /// the stream is dropped; a worker's panic is raised again by
+    /// [`GlobalVcdStream::next_chunk`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if decode workers already started: set them before the
+    /// first [`GlobalVcdStream::next_chunk`].
+    #[must_use]
+    pub fn with_workers(self, n: usize) -> Self {
+        self.with_fold(n, Job::fold_unseeded)
+    }
+
+    /// [`GlobalVcdStream::with_workers`] with the fold the workers run.
+    pub(crate) fn with_fold(mut self, n: usize, fold: FoldFn) -> Self {
+        assert!(
+            self.workers.is_none(),
+            "decode workers are set before the stream is read"
+        );
+        self.spawn = (n > 1).then_some((n, fold));
+        self
+    }
+
+    /// Body blocks decoded so far.
+    pub fn blocks_decoded(&self) -> u64 {
+        self.blocks
+    }
+
+    /// Nanoseconds [`GlobalVcdStream::next_chunk`] spent blocked,
+    /// waiting for a decode worker to hand back a block — zero when the
+    /// fold runs on the caller's thread. Set against the time spent in
+    /// `next_chunk`, it tells whether the workers or the stitch bound
+    /// the read.
+    pub fn wait_ns(&self) -> u64 {
+        self.wait_ns
     }
 
     /// Clears `buf` and refills it with up to `max` global steps,
@@ -654,6 +610,10 @@ impl<R: BufRead> GlobalVcdStream<R> {
     /// UTF-8. An error poisons the stream: every subsequent call
     /// returns `Ok(0)`, so a caller that retries cannot silently resume
     /// past corrupt input.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the panic of a decode worker.
     pub fn next_chunk(
         &mut self,
         buf: &mut Vec<GlobalStep>,
@@ -661,7 +621,7 @@ impl<R: BufRead> GlobalVcdStream<R> {
     ) -> Result<usize, VcdReadError> {
         for mut step in buf.drain(..) {
             step.ticks.clear();
-            self.sampler.spare.push(step.ticks);
+            self.stitch.spare.push(step.ticks);
         }
         if self.done || max == 0 {
             return Ok(0);
@@ -669,250 +629,77 @@ impl<R: BufRead> GlobalVcdStream<R> {
         let filled = self.fill(buf, max);
         if filled.is_err() {
             self.done = true;
+            self.workers = None;
         }
         filled
     }
 
-    /// The scanning loop behind [`GlobalVcdStream::next_chunk`]: splits
-    /// each reader window into lines, decodes them in place and
-    /// consumes them; the tail of a window that ends mid-line moves to
-    /// `carry` until the next window completes it. Each line yields at
-    /// most one step, so the loop stops exactly when `buf` is full.
+    /// Stitches blocks into `buf` until it holds `max` steps or input
+    /// ends.
     fn fill(&mut self, buf: &mut Vec<GlobalStep>, max: usize) -> Result<usize, VcdReadError> {
         while buf.len() < max {
-            let window = match self.reader.fill_buf() {
-                Ok(window) => window,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    return Err(VcdReadError::Io {
-                        message: e.to_string(),
-                    })
+            if let Some(job) = &mut self.current {
+                if self.stitch.stitch(&mut job.folded, buf, max)? {
+                    self.free.extend(self.current.take());
                 }
-            };
-            if window.is_empty() {
-                if self.carry.is_empty() {
-                    self.done = true;
-                    let t = self.sampler.cur_time;
-                    self.sampler.flush_at(t, buf);
-                    break;
-                }
-                // the last line has no newline
-                self.sampler.line(&self.carry, buf)?;
-                self.carry.clear();
                 continue;
             }
-            let mut used = 0;
-            while buf.len() < max {
-                let rest = &window[used..];
-                let Some(end) = newline_at(rest) else {
-                    self.carry.extend_from_slice(rest);
-                    used = window.len();
-                    break;
-                };
-                if self.carry.is_empty() {
-                    self.sampler.line(&rest[..end], buf)?;
-                } else {
-                    self.carry.extend_from_slice(&rest[..end]);
-                    self.sampler.line(&self.carry, buf)?;
-                    self.carry.clear();
+            match self.next_block()? {
+                Some(mut job) => {
+                    self.stitch.open(&mut job.folded);
+                    self.blocks += 1;
+                    self.current = Some(job);
                 }
-                used += end + 1;
+                None => {
+                    self.stitch.finish(buf);
+                    self.done = true;
+                    self.workers = None;
+                    break;
+                }
             }
-            self.reader.consume(used);
         }
         Ok(buf.len())
     }
-}
 
-/// Offset of the first `\n` in `bytes`, eight bytes per step: a
-/// byte of `x = word ^ b"\n\n\n\n\n\n\n\n"` is zero exactly where the
-/// word holds a newline, and the lowest high bit of
-/// `(x - 0x01…01) & !x & 0x80…80` marks the first such byte.
-#[inline]
-fn newline_at(bytes: &[u8]) -> Option<usize> {
-    const NL: u64 = u64::from_le_bytes([b'\n'; 8]);
-    const LOW: u64 = u64::from_le_bytes([0x01; 8]);
-    const HIGH: u64 = u64::from_le_bytes([0x80; 8]);
-    let mut words = bytes.chunks_exact(8);
-    let mut offset = 0;
-    for word in words.by_ref() {
-        let x = u64::from_le_bytes(word.try_into().expect("chunks_exact yields 8 bytes")) ^ NL;
-        let hit = x.wrapping_sub(LOW) & !x & HIGH;
-        if hit != 0 {
-            return Some(offset + (hit.trailing_zeros() / 8) as usize);
-        }
-        offset += 8;
-    }
-    let tail = words.remainder().iter().position(|&b| b == b'\n');
-    tail.map(|i| offset + i)
-}
-
-/// A timestamp written as 1 to 19 plain decimal digits (so it cannot
-/// overflow), or `None` for anything else — signs, inner blanks, longer
-/// numbers — which [`parse_timestamp`] then decides.
-#[inline]
-fn plain_timestamp(digits: &[u8]) -> Option<u64> {
-    if digits.is_empty() || digits.len() > 19 {
-        return None;
-    }
-    digits.iter().try_fold(0u64, |t, &d| {
-        d.is_ascii_digit().then(|| t * 10 + u64::from(d - b'0'))
-    })
-}
-
-/// [`VcdReadError::Io`]'s message for a body line that is not UTF-8,
-/// the same words `BufRead::read_line` uses for the header.
-const NOT_UTF8: &str = "stream did not contain valid UTF-8";
-
-impl Sampler {
-    /// Decodes one body line (without its `\n`). Plain-digit
-    /// timestamps and scalar changes on printable codes are decoded
-    /// from the bytes; every other line — directives, vectors, signed
-    /// or spaced timestamps, non-ASCII bytes, errors — goes through
-    /// [`Sampler::text_line`], so both paths share one set of
-    /// semantics.
-    #[inline]
-    fn line(&mut self, raw: &[u8], buf: &mut Vec<GlobalStep>) -> Result<(), VcdReadError> {
-        self.lineno += 1;
-        match raw.trim_ascii() {
-            [] => return Ok(()),
-            [b'#', digits @ ..] => {
-                if let Some(t) = plain_timestamp(digits) {
-                    return self.advance(t, buf);
+    /// The next folded block, `None` at end of input. The workers, if
+    /// any, are first handed every block there is room for.
+    fn next_block(&mut self) -> Result<Option<Job>, VcdReadError> {
+        if self.workers.is_none() {
+            let mut job = self.free.pop().unwrap_or_default();
+            if !self.input.read(&mut job) {
+                self.free.push(job);
+                return self.input.failed.take().map_or(Ok(None), Err);
+            }
+            match self.spawn.take() {
+                Some((n, fold)) if !self.input.ended() => {
+                    let mut workers = Workers::spawn(n, &self.codes, fold);
+                    // every block out, plus the one being stitched
+                    self.free.reserve(workers.blocks_out() + 1);
+                    workers.send(job);
+                    self.workers = Some(workers);
+                }
+                _ => {
+                    job.fold_seeded(&self.codes, self.stitch.entry());
+                    return Ok(Some(job));
                 }
             }
-            [v @ (b'0' | b'1' | b'x' | b'X' | b'z' | b'Z'), code @ ..] => {
-                let code = code.trim_ascii_start();
-                if !code.is_empty() && code.iter().all(|&b| is_code_byte(b)) {
-                    self.change(*v == b'1', code);
-                    return Ok(());
-                }
+        }
+        let workers = self.workers.as_mut().expect("started above");
+        while workers.has_room() {
+            let mut job = self.free.pop().unwrap_or_default();
+            if !self.input.read(&mut job) {
+                self.free.push(job);
+                break;
             }
-            _ => {}
+            workers.send(job);
         }
-        self.text_line(raw, buf)
-    }
-
-    /// The general path over a line validated as UTF-8.
-    fn text_line(&mut self, raw: &[u8], buf: &mut Vec<GlobalStep>) -> Result<(), VcdReadError> {
-        let text = std::str::from_utf8(raw).map_err(|_| VcdReadError::Io {
-            message: NOT_UTF8.to_owned(),
-        })?;
-        let line = text.trim();
-        if line.is_empty() || line.starts_with('$') {
-            return Ok(()); // directives ($dumpvars bodies are value changes)
+        if !workers.busy() {
+            return self.input.failed.take().map_or(Ok(None), Err);
         }
-        if let Some(rest) = line.strip_prefix('#') {
-            let t = parse_timestamp(rest, self.lineno)?;
-            return self.advance(t, buf);
-        }
-        let (value, code) = parse_change(line, self.lineno)?;
-        self.change(value, code.as_bytes());
-        Ok(())
-    }
-
-    /// Moves to timestamp `t`, emitting the step sampled at the
-    /// previous one.
-    #[inline]
-    fn advance(&mut self, t: u64, buf: &mut Vec<GlobalStep>) -> Result<(), VcdReadError> {
-        if t < self.cur_time {
-            let cur = self.cur_time;
-            return Err(VcdReadError::Malformed {
-                line: self.lineno,
-                message: format!("timestamp #{t} goes backwards (after #{cur})"),
-            });
-        }
-        if t > self.cur_time {
-            // a pending step belongs to the instant it was sampled at,
-            // so the flush uses the time *before* the advance
-            let prev = self.cur_time;
-            self.cur_time = t;
-            self.flush_at(prev, buf);
-        }
-        Ok(())
-    }
-
-    /// Applies a value change on identifier `code`.
-    #[inline]
-    fn change(&mut self, value: bool, code: &[u8]) {
-        let Some(binding) = self.codes.get(code) else {
-            return;
-        };
-        for &ci in &binding.clocks {
-            let ci = ci as usize;
-            if value && !self.levels[ci] {
-                self.pending[ci] = true;
-                self.any_pending = true;
-            }
-            self.levels[ci] = value;
-        }
-        if value {
-            self.current |= binding.symbols;
-        } else {
-            self.current &= !binding.symbols;
-        }
-    }
-
-    /// Emits the clocks that rose at instant `time` as one step,
-    /// reusing a recycled tick vector when one is available.
-    fn flush_at(&mut self, time: u64, buf: &mut Vec<GlobalStep>) {
-        if !self.any_pending {
-            return;
-        }
-        let mut ticks = self.spare.pop().unwrap_or_default();
-        ticks.extend(
-            self.pending
-                .iter()
-                .enumerate()
-                .filter(|&(_, &p)| p)
-                .map(|(i, _)| {
-                    (
-                        ClockId::from_index(i),
-                        Valuation::from_bits(self.current & self.masks[i]),
-                    )
-                }),
-        );
-        buf.push(GlobalStep { time, ticks });
-        self.pending.iter_mut().for_each(|p| *p = false);
-        self.any_pending = false;
-    }
-}
-
-/// Parses one VCD value-change line into `(value, identifier code)`.
-/// `lineno` is 1-based.
-fn parse_change(line: &str, lineno: usize) -> Result<(bool, &str), VcdReadError> {
-    if let Some(rest) = line.strip_prefix('b').or_else(|| line.strip_prefix('B')) {
-        // vector: b<binary> <code>; x/z bits are "not 1", i.e. false
-        let mut parts = rest.split_whitespace();
-        let bits = parts.next().unwrap_or("");
-        if let Some(bad) = bits.chars().find(|c| !matches!(c, '0' | '1' | 'x' | 'X' | 'z' | 'Z')) {
-            return Err(VcdReadError::Malformed {
-                line: lineno,
-                message: format!("invalid bit `{bad}` in vector change"),
-            });
-        }
-        let code = parts.next().ok_or_else(|| VcdReadError::Malformed {
-            line: lineno,
-            message: "vector change missing identifier".to_owned(),
-        })?;
-        Ok((bits.contains('1'), code))
-    } else {
-        let mut chars = line.chars();
-        let v = chars.next().ok_or_else(|| VcdReadError::Malformed {
-            line: lineno,
-            message: "empty value change".to_owned(),
-        })?;
-        let value = match v {
-            '1' => true,
-            '0' | 'x' | 'X' | 'z' | 'Z' => false,
-            other => {
-                return Err(VcdReadError::Malformed {
-                    line: lineno,
-                    message: format!("unsupported value change `{other}`"),
-                })
-            }
-        };
-        Ok((value, chars.as_str().trim()))
+        let waited = Instant::now();
+        let job = workers.receive();
+        self.wait_ns += u64::try_from(waited.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        Ok(Some(job))
     }
 }
 
@@ -945,7 +732,8 @@ pub fn read_vcd(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::ClockDomain;
+    use crate::clock::{ClockDomain, ClockId};
+    use crate::decode::BLOCK_BYTES;
     use crate::gen::TraceGen;
     use cesc_expr::SymbolId;
 
@@ -1276,17 +1064,66 @@ $enddefinitions $end
     }
 
     /// The same dump with CRLF line ends, with blanks around every
-    /// line, and cut after its last rising edge with no final newline
-    /// (the writers end on a falling edge, which samples nothing).
+    /// line, cut after its last rising edge with no final newline (the
+    /// writers end on a falling edge, which samples nothing), with every
+    /// timestamp repeated on a line of its own and again inside its
+    /// instant, and without its first `#0` line, so the initial values
+    /// come before any timestamp.
     fn layout_variants(vcd: &str) -> Vec<String> {
         let blanks: String = vcd.lines().map(|l| format!("  {l} \t\n")).collect();
         let last_fall = vcd.rfind("\n#").unwrap_or(vcd.len());
+        let mut repeated = String::new();
+        let mut stamp = "";
+        for (i, l) in vcd.lines().enumerate() {
+            if l.starts_with('#') {
+                stamp = l;
+                repeated.push_str(&format!("{l}\n"));
+            } else if !stamp.is_empty() && i % 2 == 0 {
+                repeated.push_str(&format!("{stamp}\n"));
+            }
+            repeated.push_str(&format!("{l}\n"));
+        }
         vec![
             vcd.to_owned(),
             vcd.replace('\n', "\r\n"),
             blanks,
             vcd[..last_fall].to_owned(),
+            repeated,
+            vcd.replacen("#0\n", "", 1),
         ]
+    }
+
+    /// A stream over `text` whose body is cut into blocks of `block`
+    /// bytes, folded on `workers` threads.
+    fn blocked<R: BufRead>(
+        reader: R,
+        ab: &Alphabet,
+        specs: &[VcdClockSpec],
+        block: usize,
+        workers: usize,
+    ) -> GlobalVcdStream<R> {
+        let mut stream = GlobalVcdStream::from_reader(reader, ab, specs).unwrap();
+        stream.input.block_size = block;
+        stream.with_workers(workers)
+    }
+
+    /// One `next_chunk` result, with the steps of an `Ok`.
+    type Call = Result<Vec<GlobalStep>, VcdReadError>;
+
+    /// Every `next_chunk` result of `stream` in `chunk`-sized calls,
+    /// through end of input or the first error, then three more calls.
+    fn calls_of<R: BufRead>(mut stream: GlobalVcdStream<R>, chunk: usize) -> Vec<Call> {
+        let mut calls = Vec::new();
+        let mut buf = Vec::new();
+        let mut after_end = 0;
+        while after_end < 3 {
+            let call = stream.next_chunk(&mut buf, chunk).map(|_| buf.clone());
+            if !matches!(&call, Ok(steps) if !steps.is_empty()) {
+                after_end += 1;
+            }
+            calls.push(call);
+        }
+        calls
     }
 
     /// A random multi-clock run on 2–3 domains whose ticks carry only
@@ -1330,9 +1167,10 @@ $enddefinitions $end
     #[test]
     fn buffered_reader_parse_equals_whole_string_parse() {
         // the same bytes through BufReaders of every small capacity (so
-        // lines split across windows at every offset) must decode to
-        // exactly the in-memory read and the source run, whatever the
-        // line layout
+        // lines split across windows at every offset), cut into tiny
+        // blocks and folded on 1 to 4 workers, must decode to exactly
+        // the in-memory inline read — steps and per-call chunk lengths
+        // — and the source run, whatever the line layout
         use rand::{Rng as _, SeedableRng as _};
         let mut ab = Alphabet::new();
         for name in ["req", "ack", "burst", "go", "done"] {
@@ -1386,17 +1224,106 @@ $enddefinitions $end
                 );
                 let large = rng.random_range(17..=4096usize);
                 for cap in (1..=16).chain([large]) {
-                    let reader = io::BufReader::with_capacity(cap, text.as_bytes());
-                    let stream = GlobalVcdStream::from_reader(reader, &ab, &specs).unwrap();
+                    // workers 1 to 4 over blocks of 1 to 48 bytes, so
+                    // every block edge falls at every line offset
                     let chunk = rng.random_range(1..=9usize);
+                    let block = rng.random_range(1..=48usize);
+                    let workers = 1 + cap % 4;
+                    let inline = calls_of(
+                        GlobalVcdStream::from_reader(text.as_bytes(), &ab, &specs).unwrap(),
+                        chunk,
+                    );
+                    let reader = io::BufReader::with_capacity(cap, text.as_bytes());
+                    let calls = calls_of(blocked(reader, &ab, &specs, block, workers), chunk);
+                    let what = format!(
+                        "case {case}, capacity {cap}, block {block}, {workers} worker(s), \
+                         chunk {chunk}: {text:?}"
+                    );
+                    assert_eq!(calls, inline, "{what}");
+                    let steps: Vec<GlobalStep> =
+                        calls.into_iter().flat_map(Result::unwrap).collect();
+                    assert_eq!(steps, expected, "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_decode_errors_and_poisoning_equal_inline() {
+        // byte-mutated dumps read inline and on 2 and 4 workers, over
+        // tiny and default blocks, give the same sequence of results:
+        // the same steps, then the same error (kind, line, message),
+        // then end of input forever
+        use rand::{Rng as _, SeedableRng as _};
+        let mut ab = Alphabet::new();
+        for name in ["req", "ack", "burst", "go", "done"] {
+            ab.event(name);
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xB10C);
+        let opts = VcdWriteOptions::default();
+        const BYTES: &[u8] = b"#01xzq b$\n\n!\"#5 \xff";
+        let mut errors = 0;
+        for case in 0..300u64 {
+            let (vcd, specs) = if case % 2 == 0 {
+                let trace = TraceGen::new(case, &ab).noise(rng.random_range(0..30usize), 0.3);
+                (write_vcd(&trace, &ab, &opts), vec![VcdClockSpec::new("clk")])
+            } else {
+                let (clocks, run, owners) = random_global_run(&mut rng, &ab);
+                let specs = clocks
+                    .iter()
+                    .map(|(id, d)| VcdClockSpec::masked(d.name(), owners[id.index()]))
+                    .collect();
+                (write_vcd_global(&run, &clocks, &ab, &owners, &opts), specs)
+            };
+            let mut bytes = vcd.into_bytes();
+            const HEADER_END: &[u8] = b"$enddefinitions $end\n";
+            let body = bytes
+                .windows(HEADER_END.len())
+                .position(|w| w == HEADER_END)
+                .expect("the writers end the header")
+                + HEADER_END.len();
+            for _ in 0..rng.random_range(1..=3) {
+                if body < bytes.len() {
+                    let at = rng.random_range(body..bytes.len());
+                    bytes[at] = BYTES[rng.random_range(0..BYTES.len())];
+                }
+            }
+            let chunk = rng.random_range(1..=9usize);
+            let inline = calls_of(
+                GlobalVcdStream::from_reader(bytes.as_slice(), &ab, &specs).unwrap(),
+                chunk,
+            );
+            errors += usize::from(inline.iter().any(Result::is_err));
+            for workers in [1, 2, 4] {
+                for block in [rng.random_range(1..=64usize), BLOCK_BYTES] {
+                    let calls =
+                        calls_of(blocked(bytes.as_slice(), &ab, &specs, block, workers), chunk);
                     assert_eq!(
-                        steps_of(stream, chunk).unwrap(),
-                        expected,
-                        "case {case}, capacity {cap}, chunk {chunk}: {text:?}"
+                        calls, inline,
+                        "case {case}, block {block}, {workers} worker(s), chunk {chunk}: {:?}",
+                        String::from_utf8_lossy(&bytes)
                     );
                 }
             }
         }
+        assert!(errors > 50, "the mutations must hit errors: {errors} of 300");
+    }
+
+    #[test]
+    fn decode_worker_panic_reaches_the_caller() {
+        // a worker that dies must not read as end of input
+        let (ab, _, _) = setup();
+        let trace = TraceGen::new(3, &ab).noise(50, 0.3);
+        let vcd = write_vcd(&trace, &ab, &VcdWriteOptions::default());
+        let mut stream = GlobalVcdStream::new(&vcd, &ab, &[VcdClockSpec::new("clk")]).unwrap();
+        stream.input.block_size = 64;
+        let mut stream = stream.with_fold(2, |_, _| panic!("fold failed"));
+        let mut buf = Vec::new();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            stream.next_chunk(&mut buf, 16)
+        }));
+        let panic = caught.expect_err("the worker's panic reaches the caller");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"fold failed"));
     }
 
     /// A one-clock stream over raw bytes, sampling `clk` and `req`.
@@ -1557,6 +1484,20 @@ q\"
             GlobalVcdStream::new(&vcd, &ab, &[VcdClockSpec::new("ghost")]),
             Err(VcdReadError::MissingClock { .. })
         ));
+    }
+
+    #[test]
+    fn more_than_64_clocks_is_an_error() {
+        // clock sets are 64-bit masks: a 65th clock is refused up front
+        let (ab, _, _) = setup();
+        let specs: Vec<VcdClockSpec> =
+            (0..65).map(|i| VcdClockSpec::new(&format!("clk{i}"))).collect();
+        match GlobalVcdStream::new("$enddefinitions $end\n", &ab, &specs) {
+            Err(VcdReadError::TooManyClocks { requested: 65 }) => {}
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(GlobalVcdStream::new("$enddefinitions $end\n", &ab, &specs[..64])
+            .is_err_and(|e| matches!(e, VcdReadError::MissingClock { .. })));
     }
 
     #[test]

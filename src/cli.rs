@@ -474,8 +474,9 @@ pub struct CheckOptions {
     /// (count plus first/last [`MATCH_EDGE`] entries) — the
     /// `--all-matches` flag.
     pub all_matches: bool,
-    /// Worker threads the fleet is sharded across (`--jobs N`; 1 runs
-    /// a single worker).
+    /// Worker threads the fleet is sharded across, and threads the
+    /// dump is decoded on (`--jobs N`; 1 runs one worker and decodes
+    /// on the calling thread).
     pub jobs: usize,
     /// Emit the machine-readable JSON report ([`CHECK_JSON_SCHEMA`])
     /// instead of text — the `--json` flag ([`check_fleet`] only).
@@ -632,8 +633,10 @@ struct Slot {
 /// VCD signal when the single-clock targets all share one declared
 /// clock (it never applies to multiclock specs).
 ///
-/// The dump is streamed in [`BATCH_CHUNK`]-sized [`cesc_trace::GlobalStep`]
-/// chunks broadcast to the shard workers, and match accounting is
+/// The dump is decoded on [`CheckOptions::jobs`] decode workers
+/// ([`GlobalVcdStream::with_workers`]) and streamed in
+/// [`BATCH_CHUNK`]-sized [`cesc_trace::GlobalStep`] chunks broadcast to
+/// the shard workers, and match accounting is
 /// bounded ([`cesc_par::MatchLog`]) unless [`CheckOptions::all_matches`] asks
 /// for every hit — memory stays constant in dump length and match
 /// count.
@@ -697,7 +700,8 @@ pub fn check_fleet(
 
     // -- stream the dump through the sharded fleet -------------------
     let mut stream = GlobalVcdStream::from_reader(vcd, specs.alphabet(), &clock_specs)
-        .map_err(|e| CliError::Pipeline(e.to_string()))?;
+        .map_err(|e| CliError::Pipeline(e.to_string()))?
+        .with_workers(opts.jobs);
     let par_opts = ParOptions {
         keep_all_hits: opts.all_matches,
         edge: MATCH_EDGE,
@@ -728,6 +732,8 @@ pub fn check_fleet(
             }
         });
     drop(exec_span);
+    obs.counter(key::DECODE_BLOCKS).add(stream.blocks_decoded());
+    obs.counter(key::DECODE_WAIT_NS).add(stream.wait_ns());
     let steps: u64 = driven?;
     let failed = report.any_failed();
 
@@ -1160,7 +1166,8 @@ pub fn usage() -> &'static str {
      assert-style charts whose violations make cesc exit with status 2.\n\
      --chart may repeat (duplicates are deduplicated); --all-charts checks\n\
      every chart, spec and implication in one pass over the dump.\n\
-     --jobs N      shard the monitor fleet across N worker threads\n\
+     --jobs N      shard the monitor fleet across N worker threads, and\n\
+                   decode the dump on N more\n\
      --json        machine-readable report (schema cesc-check/3)\n\
      --all-matches list every match tick; default summarises (count + first/last 5)\n\
      --clock NAME  rename the sampled clock signal (single-clock charts only;\n\

@@ -1,17 +1,21 @@
 //! Steady-state allocation discipline, pinned by a counting global
 //! allocator: after a warmup, `GlobalVcdStream::next_chunk` on (a) one
-//! and (b) two clocks, and (c) `MonitorBank::feed_global` over
-//! `GlobalStep` chunks must perform **zero** heap allocations per
-//! chunk. This is the contract behind the streaming `cesc check`
-//! path: the split-line carry buffer, recycled `GlobalStep::ticks`
-//! vectors, the bank's projection buffers and its drained hit logs are
+//! and (b) two clocks, inline and with decode workers, (c)
+//! `MonitorBank::feed_global` over `GlobalStep` chunks and (d) a
+//! two-shard `run_sharded` broadcast through `FleetFeeder::feed_global`
+//! must perform **zero** heap allocations per chunk, on any thread.
+//! This is the contract behind the streaming `cesc check` path: the
+//! block buffers and their decoded records, the split-line carry
+//! buffer, recycled `GlobalStep::ticks` vectors, the bank's projection
+//! buffers, its drained hit logs and the broadcast chunk buffers are
 //! all reused, so throughput does not degrade into allocator traffic on
-//! 100k+-tick dumps. The decode cases read through a `BufReader` whose
-//! window is shorter than most lines, so nearly every line is carried
-//! across two windows inside the measured stretch.
+//! 100k+-tick dumps. The inline decode cases read through a `BufReader`
+//! whose window is shorter than most lines, so nearly every line is
+//! carried across two reads inside the measured stretch.
 //!
 //! Everything runs inside ONE `#[test]` — the counter is process-wide
-//! and the harness runs separate tests concurrently.
+//! (so it sees the decode workers and the shards too) and the harness
+//! runs separate tests concurrently.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::BufReader;
@@ -19,6 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use cesc::core::MonitorBank;
 use cesc::expr::Valuation;
+use cesc::par::{plan_shards, run_sharded, Fleet, ParOptions};
 use cesc::prelude::parse_document;
 use cesc::spec::SpecSet;
 use cesc::trace::{
@@ -163,6 +168,44 @@ fn streaming_hot_loops_allocate_nothing_after_warmup() {
     let steady = steady_decode(&text, &specs);
     assert_eq!(steady, 0, "two-clock GlobalVcdStream::next_chunk allocated in steady state");
 
+    // (b') the same two domains decoded on two worker threads, over a
+    // dump long enough for about 30 body blocks: the first half warms
+    // every recycled block up, the second half is measured
+    let long_domain = 32 * CHUNK * CHUNKS;
+    let long_run = GlobalRun::interleave(
+        &clocks,
+        &[
+            (c1, Trace::from_elements(vec![Valuation::of([req]); long_domain])),
+            (c2, Trace::from_elements(vec![Valuation::of([ack]); long_domain])),
+        ],
+    )
+    .unwrap();
+    let text = write_vcd_global(
+        &long_run,
+        &clocks,
+        &doc.alphabet,
+        &owners,
+        &VcdWriteOptions::default(),
+    );
+    let mut stream = GlobalVcdStream::from_reader(text.as_bytes(), &doc.alphabet, &specs)
+        .unwrap()
+        .with_workers(2);
+    let mut buf: Vec<GlobalStep> = Vec::with_capacity(CHUNK);
+    let mut decoded = 0;
+    while decoded < long_run.len() / 2 {
+        decoded += stream.next_chunk(&mut buf, CHUNK).unwrap();
+    }
+    let steady = allocs_during(|| loop {
+        let n = stream.next_chunk(&mut buf, CHUNK).unwrap();
+        if n == 0 {
+            break;
+        }
+        decoded += n;
+    });
+    assert_eq!(decoded, long_run.len(), "whole dump decoded");
+    assert!(stream.blocks_decoded() >= 20, "{} blocks", stream.blocks_decoded());
+    assert_eq!(steady, 0, "GlobalVcdStream::next_chunk on decode workers allocated in steady state");
+
     // (c) the engine hot loop `cesc check` runs: a bank with one
     // optimized single-clock member and one multiclock member, fed
     // `GlobalStep` chunks and drained after every chunk the way the
@@ -205,4 +248,38 @@ fn streaming_hot_loops_allocate_nothing_after_warmup() {
         single_hits > 0 && multi_hits > 0,
         "both members must detect: {single_hits}/{multi_hits}"
     );
+
+    // (d) the same members sharded across two worker threads: the
+    // feeder copies each borrowed chunk into a recycled buffer, and the
+    // shards step and drain it, all without allocating. The warmup
+    // feeds enough chunks past the channel depth that both shards have
+    // run their first chunks before the measured stretch.
+    let mut fleet = Fleet::new();
+    fleet.add_compiled(set.chart_spec(0).unwrap().compiled().clone());
+    fleet.add_compiled_multiclock(set.multi_spec(0).unwrap().compiled().clone());
+    let plan = plan_shards(&fleet, 2);
+    assert_eq!(plan.shards().len(), 2, "two shards, so chunks are broadcast");
+    let opts = ParOptions {
+        keep_all_hits: false,
+        ..ParOptions::default()
+    };
+    let long_run = GlobalRun::interleave(
+        &clocks,
+        &[
+            (c1, Trace::from_elements(vec![Valuation::of([ev("req")]); 16 * CHUNK])),
+            (c2, Trace::from_elements(vec![Valuation::of([ev("go")]); 16 * CHUNK])),
+        ],
+    )
+    .unwrap();
+    let warm = 2 * opts.channel_depth + 4;
+    let (report, steady) = run_sharded(&fleet, &plan, Some(&clocks), &opts, |feeder| {
+        let mut chunks = long_run.as_slice().chunks(CHUNK);
+        chunks.by_ref().take(warm).for_each(|c| feeder.feed_global(c));
+        allocs_during(|| chunks.for_each(|c| feeder.feed_global(c)))
+    });
+    assert_eq!(
+        steady, 0,
+        "two-shard run_sharded + FleetFeeder::feed_global allocated in steady state"
+    );
+    assert_eq!(report.singles[0].ticks, 16 * CHUNK as u64, "every clk1 tick reached the chart");
 }

@@ -304,6 +304,92 @@ fn fleet_check_multiclock_spec_against_global_vcd() {
     assert!(out.contains("NOT OBSERVED"), "{out}");
 }
 
+/// Zeroes the timing fields of a `cesc-check/3` report, and its shard
+/// count.
+fn zero_timings(json: &str) -> String {
+    let mut out = String::new();
+    let mut rest = json;
+    while let Some(at) = ["\"wall_ms\":", "\"exec_ms\":", "\"jobs\":"]
+        .iter()
+        .filter_map(|k| rest.find(k).map(|i| i + k.len()))
+        .min()
+    {
+        out.push_str(&rest[..at]);
+        out.push('0');
+        rest = rest[at..].trim_start_matches(|c: char| c.is_ascii_digit() || c == '.');
+    }
+    out.push_str(rest);
+    out
+}
+
+#[test]
+fn fleet_binary_decodes_the_same_on_one_and_three_jobs() {
+    // the release route end to end: a two-clock dump spanning many
+    // body blocks, decoded inline (`--jobs 1`) and on three decode
+    // workers (`--jobs 3`), must give byte-identical reports once the
+    // timings and the shard count are zeroed — and a dump corrupted
+    // deep inside the same stderr and exit status
+    use cesc::expr::Valuation;
+    use cesc::trace::{write_vcd_global, ClockDomain, ClockSet, GlobalRun, Trace};
+    use std::process::Command;
+
+    let doc = cesc::chart::parse_document(MULTI_SPEC).unwrap();
+    let go = Valuation::of([doc.alphabet.lookup("go").unwrap()]);
+    let done = Valuation::of([doc.alphabet.lookup("done").unwrap()]);
+    let mut clocks = ClockSet::new();
+    let c1 = clocks.add(ClockDomain::new("clk1", 2, 0));
+    // the clocks rise together every third clk1 tick
+    let c2 = clocks.add(ClockDomain::new("clk2", 3, 0));
+    let pick = |v: Valuation, n: usize, keep: fn(usize) -> bool| {
+        (0..n)
+            .map(|i| if keep(i) { v } else { Valuation::empty() })
+            .collect::<Vec<_>>()
+    };
+    let run = GlobalRun::interleave(
+        &clocks,
+        &[
+            (c1, Trace::from_elements(pick(go, 30_000, |i| i % 3 != 0))),
+            (c2, Trace::from_elements(pick(done, 20_000, |i| i % 5 != 1))),
+        ],
+    )
+    .unwrap();
+    let vcd = write_vcd_global(&run, &clocks, &doc.alphabet, &[go, done], &VcdWriteOptions::default());
+    assert!(vcd.len() > 8 * 64 * 1024, "the dump spans many blocks: {} bytes", vcd.len());
+    // a backwards timestamp three quarters of the way in
+    let at = vcd[3 * vcd.len() / 4..].find("\n#").unwrap() + 3 * vcd.len() / 4 + 1;
+    let corrupt = format!("{}#1\n{}", &vcd[..at], &vcd[at..]);
+
+    let dir = std::env::temp_dir().join(format!("cesc-cli-jobs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = dir.join("spec.cesc");
+    std::fs::write(&spec, MULTI_SPEC).unwrap();
+    let check = |dump: &str, jobs: &str| {
+        let path = dir.join("dump.vcd");
+        std::fs::write(&path, dump).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_cesc"))
+            .arg("check")
+            .arg(&spec)
+            .arg("--vcd")
+            .arg(&path)
+            .args(["--all-charts", "--json", "--jobs", jobs])
+            .output()
+            .unwrap();
+        (
+            zero_timings(&String::from_utf8(out.stdout).unwrap()),
+            String::from_utf8(out.stderr).unwrap(),
+            out.status.code(),
+        )
+    };
+    let serial = check(&vcd, "1");
+    assert!(serial.0.contains("\"verdict\":\"detected\""), "{serial:?}");
+    assert_eq!(check(&vcd, "3"), serial);
+    let serial = check(&corrupt, "1");
+    assert!(serial.1.contains("goes backwards"), "{serial:?}");
+    assert_ne!(serial.2, Some(0));
+    assert_eq!(check(&corrupt, "3"), serial);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn fleet_check_survives_hostile_vcd_input() {
     // binary junk (invalid UTF-8), truncated dumps and malformed

@@ -3,8 +3,9 @@
 //! counters for serial and sharded runs over the same dump — the
 //! instrumentation is an oracle for the fleet executor, not just a
 //! stopwatch — (b) record nothing at all when disabled, and (c) render
-//! the documented `cesc-obs/1` JSON with per-stage span timings and
-//! per-shard utilization from a `--jobs 4` run over a 120k-step dump.
+//! the documented `cesc-obs/1` JSON with per-stage span timings,
+//! per-shard utilization and the reader's decode-worker stats from a
+//! `--jobs 4` run over a 120k-step dump.
 
 use std::io::Write as _;
 
@@ -167,6 +168,12 @@ fn sharded_check_over_120k_step_dump_renders_schema_valid_stats_json() {
     let chunks = (2 * PER_DOMAIN).div_ceil(cesc::core::BATCH_CHUNK) as u64;
     assert_eq!(decode.calls, chunks + 1, "the last call reads end of input");
     assert!(decode.total_ns <= report.span_ns("execute").unwrap());
+    // the producer stats: the body decoded in blocks on the four decode
+    // workers, and the waits for them happened inside `decode`
+    assert!(report.counter(key::DECODE_BLOCKS) > 1, "{json}");
+    assert!(report.counter(key::DECODE_WAIT_NS) <= decode.total_ns, "{json}");
+    assert!(json.contains("\"decode.wait_ns\":"), "{json}");
+    assert!(report.render_text().contains("decode:\n  blocks "));
 
     // semantic counters and per-shard utilization
     assert!(json.contains(&format!("\"fleet.steps\":{}", 2 * PER_DOMAIN)), "{json}");
