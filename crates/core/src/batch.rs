@@ -21,11 +21,30 @@
 //! * **batch APIs** — [`Monitor::scan_batch`] and
 //!   [`BatchExec::feed`] consume `&[Valuation]` chunks, and
 //!   [`MonitorBank`] drives many monitors over one shared trace feed,
-//!   so a single simulation stream serves a whole verification plan.
+//!   so a single simulation stream serves a whole verification plan;
+//! * **idle-run scan** — every monitor-major caller ([`BatchExec::feed`],
+//!   [`MonitorBank::feed`], the single-clock groups of
+//!   [`MonitorBank::feed_global`] and the clock-major multi-clock path)
+//!   consumes a slice through one loop, `ExecState::run`. A synthesized
+//!   monitor spends most ticks in a state that takes its own
+//!   action-free self-loop (the fallback `s --[true]--> s0` from the
+//!   initial state, say). Compilation records per non-final state its
+//!   *stay arm*, the first arm that targets the state and has no
+//!   actions, when it and every arm before it are narrowed mask guards.
+//!   While the member takes that arm, neither its state nor its board
+//!   changes, so on entry the arms' scoreboard halves are evaluated
+//!   once, and ticks are then tested on trace masks alone: a tick stays
+//!   iff the stay arm holds and no live arm before it does. The first
+//!   tick that leaves goes through the full step, so hits, actions,
+//!   underflows and the non-total panic are those of the per-tick
+//!   step. [`MonitorBank::skip_ticks`] counts the ticks the scan
+//!   advanced.
 //!
 //! Verdict equivalence with the step-wise path (same match ticks, same
 //! final state, same underflow count) is pinned by unit tests here and
-//! by the `batch_equivalence` property suite at the workspace root.
+//! by the `batch_equivalence` property suite at the workspace root,
+//! which also pins [`BatchExec::feed`] against a loop of
+//! [`BatchExec::step`].
 
 use std::fmt;
 
@@ -235,12 +254,19 @@ pub(crate) struct GuardMask64 {
 impl GuardMask64 {
     #[inline(always)]
     fn eval(&self, v: u128, sb: u128) -> bool {
-        let v = v as u64;
-        let sb = sb as u64;
-        v & self.pos == self.pos
-            && v & self.neg == 0
-            && sb & self.chk_pos == self.chk_pos
-            && sb & self.chk_neg == 0
+        self.trace_holds(v as u64) && self.chk_holds(sb as u64)
+    }
+
+    /// The guard's trace half: `v ⊇ pos ∧ v ∩ neg = ∅`.
+    #[inline(always)]
+    fn trace_holds(&self, v: u64) -> bool {
+        v & self.pos == self.pos && v & self.neg == 0
+    }
+
+    /// The guard's scoreboard half: `sb ⊇ chk_pos ∧ sb ∩ chk_neg = ∅`.
+    #[inline(always)]
+    fn chk_holds(&self, sb: u64) -> bool {
+        sb & self.chk_pos == self.chk_pos && sb & self.chk_neg == 0
     }
 }
 
@@ -314,7 +340,16 @@ pub struct CompiledMonitor {
     /// through a shared scoreboard — `CompiledMultiClock` uses this to
     /// pick its clock-major fast path.
     touched: u128,
+    /// Per state, the flat index of its *stay arm* — the first arm
+    /// that targets the state itself and carries no actions — or
+    /// [`NO_STAY`] when the state has none, is final, or has a guard
+    /// other than [`GuardKind::Mask64`] at or before it. See
+    /// [`IdleScan`].
+    stay: Vec<u32>,
 }
+
+/// [`CompiledMonitor::stay`] entry of a state that never idle-scans.
+const NO_STAY: u32 = u32::MAX;
 
 /// Bitmask (global symbol space) of every symbol with scoreboard
 /// traffic in `monitor`: `Chk_evt` guard targets plus
@@ -485,6 +520,24 @@ impl CompiledMonitor {
         }
         state_off.push(targets.len() as u32);
 
+        let final_state = monitor.final_state().index();
+        let stay = (0..states)
+            .map(|s| {
+                if s == final_state {
+                    return NO_STAY; // every entry into the final state is a hit
+                }
+                for t in state_off[s] as usize..state_off[s + 1] as usize {
+                    if !matches!(guards[t], GuardKind::Mask64(_)) {
+                        return NO_STAY;
+                    }
+                    if targets[t] as usize == s && action_off[t] == action_off[t + 1] {
+                        return t as u32;
+                    }
+                }
+                NO_STAY
+            })
+            .collect();
+
         let slots = if opts.narrow_slots {
             sb_mask.count_ones() as usize
         } else if saw_symbol {
@@ -504,11 +557,12 @@ impl CompiledMonitor {
             action_off,
             actions,
             initial: monitor.initial().index() as u32,
-            final_state: monitor.final_state().index() as u32,
+            final_state: final_state as u32,
             slots,
             sb_mask,
             dense_slots: opts.narrow_slots,
             touched,
+            stay,
         }
     }
 
@@ -703,6 +757,94 @@ impl BatchBoard {
     }
 }
 
+/// Most prefix arms an [`IdleScan`] tests per tick. A state with more
+/// arms ahead of its stay arm whose scoreboard half holds is stepped
+/// tick by tick.
+const IDLE_PREFIX_CAP: usize = 4;
+
+/// The mask-only filter of a state's stay arm, built on entry into the
+/// state against the current scoreboard.
+///
+/// While a member takes its state's stay arm (an action-free
+/// self-loop), neither its state nor its board changes, so the
+/// scoreboard presence bits `sb` are fixed. A tick `v` therefore stays
+/// iff no arm ahead of the stay arm holds at `(v, sb)` and the stay arm
+/// does. Evaluating every arm's scoreboard half once against `sb`
+/// leaves only trace masks to test per tick: prefix arms whose
+/// scoreboard half fails can never fire and are dropped, and if the
+/// stay arm's own scoreboard half fails there is nothing to scan.
+#[derive(Debug, Clone, Copy)]
+struct IdleScan {
+    /// The stay arm's guard; only its trace half is tested.
+    stay: GuardMask64,
+    /// The live prefix arms' guards, `live` of them.
+    pre: [GuardMask64; IDLE_PREFIX_CAP],
+    live: usize,
+}
+
+impl IdleScan {
+    /// The filter for `state` under scoreboard bits `sb`, or `None` when
+    /// the state has no stay arm, the stay arm's scoreboard half fails,
+    /// or more than [`IDLE_PREFIX_CAP`] prefix arms stay live.
+    #[inline(always)]
+    fn enter(m: &CompiledMonitor, state: u32, sb: u128) -> Option<IdleScan> {
+        let stay = m.stay[state as usize];
+        if stay == NO_STAY {
+            return None;
+        }
+        let sb = sb as u64; // Mask64 guards never mention bits above 63
+        let mask = |t: usize| match m.guards[t] {
+            GuardKind::Mask64(g) => g,
+            _ => unreachable!("stay prefixes are Mask64 guards (checked at build)"),
+        };
+        let own = mask(stay as usize);
+        if !own.chk_holds(sb) {
+            return None;
+        }
+        let mut scan = IdleScan {
+            stay: own,
+            pre: [GuardMask64::default(); IDLE_PREFIX_CAP],
+            live: 0,
+        };
+        for t in m.state_off[state as usize] as usize..stay as usize {
+            let g = mask(t);
+            if g.chk_holds(sb) {
+                if scan.live == IDLE_PREFIX_CAP {
+                    return None;
+                }
+                scan.pre[scan.live] = g;
+                scan.live += 1;
+            }
+        }
+        Some(scan)
+    }
+
+    /// Length of the run of leading ticks of `vals` that take the stay
+    /// arm.
+    #[inline(always)]
+    fn idle_len(&self, vals: &[Valuation]) -> usize {
+        match self.live {
+            0 => self.idle_len_n::<0>(vals),
+            1 => self.idle_len_n::<1>(vals),
+            2 => self.idle_len_n::<2>(vals),
+            3 => self.idle_len_n::<3>(vals),
+            _ => self.idle_len_n::<IDLE_PREFIX_CAP>(vals),
+        }
+    }
+
+    /// [`IdleScan::idle_len`] with the live prefix count fixed at
+    /// compile time, so the per-tick test is straight-line code.
+    #[inline(always)]
+    fn idle_len_n<const N: usize>(&self, vals: &[Valuation]) -> usize {
+        vals.iter()
+            .position(|v| {
+                let v = v.bits() as u64;
+                !self.stay.trace_holds(v) | self.pre[..N].iter().any(|g| g.trace_holds(v))
+            })
+            .unwrap_or(vals.len())
+    }
+}
+
 /// The mutable control state of one compiled monitor, separated from
 /// the table (so banks own many runtimes over shared compilation
 /// artifacts) and from the scoreboard (so multi-clock locals can share
@@ -711,6 +853,9 @@ impl BatchBoard {
 pub(crate) struct ExecState {
     pub(crate) state: u32,
     pub(crate) ticks: u64,
+    /// Ticks [`ExecState::run`] advanced by an [`IdleScan`] (counted in
+    /// `ticks` too).
+    pub(crate) skipped: u64,
     /// Reused evaluation stack for program guards.
     stack: Vec<bool>,
 }
@@ -720,7 +865,42 @@ impl ExecState {
         ExecState {
             state: m.initial,
             ticks: 0,
+            skipped: 0,
             stack: Vec::with_capacity(8),
+        }
+    }
+
+    /// Consumes `vals` in order against `board`, calling `hit(i)` for
+    /// every index `i` whose tick enters the final state — the same
+    /// outcome as [`ExecState::step`] on each element.
+    ///
+    /// While the member sits in a state with a stay arm, ticks that
+    /// take it are advanced by an [`IdleScan`] over trace masks alone;
+    /// the first tick that leaves goes through [`ExecState::step`], so
+    /// hits, actions, underflows and the non-total panic are unchanged.
+    #[inline(always)]
+    pub(crate) fn run(
+        &mut self,
+        m: &CompiledMonitor,
+        vals: &[Valuation],
+        board: &mut BatchBoard,
+        mut hit: impl FnMut(usize),
+    ) {
+        let mut i = 0;
+        while i < vals.len() {
+            if let Some(scan) = IdleScan::enter(m, self.state, board.sb_bits) {
+                let idle = scan.idle_len(&vals[i..]);
+                self.ticks += idle as u64;
+                self.skipped += idle as u64;
+                i += idle;
+                if i == vals.len() {
+                    break;
+                }
+            }
+            if self.step(m, vals[i], board) {
+                hit(i);
+            }
+            i += 1;
         }
     }
 
@@ -813,6 +993,7 @@ impl ExecState {
     pub(crate) fn reset(&mut self, m: &CompiledMonitor) {
         self.state = m.initial;
         self.ticks = 0;
+        self.skipped = 0;
     }
 
     pub(crate) fn ticks(&self) -> u64 {
@@ -867,17 +1048,21 @@ impl BatchExec<'_> {
     /// Consumes a chunk of valuations, appending the absolute tick
     /// index of every detection to `hits`.
     pub fn feed(&mut self, chunk: &[Valuation], hits: &mut Vec<u64>) {
-        for &v in chunk {
-            let tick = self.state.ticks;
-            if self.state.step(self.monitor, v, &mut self.board) {
-                hits.push(tick);
-            }
-        }
+        let base = self.state.ticks;
+        self.state.run(self.monitor, chunk, &mut self.board, |i| {
+            hits.push(base + i as u64)
+        });
     }
 
     /// Ticks consumed so far.
     pub fn ticks(&self) -> u64 {
         self.state.ticks
+    }
+
+    /// Ticks [`BatchExec::feed`] advanced by the idle-run scan, without
+    /// a full step (included in [`BatchExec::ticks`]).
+    pub fn skip_ticks(&self) -> u64 {
+        self.state.skipped
     }
 
     /// Current state index.
@@ -1091,16 +1276,21 @@ impl MonitorBank {
             .enumerate()
         {
             let started = timing.then(std::time::Instant::now);
-            for &v in chunk {
-                let tick = st.ticks;
-                if st.step(m, v, board) {
-                    hits.push(tick);
-                }
-            }
+            let base = st.ticks;
+            st.run(m, chunk, board, |i| hits.push(base + i as u64));
             if let Some(t0) = started {
                 self.member_ns[idx] += t0.elapsed().as_nanos() as u64;
             }
         }
+    }
+
+    /// Member-ticks advanced by the idle-run scan so far, summed over
+    /// every single-clock member and every local of every multi-clock
+    /// member (each such tick is also counted in its member's ticks).
+    pub fn skip_ticks(&self) -> u64 {
+        let singles: u64 = self.states.iter().map(|st| st.skipped).sum();
+        let multis: u64 = self.multis.iter().map(|(_, st)| st.skip_ticks()).sum();
+        singles + multis
     }
 
     /// Feeds a whole resident trace in one pass (see
@@ -1426,6 +1616,163 @@ mod tests {
         let mut hits2 = Vec::new();
         exec.feed(&trace, &mut hits2);
         assert_eq!(hits, hits2, "reset restores initial configuration");
+    }
+
+    /// A hand-built monitor from `(guard, actions, target)` arms per
+    /// state, starting in state 0.
+    fn hand_monitor(final_state: usize, arms: Vec<Vec<(Expr, Vec<Action>, usize)>>) -> Monitor {
+        Monitor {
+            name: "hand".into(),
+            clock: "clk".into(),
+            transitions: arms
+                .into_iter()
+                .map(|state| {
+                    state
+                        .into_iter()
+                        .map(|(guard, actions, target)| crate::monitor::Transition {
+                            guard,
+                            actions,
+                            target: StateId::from_index(target),
+                            kind: crate::monitor::TransitionKind::Backward,
+                        })
+                        .collect()
+                })
+                .collect(),
+            initial: StateId::from_index(0),
+            final_state: StateId::from_index(final_state),
+            pattern: vec![],
+            tracked_events: vec![],
+        }
+    }
+
+    /// Feeds `trace` to the optimized compile of `m` whole and in small
+    /// chunks, and checks both against a loop of `BatchExec::step` and
+    /// against `Monitor::scan`: same hits, ticks, final state and
+    /// underflows. Returns the ticks the idle-run scan advanced.
+    fn run_equals_steps(m: &Monitor, trace: &[Valuation]) -> u64 {
+        let compiled = m.compiled_with(&CompileOptions::optimized());
+        let mut stepped = compiled.executor();
+        let hits: Vec<u64> = (0..trace.len() as u64)
+            .filter(|&i| stepped.step(trace[i as usize]))
+            .collect();
+        let reference = stepped.finish(hits);
+        assert_eq!(reference, m.scan(trace.iter().copied()));
+        let mut skipped = None;
+        for chunk in [trace.len().max(1), 1, 3] {
+            let mut exec = compiled.executor();
+            let mut hits = Vec::new();
+            for c in trace.chunks(chunk) {
+                exec.feed(c, &mut hits);
+            }
+            assert_eq!(exec.finish(hits), reference, "chunk {chunk}");
+            assert_eq!(*skipped.get_or_insert(exec.skip_ticks()), exec.skip_ticks());
+        }
+        skipped.unwrap_or(0)
+    }
+
+    #[test]
+    fn final_self_loop_hits_every_tick() {
+        // the final state's action-free self-loop is never scanned:
+        // every tick spent in it is a detection
+        let mut ab = Alphabet::new();
+        let a = ab.event("a");
+        let m = hand_monitor(
+            1,
+            vec![
+                vec![(Expr::sym(a), vec![], 1), (Expr::t(), vec![], 0)],
+                vec![(Expr::t(), vec![], 1)],
+            ],
+        );
+        let mut trace = vec![Valuation::empty(); 5];
+        trace.push(Valuation::of([a]));
+        trace.extend(vec![Valuation::empty(); 6]);
+        assert_eq!(
+            run_equals_steps(&m, &trace),
+            5,
+            "only the five idle ticks in s0"
+        );
+        assert_eq!(
+            m.scan(trace.iter().copied()).matches,
+            (5..12).collect::<Vec<u64>>()
+        );
+    }
+
+    #[test]
+    fn stay_arm_with_a_chk_guard_scans_only_while_the_board_allows() {
+        // s1's stay arm needs `x` on the board; `a` adds it, `c`
+        // enters s1 without it (the stay arm is then dead, and the
+        // fallback underflows). The prefix arm `d ∧ Chk(y)` can never
+        // fire (`y` is never added), so `d` ticks stay idle-scanned.
+        let mut ab = Alphabet::new();
+        let [a, b, c, d, x, y] = ["a", "b", "c", "d", "x", "y"].map(|n| ab.event(n));
+        let m = hand_monitor(
+            2,
+            vec![
+                vec![
+                    (Expr::sym(a), vec![Action::AddEvt(vec![x])], 1),
+                    (Expr::sym(c), vec![], 1),
+                    (Expr::t(), vec![], 0),
+                ],
+                vec![
+                    (
+                        Expr::and([Expr::sym(b), Expr::chk(x)]),
+                        vec![Action::DelEvt(vec![x])],
+                        2,
+                    ),
+                    (Expr::and([Expr::sym(d), Expr::chk(y)]), vec![], 0),
+                    (Expr::and([!Expr::sym(b), Expr::chk(x)]), vec![], 1),
+                    (Expr::t(), vec![Action::DelEvt(vec![x])], 0),
+                ],
+                vec![(Expr::t(), vec![], 0)],
+            ],
+        );
+        let v = |syms: &[SymbolId]| Valuation::of(syms.iter().copied());
+        let trace = [
+            v(&[]),  // s0 idle: skipped
+            v(&[a]), // → s1, x added
+            v(&[]),  // s1 idle: skipped
+            v(&[d]), // d ∧ Chk(y) dead: skipped
+            v(&[]),  // skipped
+            v(&[b]), // → s2 (hit), x deleted
+            v(&[]),  // s2 is final: stepped → s0
+            v(&[c]), // → s1 without x: no scan
+            v(&[]),  // fallback, Del(x) underflows → s0
+            v(&[]),  // s0 idle: skipped
+        ];
+        assert_eq!(run_equals_steps(&m, &trace), 5);
+        let report = m.scan(trace.iter().copied());
+        assert_eq!(report.matches, vec![5]);
+        assert_eq!(report.underflows, 1);
+    }
+
+    #[test]
+    fn stay_arm_mask_other_than_true_ends_the_scan() {
+        // s0 stays only on `!c`; a `c` tick without `a` falls through
+        // to the final state
+        let mut ab = Alphabet::new();
+        let [a, c] = ["a", "c"].map(|n| ab.event(n));
+        let m = hand_monitor(
+            1,
+            vec![
+                vec![
+                    (Expr::sym(a), vec![], 1),
+                    (!Expr::sym(c), vec![], 0),
+                    (Expr::t(), vec![], 1),
+                ],
+                vec![(Expr::t(), vec![], 0)],
+            ],
+        );
+        let trace: Vec<Valuation> = (0..24)
+            .map(|i| match i % 6 {
+                2 => Valuation::of([c]),
+                5 => Valuation::of([a, c]),
+                _ => Valuation::empty(),
+            })
+            .collect();
+        // s0's empty ticks: 0, 1 and 4 of the first period, then 1 and
+        // 4 of each later one (tick 0 of a period is spent leaving s1)
+        assert_eq!(run_equals_steps(&m, &trace), 9);
+        assert_eq!(m.scan(trace.iter().copied()).matches.len(), 8);
     }
 
     /// A conjunction-only chart over exactly `n` symbols whose guards

@@ -19,10 +19,11 @@
 //! * **clock-major chunks where legal** — when the locals' scoreboard
 //!   footprints are pairwise disjoint (cross-domain arrows absent, or
 //!   only intra-chart causality), each chunk is projected per domain
-//!   and run monitor-major with hot tables, then the per-local
-//!   completion events are merged back in time order; when footprints
-//!   overlap, execution interleaves in global-step order, preserving
-//!   the exact cross-domain scoreboard semantics.
+//!   and run monitor-major with hot tables (through the batch engine's
+//!   idle-run scan), then the per-local completion events are merged
+//!   back in time order; when footprints overlap, execution interleaves
+//!   in global-step order, one step per tick, preserving the exact
+//!   cross-domain scoreboard semantics.
 //!
 //! Verdict equivalence with [`MultiClockMonitor::scan`] (same global
 //! match times under any chunking and clock interleaving) is pinned by
@@ -254,11 +255,10 @@ impl CompiledMultiClock {
 
         completions.clear();
         for (l, (m, st)) in self.locals.iter().zip(states.iter_mut()).enumerate() {
-            for (&v, &t) in proj_vals[l].iter().zip(&proj_times[l]) {
-                if st.step(m, v, board) {
-                    completions.push((t, l as u32));
-                }
-            }
+            let times = &proj_times[l];
+            st.run(m, &proj_vals[l], board, |i| {
+                completions.push((times[i], l as u32))
+            });
         }
         // per-local completion lists are time-sorted; the merged list
         // only needs a sort by time (order within one instant is
@@ -334,6 +334,12 @@ impl MultiClockBatchState {
     /// Local ticks consumed per local monitor, in chart order.
     pub fn local_ticks(&self) -> Vec<u64> {
         self.states.iter().map(ExecState::ticks).collect()
+    }
+
+    /// Local ticks the clock-major path advanced by the idle-run scan,
+    /// summed over the locals (coupled specs step every tick).
+    pub(crate) fn skip_ticks(&self) -> u64 {
+        self.states.iter().map(|st| st.skipped).sum()
     }
 
     /// Resets every local monitor, the shared scoreboard and the
@@ -463,6 +469,16 @@ impl crate::MonitorBank {
         self.multis[idx].1.underflows()
     }
 
+    /// Local ticks multi-clock monitor `idx` consumed so far, summed
+    /// over its locals.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range.
+    pub fn multiclock_ticks(&self, idx: usize) -> u64 {
+        self.multis[idx].1.states.iter().map(ExecState::ticks).sum()
+    }
+
     /// Feeds a chunk of global steps to *every* member — the mixed
     /// verification-plan entry point. Single-clock monitors see the
     /// projection of their own domain (matched by clock name; a
@@ -507,11 +523,8 @@ impl crate::MonitorBank {
                 let started = self.timing.then(std::time::Instant::now);
                 let (m, st) = (&self.monitors[idx], &mut self.states[idx]);
                 let (board, hits) = (&mut self.boards[idx], &mut self.hits[idx]);
-                for (&v, &t) in self.proj_vals.iter().zip(&self.proj_times) {
-                    if st.step(m, v, board) {
-                        hits.push(t);
-                    }
-                }
+                let times = &self.proj_times;
+                st.run(m, &self.proj_vals, board, |i| hits.push(times[i]));
                 if let Some(t0) = started {
                     self.member_ns[idx] += t0.elapsed().as_nanos() as u64;
                 }

@@ -61,8 +61,13 @@ pub use report::{HistogramSnapshot, RunReport, SpanSnapshot, OBS_JSON_SCHEMA};
 /// oracle) and consumers (reports, tests, the progress heartbeat)
 /// agree without stringly-typed drift.
 pub mod key {
-    /// Ticks consumed by monitor engines (summed over fleet members).
+    /// Ticks consumed by monitor engines (summed over fleet members;
+    /// a multi-clock member counts its locals' ticks).
     pub const ENGINE_TICKS: &str = "engine.ticks";
+    /// The part of [`ENGINE_TICKS`] the compiled engine advanced by its
+    /// idle-run scan (a state's action-free self-loop, tested on trace
+    /// masks alone) instead of a full step.
+    pub const ENGINE_SKIP_TICKS: &str = "engine.skip_ticks";
     /// Full-spec matches detected (summed over fleet members).
     pub const ENGINE_MATCHES: &str = "engine.matches";
     /// `Del_evt` scoreboard underflows (summed over fleet members).

@@ -147,12 +147,17 @@ impl RunReport {
         }
         if !self.counters.is_empty() {
             out.push_str("counters:\n");
+            let ticks = self.counter(crate::key::ENGINE_TICKS);
             for (n, v) in &self.counters {
-                out.push_str(&format!("  {n:<20} {v}\n"));
+                if n == crate::key::ENGINE_SKIP_TICKS && ticks > 0 {
+                    let share = *v as f64 * 100.0 / ticks as f64;
+                    out.push_str(&format!("  {n:<20} {v}  ({share:.1}% of engine.ticks)\n"));
+                } else {
+                    out.push_str(&format!("  {n:<20} {v}\n"));
+                }
             }
             // engine throughput over the time the shards spent
             // stepping monitors, not the whole run (decode included)
-            let ticks = self.counter(crate::key::ENGINE_TICKS);
             let busy_ns: u64 = self.shards.iter().map(|s| s.busy_ns).sum();
             if ticks > 0 && busy_ns > 0 {
                 out.push_str(&format!(
@@ -365,6 +370,17 @@ mod tests {
         let text = obs.report("check").render_text();
         assert!(text.contains("engine.ticks"), "{text}");
         assert!(!text.contains("engine.mticks_per_s"), "{text}");
+    }
+
+    #[test]
+    fn skip_ticks_print_their_share_of_engine_ticks() {
+        let obs = Obs::enabled();
+        obs.counter(key::ENGINE_TICKS).add(240_000);
+        obs.counter(key::ENGINE_SKIP_TICKS).add(180_000);
+        let text = obs.report("check").render_text();
+        // right under `engine.ticks`, in registration order
+        let want = "240000\n  engine.skip_ticks    180000  (75.0% of engine.ticks)\n";
+        assert!(text.contains(want), "{text}");
     }
 
     #[test]

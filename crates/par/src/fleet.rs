@@ -184,8 +184,8 @@ pub struct ParOptions {
     /// per-shard execution stats (steps, chunks, busy vs queue-wait
     /// time), per-member execution time, the fed-chunk size histogram
     /// and the merged semantic counters (`engine.ticks`,
-    /// `engine.matches`, `engine.underflows`). Disabled (the default)
-    /// the hot path stays timer-free.
+    /// `engine.skip_ticks`, `engine.matches`, `engine.underflows`).
+    /// Disabled (the default) the hot path stays timer-free.
     pub obs: Obs,
 }
 
@@ -220,6 +220,8 @@ pub struct SingleReport {
 pub struct MultiReport {
     /// Global times of full-spec matches.
     pub log: MatchLog,
+    /// Local ticks the member consumed, summed over its locals.
+    pub ticks: u64,
     /// Shared-scoreboard `Del_evt` underflows.
     pub underflows: u64,
     /// Execution nanoseconds this member consumed on its shard (zero
@@ -266,6 +268,10 @@ pub struct FleetReport {
     pub multis: Vec<MultiReport>,
     /// One report per assertion checker.
     pub asserts: Vec<AssertReport>,
+    /// Member-ticks the monitor engine advanced by its idle-run scan
+    /// instead of a full step, summed over the fleet (each is also
+    /// counted in its member's ticks).
+    pub skip_ticks: u64,
 }
 
 impl FleetReport {
@@ -503,6 +509,7 @@ struct ShardResult {
     singles: Vec<(usize, SingleReport)>,
     multis: Vec<(usize, MultiReport)>,
     asserts: Vec<(usize, AssertReport)>,
+    skip_ticks: u64,
 }
 
 impl ShardWorker {
@@ -642,6 +649,7 @@ impl ShardWorker {
                     fleet_idx,
                     MultiReport {
                         log,
+                        ticks: self.bank.multiclock_ticks(slot),
                         underflows: self.bank.multiclock_underflows(slot),
                         exec_ns: self.bank.multiclock_exec_ns(slot),
                     },
@@ -672,6 +680,7 @@ impl ShardWorker {
             singles,
             multis,
             asserts,
+            skip_ticks: self.bank.skip_ticks(),
         }
     }
 }
@@ -838,7 +847,9 @@ fn merge_results(fleet: &Fleet, results: impl IntoIterator<Item = ShardResult>) 
     let mut singles: Vec<Option<SingleReport>> = vec![None; fleet.single_len()];
     let mut multis: Vec<Option<MultiReport>> = vec![None; fleet.multiclock_len()];
     let mut asserts: Vec<Option<AssertReport>> = vec![None; fleet.assert_len()];
+    let mut skip_ticks = 0;
     for result in results {
+        skip_ticks += result.skip_ticks;
         for (i, r) in result.singles {
             singles[i] = Some(r);
         }
@@ -862,6 +873,7 @@ fn merge_results(fleet: &Fleet, results: impl IntoIterator<Item = ShardResult>) 
             .into_iter()
             .map(|r| r.expect("plan covers every assert member"))
             .collect(),
+        skip_ticks,
     }
 }
 
@@ -880,6 +892,7 @@ fn record_semantics(obs: &Obs, report: &FleetReport) {
         underflows += s.underflows;
     }
     for m in &report.multis {
+        ticks += m.ticks;
         matches += m.log.count();
         underflows += m.underflows;
     }
@@ -888,6 +901,7 @@ fn record_semantics(obs: &Obs, report: &FleetReport) {
         matches += a.fulfilled;
     }
     obs.counter(key::ENGINE_TICKS).add(ticks);
+    obs.counter(key::ENGINE_SKIP_TICKS).add(report.skip_ticks);
     obs.counter(key::ENGINE_MATCHES).add(matches);
     obs.counter(key::ENGINE_UNDERFLOWS).add(underflows);
 }

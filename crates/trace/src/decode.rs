@@ -382,6 +382,14 @@ impl Fold<'_> {
             let t = parse_timestamp(rest, self.line)?;
             return self.stamp(t);
         }
+        if line.starts_with(['r', 'R', 's', 'S']) {
+            // a real or string change: `r<value> <code>`. Its value is
+            // never read when no sampled symbol or clock uses the code.
+            let code = line.split_whitespace().nth(1);
+            if code.is_some_and(|c| self.codes.get(c.as_bytes()).is_none()) {
+                return Ok(());
+            }
+        }
         let (value, code) = parse_change(line, self.line)?;
         self.change(value, code.as_bytes());
         Ok(())

@@ -1371,6 +1371,59 @@ $enddefinitions $end
     }
 
     #[test]
+    fn real_and_string_changes_on_unbound_codes_are_skipped() {
+        // `r`/`s` changes on codes no sampled symbol or clock uses are
+        // skipped without reading the value; on a bound code they stay
+        // an error with the line number, inline and on two workers
+        let (ab, req, _) = setup();
+        let specs = [VcdClockSpec::new("clk")];
+        let clean = "\
+$var wire 1 ! clk $end
+$var wire 1 \" req $end
+$var real 64 $ temp $end
+$var string 1 % label $end
+$enddefinitions $end
+#0
+r0.5 $
+sidle %
+1\"
+1!
+#5
+R1e-3 $
+0!
+Sbusy %
+#10
+1!
+";
+        let inline = calls_of(GlobalVcdStream::new(clean, &ab, &specs).unwrap(), 1);
+        let Ok(steps) = &inline[0] else {
+            panic!("{inline:?}")
+        };
+        assert_eq!(steps[0].ticks[0].1, Valuation::of([req]), "{inline:?}");
+        let steps = inline.iter().filter(|c| matches!(c, Ok(s) if !s.is_empty()));
+        assert_eq!(steps.count(), 2);
+        for block in [1, 5] {
+            let calls = calls_of(blocked(clean.as_bytes(), &ab, &specs, block, 2), 1);
+            assert_eq!(calls, inline, "block {block}");
+        }
+
+        // the same `r` line on the code `req` is bound to is refused
+        let bound = clean.replace("r0.5 $", "r0.5 \"");
+        let inline = calls_of(GlobalVcdStream::new(&bound, &ab, &specs).unwrap(), 1);
+        let Err(e) = &inline[0] else {
+            panic!("{inline:?}")
+        };
+        assert_eq!(
+            e.to_string(),
+            "malformed VCD at line 7: unsupported value change `r`"
+        );
+        for block in [1, 5] {
+            let calls = calls_of(blocked(bound.as_bytes(), &ab, &specs, block, 2), 1);
+            assert_eq!(calls, inline, "block {block}");
+        }
+    }
+
+    #[test]
     fn signed_spaced_and_overflowing_timestamps() {
         // `#+5` and `# 5` are the timestamp 5, as `u64::from_str` and
         // `trim` read them; 20 digits past `u64::MAX` are malformed,

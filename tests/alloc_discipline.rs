@@ -1,17 +1,18 @@
 //! Steady-state allocation discipline, pinned by a counting global
 //! allocator: after a warmup, `GlobalVcdStream::next_chunk` on (a) one
 //! and (b) two clocks, inline and with decode workers, (c)
-//! `MonitorBank::feed_global` over `GlobalStep` chunks and (d) a
-//! two-shard `run_sharded` broadcast through `FleetFeeder::feed_global`
-//! must perform **zero** heap allocations per chunk, on any thread.
-//! This is the contract behind the streaming `cesc check` path: the
-//! block buffers and their decoded records, the split-line carry
-//! buffer, recycled `GlobalStep::ticks` vectors, the bank's projection
-//! buffers, its drained hit logs and the broadcast chunk buffers are
-//! all reused, so throughput does not degrade into allocator traffic on
-//! 100k+-tick dumps. The inline decode cases read through a `BufReader`
-//! whose window is shorter than most lines, so nearly every line is
-//! carried across two reads inside the measured stretch.
+//! `MonitorBank::feed_global` over `GlobalStep` chunks, idle-run skips
+//! included, and (d) a two-shard `run_sharded` broadcast through
+//! `FleetFeeder::feed_global` must perform **zero** heap allocations
+//! per chunk, on any thread. This is the contract behind the streaming
+//! `cesc check` path: the block buffers and their decoded records, the
+//! split-line carry buffer, recycled `GlobalStep::ticks` vectors, the
+//! bank's projection buffers, its drained hit logs and the broadcast
+//! chunk buffers are all reused, so throughput does not degrade into
+//! allocator traffic on 100k+-tick dumps. The inline decode cases read
+//! through a `BufReader` whose window is shorter than most lines, so
+//! nearly every line is carried across two reads inside the measured
+//! stretch.
 //!
 //! Everything runs inside ONE `#[test]` — the counter is process-wide
 //! (so it sees the decode workers and the shards too) and the harness
@@ -209,7 +210,9 @@ fn streaming_hot_loops_allocate_nothing_after_warmup() {
     // (c) the engine hot loop `cesc check` runs: a bank with one
     // optimized single-clock member and one multiclock member, fed
     // `GlobalStep` chunks and drained after every chunk the way the
-    // shard workers drain it.
+    // shard workers drain it. Each transaction is followed by two idle
+    // ticks, which the single-clock member advances by its idle-run
+    // scan.
     let set = SpecSet::load(FLEET_SPEC).unwrap();
     let ab = set.alphabet();
     let ev = |n: &str| ab.lookup(n).unwrap();
@@ -218,7 +221,11 @@ fn streaming_hot_loops_allocate_nothing_after_warmup() {
     bank.add_compiled_multiclock(set.multi_spec(0).unwrap().compiled().clone());
     let alternate = |a: &str, b: &str| {
         let (a, b) = (Valuation::of([ev(a)]), Valuation::of([ev(b)]));
-        let elems = (0..per_domain).map(|i| if i % 2 == 0 { a } else { b });
+        let elems = (0..per_domain).map(|i| match i % 4 {
+            0 => a,
+            1 => b,
+            _ => Valuation::empty(),
+        });
         Trace::from_elements(elems.collect::<Vec<_>>())
     };
     let run = GlobalRun::interleave(
@@ -234,10 +241,16 @@ fn streaming_hot_loops_allocate_nothing_after_warmup() {
     };
     let mut chunks = run.as_slice().chunks(CHUNK);
     feed(&mut bank, chunks.next().unwrap()); // warmup: binds clocks, sizes buffers
+    let skipped = bank.skip_ticks();
     let steady = allocs_during(|| chunks.for_each(|chunk| feed(&mut bank, chunk)));
     assert_eq!(
         steady, 0,
         "MonitorBank::feed_global allocated in steady state"
+    );
+    assert!(
+        bank.skip_ticks() > skipped,
+        "the measured stretch took idle-run skips: {}",
+        bank.skip_ticks()
     );
     assert_eq!(
         bank.reports()[0].ticks,

@@ -9,9 +9,12 @@
 //! sharded fleet executor against the serial bank: for any shard
 //! count, chunk size and mixed single/multi-clock fleet, parallel
 //! results are bit-identical to `MonitorBank::feed` / `feed_global`.
+//! `BatchExec::feed`'s idle-run scan is pinned against a loop of
+//! per-tick `BatchExec::step` on the same compiled table.
 
 use cesc::core::{
-    synthesize, synthesize_multiclock, CompileOptions, MonitorBank, OverlapPolicy, SynthOptions,
+    synthesize, synthesize_multiclock, CompileOptions, CompiledMonitor, MonitorBank, OverlapPolicy,
+    SynthOptions,
 };
 use cesc::expr::{SymbolId, Valuation};
 use cesc::par::{plan_shards, scan_sharded, scan_sharded_global, Fleet, ParOptions};
@@ -169,8 +172,115 @@ fn two_clock_set() -> ClockSet {
     clocks
 }
 
+/// A trace biased towards idle (all-low) ticks, so monitors spend
+/// runs of ticks in states whose action-free self-loop the batch
+/// engine advances without a full step.
+fn arb_idle_trace(len: usize) -> impl Strategy<Value = Vec<u8>> {
+    // two draws in three are idle
+    let tick = (0u8..3 << SYMS).prop_map(|x| x.saturating_sub(2 << SYMS));
+    prop::collection::vec(tick, len)
+}
+
+/// A chart whose guards are disjunctions, so they compile to postfix
+/// programs (the path the idle-run scan never takes).
+fn disjunctive_doc() -> cesc::chart::Document {
+    parse_document(
+        r#"
+        scesc dj on clk {
+            instances { A }
+            events { e1, e2 }
+            props { p1, p2 }
+            tick { A: e1 if (p1 | p2) }
+            tick { A: e2 if !(p1 & p2) }
+        }
+    "#,
+    )
+    .unwrap()
+}
+
+/// A conjunction chart over 65 symbols whose guards mention the first
+/// and the last, so the optimized compile keeps wide (`u128`) masks,
+/// which the idle-run scan never takes either.
+fn wide_doc() -> cesc::chart::Document {
+    let events: Vec<String> = (0..65).map(|i| format!("e{i}")).collect();
+    parse_document(&format!(
+        "scesc wide on clk {{ instances {{ M }} events {{ {} }} \
+         tick {{ M: e0, e64 }} tick {{ M: e64, !e0 }} cause e0@0 -> e64@1; }}",
+        events.join(", ")
+    ))
+    .unwrap()
+}
+
+/// `BatchExec::feed` in `chunking` against a loop of `BatchExec::step`
+/// on a second executor of the same table: same hits, ticks, final
+/// state and underflows.
+fn feed_equals_step(
+    compiled: &CompiledMonitor,
+    elements: &[Valuation],
+    chunking: &[usize],
+) -> Result<(), TestCaseError> {
+    let mut stepped = compiled.executor();
+    let step_hits: Vec<u64> = (0..elements.len() as u64)
+        .filter(|&i| stepped.step(elements[i as usize]))
+        .collect();
+    let mut fed = compiled.executor();
+    let mut hits = Vec::new();
+    let mut at = 0usize;
+    for &len in chunking {
+        let end = (at + len).min(elements.len());
+        fed.feed(&elements[at..end], &mut hits);
+        at = end;
+    }
+    fed.feed(&elements[at..], &mut hits);
+    let name = compiled.name();
+    prop_assert_eq!(&hits, &step_hits, "{} chunking {:?}", name, chunking);
+    prop_assert_eq!(fed.ticks(), stepped.ticks());
+    prop_assert_eq!(fed.state_index(), stepped.state_index());
+    prop_assert_eq!(fed.underflows(), stepped.underflows());
+    prop_assert!(fed.skip_ticks() <= fed.ticks());
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// `BatchExec::feed`, which advances idle runs by a mask-only scan,
+    /// equals a loop of per-tick `BatchExec::step` under any chunking:
+    /// random pattern charts, a scoreboard chart, a disjunctive-guard
+    /// chart and a 65-symbol chart, compiled raw and optimized.
+    #[test]
+    fn feed_equals_per_tick_step(
+        pattern in arb_pattern(),
+        raw in arb_idle_trace(64),
+        chunking in arb_chunking(),
+    ) {
+        let trace = decode_trace(&raw);
+        let mut monitors = Vec::new();
+        if let Some((_ab, chart)) = build_chart(&pattern) {
+            monitors.push(synthesize(&chart, &SynthOptions::default()).unwrap());
+        }
+        for (doc, name) in [(causality_doc(), "cz"), (disjunctive_doc(), "dj")] {
+            monitors.push(synthesize(doc.chart(name).unwrap(), &SynthOptions::default()).unwrap());
+        }
+        for m in &monitors {
+            for opts in [CompileOptions::raw(), CompileOptions::optimized()] {
+                feed_equals_step(&m.compiled_with(&opts), trace.as_slice(), &chunking)?;
+            }
+        }
+
+        // the wide chart reads bits 0, 63 and 64 of each tick
+        let wide = synthesize(wide_doc().chart("wide").unwrap(), &SynthOptions::default()).unwrap();
+        let spread: Vec<Valuation> = raw
+            .iter()
+            .map(|&b| {
+                let bit = |i: u32, at: u32| u128::from(b >> i & 1) << at;
+                Valuation::from_bits(bit(0, 0) | bit(1, 63) | bit(2, 64) | bit(3, 1))
+            })
+            .collect();
+        for opts in [CompileOptions::raw(), CompileOptions::optimized()] {
+            feed_equals_step(&wide.compiled_with(&opts), &spread, &chunking)?;
+        }
+    }
 
     /// Multi-clock `scan_batch` equals step-wise `scan` over arbitrary
     /// clock interleavings, for both the coupled (interleaved) and

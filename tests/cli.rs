@@ -509,6 +509,36 @@ fn fleet_checks_all_charts_in_one_pass() {
 }
 
 #[test]
+fn fleet_check_skips_unread_real_and_string_vars() {
+    // simulator dumps carry real and string variables no chart reads:
+    // their value changes must not stop the check, nor move a verdict
+    let vcd = fleet_vcd(true);
+    let mut noisy = String::new();
+    for (i, line) in vcd.lines().enumerate() {
+        if line == "$enddefinitions $end" {
+            noisy.push_str("$var real 64 zz temp $end\n$var string 1 zy label $end\n");
+        }
+        noisy.push_str(line);
+        noisy.push('\n');
+        if line.starts_with('#') {
+            noisy.push_str(&format!("r{i}.25 zz\nsphase{i} zy\n"));
+        }
+    }
+    assert!(noisy.contains("\nr"), "{noisy}");
+    let opts = CheckOptions {
+        json: true,
+        ..Default::default()
+    };
+    let run = |dump: &str| {
+        let outcome = check_fleet(FLEET_SPEC, &[], true, dump.as_bytes(), None, &opts).unwrap();
+        zero_timings(&outcome.output)
+    };
+    let clean = run(&vcd);
+    assert!(clean.contains("\"verdict\":\"detected\""), "{clean}");
+    assert_eq!(run(&noisy), clean);
+}
+
+#[test]
 fn fleet_assert_violation_sets_failed_flag() {
     let vcd = fleet_vcd(false); // consequent never follows
     let outcome = check_fleet(

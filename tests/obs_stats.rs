@@ -28,23 +28,22 @@ multiclock pair { charts { m1, m2 } cause go -> done; }
 cesc gate { implies(ping, pong) }
 "#;
 
-/// An in-memory two-domain dump: go on every clk1 tick (even times),
-/// done on every clk2 tick (odd times) — `2 * per_domain` global steps.
-fn fleet_vcd(per_domain: usize) -> Vec<u8> {
+/// An in-memory two-domain dump: go on every `every`-th clk1 tick
+/// (even times), done on every `every`-th clk2 tick (odd times), all
+/// other ticks idle — `2 * per_domain` global steps.
+fn fleet_vcd(per_domain: usize, every: usize) -> Vec<u8> {
     let doc = cesc::chart::parse_document(FLEET_SPEC).unwrap();
     let go = Valuation::of([doc.alphabet.lookup("go").unwrap()]);
     let done = Valuation::of([doc.alphabet.lookup("done").unwrap()]);
     let mut clocks = ClockSet::new();
     let c1 = clocks.add(ClockDomain::new("clk1", 2, 0));
     let c2 = clocks.add(ClockDomain::new("clk2", 2, 1));
-    let run = GlobalRun::interleave(
-        &clocks,
-        &[
-            (c1, Trace::from_elements(vec![go; per_domain])),
-            (c2, Trace::from_elements(vec![done; per_domain])),
-        ],
-    )
-    .unwrap();
+    let pulses = |v: Valuation| {
+        let idle = Valuation::empty();
+        let ticks = (0..per_domain).map(|i| if i % every == 0 { v } else { idle });
+        Trace::from_elements(ticks.collect::<Vec<_>>())
+    };
+    let run = GlobalRun::interleave(&clocks, &[(c1, pulses(go)), (c2, pulses(done))]).unwrap();
     let mut out = Vec::new();
     write_vcd_global_to(
         &mut out,
@@ -59,10 +58,10 @@ fn fleet_vcd(per_domain: usize) -> Vec<u8> {
     out
 }
 
-/// Runs the fleet check over a fresh dump with `jobs` workers and an
-/// enabled registry; returns the run's report.
-fn run_with_jobs(per_domain: usize, jobs: usize) -> cesc::obs::RunReport {
-    let vcd = fleet_vcd(per_domain);
+/// Runs the fleet check over a fresh dump (see [`fleet_vcd`]) with
+/// `jobs` workers and an enabled registry; returns the run's report.
+fn run_with_jobs(per_domain: usize, every: usize, jobs: usize) -> cesc::obs::RunReport {
+    let vcd = fleet_vcd(per_domain, every);
     let obs = Obs::enabled();
     let opts = CheckOptions {
         jobs,
@@ -73,20 +72,24 @@ fn run_with_jobs(per_domain: usize, jobs: usize) -> cesc::obs::RunReport {
         ..CheckOptions::default()
     };
     let outcome = check_fleet(FLEET_SPEC, &[], true, vcd.as_slice(), None, &opts).unwrap();
-    assert!(!outcome.failed, "{}", outcome.output);
+    // `gate` wants `pong` the tick after each `ping`: it passes on the
+    // dense dump and fails on a sparse one
+    assert_eq!(outcome.failed, every > 1, "{}", outcome.output);
     obs.report("check")
 }
 
 #[test]
 fn serial_and_sharded_runs_report_identical_semantic_counters() {
     const PER_DOMAIN: usize = 5_000;
-    let serial = run_with_jobs(PER_DOMAIN, 1);
-    let sharded = run_with_jobs(PER_DOMAIN, 4);
+    // a sparse dump: the single-clock members idle between pulses
+    let serial = run_with_jobs(PER_DOMAIN, 4, 1);
+    let sharded = run_with_jobs(PER_DOMAIN, 4, 4);
 
     // the semantic tallies — what the monitors observed — must be
     // invariant under sharding; only the timing fields may differ
     for key in [
         key::ENGINE_TICKS,
+        key::ENGINE_SKIP_TICKS,
         key::ENGINE_MATCHES,
         key::ENGINE_UNDERFLOWS,
         key::FLEET_STEPS,
@@ -100,6 +103,12 @@ fn serial_and_sharded_runs_report_identical_semantic_counters() {
     assert_eq!(serial.counter(key::FLEET_STEPS), 2 * PER_DOMAIN as u64);
     assert_eq!(serial.counter(key::FLEET_TICKS), 2 * PER_DOMAIN as u64);
     assert!(serial.counter(key::ENGINE_TICKS) >= 4 * PER_DOMAIN as u64);
+    let skipped = serial.counter(key::ENGINE_SKIP_TICKS);
+    assert!(
+        0 < skipped && skipped <= serial.counter(key::ENGINE_TICKS),
+        "idle ticks are advanced by the idle-run scan: {skipped}"
+    );
+    assert!(serial.render_text().contains("% of engine.ticks)"));
     assert!(serial.counter(key::ENGINE_MATCHES) > 0, "compliant traffic matches");
     assert_eq!(serial.counter(key::ENGINE_UNDERFLOWS), 0);
 
@@ -131,7 +140,7 @@ fn disabled_registry_records_nothing_through_the_pipeline() {
         },
         ..CheckOptions::default()
     };
-    let vcd = fleet_vcd(500);
+    let vcd = fleet_vcd(500, 1);
     let outcome = check_fleet(FLEET_SPEC, &[], true, vcd.as_slice(), None, &opts).unwrap();
     assert!(!outcome.failed, "{}", outcome.output);
 
@@ -147,7 +156,7 @@ fn disabled_registry_records_nothing_through_the_pipeline() {
 #[test]
 fn sharded_check_over_120k_step_dump_renders_schema_valid_stats_json() {
     const PER_DOMAIN: usize = 60_000; // 120k global steps, as deployed
-    let report = run_with_jobs(PER_DOMAIN, 4);
+    let report = run_with_jobs(PER_DOMAIN, 1, 4);
     let json = report.render_json();
 
     // one line, schema first, documented shape
@@ -199,7 +208,7 @@ fn finish_stats_writes_the_json_report_file() {
         stats: stats.clone(),
         ..CheckOptions::default()
     };
-    let vcd = fleet_vcd(1_000);
+    let vcd = fleet_vcd(1_000, 1);
     let outcome = check_fleet(FLEET_SPEC, &[], true, vcd.as_slice(), None, &opts).unwrap();
     assert!(!outcome.failed, "{}", outcome.output);
     finish_stats(&stats, "check").unwrap();
@@ -218,7 +227,7 @@ fn finish_stats_writes_the_json_report_file() {
 fn check_json_v3_reports_real_timing_fields_without_stats_flags() {
     // no stats flags at all: the cesc-check/3 fields must still carry
     // real values (check_fleet records into a private registry)
-    let vcd = fleet_vcd(1_000);
+    let vcd = fleet_vcd(1_000, 1);
     let opts = CheckOptions {
         jobs: 2,
         json: true,
