@@ -8,25 +8,33 @@
 //! every monitor from one `MonitorBank::feed` over raw-compiled
 //! tables; the fleet variants run the deployment configuration —
 //! `cesc check` hands the fleet the spec cache's
-//! [`CompileOptions::optimized`] artifacts, so this bench
-//! does too — streaming the same `BATCH_CHUNK`-sized chunks to 1, 2
-//! and 4 shard workers planned by the cost-model LPT planner.
+//! [`CompileOptions::optimized`] artifacts and feeds it
+//! `FleetFeeder::feed_global` chunks, so this bench does too — the
+//! trace lifted onto the one period-1 clock `clk` and streamed in
+//! `BATCH_CHUNK`-step chunks to 1, 2 and 4 shard workers planned by
+//! the cost-model LPT planner.
 //!
 //! Verdict equivalence between the serial and sharded paths is
 //! asserted inline here and property-tested in
 //! `tests/batch_equivalence.rs`; this bench produces the measured
-//! speedup. Acceptance bar (checked by `make verify-par`): the
-//! recorded host-clamped configuration must show speedup ≥ 1.0 on
-//! any host. Single-shard plans take the no-thread direct path, so
-//! even a single-core host keeps the optimized tables' edge instead of
-//! paying channel/broadcast overhead for no parallelism; multi-core
-//! hosts stack shard parallelism on top.
+//! speedups. The JSON record carries two:
+//!
+//! * `speedup` — raw serial bank over the fleet. It compounds the
+//!   optimized tables' edge (mostly the idle-run scan) with shard
+//!   parallelism. Acceptance bar (checked by `make verify-par`): ≥ 1.0
+//!   on any host. Single-shard plans take the no-thread direct path,
+//!   so even a single-core host keeps the optimized tables' edge
+//!   instead of paying channel/broadcast overhead for no parallelism.
+//! * `shard_speedup` — a serial `MonitorBank::feed_global` over the
+//!   same optimized tables and global run, over the fleet: what
+//!   sharding alone buys.
 
 use cesc_bench::quick;
 use cesc_core::{synthesize, CompileOptions, MonitorBank, SynthOptions, BATCH_CHUNK};
-use cesc_par::{plan_shards, scan_sharded, Fleet, ParOptions};
+use cesc_par::{plan_shards, scan_sharded_global, Fleet, ParOptions};
 use cesc_protocols::ocp;
 use cesc_protocols::traffic::{transaction_stream, TrafficConfig};
+use cesc_trace::{ClockSet, GlobalRun};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
@@ -76,13 +84,18 @@ fn bench(c: &mut Criterion) {
     for m in &monitors {
         fleet.add_compiled(m.compiled_with(&CompileOptions::optimized()));
     }
+    // every chart runs `on clk`: one period-1 domain, so global times
+    // are the trace's tick indices
+    let (clocks, clk) = ClockSet::single();
+    let run = GlobalRun::interleave(&clocks, &[(clk, trace.clone())]).expect("one domain");
     for jobs in [1usize, 2, 4] {
         let plan = plan_shards(&fleet, jobs);
-        let report = scan_sharded(
+        let report = scan_sharded_global(
             &fleet,
             &plan,
+            &clocks,
             &ParOptions::default(),
-            trace.as_slice(),
+            run.as_slice(),
             BATCH_CHUNK,
         );
         for i in 0..monitors.len() {
@@ -116,11 +129,17 @@ fn bench(c: &mut Criterion) {
         let plan = plan_shards(&fleet, jobs);
         g.bench_with_input(
             BenchmarkId::from_parameter(format!("fleet_jobs_{jobs}")),
-            &trace,
-            |b, t| {
+            &run,
+            |b, r| {
                 b.iter(|| {
-                    let report =
-                        scan_sharded(&fleet, &plan, &opts, black_box(t.as_slice()), BATCH_CHUNK);
+                    let report = scan_sharded_global(
+                        &fleet,
+                        &plan,
+                        &clocks,
+                        &opts,
+                        black_box(r.as_slice()),
+                        BATCH_CHUNK,
+                    );
                     report
                         .singles
                         .iter()
@@ -146,9 +165,31 @@ fn bench(c: &mut Criterion) {
         bank.reset();
         bank.feed(black_box(trace.as_slice()));
     });
+    // the shard-only reference: the fleet's own optimized tables, fed
+    // the same global run serially
+    let mut opt_bank = MonitorBank::new();
+    for m in &monitors {
+        opt_bank.add_compiled(m.compiled_with(&CompileOptions::optimized()));
+    }
+    let opt_serial_s = cesc_bench::time_per_pass(5, || {
+        opt_bank.reset();
+        for c in black_box(run.as_slice()).chunks(BATCH_CHUNK) {
+            opt_bank.feed_global(&clocks, c);
+        }
+    });
+    for i in 0..monitors.len() {
+        assert_eq!(opt_bank.hits(i), bank.hits(i), "optimized serial bank, monitor {i}");
+    }
     let plan = plan_shards(&fleet, jobs);
     let fleet_s = cesc_bench::time_per_pass(5, || {
-        let report = scan_sharded(&fleet, &plan, &opts, black_box(trace.as_slice()), BATCH_CHUNK);
+        let report = scan_sharded_global(
+            &fleet,
+            &plan,
+            &clocks,
+            &opts,
+            black_box(run.as_slice()),
+            BATCH_CHUNK,
+        );
         black_box(report.singles.len());
     });
     cesc_bench::emit_record(
@@ -160,6 +201,7 @@ fn bench(c: &mut Criterion) {
             ("serial_melem_per_s", cesc_bench::melem_per_s(trace.len(), serial_s)),
             ("jobs", jobs as f64),
             ("speedup", serial_s / fleet_s),
+            ("shard_speedup", opt_serial_s / fleet_s),
         ],
     );
 }

@@ -8,7 +8,10 @@
 //! 2. the **optimized engine** — the pass-pipeline monitor compiled
 //!    with the optimizing options, fed in arbitrary chunks;
 //! 3. the **sharded fleet** — `cesc-par`'s worker threads over an
-//!    arbitrary shard count and the same chunking;
+//!    arbitrary shard count and the same chunking, fed through
+//!    `FleetFeeder::feed_global` as `cesc check` feeds it: the trace is
+//!    lifted onto one period-1 domain per clock the fleet's members
+//!    declare, so every member sees the whole trace;
 //! 4. the **RTL interpreter** — the emitted Verilog evaluated
 //!    cycle-accurately against the engine by `cesc-rtl`.
 //!
@@ -41,7 +44,7 @@
 use cesc_core::{CompiledMonitor, MonitorExec, ScanReport};
 use cesc_expr::Valuation;
 use cesc_hdl::VerilogOptions;
-use cesc_par::{plan_shards, scan_sharded, scan_sharded_global, Fleet, ParOptions};
+use cesc_par::{plan_shards, scan_sharded_global, Fleet, ParOptions};
 use cesc_rtl::{cosim_scan, report_agrees};
 use cesc_spec::{SpecSet, TargetRef};
 use cesc_trace::{ClockDomain, ClockSet, GlobalRun, Trace};
@@ -54,6 +57,26 @@ fn scan_chunked(monitor: &CompiledMonitor, trace: &[Valuation], chunk: usize) ->
         exec.feed(c, &mut hits);
     }
     exec.finish(hits)
+}
+
+/// Lifts a single-clock stimulus onto one domain per distinct name in
+/// `clocks`, each of period 1 and phase 0, carrying the same trace: a
+/// fleet fed the run sees the whole trace on every member (as the
+/// engine legs do), and its hit times equal tick indices.
+fn lift_onto<'a>(
+    clocks: impl IntoIterator<Item = &'a str>,
+    trace: &[Valuation],
+) -> (ClockSet, GlobalRun) {
+    let mut set = ClockSet::new();
+    let mut traces = Vec::new();
+    for name in clocks {
+        if set.lookup(name).is_none() {
+            let id = set.add(ClockDomain::new(name, 1, 0));
+            traces.push((id, Trace::from_elements(trace.to_vec())));
+        }
+    }
+    let run = GlobalRun::interleave(&set, &traces).expect("equal traces on equal schedules");
+    (set, run)
 }
 
 /// One single-clock differential case: a document, a stimulus trace
@@ -162,8 +185,10 @@ pub fn run_case(input: &CaseInput) -> Result<CaseReport, Box<Discrepancy>> {
 
     // leg 3: the sharded fleet (charts + asserts in one fleet)
     let mut fleet = Fleet::new();
+    let mut clock_names = Vec::new();
     for &(idx, _) in &baselines {
         let spec = set.chart_spec(idx).expect("compiled above");
+        clock_names.push(spec.compiled().clock().to_owned());
         fleet.add_compiled(spec.compiled().clone());
     }
     let mut assert_names = Vec::new();
@@ -172,6 +197,7 @@ pub fn run_case(input: &CaseInput) -> Result<CaseReport, Box<Discrepancy>> {
         if let Ok(a) = set.assert_spec(idx) {
             assert_names.push(a.name().to_owned());
             assert_idx.push(idx);
+            clock_names.push(a.clock().to_owned());
             fleet.add_assert(cesc_par::AssertSpec::new(
                 a.name(),
                 a.clock(),
@@ -182,8 +208,13 @@ pub fn run_case(input: &CaseInput) -> Result<CaseReport, Box<Discrepancy>> {
     }
     if !fleet.is_empty() {
         let opts = ParOptions::default();
-        let sharded = scan_sharded(&fleet, &plan_shards(&fleet, input.jobs), &opts, trace, chunk);
-        let serial = scan_sharded(&fleet, &plan_shards(&fleet, 1), &opts, trace, chunk);
+        let (clocks, run) = lift_onto(clock_names.iter().map(String::as_str), trace);
+        let scan = |jobs| {
+            let plan = plan_shards(&fleet, jobs);
+            scan_sharded_global(&fleet, &plan, &clocks, &opts, run.as_slice(), chunk)
+        };
+        let sharded = scan(input.jobs);
+        let serial = scan(1);
         for (i, &(idx, ref base)) in baselines.iter().enumerate() {
             let name = set.target_name(TargetRef::Chart(idx)).to_owned();
             let got = sharded.singles[i].log.all().unwrap_or(&[]);
@@ -322,11 +353,14 @@ fn obs_counter_equivalence(
     }
     let mut base_fleet = Fleet::new();
     let mut opt_fleet = Fleet::new();
+    let mut clock_names = Vec::new();
     for &(idx, _) in baselines {
         let spec = set.chart_spec(idx).expect("compiled above");
+        clock_names.push(spec.compiled().clock());
         base_fleet.add_compiled(spec.baseline().clone());
         opt_fleet.add_compiled(spec.compiled().clone());
     }
+    let (clocks, run) = lift_onto(clock_names, trace);
     let obs_base = cesc_obs::Obs::enabled();
     let obs_opt = cesc_obs::Obs::enabled();
     let base_opts = ParOptions {
@@ -337,14 +371,22 @@ fn obs_counter_equivalence(
         obs: obs_opt.clone(),
         ..ParOptions::default()
     };
-    scan_sharded(
+    scan_sharded_global(
         &base_fleet,
         &plan_shards(&base_fleet, 1),
+        &clocks,
         &base_opts,
-        trace,
-        trace.len().max(1),
+        run.as_slice(),
+        run.len().max(1),
     );
-    scan_sharded(&opt_fleet, &plan_shards(&opt_fleet, jobs), &opt_opts, trace, chunk);
+    scan_sharded_global(
+        &opt_fleet,
+        &plan_shards(&opt_fleet, jobs),
+        &clocks,
+        &opt_opts,
+        run.as_slice(),
+        chunk,
+    );
     let base_report = obs_base.report("fuzz");
     let opt_report = obs_opt.report("fuzz");
     for key in [

@@ -35,8 +35,8 @@
 //! machinery — chunk copy, `Arc`, channel hop, worker thread — would
 //! be pure overhead (measured at ~15% on chunked streams). The feeder
 //! instead runs the one worker *inline on the caller thread*
-//! ([`FeedMode::Direct`]): `feed` borrows the chunk straight into the
-//! bank, no allocation, no thread, identical results.
+//! ([`FeedMode::Direct`]): `feed_global` borrows the chunk straight
+//! into the bank, no allocation, no thread, identical results.
 
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
@@ -46,7 +46,6 @@ use cesc_core::{
     CompiledMonitor, CompiledMultiClock, ImplicationChecker, Monitor, MonitorBank,
     MultiClockMonitor, Verdict, Violation,
 };
-use cesc_expr::Valuation;
 use cesc_obs::{key, Counter, Histogram, Obs, ShardStats};
 use cesc_trace::{ClockId, ClockSet, GlobalStep};
 use crossbeam::channel;
@@ -67,8 +66,7 @@ pub struct AssertSpec {
 
 impl AssertSpec {
     /// Assembles an assertion item. `clock` names the domain whose
-    /// ticks the checker consumes when the fleet is fed globally (a
-    /// locally-fed fleet steps it on every valuation).
+    /// ticks the checker consumes.
     pub fn new(name: &str, clock: &str, antecedent: Monitor, consequent: Monitor) -> Self {
         AssertSpec {
             name: name.to_owned(),
@@ -165,13 +163,14 @@ impl Fleet {
     }
 }
 
+/// In-flight chunks buffered per shard channel. Bounds the producer's
+/// lead over the slowest shard, and with it the executor's peak chunk
+/// residency.
+pub const CHANNEL_DEPTH: usize = 8;
+
 /// Execution knobs for [`run_sharded`].
 #[derive(Debug, Clone)]
 pub struct ParOptions {
-    /// In-flight chunks buffered per shard channel. Bounds the
-    /// producer's lead over the slowest shard, and with it the
-    /// executor's peak chunk residency.
-    pub channel_depth: usize,
     /// Retain every hit time in the [`MatchLog`]s (exact but
     /// unbounded — what the equivalence suite and the `cesc-sim`
     /// harnesses want). `false` keeps the logs bounded to
@@ -192,7 +191,6 @@ pub struct ParOptions {
 impl Default for ParOptions {
     fn default() -> Self {
         ParOptions {
-            channel_depth: 8,
             keep_all_hits: true,
             edge: 5,
             obs: Obs::disabled(),
@@ -203,8 +201,8 @@ impl Default for ParOptions {
 /// Final state of one single-clock fleet member.
 #[derive(Debug, Clone)]
 pub struct SingleReport {
-    /// Detection times (tick indices under [`FleetFeeder::feed`],
-    /// global times under [`FleetFeeder::feed_global`]).
+    /// Detection times: the global times of the steps the monitor
+    /// detected on.
     pub log: MatchLog,
     /// Ticks the monitor consumed.
     pub ticks: u64,
@@ -283,12 +281,8 @@ impl FleetReport {
 }
 
 /// One broadcast unit: a reference-counted decoded chunk. Cloning per
-/// shard copies the `Arc`, not the samples.
-#[derive(Debug, Clone)]
-enum Msg {
-    Local(Arc<Vec<Valuation>>),
-    Global(Arc<Vec<GlobalStep>>),
-}
+/// shard copies the `Arc`, not the steps.
+type Chunk = Arc<Vec<GlobalStep>>;
 
 /// The chunk buffers a broadcast feeder hands out, reused in turn.
 ///
@@ -296,23 +290,24 @@ enum Msg {
 /// shard has dropped is unique again and is refilled in place. A shard
 /// drops each chunk before it receives the next, and a send to a full
 /// channel waits, so once the feeder has sent chunk `k - 1` every shard
-/// has dropped chunk `k - depth - 2`: a ring of `depth + 2` buffers,
-/// taken in turn, always finds its next buffer free.
-struct ChunkPool<T> {
-    ring: RefCell<Vec<Arc<Vec<T>>>>,
+/// has dropped chunk `k - CHANNEL_DEPTH - 2`: a ring of
+/// `CHANNEL_DEPTH + 2` buffers, taken in turn, always finds its next
+/// buffer free.
+struct ChunkPool {
+    ring: RefCell<Vec<Chunk>>,
     next: Cell<usize>,
 }
 
-impl<T> ChunkPool<T> {
-    fn new(depth: usize) -> Self {
+impl ChunkPool {
+    fn new() -> Self {
         ChunkPool {
-            ring: RefCell::new((0..depth + 2).map(|_| Arc::new(Vec::new())).collect()),
+            ring: RefCell::new((0..CHANNEL_DEPTH + 2).map(|_| Arc::new(Vec::new())).collect()),
             next: Cell::new(0),
         }
     }
 
-    /// The next buffer in turn, filled by `fill`.
-    fn next(&self, fill: impl FnOnce(&mut Vec<T>)) -> Arc<Vec<T>> {
+    /// The next buffer in turn, filled with a copy of `src`.
+    fn next(&self, src: &[GlobalStep]) -> Chunk {
         let mut ring = self.ring.borrow_mut();
         let i = self.next.get();
         self.next.set((i + 1) % ring.len());
@@ -321,7 +316,7 @@ impl<T> ChunkPool<T> {
             // unreachable by the argument above; stay correct anyway
             *slot = Arc::new(Vec::new());
         }
-        fill(Arc::get_mut(slot).expect("a fresh or released buffer is unique"));
+        copy_steps(Arc::get_mut(slot).expect("a fresh or released buffer is unique"), src);
         Arc::clone(slot)
     }
 }
@@ -341,9 +336,8 @@ fn copy_steps(dst: &mut Vec<GlobalStep>, src: &[GlobalStep]) {
 /// The multi-shard feed: one bounded channel per shard, and the
 /// recycled chunk buffers broadcast over them.
 struct Broadcast {
-    txs: Vec<channel::Sender<Msg>>,
-    local: ChunkPool<Valuation>,
-    global: ChunkPool<GlobalStep>,
+    txs: Vec<channel::Sender<Chunk>>,
+    pool: ChunkPool,
 }
 
 /// How chunks reach the shard worker(s) — see the module docs.
@@ -390,56 +384,6 @@ pub struct FleetFeeder {
 }
 
 impl FleetFeeder {
-    fn record_feed(&self, len: usize) {
-        self.steps.add(len as u64);
-        self.chunks.incr();
-        self.chunk_sizes.record(len as u64);
-    }
-
-    fn broadcast(txs: &[channel::Sender<Msg>], msg: Msg) {
-        for tx in txs {
-            tx.send(msg.clone()).expect("shard worker alive");
-        }
-    }
-
-    /// Runs `consume` on the inline worker, timing it when observed.
-    fn direct(cell: &RefCell<DirectWorker>, len: usize, consume: impl FnOnce(&mut ShardWorker)) {
-        let dw = &mut *cell.borrow_mut();
-        match &mut dw.stats {
-            Some(stats) => {
-                let ran = Instant::now();
-                consume(&mut dw.worker);
-                stats.busy_ns += ran.elapsed().as_nanos() as u64;
-                stats.chunks += 1;
-                stats.steps += len as u64;
-            }
-            None => consume(&mut dw.worker),
-        }
-    }
-
-    /// Feeds one chunk of same-clock valuations; every single-clock
-    /// monitor sees each element as one tick (the sharded form of
-    /// [`MonitorBank::feed`]). Assertion checkers step on every
-    /// element; multi-clock members ignore locally-fed chunks.
-    pub fn feed(&self, chunk: &[Valuation]) {
-        if chunk.is_empty() {
-            return;
-        }
-        self.record_feed(chunk.len());
-        match &self.mode {
-            FeedMode::Direct(cell) => {
-                Self::direct(cell, chunk.len(), |w| w.consume_local(chunk));
-            }
-            FeedMode::Broadcast(b) => {
-                let copy = b.local.next(|dst| {
-                    dst.clear();
-                    dst.extend_from_slice(chunk);
-                });
-                Self::broadcast(&b.txs, Msg::Local(copy));
-            }
-        }
-    }
-
     /// Feeds one chunk of global steps (the sharded form of
     /// [`MonitorBank::feed_global`]); requires the run to have been
     /// started with a clock set.
@@ -447,14 +391,28 @@ impl FleetFeeder {
         if chunk.is_empty() {
             return;
         }
-        self.record_feed(chunk.len());
+        self.steps.add(chunk.len() as u64);
+        self.chunks.incr();
+        self.chunk_sizes.record(chunk.len() as u64);
         match &self.mode {
             FeedMode::Direct(cell) => {
-                Self::direct(cell, chunk.len(), |w| w.consume_global(chunk));
+                let dw = &mut *cell.borrow_mut();
+                match &mut dw.stats {
+                    Some(stats) => {
+                        let ran = Instant::now();
+                        dw.worker.consume(chunk);
+                        stats.busy_ns += ran.elapsed().as_nanos() as u64;
+                        stats.chunks += 1;
+                        stats.steps += chunk.len() as u64;
+                    }
+                    None => dw.worker.consume(chunk),
+                }
             }
             FeedMode::Broadcast(b) => {
-                let copy = b.global.next(|dst| copy_steps(dst, chunk));
-                Self::broadcast(&b.txs, Msg::Global(copy));
+                let copy = b.pool.next(chunk);
+                for tx in &b.txs {
+                    tx.send(Arc::clone(&copy)).expect("shard worker alive");
+                }
             }
         }
     }
@@ -471,6 +429,7 @@ struct ShardWorker {
     single_logs: Vec<MatchLog>,
     multi_logs: Vec<MatchLog>,
     asserts: Vec<AssertRunner>,
+    /// The run's clock set; `None` only for a run that feeds nothing.
     clocks: Option<ClockSet>,
     /// Per-member execution timing (mirrors `bank.set_member_timing`
     /// for the assert runners). On only when the run is observed.
@@ -480,9 +439,11 @@ struct ShardWorker {
 struct AssertRunner {
     fleet_idx: usize,
     name: String,
-    clock: String,
-    /// Resolved against the run's clock set on first global chunk.
-    clock_id: Option<Option<ClockId>>,
+    /// The assert's clock in the run's clock set; `None` when the set
+    /// lacks it, and the checker then sees no ticks — mirroring
+    /// `MonitorBank::feed_global`'s treatment of unresolvable
+    /// single-clock members.
+    clock_id: Option<ClockId>,
     checker: ImplicationChecker,
     /// The earliest [`ASSERT_VIOLATION_KEEP`] violations, drained out
     /// of the checker chunk by chunk so its log stays empty.
@@ -542,8 +503,7 @@ impl ShardWorker {
                     w.asserts.push(AssertRunner {
                         fleet_idx: i,
                         name: spec.name.clone(),
-                        clock: spec.clock.clone(),
-                        clock_id: None,
+                        clock_id: clocks.and_then(|c| c.lookup(&spec.clock)),
                         checker: ImplicationChecker::new(
                             spec.antecedent.clone(),
                             spec.consequent.clone(),
@@ -558,43 +518,14 @@ impl ShardWorker {
         w
     }
 
-    fn consume(&mut self, msg: &Msg) {
-        match msg {
-            Msg::Local(chunk) => self.consume_local(chunk),
-            Msg::Global(chunk) => self.consume_global(chunk),
-        }
-    }
-
-    fn consume_local(&mut self, chunk: &[Valuation]) {
-        self.bank.feed(chunk);
-        for a in &mut self.asserts {
-            let started = self.timing.then(Instant::now);
-            for &v in chunk {
-                a.checker.step(v);
-                a.ticks += 1;
-            }
-            a.drain_violations();
-            if let Some(t0) = started {
-                a.exec_ns += t0.elapsed().as_nanos() as u64;
-            }
-        }
-        self.drain_logs();
-    }
-
-    fn consume_global(&mut self, chunk: &[GlobalStep]) {
+    fn consume(&mut self, chunk: &[GlobalStep]) {
         let clocks = self
             .clocks
             .as_ref()
             .expect("feed_global requires run_sharded to be given a ClockSet");
         self.bank.feed_global(clocks, chunk);
         for a in &mut self.asserts {
-            let id = *a
-                .clock_id
-                .get_or_insert_with(|| clocks.lookup(&a.clock));
-            // an assert whose clock is absent from the set sees
-            // no ticks — mirroring MonitorBank::feed_global's
-            // treatment of unresolvable single-clock members
-            let Some(id) = id else { continue };
+            let Some(id) = a.clock_id else { continue };
             let started = self.timing.then(Instant::now);
             for step in chunk {
                 if let Some(v) = step.tick_of(id) {
@@ -689,10 +620,11 @@ impl ShardWorker {
 /// owning its members' complete mutable state, fed by `drive` through
 /// a [`FleetFeeder`] over bounded channels.
 ///
-/// `clocks` is required when `drive` uses
-/// [`FleetFeeder::feed_global`]; locally-fed (single-clock) runs may
-/// pass `None`. Returns the merged [`FleetReport`] plus `drive`'s own
-/// result once every shard has drained.
+/// `clocks` resolves every member's clock against the fed steps'
+/// [`ClockId`]s; `None` only suits a `drive` that feeds nothing
+/// ([`FleetFeeder::feed_global`] panics without a clock set). Returns
+/// the merged [`FleetReport`] plus `drive`'s own result once every
+/// shard has drained.
 ///
 /// # Examples
 ///
@@ -701,6 +633,7 @@ impl ShardWorker {
 /// use cesc_core::{synthesize, SynthOptions};
 /// use cesc_expr::Valuation;
 /// use cesc_par::{plan_shards, run_sharded, Fleet, ParOptions};
+/// use cesc_trace::{ClockSet, GlobalRun, Trace};
 ///
 /// let doc = parse_document(
 ///     "scesc a on clk { instances { M } events { x, y } tick { M: x } }\
@@ -714,8 +647,14 @@ impl ShardWorker {
 /// let x = doc.alphabet.lookup("x").unwrap();
 /// let y = doc.alphabet.lookup("y").unwrap();
 ///
-/// let (report, ()) = run_sharded(&fleet, &plan, None, &ParOptions::default(), |feeder| {
-///     feeder.feed(&[Valuation::of([x]), Valuation::of([y])]);
+/// // both charts run `on clk`: one domain, period 1, so times are
+/// // tick indices
+/// let (clocks, clk) = ClockSet::single();
+/// let trace = Trace::from_elements([Valuation::of([x]), Valuation::of([y])]);
+/// let run = GlobalRun::interleave(&clocks, &[(clk, trace)]).unwrap();
+///
+/// let (report, ()) = run_sharded(&fleet, &plan, Some(&clocks), &ParOptions::default(), |feeder| {
+///     feeder.feed_global(run.as_slice());
 /// });
 /// assert_eq!(report.singles[0].log.all(), Some(&[0][..])); // `a` fires on x
 /// assert_eq!(report.singles[1].log.all(), Some(&[1][..])); // `b` fires on x→y
@@ -781,12 +720,11 @@ fn run_broadcast<R>(
     opts: &ParOptions,
     drive: impl FnOnce(&FleetFeeder) -> R,
 ) -> (FleetReport, R) {
-    let depth = plan_depth(opts);
     std::thread::scope(|scope| {
         let mut txs = Vec::with_capacity(plan.jobs());
         let mut workers = Vec::with_capacity(plan.jobs());
         for (shard_idx, shard) in plan.shards().iter().enumerate() {
-            let (tx, rx) = channel::bounded::<Msg>(depth);
+            let (tx, rx) = channel::bounded::<Chunk>(CHANNEL_DEPTH);
             txs.push(tx);
             workers.push(scope.spawn(move || {
                 let mut worker = ShardWorker::build(fleet, shard, clocks, opts);
@@ -801,22 +739,18 @@ fn run_broadcast<R>(
                     };
                     loop {
                         let waited = Instant::now();
-                        let Ok(msg) = rx.recv() else { break };
+                        let Ok(chunk) = rx.recv() else { break };
                         stats.wait_ns += waited.elapsed().as_nanos() as u64;
-                        let steps = match &msg {
-                            Msg::Local(chunk) => chunk.len(),
-                            Msg::Global(chunk) => chunk.len(),
-                        } as u64;
                         let ran = Instant::now();
-                        worker.consume(&msg);
+                        worker.consume(&chunk);
                         stats.busy_ns += ran.elapsed().as_nanos() as u64;
                         stats.chunks += 1;
-                        stats.steps += steps;
+                        stats.steps += chunk.len() as u64;
                     }
                     opts.obs.record_shard(stats);
                 } else {
-                    while let Ok(msg) = rx.recv() {
-                        worker.consume(&msg);
+                    while let Ok(chunk) = rx.recv() {
+                        worker.consume(&chunk);
                     }
                 }
                 worker.finish()
@@ -825,8 +759,7 @@ fn run_broadcast<R>(
         let feeder = FleetFeeder {
             mode: FeedMode::Broadcast(Broadcast {
                 txs,
-                local: ChunkPool::new(depth),
-                global: ChunkPool::new(depth),
+                pool: ChunkPool::new(),
             }),
             steps: opts.obs.counter(key::FLEET_STEPS),
             chunks: opts.obs.counter(key::FLEET_CHUNKS),
@@ -904,29 +837,6 @@ fn record_semantics(obs: &Obs, report: &FleetReport) {
     obs.counter(key::ENGINE_SKIP_TICKS).add(report.skip_ticks);
     obs.counter(key::ENGINE_MATCHES).add(matches);
     obs.counter(key::ENGINE_UNDERFLOWS).add(underflows);
-}
-
-fn plan_depth(opts: &ParOptions) -> usize {
-    opts.channel_depth.max(1)
-}
-
-/// One-call sharded scan of a resident single-clock trace, chunked at
-/// `chunk` elements — the parallel counterpart of
-/// [`MonitorBank::feed`] over one resident slice.
-pub fn scan_sharded(
-    fleet: &Fleet,
-    plan: &ShardPlan,
-    opts: &ParOptions,
-    trace: &[Valuation],
-    chunk: usize,
-) -> FleetReport {
-    let chunk = chunk.max(1);
-    run_sharded(fleet, plan, None, opts, |feeder| {
-        for c in trace.chunks(chunk) {
-            feeder.feed(c);
-        }
-    })
-    .0
 }
 
 /// One-call sharded scan of a resident global run, chunked at `chunk`

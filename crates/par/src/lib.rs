@@ -15,7 +15,8 @@
 //!   [`step_cost`](cesc_core::CompiledMonitor::step_cost), with
 //!   scoreboard-footprint affinity co-locating coupled monitors;
 //! * [`run_sharded`] — the executor: one worker per shard, decoded
-//!   `Step`/[`GlobalStep`](cesc_trace::GlobalStep) chunks broadcast as
+//!   [`GlobalStep`](cesc_trace::GlobalStep) chunks (the one chunk
+//!   type, fed through [`FleetFeeder::feed_global`]) broadcast as
 //!   reference-counted messages over bounded channels, zero
 //!   cross-shard locking on the hot path, per-shard results merged at
 //!   join into a [`FleetReport`];
@@ -24,17 +25,23 @@
 //!
 //! Verdicts are **bit-identical to the serial engine**: for every
 //! member, any shard count and any chunking produce exactly the
-//! hits/underflows of [`cesc_core::MonitorBank::feed`] /
-//! [`feed_global`](cesc_core::MonitorBank::feed_global) — pinned by
-//! the `batch_equivalence` property suite at the workspace root.
+//! hits/underflows of [`cesc_core::MonitorBank::feed_global`] — and of
+//! [`cesc_core::MonitorBank::feed`] over a one-clock trace lifted onto
+//! a period-1 clock — pinned by the `batch_equivalence` property suite
+//! at the workspace root.
 //!
 //! # Quickstart
+//!
+//! A single-clock trace becomes a global run on one period-1 clock
+//! ([`ClockSet::single`](cesc_trace::ClockSet::single)), so global
+//! times are tick indices:
 //!
 //! ```
 //! use cesc_chart::parse_document;
 //! use cesc_core::{synthesize, SynthOptions};
 //! use cesc_expr::Valuation;
-//! use cesc_par::{plan_shards, scan_sharded, Fleet, ParOptions};
+//! use cesc_par::{plan_shards, scan_sharded_global, Fleet, ParOptions};
+//! use cesc_trace::{ClockSet, GlobalRun, Trace};
 //!
 //! let doc = parse_document(
 //!     "scesc hs on clk { instances { M, S } events { req, ack } \
@@ -45,10 +52,13 @@
 //!
 //! let req = doc.alphabet.lookup("req").unwrap();
 //! let ack = doc.alphabet.lookup("ack").unwrap();
-//! let trace = vec![Valuation::of([req]), Valuation::of([ack])];
+//! let trace = Trace::from_elements([Valuation::of([req]), Valuation::of([ack])]);
+//! let (clocks, clk) = ClockSet::single();
+//! let run = GlobalRun::interleave(&clocks, &[(clk, trace)]).unwrap();
 //!
 //! let plan = plan_shards(&fleet, 4);
-//! let report = scan_sharded(&fleet, &plan, &ParOptions::default(), &trace, 1024);
+//! let report =
+//!     scan_sharded_global(&fleet, &plan, &clocks, &ParOptions::default(), run.as_slice(), 1024);
 //! assert_eq!(report.singles[hs].log.all(), Some(&[1][..]));
 //! ```
 
@@ -60,8 +70,8 @@ mod plan;
 mod tally;
 
 pub use fleet::{
-    run_sharded, scan_sharded, scan_sharded_global, AssertReport, AssertSpec, Fleet, FleetFeeder,
-    FleetReport, MultiReport, ParOptions, SingleReport, ASSERT_VIOLATION_KEEP,
+    run_sharded, scan_sharded_global, AssertReport, AssertSpec, Fleet, FleetFeeder, FleetReport,
+    MultiReport, ParOptions, SingleReport, ASSERT_VIOLATION_KEEP, CHANNEL_DEPTH,
 };
 pub use plan::{plan_shards, FleetItem, ShardPlan};
 pub use tally::MatchLog;
@@ -97,8 +107,23 @@ mod tests {
         d.alphabet.lookup(n).unwrap()
     }
 
+    /// `trace` on each of `names`, every clock of period 1 and phase 0:
+    /// each member sees the whole trace and hit times are tick indices.
+    fn on_clocks(names: &[&str], trace: &[Valuation]) -> (ClockSet, GlobalRun) {
+        let mut clocks = ClockSet::new();
+        let lifted: Vec<_> = names
+            .iter()
+            .map(|n| {
+                let id = clocks.add(ClockDomain::new(n, 1, 0));
+                (id, Trace::from_elements(trace.to_vec()))
+            })
+            .collect();
+        let run = GlobalRun::interleave(&clocks, &lifted).unwrap();
+        (clocks, run)
+    }
+
     #[test]
-    fn sharded_local_feed_matches_serial_bank() {
+    fn sharded_one_clock_feed_matches_serial_bank() {
         let d = doc();
         let hs = synthesize(d.chart("hs").unwrap(), &SynthOptions::default()).unwrap();
         let pulse = synthesize(d.chart("pulse").unwrap(), &SynthOptions::default()).unwrap();
@@ -116,13 +141,21 @@ mod tests {
         bank.add(&hs);
         bank.add(&pulse);
         bank.feed(&trace);
+        let (clocks, run) = on_clocks(&["clk1"], &trace);
 
         for jobs in [1, 2, 3, 5] {
             let mut fleet = Fleet::new();
             fleet.add(&hs);
             fleet.add(&pulse);
             let plan = plan_shards(&fleet, jobs);
-            let report = scan_sharded(&fleet, &plan, &ParOptions::default(), &trace, 64);
+            let report = scan_sharded_global(
+                &fleet,
+                &plan,
+                &clocks,
+                &ParOptions::default(),
+                run.as_slice(),
+                64,
+            );
             assert_eq!(report.singles[0].log.all(), Some(bank.hits(0)), "jobs={jobs}");
             assert_eq!(report.singles[1].log.all(), Some(bank.hits(1)), "jobs={jobs}");
             assert_eq!(report.singles[0].ticks, 500);
@@ -197,7 +230,15 @@ mod tests {
             let mut fleet = Fleet::new();
             let ai = fleet.add_assert(AssertSpec::new("gate", "clk", ante.clone(), cons.clone()));
             let plan = plan_shards(&fleet, 2);
-            let report = scan_sharded(&fleet, &plan, &ParOptions::default(), &trace, 1);
+            let (clocks, run) = on_clocks(&["clk"], &trace);
+            let report = scan_sharded_global(
+                &fleet,
+                &plan,
+                &clocks,
+                &ParOptions::default(),
+                run.as_slice(),
+                1,
+            );
             let a = &report.asserts[ai];
             assert_eq!(a.verdict, expect, "{a:?}");
             assert_eq!(a.name, "gate");
@@ -265,7 +306,15 @@ mod tests {
         let mut fleet = Fleet::new();
         let ai = fleet.add_assert(AssertSpec::new("gate", "clk", ante, cons));
         let plan = plan_shards(&fleet, 2);
-        let report = scan_sharded(&fleet, &plan, &ParOptions::default(), &trace, 128);
+        let (clocks, run) = on_clocks(&["clk"], &trace);
+        let report = scan_sharded_global(
+            &fleet,
+            &plan,
+            &clocks,
+            &ParOptions::default(),
+            run.as_slice(),
+            128,
+        );
         let a = &report.asserts[ai];
         assert_eq!(a.verdict, Verdict::Failed);
         // every tick after the first spawns-and-breaks one obligation
@@ -287,7 +336,8 @@ mod tests {
             keep_all_hits: false,
             ..Default::default()
         };
-        let report = scan_sharded(&fleet, &plan, &opts, &trace, 256);
+        let (clocks, run) = on_clocks(&["clk1"], &trace);
+        let report = scan_sharded_global(&fleet, &plan, &clocks, &opts, run.as_slice(), 256);
         let log = &report.singles[0].log;
         assert_eq!(log.count(), 10_000);
         assert!(log.all().is_none());
@@ -307,11 +357,13 @@ mod tests {
         // traffic — requesting 8 jobs for 1 member plans 1 shard
         let plan = plan_shards(&fleet, 8);
         assert_eq!(plan.jobs(), 1);
-        let report = scan_sharded(
+        let (clocks, run) = on_clocks(&["clk1"], &[Valuation::of([ev(&d, "req")])]);
+        let report = scan_sharded_global(
             &fleet,
             &plan,
+            &clocks,
             &ParOptions::default(),
-            &[Valuation::of([ev(&d, "req")])],
+            run.as_slice(),
             16,
         );
         assert_eq!(report.singles[0].log.count(), 1);
@@ -334,7 +386,8 @@ mod tests {
             obs: obs.clone(),
             ..Default::default()
         };
-        let report = scan_sharded(&fleet, &plan, &opts, &trace, 64);
+        let (clocks, run) = on_clocks(&["clk1"], &trace);
+        let report = scan_sharded_global(&fleet, &plan, &clocks, &opts, run.as_slice(), 64);
         assert_eq!(report.singles[0].log.count(), 500);
         let run = obs.report("check");
         assert_eq!(run.counter(cesc_obs::key::FLEET_STEPS), 500);

@@ -375,8 +375,11 @@ impl Fold<'_> {
             message: NOT_UTF8.to_owned(),
         })?;
         let line = text.trim();
-        if line.is_empty() || line.starts_with('$') {
-            return Ok(()); // directives ($dumpvars bodies are value changes)
+        if line.is_empty() {
+            return Ok(());
+        }
+        if line.starts_with('$') {
+            return directive(line, self.line);
         }
         if let Some(rest) = line.strip_prefix('#') {
             let t = parse_timestamp(rest, self.line)?;
@@ -397,8 +400,11 @@ impl Fold<'_> {
 
     /// A timestamp line. Only the first one's relation to the entry
     /// instant is unknown here; later ones close the current instant
-    /// when they move time forward.
-    #[inline]
+    /// when they move time forward. Always inlined, as is
+    /// [`Fold::push`]: about a third of a dump's lines are timestamps,
+    /// and the fold loop's speed should not hang on how much of the
+    /// rarely run general path the inliner also takes in.
+    #[inline(always)]
     fn stamp(&mut self, t: u64) -> Result<(), VcdReadError> {
         if !self.stamped {
             self.stamped = true;
@@ -442,6 +448,7 @@ impl Fold<'_> {
     }
 
     /// Records the rises since the last record with the current masks.
+    #[inline(always)]
     fn push(&mut self, time: u64) {
         if self.maybe != 0 {
             self.out.cond.push((self.out.records.len(), self.maybe));
@@ -455,6 +462,26 @@ impl Fold<'_> {
         });
         self.rose = 0;
     }
+}
+
+/// A body directive line. Directives are skipped (`$dumpvars` bodies
+/// are value changes), except a `$comment` the line does not close: a
+/// block folds without its entry state, so it cannot tell comment text
+/// from value changes, and refuses it. Out of line and cold, so the
+/// fold loop's code stays as small as without the check.
+#[cold]
+#[inline(never)]
+fn directive(line: &str, lineno: usize) -> Result<(), VcdReadError> {
+    let mut toks = line.split_whitespace();
+    if toks.next() == Some("$comment") && !toks.any(|t| t == "$end") {
+        return Err(VcdReadError::Malformed {
+            line: lineno,
+            message: "`$comment` not closed by `$end` on the same line \
+                      (multi-line comments are only read in the header)"
+                .to_owned(),
+        });
+    }
+    Ok(())
 }
 
 /// The sampling state between folded blocks, and the rules that turn

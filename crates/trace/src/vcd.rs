@@ -319,7 +319,9 @@ fn read_line<R: BufRead>(
 /// vector range stripped — both `data[7:0]` and the separate-token
 /// form `$var wire 8 ! data [7:0] $end` resolve to `data`. A clock
 /// binds to its first declaration; a name that matches a clock is
-/// never also read as a symbol.
+/// never also read as a symbol. A `$comment` block is skipped up to
+/// its closing `$end` token, over as many lines as it spans, so a
+/// declaration inside it binds nothing.
 fn parse_header<R: BufRead>(
     reader: &mut R,
     lineno: &mut usize,
@@ -329,8 +331,25 @@ fn parse_header<R: BufRead>(
     let mut codes = CodeTable::new();
     let mut declared = vec![false; clocks.len()];
     let mut buf = String::new();
+    let mut in_comment = false;
     while read_line(reader, &mut buf, lineno)? {
-        let toks: Vec<&str> = buf.split_whitespace().collect();
+        let all: Vec<&str> = buf.split_whitespace().collect();
+        let mut toks = &all[..];
+        loop {
+            if in_comment {
+                let Some(end) = toks.iter().position(|&t| t == "$end") else {
+                    toks = &[];
+                    break;
+                };
+                in_comment = false;
+                toks = &toks[end + 1..];
+            }
+            if toks.first() != Some(&"$comment") {
+                break;
+            }
+            in_comment = true;
+            toks = &toks[1..];
+        }
         if toks.first() == Some(&"$var") {
             // $var var_type size code reference [range] $end
             if toks.len() < 5 || toks[3] == "$end" || toks[4] == "$end" {
@@ -1419,6 +1438,78 @@ Sbusy %
         );
         for block in [1, 5] {
             let calls = calls_of(blocked(bound.as_bytes(), &ab, &specs, block, 2), 1);
+            assert_eq!(calls, inline, "block {block}");
+        }
+    }
+
+    #[test]
+    fn comments_bind_nothing_and_multi_line_body_comments_are_refused() {
+        // a `$var` inside a header `$comment` block binds nothing; in
+        // the body a one-line `$comment … $end` is skipped and one the
+        // line does not close is an error naming its line — inline,
+        // and on two workers over tiny blocks
+        let (ab, req, _) = setup();
+        let specs = [VcdClockSpec::new("clk")];
+        let header = "\
+$var wire 1 ! clk $end
+$comment
+$var wire 1 $ req $end
+$end
+$comment $var wire 1 % req $end $end
+$var wire 1 \" req $end
+$enddefinitions $end
+#0
+0!
+#5
+1!
+1$
+1%
+$comment one line, skipped $end
+#10
+0!
+#15
+1!
+1\"
+";
+        let inline = calls_of(GlobalVcdStream::new(header, &ab, &specs).unwrap(), 8);
+        let Ok(steps) = &inline[0] else {
+            panic!("{inline:?}")
+        };
+        let seen: Vec<_> = steps.iter().map(|s| (s.time, s.ticks[0].1)).collect();
+        assert_eq!(seen, [(5, Valuation::empty()), (15, Valuation::of([req]))]);
+        for block in [1, 5] {
+            let calls = calls_of(blocked(header.as_bytes(), &ab, &specs, block, 2), 8);
+            assert_eq!(calls, inline, "block {block}");
+        }
+
+        let body = "\
+$var wire 1 ! clk $end
+$var wire 1 \" req $end
+$enddefinitions $end
+#0
+0!
+#5
+1!
+#10
+0!
+$comment
+1\"
+#12
+1!
+$end
+#15
+1!
+";
+        let inline = calls_of(GlobalVcdStream::new(body, &ab, &specs).unwrap(), 1);
+        let errors: Vec<_> = inline.iter().filter_map(|c| c.as_ref().err()).collect();
+        assert_eq!(errors.len(), 1, "{inline:?}");
+        assert!(
+            matches!(errors[0], VcdReadError::Malformed { line: 10, .. }),
+            "{}",
+            errors[0]
+        );
+        for block in [1, 5] {
+            let calls = calls_of(blocked(body.as_bytes(), &ab, &specs, block, 2), 1);
             assert_eq!(calls, inline, "block {block}");
         }
     }

@@ -474,9 +474,12 @@ pub struct CheckOptions {
     /// (count plus first/last [`MATCH_EDGE`] entries) — the
     /// `--all-matches` flag.
     pub all_matches: bool,
-    /// Worker threads the fleet is sharded across, and threads the
-    /// dump is decoded on (`--jobs N`; 1 runs one worker and decodes
-    /// on the calling thread).
+    /// Worker threads the fleet is sharded across (`--jobs N`; the
+    /// planner caps shards at the member count), and threads the dump
+    /// is decoded on: `N` capped at the host's available parallelism,
+    /// since a decode worker beyond the core count only adds threads
+    /// and read-ahead blocks. 1 runs one worker and decodes on the
+    /// calling thread.
     pub jobs: usize,
     /// Emit the machine-readable JSON report ([`CHECK_JSON_SCHEMA`])
     /// instead of text — the `--json` flag ([`check_fleet`] only).
@@ -633,8 +636,9 @@ struct Slot {
 /// VCD signal when the single-clock targets all share one declared
 /// clock (it never applies to multiclock specs).
 ///
-/// The dump is decoded on [`CheckOptions::jobs`] decode workers
-/// ([`GlobalVcdStream::with_workers`]) and streamed in
+/// The dump is decoded on [`CheckOptions::jobs`] decode workers, at
+/// most one per available core ([`GlobalVcdStream::with_workers`]), and
+/// streamed in
 /// [`BATCH_CHUNK`]-sized [`cesc_trace::GlobalStep`] chunks broadcast to
 /// the shard workers, and match accounting is
 /// bounded ([`cesc_par::MatchLog`]) unless [`CheckOptions::all_matches`] asks
@@ -699,14 +703,21 @@ pub fn check_fleet(
     drop(plan_span);
 
     // -- stream the dump through the sharded fleet -------------------
+    // at most one decode worker per core; the core count reads cgroup
+    // files (tens of µs), so a one-job run, which decodes inline, skips it
+    let decode_workers = if opts.jobs > 1 {
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        opts.jobs.min(cores)
+    } else {
+        1
+    };
     let mut stream = GlobalVcdStream::from_reader(vcd, specs.alphabet(), &clock_specs)
         .map_err(|e| CliError::Pipeline(e.to_string()))?
-        .with_workers(opts.jobs);
+        .with_workers(decode_workers);
     let par_opts = ParOptions {
         keep_all_hits: opts.all_matches,
         edge: MATCH_EDGE,
         obs: obs.clone(),
-        ..Default::default()
     };
     let tick_counter = obs.counter(key::FLEET_TICKS);
     let mut ticks = 0u64;
@@ -1166,8 +1177,9 @@ pub fn usage() -> &'static str {
      assert-style charts whose violations make cesc exit with status 2.\n\
      --chart may repeat (duplicates are deduplicated); --all-charts checks\n\
      every chart, spec and implication in one pass over the dump.\n\
-     --jobs N      shard the monitor fleet across N worker threads, and\n\
-                   decode the dump on N more\n\
+     --jobs N      shard the monitor fleet across N worker threads (at most\n\
+                   one per target), and decode the dump on N more (at most\n\
+                   one per core)\n\
      --json        machine-readable report (schema cesc-check/3)\n\
      --all-matches list every match tick; default summarises (count + first/last 5)\n\
      --clock NAME  rename the sampled clock signal (single-clock charts only;\n\

@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use cesc::core::MonitorBank;
 use cesc::expr::Valuation;
-use cesc::par::{plan_shards, run_sharded, Fleet, ParOptions};
+use cesc::par::{plan_shards, run_sharded, Fleet, ParOptions, CHANNEL_DEPTH};
 use cesc::prelude::parse_document;
 use cesc::spec::SpecSet;
 use cesc::trace::{
@@ -284,7 +284,7 @@ fn streaming_hot_loops_allocate_nothing_after_warmup() {
         ],
     )
     .unwrap();
-    let warm = 2 * opts.channel_depth + 4;
+    let warm = 2 * CHANNEL_DEPTH + 4;
     let (report, steady) = run_sharded(&fleet, &plan, Some(&clocks), &opts, |feeder| {
         let mut chunks = long_run.as_slice().chunks(CHUNK);
         chunks.by_ref().take(warm).for_each(|c| feeder.feed_global(c));

@@ -6,9 +6,11 @@
 //! `scan_batch` under arbitrary clock interleavings and chunkings, the
 //! VCD section pins `BufRead`-streamed parsing against whole-string
 //! parsing on the same bytes, and the `cesc-par` section pins the
-//! sharded fleet executor against the serial bank: for any shard
+//! sharded fleet executor, fed through `FleetFeeder::feed_global` as
+//! `cesc check` feeds it, against the serial bank: for any shard
 //! count, chunk size and mixed single/multi-clock fleet, parallel
-//! results are bit-identical to `MonitorBank::feed` / `feed_global`.
+//! results are bit-identical to `MonitorBank::feed` (over a one-clock
+//! trace lifted onto a period-1 clock) / `feed_global`.
 //! `BatchExec::feed`'s idle-run scan is pinned against a loop of
 //! per-tick `BatchExec::step` on the same compiled table.
 
@@ -17,7 +19,7 @@ use cesc::core::{
     SynthOptions,
 };
 use cesc::expr::{SymbolId, Valuation};
-use cesc::par::{plan_shards, scan_sharded, scan_sharded_global, Fleet, ParOptions};
+use cesc::par::{plan_shards, scan_sharded_global, Fleet, ParOptions};
 use cesc::prelude::{parse_document, Alphabet, ScescBuilder};
 use cesc::trace::{
     read_vcd, write_vcd, ClockDomain, ClockId, ClockSet, GlobalRun, GlobalStep, GlobalVcdStream,
@@ -75,6 +77,14 @@ fn decode_trace(raw: &[u8]) -> Trace {
     raw.iter()
         .map(|&bits| Valuation::from_bits(bits as u128))
         .collect()
+}
+
+/// `trace` as a global run on the one clock `clk` (period 1), so the
+/// run's times are the trace's tick indices.
+fn on_clk(trace: &Trace) -> (ClockSet, GlobalRun) {
+    let (clocks, clk) = ClockSet::single();
+    let run = GlobalRun::interleave(&clocks, &[(clk, trace.clone())]).unwrap();
+    (clocks, run)
 }
 
 /// A chart with a causality arrow, so the scoreboard (`Add`/`Del`/
@@ -484,9 +494,9 @@ proptest! {
     }
 
     /// The sharded fleet executor over any single-clock fleet, shard
-    /// count and chunk size is bit-identical to the serial
-    /// `MonitorBank::feed` — same hit ticks, tick counts and underflow
-    /// accounting per monitor.
+    /// count and chunk size, fed the trace as a one-clock global run,
+    /// is bit-identical to the serial `MonitorBank::feed` — same hit
+    /// ticks, tick counts and underflow accounting per monitor.
     #[test]
     fn sharded_fleet_equals_serial_bank(
         p1 in arb_pattern(),
@@ -518,7 +528,10 @@ proptest! {
 
         let plan = plan_shards(&fleet, jobs);
         prop_assert_eq!(plan.jobs(), jobs.min(monitors.len()));
-        let report = scan_sharded(&fleet, &plan, &ParOptions::default(), trace.as_slice(), chunk);
+        let (clocks, run) = on_clk(&trace);
+        let report = scan_sharded_global(
+            &fleet, &plan, &clocks, &ParOptions::default(), run.as_slice(), chunk,
+        );
         for (i, serial) in bank.reports().iter().enumerate() {
             let sharded = &report.singles[i];
             prop_assert_eq!(
@@ -589,7 +602,8 @@ proptest! {
         fleet.add(&monitor);
         let plan = plan_shards(&fleet, jobs);
         let opts = ParOptions { keep_all_hits: false, ..Default::default() };
-        let report = scan_sharded(&fleet, &plan, &opts, trace.as_slice(), 7);
+        let (clocks, run) = on_clk(&trace);
+        let report = scan_sharded_global(&fleet, &plan, &clocks, &opts, run.as_slice(), 7);
         let log = &report.singles[0].log;
         prop_assert_eq!(log.count(), reference.matches.len() as u64);
         prop_assert!(log.all().is_none());

@@ -391,6 +391,129 @@ fn fleet_binary_decodes_the_same_on_one_and_three_jobs() {
 }
 
 #[test]
+fn fleet_binary_runs_jobs_far_above_the_core_count() {
+    // `--jobs N` decodes on at most one worker per core: a request for
+    // 20,000 jobs must neither try to start 20,000 decode threads nor
+    // read ahead two blocks for each, and must report what `--jobs 1`
+    // reports (timings and shard count zeroed)
+    use std::process::Command;
+
+    let doc = cesc::chart::parse_document(FLEET_SPEC).unwrap();
+    let sym = |n: &str| doc.alphabet.lookup(n).unwrap();
+    let cycle = [
+        cesc::expr::Valuation::of([sym("req")]),
+        cesc::expr::Valuation::of([sym("ack"), sym("p")]),
+        cesc::expr::Valuation::empty(),
+        cesc::expr::Valuation::empty(),
+    ];
+    let trace: cesc::trace::Trace = cycle.iter().copied().cycle().take(40_000).collect();
+    let vcd = write_vcd(&trace, &doc.alphabet, &VcdWriteOptions::default());
+    assert!(vcd.len() > 4 * 64 * 1024, "the dump spans several blocks: {} bytes", vcd.len());
+
+    let dir = std::env::temp_dir().join(format!("cesc-cli-many-jobs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (spec, dump) = (dir.join("spec.cesc"), dir.join("dump.vcd"));
+    std::fs::write(&spec, FLEET_SPEC).unwrap();
+    std::fs::write(&dump, &vcd).unwrap();
+    let check = |jobs: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_cesc"))
+            .arg("check")
+            .arg(&spec)
+            .arg("--vcd")
+            .arg(&dump)
+            .args(["--all-charts", "--json", "--jobs", jobs])
+            .output()
+            .unwrap();
+        (
+            zero_timings(&String::from_utf8(out.stdout).unwrap()),
+            String::from_utf8(out.stderr).unwrap(),
+            out.status.code(),
+        )
+    };
+    let serial = check("1");
+    assert!(serial.0.contains("\"verdict\":\"detected\""), "{serial:?}");
+    assert_eq!(serial.2, Some(0), "{serial:?}");
+    assert_eq!(check("20000"), serial);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A one-chart spec for the `$comment` dumps: `p` detects any tick
+/// with `req` high.
+const COMMENT_SPEC: &str = "scesc p on clk { instances { M } events { req } tick { M: req } }";
+
+#[test]
+fn fleet_check_binds_no_declaration_inside_a_header_comment() {
+    // the `$var` inside the `$comment` block declares nothing, so the
+    // pulse on its code `$` is not `req`
+    let vcd = "\
+$timescale 1ns $end
+$scope module top $end
+$var wire 1 ! clk $end
+$comment
+$var wire 1 $ req $end
+$end
+$var wire 1 \" req $end
+$upscope $end
+$enddefinitions $end
+#0
+0!
+0\"
+0$
+#5
+1!
+1$
+#10
+0!
+0$
+#15
+1!
+";
+    let out = check_one(COMMENT_SPEC, "p", vcd.as_bytes(), &CheckOptions::default()).unwrap();
+    assert!(out.contains("NOT OBSERVED"), "{out}");
+}
+
+#[test]
+fn fleet_check_refuses_a_multi_line_comment_in_the_body() {
+    // a block folds without its entry state, so a `$comment` spanning
+    // lines in the body is refused with its line, never read as data
+    // (`1"` / `#12` / `1!` inside it would otherwise detect `p` at 12)
+    let vcd = "\
+$timescale 1ns $end
+$scope module top $end
+$var wire 1 ! clk $end
+$var wire 1 \" req $end
+$upscope $end
+$enddefinitions $end
+$dumpvars
+0!
+0\"
+$end
+#0
+#5
+1!
+#10
+0!
+$comment
+1\"
+#12
+1!
+$end
+#15
+1!
+#20
+0!
+";
+    let err = check_one(COMMENT_SPEC, "p", vcd.as_bytes(), &CheckOptions::default()).unwrap_err();
+    assert!(matches!(err, CliError::Pipeline(_)), "{err}");
+    assert!(err.to_string().contains("line 16"), "{err}");
+    assert!(err.to_string().contains("$comment"), "{err}");
+    // closed on its own line, the same comment is skipped
+    let one_line = vcd.replace("$comment\n1\"\n#12\n1!\n$end\n", "$comment 1\" #12 1! $end\n");
+    let out = check_one(COMMENT_SPEC, "p", one_line.as_bytes(), &CheckOptions::default()).unwrap();
+    assert!(out.contains("NOT OBSERVED"), "{out}");
+}
+
+#[test]
 fn fleet_check_survives_hostile_vcd_input() {
     // binary junk (invalid UTF-8), truncated dumps and malformed
     // timestamps must come back as pipeline errors, never panics

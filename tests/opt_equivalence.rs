@@ -29,7 +29,7 @@ use cesc::core::{
 };
 use cesc::expr::{Expr, SymbolId, Valuation};
 use cesc::hdl::{lower_monitor, VerilogOptions};
-use cesc::par::{plan_shards, scan_sharded, Fleet, ParOptions};
+use cesc::par::{plan_shards, scan_sharded_global, Fleet, ParOptions};
 use cesc::prelude::{Alphabet, ScescBuilder, SpecOptions, SpecSet};
 use cesc::rtl::CoSim;
 use proptest::prelude::*;
@@ -404,8 +404,16 @@ proptest! {
         }
         bank.feed(trace.as_slice());
 
+        // the fleet is fed as `cesc check` feeds it: a global run, here
+        // the trace on the one period-1 clock `clk`
+        use cesc::trace::{ClockSet, GlobalRun, Trace};
+        let (clocks, clk) = ClockSet::single();
+        let run = GlobalRun::interleave(&clocks, &[(clk, Trace::from_elements(trace.clone()))])
+            .unwrap();
         let plan = plan_shards(&fleet, jobs);
-        let report = scan_sharded(&fleet, &plan, &ParOptions::default(), trace.as_slice(), chunk);
+        let report = scan_sharded_global(
+            &fleet, &plan, &clocks, &ParOptions::default(), run.as_slice(), chunk,
+        );
         for (i, serial) in bank.reports().iter().enumerate() {
             let sharded = &report.singles[i];
             prop_assert_eq!(
