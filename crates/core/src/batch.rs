@@ -1174,6 +1174,9 @@ pub struct MonitorBank {
         crate::multibatch::MultiClockBatchState,
     )>,
     pub(crate) multi_hits: Vec<Vec<u64>>,
+    /// `implies(...)` members (compiled tables + runtime), run on the
+    /// projection of their clock like the single-clock members.
+    pub(crate) implications: Vec<(crate::CompiledImplication, crate::ImplicationState)>,
     /// Reused per-domain projection buffers for `feed_global`.
     pub(crate) proj_vals: Vec<Valuation>,
     pub(crate) proj_times: Vec<u64>,
@@ -1181,17 +1184,18 @@ pub struct MonitorBank {
     /// (cleared when a member is added): name resolution runs once per
     /// clock set, not once per chunk.
     pub(crate) bound_clocks: Option<cesc_trace::ClockSet>,
-    /// Single-clock monitors grouped by resolved domain, so
-    /// `feed_global` projects each chunk once per *distinct* clock
-    /// (monitors whose clock is absent from the set appear in no group
-    /// and see no ticks).
-    pub(crate) clock_groups: Vec<(cesc_trace::ClockId, Vec<usize>)>,
+    /// Single-clock and implication members grouped by resolved
+    /// domain, so `feed_global` projects each chunk once per *distinct*
+    /// clock (members whose clock is absent from the set appear in no
+    /// group and see no ticks).
+    pub(crate) clock_groups: Vec<crate::multibatch::ClockGroup>,
     /// When set, [`MonitorBank::feed`] / `feed_global` accumulate
     /// per-member execution nanoseconds (one `Instant` pair per member
     /// per chunk — off by default so the hot path stays timer-free).
     pub(crate) timing: bool,
     pub(crate) member_ns: Vec<u64>,
     pub(crate) multi_member_ns: Vec<u64>,
+    pub(crate) implication_ns: Vec<u64>,
 }
 
 impl MonitorBank {
@@ -1249,9 +1253,9 @@ impl MonitorBank {
         self.monitors.len()
     }
 
-    /// Whether the bank has no monitors of either kind.
+    /// Whether the bank has no members of any kind.
     pub fn is_empty(&self) -> bool {
-        self.monitors.is_empty() && self.multis.is_empty()
+        self.monitors.is_empty() && self.multis.is_empty() && self.implications.is_empty()
     }
 
     /// The compiled form of monitor `idx`.
@@ -1263,8 +1267,9 @@ impl MonitorBank {
         &self.monitors[idx]
     }
 
-    /// Feeds one shared chunk to every monitor (each visits the chunk
-    /// once, tables staying hot per monitor).
+    /// Feeds one shared chunk to every single-clock and implication
+    /// member (each visits the chunk once, tables staying hot per
+    /// member).
     pub fn feed(&mut self, chunk: &[Valuation]) {
         let timing = self.timing;
         for (idx, (((m, st), board), hits)) in self
@@ -1282,15 +1287,24 @@ impl MonitorBank {
                 self.member_ns[idx] += t0.elapsed().as_nanos() as u64;
             }
         }
+        for (idx, (ci, st)) in self.implications.iter_mut().enumerate() {
+            let started = timing.then(std::time::Instant::now);
+            ci.feed(st, chunk);
+            if let Some(t0) = started {
+                self.implication_ns[idx] += t0.elapsed().as_nanos() as u64;
+            }
+        }
     }
 
     /// Member-ticks advanced by the idle-run scan so far, summed over
-    /// every single-clock member and every local of every multi-clock
-    /// member (each such tick is also counted in its member's ticks).
+    /// every single-clock member, every local of every multi-clock
+    /// member and every implication member's antecedent (each such
+    /// tick is also counted in its member's ticks).
     pub fn skip_ticks(&self) -> u64 {
         let singles: u64 = self.states.iter().map(|st| st.skipped).sum();
         let multis: u64 = self.multis.iter().map(|(_, st)| st.skip_ticks()).sum();
-        singles + multis
+        let implications: u64 = self.implications.iter().map(|(_, st)| st.skip_ticks()).sum();
+        singles + multis + implications
     }
 
     /// Feeds a whole resident trace in one pass (see
@@ -1366,6 +1380,9 @@ impl MonitorBank {
         }
         for h in &mut self.multi_hits {
             h.clear();
+        }
+        for (ci, st) in &mut self.implications {
+            st.reset(ci);
         }
     }
 }

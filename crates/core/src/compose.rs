@@ -150,9 +150,8 @@ impl CompiledExec<'_> {
 /// fails synthesis.
 pub fn compile(cesc: &Cesc, opts: &SynthOptions) -> Result<Compiled, CompileError> {
     // implication only at the top level
-    if let Cesc::Implication(a, b) = cesc {
-        let ante = flatten_one(a, opts)?;
-        let cons = flatten_one(b, opts)?;
+    if let Cesc::Implication(_, _) = cesc {
+        let (ante, cons) = implication_monitors(cesc, opts)?;
         return Ok(Compiled::Implication(Box::new(ImplicationChecker::new(
             ante, cons,
         ))));
@@ -168,6 +167,28 @@ pub fn compile(cesc: &Cesc, opts: &SynthOptions) -> Result<Compiled, CompileErro
     } else {
         Ok(Compiled::Alt(compiled))
     }
+}
+
+/// The antecedent and consequent monitors of a top-level
+/// `implies(a, b)` — what [`compile`] wraps in an
+/// [`ImplicationChecker`], for callers that run them on the compiled
+/// engine instead ([`crate::CompiledImplication`]).
+///
+/// # Errors
+///
+/// [`CompileError::Unsupported`] when `cesc` is not an implication or
+/// an operand contains `alt`; [`CompileError::Synth`] when an operand
+/// fails synthesis.
+pub fn implication_monitors(
+    cesc: &Cesc,
+    opts: &SynthOptions,
+) -> Result<(Monitor, Monitor), CompileError> {
+    let Cesc::Implication(a, b) = cesc else {
+        return Err(CompileError::Unsupported {
+            reason: "not an implication".to_owned(),
+        });
+    };
+    Ok((flatten_one(a, opts)?, flatten_one(b, opts)?))
 }
 
 fn flatten_one(cesc: &Cesc, opts: &SynthOptions) -> Result<Monitor, CompileError> {

@@ -19,7 +19,9 @@
 //! * [`synthesize_multiclock`] — one local monitor per clock domain,
 //!   synchronising through the shared scoreboard (§1, Figure 2);
 //! * [`Checker`] / [`ImplicationChecker`] — verdict-producing wrappers
-//!   for the Fig 4 verification flow;
+//!   for the Fig 4 verification flow (the interpreted checker is the
+//!   reference oracle of [`CompiledImplication`], the compiled
+//!   `implies(...)` runner `cesc check` executes);
 //! * [`CompiledMonitor`] / [`BatchExec`] / [`MonitorBank`] — the
 //!   batched, zero-allocation production engine: flat transition
 //!   tables, precompiled guards, many monitors per shared trace feed;
@@ -81,6 +83,7 @@ mod compose;
 mod determinize;
 mod dot;
 pub mod engine;
+mod implies;
 mod monitor;
 mod multibatch;
 mod multiclock;
@@ -101,8 +104,12 @@ pub use product::{
 pub use sat::{ArmLit, GuardSat, GuardVerdict, GuardWitness, SatStats};
 pub use checker::{Checker, ImplicationChecker, Verdict, Violation};
 pub use determinize::Determinized;
-pub use compose::{compile, flatten_chart, scan_composition, Compiled, CompiledExec, CompileError};
+pub use compose::{
+    compile, flatten_chart, implication_monitors, scan_composition, Compiled, CompiledExec,
+    CompileError,
+};
 pub use dot::to_dot;
+pub use implies::{CompiledImplication, ImplicationState, VIOLATION_KEEP};
 pub use monitor::{
     Monitor, MonitorExec, ScanReport, ScoreboardOps, StateId, StepOutcome, Transition,
     TransitionKind,

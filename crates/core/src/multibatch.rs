@@ -31,7 +31,7 @@
 //! workspace root.
 
 use cesc_expr::Valuation;
-use cesc_trace::{ClockSet, GlobalRun, GlobalStep};
+use cesc_trace::{ClockId, ClockSet, GlobalRun, GlobalStep};
 
 use crate::batch::{BatchBoard, CompiledMonitor, ExecState};
 use crate::multiclock::MultiClockMonitor;
@@ -425,6 +425,34 @@ impl MultiClockBatchExec<'_> {
     }
 }
 
+/// The members of one clock domain that `MonitorBank::feed_global`
+/// runs on the domain's projection: single-clock monitor indices and
+/// implication member indices.
+#[derive(Debug)]
+pub(crate) struct ClockGroup {
+    clock: ClockId,
+    singles: Vec<usize>,
+    implications: Vec<usize>,
+}
+
+impl ClockGroup {
+    /// The group of `clock` in `groups`, appended if absent.
+    fn of(groups: &mut Vec<ClockGroup>, clock: ClockId) -> &mut ClockGroup {
+        let at = match groups.iter().position(|g| g.clock == clock) {
+            Some(at) => at,
+            None => {
+                groups.push(ClockGroup {
+                    clock,
+                    singles: Vec::new(),
+                    implications: Vec::new(),
+                });
+                groups.len() - 1
+            }
+        };
+        &mut groups[at]
+    }
+}
+
 impl crate::MonitorBank {
     /// Compiles and attaches a multi-clock monitor; returns its index
     /// in the bank's *multi-clock* slot space (separate from the
@@ -483,8 +511,10 @@ impl crate::MonitorBank {
     /// verification-plan entry point. Single-clock monitors see the
     /// projection of their own domain (matched by clock name; a
     /// monitor whose clock is absent from `clocks` sees no ticks) and
-    /// record hits at **global times**; multi-clock members run the
-    /// batched shared-scoreboard engine.
+    /// record hits at **global times**; implication members run on the
+    /// same projection (their violation records keep tick indices local
+    /// to their clock); multi-clock members run the batched
+    /// shared-scoreboard engine.
     ///
     /// Don't mix this with the tick-indexed [`crate::MonitorBank::feed`]
     /// on one bank: `feed` records local tick indices, `feed_global`
@@ -495,12 +525,13 @@ impl crate::MonitorBank {
         if self.bound_clocks.as_ref() != Some(clocks) {
             self.clock_groups.clear();
             for (idx, m) in self.monitors.iter().enumerate() {
-                let Some(c) = clocks.lookup(m.clock()) else {
-                    continue;
-                };
-                match self.clock_groups.iter_mut().find(|(gc, _)| *gc == c) {
-                    Some((_, members)) => members.push(idx),
-                    None => self.clock_groups.push((c, vec![idx])),
+                if let Some(c) = clocks.lookup(m.clock()) {
+                    ClockGroup::of(&mut self.clock_groups, c).singles.push(idx);
+                }
+            }
+            for (idx, (ci, _)) in self.implications.iter().enumerate() {
+                if let Some(c) = clocks.lookup(ci.clock()) {
+                    ClockGroup::of(&mut self.clock_groups, c).implications.push(idx);
                 }
             }
             for (cm, st) in &mut self.multis {
@@ -508,18 +539,18 @@ impl crate::MonitorBank {
             }
             self.bound_clocks = Some(clocks.clone());
         }
-        // one projection per distinct domain, then every monitor of
+        // one projection per distinct domain, then every member of
         // that domain replays it monitor-major (tables staying hot)
-        for (clock, members) in &self.clock_groups {
+        for group in &self.clock_groups {
             self.proj_vals.clear();
             self.proj_times.clear();
             for step in steps {
-                if let Some(v) = step.tick_of(*clock) {
+                if let Some(v) = step.tick_of(group.clock) {
                     self.proj_vals.push(v);
                     self.proj_times.push(step.time);
                 }
             }
-            for &idx in members {
+            for &idx in &group.singles {
                 let started = self.timing.then(std::time::Instant::now);
                 let (m, st) = (&self.monitors[idx], &mut self.states[idx]);
                 let (board, hits) = (&mut self.boards[idx], &mut self.hits[idx]);
@@ -527,6 +558,14 @@ impl crate::MonitorBank {
                 st.run(m, &self.proj_vals, board, |i| hits.push(times[i]));
                 if let Some(t0) = started {
                     self.member_ns[idx] += t0.elapsed().as_nanos() as u64;
+                }
+            }
+            for &idx in &group.implications {
+                let started = self.timing.then(std::time::Instant::now);
+                let (ci, st) = &mut self.implications[idx];
+                ci.feed(st, &self.proj_vals);
+                if let Some(t0) = started {
+                    self.implication_ns[idx] += t0.elapsed().as_nanos() as u64;
                 }
             }
         }

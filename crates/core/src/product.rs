@@ -30,9 +30,17 @@
 //! queries), same priority scan (effective-guard constraints), same
 //! fallback reset — so its verdict is sound *and* complete with
 //! respect to the checker: `Refuted` always comes with a trace the
-//! checker itself rejects (re-verified by construction), and `Proved`
-//! means no trace of any length can make the checker record a
-//! violation.
+//! checker itself rejects, and `Proved` means no trace of any length
+//! can make the checker record a violation.
+//!
+//! `cesc check` does not run the interpreted checker; it runs
+//! [`crate::CompiledImplication`], which compiles the same dynamics
+//! into tables (pinned-`Chk` antecedent with explicit reset arms,
+//! forward-only consequent) and is held equal to the checker by the
+//! differential suites. A counterexample is therefore replayed through
+//! that compiled runner, so `confirmed` means the engine users run
+//! records the violation; debug builds also replay it through the
+//! checker and assert both give the same first violation.
 //!
 //! The checker tracks every outstanding obligation; the product tracks
 //! *one*, with a nondeterministic choice to adopt or ignore each newly
@@ -58,9 +66,12 @@ use std::collections::VecDeque;
 
 use cesc_expr::Valuation;
 
-use crate::batch::CompiledMonitor;
+use crate::batch::{CompileOptions, CompiledMonitor};
 use crate::bounds::BoundsReport;
-use crate::checker::{ImplicationChecker, Violation};
+#[cfg(debug_assertions)]
+use crate::checker::ImplicationChecker;
+use crate::checker::Violation;
+use crate::implies::CompiledImplication;
 use crate::monitor::{Monitor, StateId, TransitionKind};
 use crate::sat::{ArmLit, GuardSat, SatStats};
 
@@ -213,7 +224,8 @@ pub struct Counterexample {
     /// last element.
     pub trace: Vec<Valuation>,
     /// The violation record from replaying the trace through the
-    /// checker (the authoritative tick/progress numbers).
+    /// compiled runner `cesc check` deploys (the authoritative
+    /// tick/progress numbers).
     pub violation: Violation,
     /// Whether the replay did record a violation. Always `true` — the
     /// prover is exact — kept as the self-check consumers assert on.
@@ -407,22 +419,43 @@ pub fn prove_implication(name: &str, antecedent: &Monitor, consequent: &Monitor)
 
 /// Replays a candidate counterexample through the real checker; the
 /// returned record carries the checker's own violation bookkeeping.
+/// Replays a counterexample through the compiled runner `cesc check`
+/// deploys ([`CompiledImplication`] on optimized tables); debug builds
+/// also hold it to the interpreted [`crate::ImplicationChecker`].
 fn replay(antecedent: &Monitor, consequent: &Monitor, trace: Vec<Valuation>) -> Counterexample {
-    let mut chk = ImplicationChecker::new(antecedent.clone(), consequent.clone());
-    chk.scan(trace.iter().copied());
-    let confirmed = chk.violation_count() > 0;
-    let violation = chk.violations().first().copied().unwrap_or(Violation {
+    let runner = CompiledImplication::new(
+        antecedent.name(),
+        antecedent.clock(),
+        antecedent,
+        consequent,
+        &CompileOptions::optimized(),
+    );
+    let mut st = runner.state();
+    runner.feed(&mut st, &trace);
+    let confirmed = st.violation_count() > 0;
+    let violation = st.violations().first().copied().unwrap_or(Violation {
         antecedent_at: 0,
         failed_at: trace.len().saturating_sub(1) as u64,
         progress: 0,
     });
-    debug_assert!(confirmed, "prover produced a counterexample the checker accepts");
+    debug_assert!(confirmed, "prover produced a counterexample the engine accepts");
+    #[cfg(debug_assertions)]
+    {
+        let mut chk = ImplicationChecker::new(antecedent.clone(), consequent.clone());
+        chk.scan(trace.iter().copied());
+        debug_assert_eq!(
+            (chk.violation_count(), chk.violations().first()),
+            (st.violation_count(), st.violations().first()),
+            "compiled runner and interpreted checker disagree on a counterexample"
+        );
+    }
     Counterexample { trace, violation, confirmed }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checker::ImplicationChecker;
     use crate::synth::{synthesize, SynthOptions};
     use cesc_chart::parse_document;
     use cesc_expr::Valuation;

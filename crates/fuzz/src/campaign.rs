@@ -71,8 +71,11 @@ pub struct CampaignReport {
     pub rejected: usize,
     /// Chart targets whose four legs agreed.
     pub charts_checked: usize,
-    /// Assert compositions checked serial-vs-sharded.
+    /// Assert compositions whose serial, sharded and raw-table runs
+    /// agreed with the interpreted checker.
     pub asserts_checked: usize,
+    /// Of those, asserts whose antecedent completed at least once.
+    pub asserts_armed: usize,
     /// Asserts whose static proof agreed with the dynamic checker.
     pub proofs_checked: usize,
     /// Multiclock specs checked serial-vs-sharded.
@@ -95,12 +98,13 @@ impl fmt::Display for CampaignReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "differential: {} cases ({} rejected), {} charts + {} asserts + {} multiclock \
-             targets agreed, {} proofs cross-checked, {} matches observed",
+            "differential: {} cases ({} rejected), {} charts + {} asserts ({} armed) + {} \
+             multiclock targets agreed, {} proofs cross-checked, {} matches observed",
             self.cases,
             self.rejected,
             self.charts_checked,
             self.asserts_checked,
+            self.asserts_armed,
             self.multis_checked,
             self.proofs_checked,
             self.matches
@@ -160,6 +164,7 @@ pub fn run_differential(cfg: &CampaignConfig) -> CampaignReport {
                 }
                 report.charts_checked += r.charts_checked;
                 report.asserts_checked += r.asserts_checked;
+                report.asserts_armed += r.asserts_armed;
                 report.proofs_checked += r.proofs_checked;
                 report.matches += r.matches;
             }

@@ -36,12 +36,22 @@
 //! engine as a real violation. Either mismatch is a prover soundness
 //! bug and fails the case.
 //!
+//! An eighth leg holds the compiled assert runner `cesc check` deploys
+//! (`cesc_core::CompiledImplication`, through the serial and sharded
+//! fleets on optimized tables, and alone on raw tables) to its
+//! reference oracle, the interpreted `cesc_core::ImplicationChecker`:
+//! verdict, fulfilled and outstanding obligations, violation count and
+//! the kept violation records, in order, must all agree.
+//!
 //! Any disagreement is a [`Discrepancy`] carrying enough context to
 //! replay and minimize the case. Assert compositions are checked
-//! serial-vs-sharded, and multiclock specs serial-vs-sharded over an
-//! interleaved global run.
+//! compiled (serial and sharded) vs interpreted, and multiclock specs
+//! serial-vs-sharded over an interleaved global run.
 
-use cesc_core::{CompiledMonitor, MonitorExec, ScanReport};
+use cesc_core::{
+    CompileOptions, CompiledImplication, CompiledMonitor, ImplicationChecker, MonitorExec,
+    ScanReport, Verdict, Violation, VIOLATION_KEEP,
+};
 use cesc_expr::Valuation;
 use cesc_hdl::VerilogOptions;
 use cesc_par::{plan_shards, scan_sharded_global, Fleet, ParOptions};
@@ -118,8 +128,12 @@ pub struct CaseReport {
     pub rejected: bool,
     /// Charts whose four legs all agreed.
     pub charts_checked: usize,
-    /// Assert compositions checked serial-vs-sharded.
+    /// Assert compositions whose serial, sharded and raw-table runs
+    /// agreed with the interpreted checker.
     pub asserts_checked: usize,
+    /// Of those, asserts whose antecedent completed at least once (the
+    /// compiled-vs-interpreted leg compared real obligations).
+    pub asserts_armed: usize,
     /// Asserts whose static proof agreed with the dynamic checker
     /// (PROVED never violated; REFUTED counterexample replayed).
     pub proofs_checked: usize,
@@ -198,12 +212,7 @@ pub fn run_case(input: &CaseInput) -> Result<CaseReport, Box<Discrepancy>> {
             assert_names.push(a.name().to_owned());
             assert_idx.push(idx);
             clock_names.push(a.clock().to_owned());
-            fleet.add_assert(cesc_par::AssertSpec::new(
-                a.name(),
-                a.clock(),
-                a.antecedent().clone(),
-                a.consequent().clone(),
-            ));
+            fleet.add_assert(cesc_par::AssertSpec::from_compiled(a.compiled().clone()));
         }
     }
     if !fleet.is_empty() {
@@ -230,23 +239,56 @@ pub fn run_case(input: &CaseInput) -> Result<CaseReport, Box<Discrepancy>> {
             }
         }
         for (i, name) in assert_names.iter().enumerate() {
+            // leg 8: the compiled runner, in the serial and sharded
+            // fleets and alone on raw tables, against the interpreted
+            // checker (which also holds serial and sharded equal)
             let (a, b) = (&serial.asserts[i], &sharded.asserts[i]);
-            if a.verdict != b.verdict
-                || a.fulfilled != b.fulfilled
-                || a.violation_count != b.violation_count
-                || a.outstanding != b.outstanding
-            {
-                return Err(Box::new(Discrepancy {
-                    stage: "sharded-assert".into(),
-                    target: name.clone(),
-                    detail: format!(
-                        "serial {:?}/{}+{} vs sharded({} jobs) {:?}/{}+{}",
-                        a.verdict, a.fulfilled, a.violation_count, input.jobs, b.verdict,
-                        b.fulfilled, b.violation_count
-                    ),
-                }));
+            let spec = set.assert_spec(assert_idx[i]).expect("compiled above");
+            let mut oracle =
+                ImplicationChecker::new(spec.antecedent().clone(), spec.consequent().clone());
+            oracle.scan(trace.iter().copied());
+            let raw = CompiledImplication::new(
+                name,
+                spec.clock(),
+                spec.antecedent(),
+                spec.consequent(),
+                &CompileOptions::raw(),
+            );
+            let mut st = raw.state();
+            for c in trace.chunks(chunk) {
+                raw.feed(&mut st, c);
+            }
+            let raw_outcome = AssertOutcome {
+                verdict: st.verdict(),
+                fulfilled: st.fulfilled(),
+                outstanding: st.outstanding(),
+                violation_count: st.violation_count(),
+                violations: st.violations(),
+            };
+            let kept = oracle.violations().len().min(VIOLATION_KEEP);
+            let expect = AssertOutcome {
+                verdict: oracle.verdict(),
+                fulfilled: oracle.fulfilled(),
+                outstanding: oracle.outstanding(),
+                violation_count: oracle.violation_count(),
+                violations: &oracle.violations()[..kept],
+            };
+            let sharded_leg = format!("sharded fleet ({} jobs)", input.jobs);
+            for (leg, got) in [
+                ("serial fleet", AssertOutcome::of(a)),
+                (sharded_leg.as_str(), AssertOutcome::of(b)),
+                ("raw tables", raw_outcome),
+            ] {
+                if got != expect {
+                    return Err(Box::new(Discrepancy {
+                        stage: "compiled-assert".into(),
+                        target: name.clone(),
+                        detail: format!("interpreted checker {expect:?} vs {leg} {got:?}"),
+                    }));
+                }
             }
             report.asserts_checked += 1;
+            report.asserts_armed += usize::from(a.antecedent_matches > 0);
         }
 
         // leg 7: the static prover against the dynamic checker — a
@@ -336,6 +378,28 @@ pub fn run_case(input: &CaseInput) -> Result<CaseReport, Box<Discrepancy>> {
         return Err(Box::new(d));
     }
     Ok(report)
+}
+
+/// The verdict fields the compiled-assert leg compares.
+#[derive(Debug, PartialEq)]
+struct AssertOutcome<'a> {
+    verdict: Verdict,
+    fulfilled: u64,
+    outstanding: usize,
+    violation_count: u64,
+    violations: &'a [Violation],
+}
+
+impl<'a> AssertOutcome<'a> {
+    fn of(r: &'a cesc_par::AssertReport) -> Self {
+        AssertOutcome {
+            verdict: r.verdict,
+            fulfilled: r.fulfilled,
+            outstanding: r.outstanding,
+            violation_count: r.violation_count,
+            violations: &r.violations,
+        }
+    }
 }
 
 /// Leg 6 body: compares the `engine.*` counters recorded by a serial

@@ -1,8 +1,8 @@
 //! The monitor fleet and its sharded executor.
 //!
 //! A [`Fleet`] is the compiled verification plan: single-clock
-//! monitors, multi-clock monitors and `implies(...)` assertion
-//! checkers. [`run_sharded`] executes it across worker threads:
+//! monitors, multi-clock monitors and `implies(...)` assertions.
+//! [`run_sharded`] executes it across worker threads:
 //!
 //! ```text
 //!                        ┌────────────────────┐
@@ -12,7 +12,7 @@
 //!                        └───┬────┬────┬──────┘
 //!                            ▼    ▼    ▼
 //!                        shard0 shard1 shard2   each: own MonitorBank
-//!                            │    │    │        + assert checkers, no
+//!                            │    │    │        (asserts included), no
 //!                            ▼    ▼    ▼        cross-shard state
 //!                        ┌────────────────────┐
 //!                        │ merge (at join)    │ → FleetReport
@@ -43,47 +43,47 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cesc_core::{
-    CompiledMonitor, CompiledMultiClock, ImplicationChecker, Monitor, MonitorBank,
-    MultiClockMonitor, Verdict, Violation,
+    CompileOptions, CompiledImplication, CompiledMonitor, CompiledMultiClock, Monitor,
+    MonitorBank, MultiClockMonitor, Verdict, Violation,
 };
 use cesc_obs::{key, Counter, Histogram, Obs, ShardStats};
-use cesc_trace::{ClockId, ClockSet, GlobalStep};
+use cesc_trace::{ClockSet, GlobalStep};
 use crossbeam::channel;
 
 use crate::plan::{FleetItem, ShardPlan};
 use crate::tally::MatchLog;
 
 /// An `implies(antecedent, consequent)` assertion attached to a fleet:
-/// the two synthesized monitors plus the clock domain whose ticks
-/// drive the checker.
+/// its [`CompiledImplication`] tables, which name the clock domain
+/// whose ticks drive it.
 #[derive(Debug, Clone)]
 pub struct AssertSpec {
-    pub(crate) name: String,
-    pub(crate) clock: String,
-    pub(crate) antecedent: Monitor,
-    pub(crate) consequent: Monitor,
+    pub(crate) compiled: CompiledImplication,
 }
 
 impl AssertSpec {
-    /// Assembles an assertion item. `clock` names the domain whose
-    /// ticks the checker consumes.
+    /// Compiles an assertion item from its two synthesized monitors
+    /// with [`CompileOptions::optimized`]. `clock` names the domain
+    /// whose ticks the assertion consumes.
     pub fn new(name: &str, clock: &str, antecedent: Monitor, consequent: Monitor) -> Self {
-        AssertSpec {
-            name: name.to_owned(),
-            clock: clock.to_owned(),
-            antecedent,
-            consequent,
-        }
+        let opts = CompileOptions::optimized();
+        Self::from_compiled(CompiledImplication::new(name, clock, &antecedent, &consequent, &opts))
+    }
+
+    /// Wraps an already-compiled assertion (the `cesc-spec` cache's
+    /// `AssertSpec::compiled`).
+    pub fn from_compiled(compiled: CompiledImplication) -> Self {
+        AssertSpec { compiled }
     }
 
     /// The assertion's name.
     pub fn name(&self) -> &str {
-        &self.name
+        self.compiled.name()
     }
 
-    /// The clock domain driving the checker.
+    /// The clock domain driving the assertion.
     pub fn clock(&self) -> &str {
-        &self.clock
+        self.compiled.clock()
     }
 }
 
@@ -130,8 +130,7 @@ impl Fleet {
         self.multis.len() - 1
     }
 
-    /// Adds an assertion checker; returns its index (its own slot
-    /// space).
+    /// Adds an assertion; returns its index (its own slot space).
     pub fn add_assert(&mut self, assert: AssertSpec) -> usize {
         self.asserts.push(assert);
         self.asserts.len() - 1
@@ -147,7 +146,7 @@ impl Fleet {
         self.multis.len()
     }
 
-    /// Number of assertion checkers.
+    /// Number of assertions.
     pub fn assert_len(&self) -> usize {
         self.asserts.len()
     }
@@ -227,14 +226,7 @@ pub struct MultiReport {
     pub exec_ns: u64,
 }
 
-/// How many violation records each assert member retains
-/// ([`AssertReport::violations`]); the exact total is always in
-/// [`AssertReport::violation_count`]. Keeps a non-compliant bulk trace
-/// (one violation per tick, potentially) from growing shard residency
-/// with trace length.
-pub const ASSERT_VIOLATION_KEEP: usize = 100;
-
-/// Final state of one assertion checker.
+/// Final state of one assertion.
 #[derive(Debug, Clone)]
 pub struct AssertReport {
     /// The assertion's name (copied from its [`AssertSpec`]).
@@ -245,13 +237,16 @@ pub struct AssertReport {
     pub fulfilled: u64,
     /// Obligations still open when the stream closed.
     pub outstanding: usize,
-    /// The earliest violations, up to [`ASSERT_VIOLATION_KEEP`].
+    /// The earliest violations, up to [`cesc_core::VIOLATION_KEEP`].
     pub violations: Vec<Violation>,
     /// Total violations recorded (may exceed `violations.len()`).
     pub violation_count: u64,
-    /// Ticks the checker consumed.
+    /// How many times the antecedent completed. Zero means the
+    /// assertion was never armed, so any `idle` verdict is vacuous.
+    pub antecedent_matches: u64,
+    /// Ticks the assertion consumed.
     pub ticks: u64,
-    /// Execution nanoseconds this checker consumed on its shard (zero
+    /// Execution nanoseconds this assertion consumed on its shard (zero
     /// unless [`ParOptions::obs`] was enabled).
     pub exec_ns: u64,
 }
@@ -264,7 +259,7 @@ pub struct FleetReport {
     pub singles: Vec<SingleReport>,
     /// One report per multi-clock monitor.
     pub multis: Vec<MultiReport>,
-    /// One report per assertion checker.
+    /// One report per assertion.
     pub asserts: Vec<AssertReport>,
     /// Member-ticks the monitor engine advanced by its idle-run scan
     /// instead of a full step, summed over the fleet (each is also
@@ -273,8 +268,7 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    /// Whether any assertion checker finished with
-    /// [`Verdict::Failed`].
+    /// Whether any assertion finished with [`Verdict::Failed`].
     pub fn any_failed(&self) -> bool {
         self.asserts.iter().any(|a| a.verdict == Verdict::Failed)
     }
@@ -418,52 +412,21 @@ impl FleetFeeder {
     }
 }
 
-/// Per-shard runtime: the shard's own bank plus assertion checkers,
-/// built once per worker from the fleet's compiled artifacts.
+/// Per-shard runtime: the shard's own bank, built once per worker from
+/// the fleet's compiled artifacts. Asserts are bank members too, so
+/// they run on the bank's per-clock projection.
 struct ShardWorker {
     bank: MonitorBank,
     /// Bank single-clock slot → fleet single index.
     single_map: Vec<usize>,
     /// Bank multi-clock slot → fleet multi index.
     multi_map: Vec<usize>,
+    /// Bank implication slot → fleet assert index.
+    assert_map: Vec<usize>,
     single_logs: Vec<MatchLog>,
     multi_logs: Vec<MatchLog>,
-    asserts: Vec<AssertRunner>,
     /// The run's clock set; `None` only for a run that feeds nothing.
     clocks: Option<ClockSet>,
-    /// Per-member execution timing (mirrors `bank.set_member_timing`
-    /// for the assert runners). On only when the run is observed.
-    timing: bool,
-}
-
-struct AssertRunner {
-    fleet_idx: usize,
-    name: String,
-    /// The assert's clock in the run's clock set; `None` when the set
-    /// lacks it, and the checker then sees no ticks — mirroring
-    /// `MonitorBank::feed_global`'s treatment of unresolvable
-    /// single-clock members.
-    clock_id: Option<ClockId>,
-    checker: ImplicationChecker,
-    /// The earliest [`ASSERT_VIOLATION_KEEP`] violations, drained out
-    /// of the checker chunk by chunk so its log stays empty.
-    kept_violations: Vec<Violation>,
-    ticks: u64,
-    exec_ns: u64,
-}
-
-impl AssertRunner {
-    /// Folds this chunk's violation records into the bounded sample.
-    fn drain_violations(&mut self) {
-        if self.checker.violations().is_empty() {
-            return;
-        }
-        for v in self.checker.take_violations() {
-            if self.kept_violations.len() < ASSERT_VIOLATION_KEEP {
-                self.kept_violations.push(v);
-            }
-        }
-    }
 }
 
 struct ShardResult {
@@ -479,13 +442,12 @@ impl ShardWorker {
             bank: MonitorBank::new(),
             single_map: Vec::new(),
             multi_map: Vec::new(),
+            assert_map: Vec::new(),
             single_logs: Vec::new(),
             multi_logs: Vec::new(),
-            asserts: Vec::new(),
             clocks: clocks.cloned(),
-            timing: opts.obs.is_enabled(),
         };
-        w.bank.set_member_timing(w.timing);
+        w.bank.set_member_timing(opts.obs.is_enabled());
         for item in items {
             match *item {
                 FleetItem::Single(i) => {
@@ -499,19 +461,8 @@ impl ShardWorker {
                     w.multi_logs.push(MatchLog::new(opts.edge, opts.keep_all_hits));
                 }
                 FleetItem::Assert(i) => {
-                    let spec = &fleet.asserts[i];
-                    w.asserts.push(AssertRunner {
-                        fleet_idx: i,
-                        name: spec.name.clone(),
-                        clock_id: clocks.and_then(|c| c.lookup(&spec.clock)),
-                        checker: ImplicationChecker::new(
-                            spec.antecedent.clone(),
-                            spec.consequent.clone(),
-                        ),
-                        kept_violations: Vec::new(),
-                        ticks: 0,
-                        exec_ns: 0,
-                    });
+                    w.bank.add_compiled_implication(fleet.asserts[i].compiled.clone());
+                    w.assert_map.push(i);
                 }
             }
         }
@@ -524,20 +475,6 @@ impl ShardWorker {
             .as_ref()
             .expect("feed_global requires run_sharded to be given a ClockSet");
         self.bank.feed_global(clocks, chunk);
-        for a in &mut self.asserts {
-            let Some(id) = a.clock_id else { continue };
-            let started = self.timing.then(Instant::now);
-            for step in chunk {
-                if let Some(v) = step.tick_of(id) {
-                    a.checker.step(v);
-                    a.ticks += 1;
-                }
-            }
-            a.drain_violations();
-            if let Some(t0) = started {
-                a.exec_ns += t0.elapsed().as_nanos() as u64;
-            }
-        }
         self.drain_logs();
     }
 
@@ -550,7 +487,7 @@ impl ShardWorker {
         self.bank.drain_multiclock_hits(|slot, hits| logs[slot].absorb(hits));
     }
 
-    fn finish(mut self) -> ShardResult {
+    fn finish(self) -> ShardResult {
         let bank_reports = self.bank.reports();
         let singles = self
             .single_map
@@ -588,21 +525,23 @@ impl ShardWorker {
             })
             .collect();
         let asserts = self
-            .asserts
-            .drain(..)
-            .map(|mut a| {
-                a.drain_violations();
+            .assert_map
+            .iter()
+            .enumerate()
+            .map(|(slot, &fleet_idx)| {
+                let st = self.bank.implication_state(slot);
                 (
-                    a.fleet_idx,
+                    fleet_idx,
                     AssertReport {
-                        name: a.name,
-                        verdict: a.checker.verdict(),
-                        fulfilled: a.checker.fulfilled(),
-                        outstanding: a.checker.outstanding(),
-                        violation_count: a.checker.violation_count(),
-                        violations: a.kept_violations,
-                        ticks: a.ticks,
-                        exec_ns: a.exec_ns,
+                        name: self.bank.implication(slot).name().to_owned(),
+                        verdict: st.verdict(),
+                        fulfilled: st.fulfilled(),
+                        outstanding: st.outstanding(),
+                        violations: st.violations().to_vec(),
+                        violation_count: st.violation_count(),
+                        antecedent_matches: st.antecedent_matches(),
+                        ticks: st.ticks(),
+                        exec_ns: self.bank.implication_exec_ns(slot),
                     },
                 )
             })
@@ -621,7 +560,7 @@ impl ShardWorker {
 /// a [`FleetFeeder`] over bounded channels.
 ///
 /// `clocks` resolves every member's clock against the fed steps'
-/// [`ClockId`]s; `None` only suits a `drive` that feeds nothing
+/// [`ClockId`](cesc_trace::ClockId)s; `None` only suits a `drive` that feeds nothing
 /// ([`FleetFeeder::feed_global`] panics without a clock set). Returns
 /// the merged [`FleetReport`] plus `drive`'s own result once every
 /// shard has drained.

@@ -8,8 +8,8 @@
 //!
 //! * [`Fleet`] — the compiled plan: single-clock monitors
 //!   ([`cesc_core::CompiledMonitor`]), multi-clock monitors
-//!   ([`cesc_core::CompiledMultiClock`]) and `implies(...)` assertion
-//!   checkers ([`AssertSpec`]);
+//!   ([`cesc_core::CompiledMultiClock`]) and `implies(...)` asserts
+//!   ([`AssertSpec`], a [`cesc_core::CompiledImplication`]);
 //! * [`plan_shards`] — the cost-model-driven planner: LPT balancing on
 //!   the compiled tables' footprint-derived
 //!   [`step_cost`](cesc_core::CompiledMonitor::step_cost), with
@@ -71,7 +71,7 @@ mod tally;
 
 pub use fleet::{
     run_sharded, scan_sharded_global, AssertReport, AssertSpec, Fleet, FleetFeeder, FleetReport,
-    MultiReport, ParOptions, SingleReport, ASSERT_VIOLATION_KEEP, CHANNEL_DEPTH,
+    MultiReport, ParOptions, SingleReport, CHANNEL_DEPTH,
 };
 pub use plan::{plan_shards, FleetItem, ShardPlan};
 pub use tally::MatchLog;
@@ -288,7 +288,7 @@ mod tests {
     fn violating_bulk_traffic_keeps_bounded_violation_records() {
         // antecedent fires every tick, the consequent never follows:
         // one violation per tick. The report must carry the exact
-        // count but retain only the first ASSERT_VIOLATION_KEEP
+        // count but retain only the first VIOLATION_KEEP
         // records, so shard residency stays bounded.
         let d = parse_document(
             r#"
@@ -319,7 +319,7 @@ mod tests {
         assert_eq!(a.verdict, Verdict::Failed);
         // every tick after the first spawns-and-breaks one obligation
         assert_eq!(a.violation_count, n as u64 - 1);
-        assert_eq!(a.violations.len(), ASSERT_VIOLATION_KEEP);
+        assert_eq!(a.violations.len(), cesc_core::VIOLATION_KEEP);
         assert_eq!(a.violations[0].antecedent_at, 0);
         assert!(report.any_failed());
     }

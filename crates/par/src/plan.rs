@@ -5,7 +5,7 @@
 //! is far cheaper than the OCP burst-read scoreboard program), and a
 //! bad split leaves one worker the straggler every chunk. The planner
 //! reuses the compiled engines' footprint analysis
-//! ([`CompiledMonitor::step_cost`] / scoreboard `touched_symbols`
+//! ([`cesc_core::CompiledMonitor::step_cost`] / scoreboard `touched_symbols`
 //! masks) to
 //!
 //! * **balance** — members are placed greedily in descending cost
@@ -22,8 +22,6 @@
 
 use std::fmt;
 
-use cesc_core::CompiledMonitor;
-
 use crate::fleet::Fleet;
 
 /// One fleet member, by kind and per-kind index — what a shard holds.
@@ -33,7 +31,7 @@ pub enum FleetItem {
     Single(usize),
     /// `Fleet::add_multiclock`-ed multi-clock monitor.
     Multi(usize),
-    /// `Fleet::add_assert`-ed implication checker.
+    /// `Fleet::add_assert`-ed `implies(...)` assertion.
     Assert(usize),
 }
 
@@ -124,15 +122,13 @@ fn cost_items(fleet: &Fleet) -> Vec<CostedItem> {
         });
     }
     for (i, a) in fleet.asserts.iter().enumerate() {
-        // the implication checker walks the step-wise interpreter, so
-        // its per-tick work is the two monitors' modelled cost with an
-        // interpretive surcharge
-        let ante = CompiledMonitor::new(&a.antecedent);
-        let cons = CompiledMonitor::new(&a.consequent);
+        // the compiled assertion runs its antecedent table every tick
+        // and the consequent table per open obligation; its pinned
+        // tables touch no scoreboard, so it has no footprint
         items.push(CostedItem {
             item: FleetItem::Assert(i),
-            cost: 2 * (ante.step_cost() + cons.step_cost()),
-            footprint: ante.touched_symbols() | cons.touched_symbols(),
+            cost: a.compiled.step_cost(),
+            footprint: 0,
         });
     }
     items

@@ -37,9 +37,10 @@ use std::fmt;
 
 use cesc_chart::{parse_document, Cesc, Document, Scesc};
 use cesc_core::{
-    compile, infer_bounds, optimize, prove_implication, synthesize, synthesize_multiclock, Bound,
-    BoundsOptions, BoundsReport, Compiled, CompileOptions, CompiledMonitor, CompiledMultiClock,
-    Monitor, MultiClockMonitor, ProofReport, SynthOptions,
+    implication_monitors, infer_bounds, optimize, prove_implication, synthesize,
+    synthesize_multiclock, Bound, BoundsOptions, BoundsReport, CompileOptions,
+    CompiledImplication, CompiledMonitor, CompiledMultiClock, Monitor, MultiClockMonitor,
+    ProofReport, SynthOptions,
 };
 use cesc_expr::SymbolId;
 
@@ -320,14 +321,16 @@ impl MultiSpec {
 }
 
 /// Compiled artifact bundle of one `implies(...)` assertion: the two
-/// synthesized (and optimized) monitors plus the single clock domain
-/// driving the checker.
+/// synthesized (and optimized) monitors, the single clock domain
+/// driving the assertion, and the [`CompiledImplication`] tables
+/// `cesc check` runs.
 #[derive(Debug, Clone)]
 pub struct AssertSpec {
     name: String,
     clock: String,
     antecedent: Monitor,
     consequent: Monitor,
+    compiled: CompiledImplication,
     synthesized_antecedent: Monitor,
     synthesized_consequent: Monitor,
     antecedent_bounds: BoundsReport,
@@ -340,7 +343,7 @@ impl AssertSpec {
         &self.name
     }
 
-    /// The clock domain whose ticks drive the checker.
+    /// The clock domain whose ticks drive the assertion.
     pub fn clock(&self) -> &str {
         &self.clock
     }
@@ -353,6 +356,14 @@ impl AssertSpec {
     /// The consequent monitor.
     pub fn consequent(&self) -> &Monitor {
         &self.consequent
+    }
+
+    /// The assertion compiled for the engine — built from
+    /// [`AssertSpec::antecedent`] / [`AssertSpec::consequent`] with
+    /// [`CompileOptions::optimized`], or [`CompileOptions::raw`] when
+    /// optimization is off.
+    pub fn compiled(&self) -> &CompiledImplication {
+        &self.compiled
     }
 
     /// The antecedent exactly as synthesized, before any optimization
@@ -746,31 +757,43 @@ impl SpecSet {
         };
         let obs = &self.options.obs;
         let compile_span = obs.span("compile");
-        let compiled = compile(cesc, &self.options.synth)
-            .map_err(|e| SpecError::Compile(format!("assert `{name}`: {e}")))?;
-        let Compiled::Implication(checker) = compiled else {
-            unreachable!("assert_capable guarantees an implication compilation");
-        };
+        let (synthesized_antecedent, synthesized_consequent) =
+            implication_monitors(cesc, &self.options.synth)
+                .map_err(|e| SpecError::Compile(format!("assert `{name}`: {e}")))?;
         let bounds_opts = BoundsOptions::default();
-        let antecedent_bounds = infer_bounds(checker.antecedent(), &bounds_opts);
-        let consequent_bounds = infer_bounds(checker.consequent(), &bounds_opts);
-        drop(compile_span);
-        let synthesized_antecedent = checker.antecedent().clone();
-        let synthesized_consequent = checker.consequent().clone();
-        let (antecedent, consequent) = if self.options.optimize {
+        let antecedent_bounds = infer_bounds(&synthesized_antecedent, &bounds_opts);
+        let consequent_bounds = infer_bounds(&synthesized_consequent, &bounds_opts);
+        // as for charts: raw tables under `compile`, optimized ones
+        // under `optimize`
+        let (antecedent, consequent, compiled) = if self.options.optimize {
+            drop(compile_span);
             let _span = obs.span("optimize");
-            (
-                optimize(checker.antecedent()).0,
-                optimize(checker.consequent()).0,
-            )
+            let antecedent = optimize(&synthesized_antecedent).0;
+            let consequent = optimize(&synthesized_consequent).0;
+            let compiled = CompiledImplication::new(
+                name,
+                clock,
+                &antecedent,
+                &consequent,
+                &CompileOptions::optimized(),
+            );
+            (antecedent, consequent, compiled)
         } else {
-            (checker.antecedent().clone(), checker.consequent().clone())
+            let compiled = CompiledImplication::new(
+                name,
+                clock,
+                &synthesized_antecedent,
+                &synthesized_consequent,
+                &CompileOptions::raw(),
+            );
+            (synthesized_antecedent.clone(), synthesized_consequent.clone(), compiled)
         };
         Ok(AssertSpec {
             name: name.clone(),
             clock: clock.clone(),
             antecedent,
             consequent,
+            compiled,
             synthesized_antecedent,
             synthesized_consequent,
             antecedent_bounds,

@@ -598,6 +598,7 @@ pub struct CheckOutcome {
 ///       "violation_count": 3,
 ///       "violations": [          // first 100, local tick indices
 ///         { "antecedent_at": 4, "failed_at": 7, "progress": 1 } ],
+///       "antecedent_matches": 12, // antecedent completions; 0 = vacuous
 ///       "exec_ms": 1.250 }
 ///   ]
 /// }
@@ -607,9 +608,12 @@ pub struct CheckOutcome {
 /// target kind; assertion `*_at` fields are tick indices local to the
 /// assertion's clock. `exec_ms` is the per-monitor stepping time
 /// measured inside the shard workers (fractional milliseconds, three
-/// decimals); `wall_ms` covers parse through render. (`cesc-check/3`
-/// added `ticks`, `wall_ms` and per-target `exec_ms` to
-/// `cesc-check/2`, which added the per-target `opt` object to
+/// decimals); `wall_ms` covers parse through render. An assert's
+/// `antecedent_matches` counts its antecedent's completions, each of
+/// which spawned one obligation: `0` means the assert was never armed,
+/// so an `idle` verdict is vacuous (an additive `cesc-check/3` field).
+/// (`cesc-check/3` added `ticks`, `wall_ms` and per-target `exec_ms`
+/// to `cesc-check/2`, which added the per-target `opt` object to
 /// `cesc-check/1`; every `/2` field is unchanged.)
 pub const CHECK_JSON_SCHEMA: &str = "cesc-check/3";
 
@@ -678,15 +682,9 @@ pub fn check_fleet(
             }
             TargetRef::Multi(i) => fleet
                 .add_compiled_multiclock(specs.multi_spec(i).map_err(lift)?.compiled().clone()),
-            TargetRef::Assert(i) => {
-                let spec = specs.assert_spec(i).map_err(lift)?;
-                fleet.add_assert(AssertSpec::new(
-                    spec.name(),
-                    spec.clock(),
-                    spec.antecedent().clone(),
-                    spec.consequent().clone(),
-                ))
-            }
+            TargetRef::Assert(i) => fleet.add_assert(AssertSpec::from_compiled(
+                specs.assert_spec(i).map_err(lift)?.compiled().clone(),
+            )),
         };
         slots.push(Slot {
             target,
@@ -1007,6 +1005,12 @@ fn render_text(
                         first.failed_at
                     );
                 }
+                match r.antecedent_matches {
+                    0 => out.push_str("; antecedent never completed"),
+                    n => {
+                        let _ = write!(out, "; antecedent completed {n} time(s)");
+                    }
+                }
                 out.push('\n');
             }
         }
@@ -1120,7 +1124,7 @@ fn render_json(
                 items.push(format!(
                     "{{\"kind\":\"assert\",\"name\":{},\"clocks\":{},\"verdict\":{},\
                      \"fulfilled\":{},\"outstanding\":{},\"ticks\":{},\
-                     \"violation_count\":{},\"violations\":[{}]{}}}",
+                     \"violation_count\":{},\"violations\":[{}],\"antecedent_matches\":{}{}}}",
                     json::string(spec.name()),
                     json::strings(&[spec.clock()]),
                     json::string(verdict),
@@ -1129,6 +1133,7 @@ fn render_json(
                     r.ticks,
                     r.violation_count,
                     violations.join(","),
+                    r.antecedent_matches,
                     json_exec_ms(r.exec_ns)
                 ));
             }
@@ -1663,13 +1668,28 @@ fn render_prove_text(
             }
         }
     }
+    // a vacuous proof holds because the antecedent can never complete:
+    // say how many of the proofs are that kind
+    let vacuous = reports
+        .iter()
+        .filter(|(_, r)| matches!(r.outcome, cesc_core::ProofOutcome::Proved { vacuous: true }))
+        .count();
+    let real = reports.len() - refuted - vacuous;
     if refuted > 0 {
         if let Some(dir) = corpus_out {
             let _ = writeln!(out, "counterexample reproducers written to {dir}");
         }
-        let _ = writeln!(out, "PROVE: FAIL ({refuted} of {} assert(s) refuted)", reports.len());
+        let _ = writeln!(
+            out,
+            "PROVE: FAIL ({refuted} of {} assert(s) refuted) — proved: {vacuous} vacuous, {real} real",
+            reports.len()
+        );
     } else {
-        let _ = writeln!(out, "PROVE: OK ({} assert(s) proved)", reports.len());
+        let _ = writeln!(
+            out,
+            "PROVE: OK ({} assert(s) proved) — {vacuous} vacuous, {real} real",
+            reports.len()
+        );
     }
     out
 }

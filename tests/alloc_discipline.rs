@@ -2,17 +2,18 @@
 //! allocator: after a warmup, `GlobalVcdStream::next_chunk` on (a) one
 //! and (b) two clocks, inline and with decode workers, (c)
 //! `MonitorBank::feed_global` over `GlobalStep` chunks, idle-run skips
-//! included, and (d) a two-shard `run_sharded` broadcast through
-//! `FleetFeeder::feed_global` must perform **zero** heap allocations
-//! per chunk, on any thread. This is the contract behind the streaming
-//! `cesc check` path: the block buffers and their decoded records, the
-//! split-line carry buffer, recycled `GlobalStep::ticks` vectors, the
-//! bank's projection buffers, its drained hit logs and the broadcast
-//! chunk buffers are all reused, so throughput does not degrade into
-//! allocator traffic on 100k+-tick dumps. The inline decode cases read
-//! through a `BufReader` whose window is shorter than most lines, so
-//! nearly every line is carried across two reads inside the measured
-//! stretch.
+//! and an `implies(...)` assert included, and (d) a two-shard
+//! `run_sharded` broadcast through `FleetFeeder::feed_global` must
+//! perform **zero** heap allocations per chunk, on any thread. This is
+//! the contract behind the streaming `cesc check` path: the block
+//! buffers and their decoded records, the split-line carry buffer,
+//! recycled `GlobalStep::ticks` vectors, the bank's projection buffers,
+//! its drained hit logs, the assert's obligation and violation storage
+//! and the broadcast chunk buffers are all reused, so throughput does
+//! not degrade into allocator traffic on 100k+-tick dumps. The inline
+//! decode cases read through a `BufReader` whose window is shorter than
+//! most lines, so nearly every line is carried across two reads inside
+//! the measured stretch.
 //!
 //! Everything runs inside ONE `#[test]` — the counter is process-wide
 //! (so it sees the decode workers and the shards too) and the harness
@@ -24,7 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use cesc::core::MonitorBank;
 use cesc::expr::Valuation;
-use cesc::par::{plan_shards, run_sharded, Fleet, ParOptions, CHANNEL_DEPTH};
+use cesc::par::{plan_shards, run_sharded, AssertSpec, Fleet, ParOptions, CHANNEL_DEPTH};
 use cesc::prelude::parse_document;
 use cesc::spec::SpecSet;
 use cesc::trace::{
@@ -73,7 +74,10 @@ scesc flow on clk {
 "#;
 
 /// One single-clock chart plus a multiclock spec that reuses it across
-/// two domains with a cross-domain causality (scoreboard traffic).
+/// two domains with a cross-domain causality (scoreboard traffic), and
+/// an assert: every `req` obliges `ack`, three ticks of anything, then
+/// `req` — five ticks, so obligations overlap, cross chunk boundaries
+/// and, on a trace where `ack` follows `req`, end in violations.
 const FLEET_SPEC: &str = r#"
 scesc flow on clk1 {
     instances { A, B }
@@ -89,6 +93,13 @@ scesc side on clk2 {
     tick { D: done }
 }
 multiclock pair { charts { flow, side } cause req -> go; }
+scesc ping on clk1 { instances { A } events { req, ack } tick { A: req } }
+scesc pong on clk1 {
+    instances { B }
+    events { req, ack }
+    tick { B: ack } tick ; tick ; tick ; tick { B: req }
+}
+cesc pinged { implies(ping, pong) }
 "#;
 
 const CHUNK: usize = 256;
@@ -208,17 +219,22 @@ fn streaming_hot_loops_allocate_nothing_after_warmup() {
     assert_eq!(steady, 0, "GlobalVcdStream::next_chunk on decode workers allocated in steady state");
 
     // (c) the engine hot loop `cesc check` runs: a bank with one
-    // optimized single-clock member and one multiclock member, fed
-    // `GlobalStep` chunks and drained after every chunk the way the
-    // shard workers drain it. Each transaction is followed by two idle
-    // ticks, which the single-clock member advances by its idle-run
-    // scan.
+    // optimized single-clock member, one multiclock member and one
+    // assert, fed `GlobalStep` chunks and drained after every chunk the
+    // way the shard workers drain it. Each transaction is followed by
+    // two idle ticks, which the single-clock member advances by its
+    // idle-run scan. The assert spawns an obligation every fourth clk1
+    // tick; each lives five ticks, so one is open at most chunk ends
+    // (a chunk carries 128 clk1 ticks), and each fails on its fifth
+    // tick, an `ack`: past the first 100 the violations are counted,
+    // not kept.
     let set = SpecSet::load(FLEET_SPEC).unwrap();
     let ab = set.alphabet();
     let ev = |n: &str| ab.lookup(n).unwrap();
     let mut bank = MonitorBank::new();
     bank.add_compiled(set.chart_spec(0).unwrap().compiled().clone());
     bank.add_compiled_multiclock(set.multi_spec(0).unwrap().compiled().clone());
+    bank.add_compiled_implication(set.assert_spec(0).unwrap().compiled().clone());
     let alternate = |a: &str, b: &str| {
         let (a, b) = (Valuation::of([ev(a)]), Valuation::of([ev(b)]));
         let elems = (0..per_domain).map(|i| match i % 4 {
@@ -233,15 +249,17 @@ fn streaming_hot_loops_allocate_nothing_after_warmup() {
         &[(c1, alternate("req", "ack")), (c2, alternate("go", "done"))],
     )
     .unwrap();
-    let (mut single_hits, mut multi_hits) = (0usize, 0usize);
+    let (mut single_hits, mut multi_hits, mut open_at_chunk_end) = (0usize, 0usize, 0usize);
     let mut feed = |bank: &mut MonitorBank, chunk: &[GlobalStep]| {
         bank.feed_global(&clocks, chunk);
         bank.drain_hits(|_, h| single_hits += h.len());
         bank.drain_multiclock_hits(|_, h| multi_hits += h.len());
+        open_at_chunk_end = open_at_chunk_end.max(bank.implication_state(0).outstanding());
     };
     let mut chunks = run.as_slice().chunks(CHUNK);
     feed(&mut bank, chunks.next().unwrap()); // warmup: binds clocks, sizes buffers
     let skipped = bank.skip_ticks();
+    let failed = bank.implication_state(0).violation_count();
     let steady = allocs_during(|| chunks.for_each(|chunk| feed(&mut bank, chunk)));
     assert_eq!(
         steady, 0,
@@ -261,15 +279,27 @@ fn streaming_hot_loops_allocate_nothing_after_warmup() {
         single_hits > 0 && multi_hits > 0,
         "both members must detect: {single_hits}/{multi_hits}"
     );
+    let gate = bank.implication_state(0);
+    assert!(open_at_chunk_end > 0, "an obligation was open across a chunk boundary");
+    assert!(
+        gate.violation_count() > failed && gate.violation_count() > 100,
+        "the measured stretch recorded violations past the kept ones: {}",
+        gate.violation_count()
+    );
+    assert_eq!(gate.violations().len(), 100);
 
     // (d) the same members sharded across two worker threads: the
     // feeder copies each borrowed chunk into a recycled buffer, and the
     // shards step and drain it, all without allocating. The warmup
     // feeds enough chunks past the channel depth that both shards have
-    // run their first chunks before the measured stretch.
+    // run their first chunks before the measured stretch. Here every
+    // clk1 tick is a `req`: the assert spawns an obligation each tick,
+    // one is open at every chunk end, and each fails on its first
+    // tick.
     let mut fleet = Fleet::new();
     fleet.add_compiled(set.chart_spec(0).unwrap().compiled().clone());
     fleet.add_compiled_multiclock(set.multi_spec(0).unwrap().compiled().clone());
+    fleet.add_assert(AssertSpec::from_compiled(set.assert_spec(0).unwrap().compiled().clone()));
     let plan = plan_shards(&fleet, 2);
     assert_eq!(plan.shards().len(), 2, "two shards, so chunks are broadcast");
     let opts = ParOptions {
@@ -295,4 +325,7 @@ fn streaming_hot_loops_allocate_nothing_after_warmup() {
         "two-shard run_sharded + FleetFeeder::feed_global allocated in steady state"
     );
     assert_eq!(report.singles[0].ticks, 16 * CHUNK as u64, "every clk1 tick reached the chart");
+    let gate = &report.asserts[0];
+    assert_eq!(gate.ticks, 16 * CHUNK as u64, "every clk1 tick reached the assert");
+    assert_eq!(gate.violation_count, 16 * CHUNK as u64 - 1, "{gate:?}");
 }

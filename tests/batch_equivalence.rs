@@ -12,14 +12,18 @@
 //! results are bit-identical to `MonitorBank::feed` (over a one-clock
 //! trace lifted onto a period-1 clock) / `feed_global`.
 //! `BatchExec::feed`'s idle-run scan is pinned against a loop of
-//! per-tick `BatchExec::step` on the same compiled table.
+//! per-tick `BatchExec::step` on the same compiled table. The compiled
+//! `implies(...)` runner (`CompiledImplication`, alone and as a fleet
+//! member at one and several shards) is pinned against its reference
+//! oracle, the interpreted `ImplicationChecker`.
 
 use cesc::core::{
-    synthesize, synthesize_multiclock, CompileOptions, CompiledMonitor, MonitorBank, OverlapPolicy,
-    SynthOptions,
+    optimize, synthesize, synthesize_multiclock, CompileOptions, CompiledImplication,
+    CompiledMonitor, ImplicationChecker, Monitor, MonitorBank, OverlapPolicy, SynthOptions,
+    VIOLATION_KEEP,
 };
 use cesc::expr::{SymbolId, Valuation};
-use cesc::par::{plan_shards, scan_sharded_global, Fleet, ParOptions};
+use cesc::par::{plan_shards, scan_sharded_global, AssertSpec, Fleet, ParOptions};
 use cesc::prelude::{parse_document, Alphabet, ScescBuilder};
 use cesc::trace::{
     read_vcd, write_vcd, ClockDomain, ClockId, ClockSet, GlobalRun, GlobalStep, GlobalVcdStream,
@@ -251,8 +255,89 @@ fn feed_equals_step(
     Ok(())
 }
 
+/// The compiled `implies(ante, cons)` runner against the interpreted
+/// `ImplicationChecker` on `trace`: alone under `chunking`, and as a
+/// fleet member at one and `jobs` shards with `chunk`-step chunks, on
+/// raw and optimized tables. Verdict, fulfilled, outstanding, violation
+/// count and the kept violation records (in order) must all agree.
+fn assert_equals_checker(
+    ante: &Monitor,
+    cons: &Monitor,
+    trace: &Trace,
+    chunking: &[usize],
+    jobs: usize,
+    chunk: usize,
+) -> Result<(), TestCaseError> {
+    let mut oracle = ImplicationChecker::new(ante.clone(), cons.clone());
+    oracle.scan(trace.iter());
+    let kept = &oracle.violations()[..oracle.violations().len().min(VIOLATION_KEEP)];
+    let (clocks, run) = on_clk(trace);
+    for opts in [CompileOptions::raw(), CompileOptions::optimized()] {
+        let gate = CompiledImplication::new("gate", "clk", ante, cons, &opts);
+        let mut st = gate.state();
+        let elements = trace.as_slice();
+        let mut at = 0usize;
+        for &len in chunking {
+            let end = (at + len).min(elements.len());
+            gate.feed(&mut st, &elements[at..end]);
+            at = end;
+        }
+        gate.feed(&mut st, &elements[at..]);
+        prop_assert_eq!(st.verdict(), oracle.verdict(), "{:?} chunking {:?}", opts, chunking);
+        prop_assert_eq!(st.fulfilled(), oracle.fulfilled());
+        prop_assert_eq!(st.outstanding(), oracle.outstanding());
+        prop_assert_eq!(st.violation_count(), oracle.violation_count());
+        prop_assert_eq!(st.violations(), kept);
+        prop_assert_eq!(st.ticks(), trace.len() as u64);
+
+        let mut fleet = Fleet::new();
+        let ai = fleet.add_assert(AssertSpec::from_compiled(gate));
+        for shards in [1, jobs] {
+            let plan = plan_shards(&fleet, shards);
+            let report = scan_sharded_global(
+                &fleet, &plan, &clocks, &ParOptions::default(), run.as_slice(), chunk,
+            );
+            let a = &report.asserts[ai];
+            prop_assert_eq!(a.verdict, oracle.verdict(), "{:?} jobs {} chunk {}", opts, shards, chunk);
+            prop_assert_eq!(a.fulfilled, oracle.fulfilled());
+            prop_assert_eq!(a.outstanding, oracle.outstanding());
+            prop_assert_eq!(a.violation_count, oracle.violation_count());
+            prop_assert_eq!(&a.violations[..], kept);
+            prop_assert_eq!(a.antecedent_matches, st.antecedent_matches());
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// The compiled assert runner equals `ImplicationChecker` on random
+    /// antecedents without `cause` arrows (which do complete, so
+    /// obligations spawn, overlap and fail), on a `cause`-arrow
+    /// antecedent (never completes under pinned `Chk`), and on the
+    /// optimized forms of both monitors.
+    #[test]
+    fn compiled_assert_equals_implication_checker(
+        pa in arb_pattern(),
+        pc in arb_pattern(),
+        raw in arb_trace(80),
+        chunking in arb_chunking(),
+        jobs in 2usize..=4,
+        chunk in 1usize..9,
+    ) {
+        let Some((_aa, ca)) = build_chart(&pa) else { return Ok(()); };
+        let Some((_ac, cc)) = build_chart(&pc) else { return Ok(()); };
+        let trace = decode_trace(&raw);
+        let ante = synthesize(&ca, &SynthOptions::default()).unwrap();
+        let cons = synthesize(&cc, &SynthOptions::default()).unwrap();
+        let cz = synthesize(causality_doc().chart("cz").unwrap(), &SynthOptions::default()).unwrap();
+        for (a, c) in [(&ante, &cons), (&cz, &cons), (&cons, &ante)] {
+            assert_equals_checker(a, c, &trace, &chunking, jobs, chunk)?;
+            let (oa, oc) = (optimize(a).0, optimize(c).0);
+            assert_equals_checker(&oa, &oc, &trace, &chunking, jobs, chunk)?;
+        }
+    }
 
     /// `BatchExec::feed`, which advances idle runs by a mask-only scan,
     /// equals a loop of per-tick `BatchExec::step` under any chunking:

@@ -437,6 +437,111 @@ fn fleet_binary_runs_jobs_far_above_the_core_count() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// An assert whose antecedent has no `cause` arrow, so it completes
+/// on every `req` then `gnt`: each completion obliges `ack`, `data`
+/// and `done` on the next three ticks.
+const GATED_SPEC: &str = r#"
+scesc grant on clk { instances { M, S } events { req, gnt, ack, data, done } tick { M: req } tick { S: gnt } }
+scesc answer on clk {
+    instances { S } events { req, gnt, ack, data, done }
+    tick { S: ack } tick { S: data } tick { S: done }
+}
+cesc answered { implies(grant, answer) }
+"#;
+
+#[test]
+fn fleet_assert_dropped_response_fails_with_the_same_ticks_at_any_jobs() {
+    // a non-vacuous assert over a dump that spans several chunks: every
+    // 7th transaction drops its `done`, and every other one overlaps
+    // the next request with the current answer, so two obligations are
+    // open at once. The release binary must exit 2 with the violation
+    // ticks of the reference checker, at --jobs 1, 2 and 4.
+    use cesc::core::{ImplicationChecker, Verdict};
+    use std::process::Command;
+
+    let specs = cesc::spec::SpecSet::load(GATED_SPEC).unwrap();
+    let ab = specs.alphabet();
+    let v = |names: &[&str]| {
+        cesc::expr::Valuation::of(names.iter().map(|n| ab.lookup(n).unwrap()))
+    };
+    let mut trace = Vec::new();
+    for k in 0..3_000 {
+        let done = if k % 7 == 3 { v(&[]) } else { v(&["done"]) };
+        if k % 2 == 0 {
+            trace.extend([v(&["req"]), v(&["gnt"]), v(&["ack"]), v(&["data"]), done, v(&[])]);
+        } else {
+            // the second request is granted while the first answer is
+            // still open
+            let first = [v(&["req"]), v(&["gnt"]), v(&["ack", "req"]), v(&["data", "gnt"])];
+            trace.extend(first);
+            trace.extend([v(&["done", "ack"]), v(&["data"]), done]);
+        }
+    }
+    // the reference: the interpreted checker on the same ticks
+    let gate = specs.assert_spec(0).unwrap();
+    let mut oracle = ImplicationChecker::new(gate.antecedent().clone(), gate.consequent().clone());
+    let mut open_max = 0;
+    for &t in &trace {
+        oracle.step(t);
+        open_max = open_max.max(oracle.outstanding());
+    }
+    assert_eq!(oracle.verdict(), Verdict::Failed);
+    assert!(open_max >= 2, "obligations overlap: {open_max}");
+    let expect: Vec<String> = oracle
+        .violations()
+        .iter()
+        .take(100)
+        .map(|v| {
+            format!(
+                "{{\"antecedent_at\":{},\"failed_at\":{},\"progress\":{}}}",
+                v.antecedent_at, v.failed_at, v.progress
+            )
+        })
+        .collect();
+
+    let ticks = trace.len();
+    let vcd = write_vcd(&trace.into_iter().collect(), ab, &VcdWriteOptions::default());
+    let dir = std::env::temp_dir().join(format!("cesc-cli-gated-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (spec, dump) = (dir.join("spec.cesc"), dir.join("dump.vcd"));
+    std::fs::write(&spec, GATED_SPEC).unwrap();
+    std::fs::write(&dump, &vcd).unwrap();
+    let check = |jobs: &str, json: bool| {
+        let out = Command::new(env!("CARGO_BIN_EXE_cesc"))
+            .arg("check")
+            .arg(&spec)
+            .arg("--vcd")
+            .arg(&dump)
+            .args(["--all-charts", "--jobs", jobs])
+            .args(json.then_some("--json"))
+            .output()
+            .unwrap();
+        (zero_timings(&String::from_utf8(out.stdout).unwrap()), out.status.code())
+    };
+    let (text, status) = check("1", false);
+    assert_eq!(status, Some(2), "{text}");
+    assert!(text.contains(&format!(
+        "assert `answered` (clock clk) over {ticks} ticks: failed — {} fulfilled, {} outstanding, \
+         {} violation(s)",
+        oracle.fulfilled(),
+        oracle.outstanding(),
+        oracle.violation_count()
+    )), "{text}");
+    assert!(text.contains("; antecedent completed "), "{text}");
+    let (serial, status) = check("1", true);
+    assert_eq!(status, Some(2), "{serial}");
+    assert!(serial.contains("\"verdict\":\"failed\""), "{serial}");
+    assert!(
+        serial.contains(&format!("\"violation_count\":{}", oracle.violation_count())),
+        "{serial}"
+    );
+    assert!(serial.contains(&format!("\"violations\":[{}]", expect.join(","))), "{serial}");
+    for jobs in ["2", "4"] {
+        assert_eq!(check(jobs, true), (serial.clone(), Some(2)), "--jobs {jobs}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// A one-chart spec for the `$comment` dumps: `p` detects any tick
 /// with `req` high.
 const COMMENT_SPEC: &str = "scesc p on clk { instances { M } events { req } tick { M: req } }";
@@ -626,9 +731,27 @@ fn fleet_checks_all_charts_in_one_pass() {
         assert!(out.contains("chart `pulse`"), "{out}");
         assert!(out.contains("assert `gate` (clock clk)"), "{out}");
         assert!(out.contains("passed"), "{out}");
+        // `ping` completes once (the req tick) and arms `gate` once
+        assert!(out.contains("; antecedent completed 1 time(s)"), "{out}");
         // `boring` is seq(...), not an assert: --all-charts skips it
         assert!(!out.contains("boring"), "{out}");
     }
+    // `hs` carries a `cause` arrow, so as an antecedent (`Chk_evt`
+    // pinned false) it never completes, and the report says so
+    let outcome = check_fleet(
+        PROVE_SPEC,
+        &["hs_gate".to_owned()],
+        false,
+        vcd.as_bytes(),
+        None,
+        &CheckOptions::default(),
+    )
+    .unwrap();
+    assert!(
+        outcome.output.contains("idle — 0 fulfilled, 0 outstanding; antecedent never completed"),
+        "{}",
+        outcome.output
+    );
 }
 
 #[test]
@@ -700,6 +823,7 @@ fn fleet_json_report_is_machine_readable() {
     assert!(out.contains("\"kind\":\"assert\""), "{out}");
     assert!(out.contains("\"violation_count\":1"), "{out}");
     assert!(out.contains("\"antecedent_at\":"), "{out}");
+    assert!(out.contains("\"antecedent_matches\":1"), "{out}");
     // bounded summary mode carries no full hit list
     assert!(!out.contains("\"all\":"), "{out}");
 
@@ -1026,12 +1150,30 @@ fn prove_text_reports_both_verdicts() {
     assert!(out.contains("tick 0: {req}"), "{out}");
     assert!(out.contains("replayed through the engine"), "{out}");
     assert!(out.contains("assert `hs_gate` on clk: PROVED (vacuous"), "{out}");
-    assert!(out.contains("PROVE: FAIL (1 of 2 assert(s) refuted)"), "{out}");
+    assert!(
+        out.contains("PROVE: FAIL (1 of 2 assert(s) refuted) — proved: 1 vacuous, 0 real"),
+        "{out}"
+    );
 
     // selecting only the provable assert succeeds with the OK footer
     let outcome = prove(PROVE_SPEC, &["hs_gate".to_owned()], &ProveCliOptions::default()).unwrap();
     assert!(!outcome.failed, "{}", outcome.output);
-    assert!(outcome.output.contains("PROVE: OK (1 assert(s) proved)"), "{}", outcome.output);
+    assert!(
+        outcome.output.contains("PROVE: OK (1 assert(s) proved) — 1 vacuous, 0 real"),
+        "{}",
+        outcome.output
+    );
+
+    // a real proof: the consequent's one empty tick holds on any tick
+    let real = "scesc ping on clk { instances { M } events { req } tick { M: req } }\
+                scesc any on clk { instances { M } events { req } tick ; }\
+                cesc sure { implies(ping, any) }";
+    let outcome = prove(real, &[], &ProveCliOptions::default()).unwrap();
+    assert!(
+        outcome.output.contains("PROVE: OK (1 assert(s) proved) — 0 vacuous, 1 real"),
+        "{}",
+        outcome.output
+    );
 }
 
 #[test]
@@ -1110,7 +1252,11 @@ fn prove_discharges_the_bus_library() {
     let src = cesc::protocols::bus_library_src();
     let outcome = prove(&src, &[], &ProveCliOptions::default()).unwrap();
     assert!(!outcome.failed, "{}", outcome.output);
-    assert!(outcome.output.contains("PROVE: OK (3 assert(s) proved)"), "{}", outcome.output);
+    assert!(
+        outcome.output.contains("PROVE: OK (3 assert(s) proved) — 3 vacuous, 0 real"),
+        "{}",
+        outcome.output
+    );
 }
 
 #[test]
