@@ -59,7 +59,7 @@ verify-prove: ## semantic static-analysis gate: guard-SAT / product-reachability
 	./target/release/cesc prove target/bus_library.cesc
 	$(CARGO) bench -p cesc-bench --bench prove_throughput --no-run
 
-verify-obs: ## observability gate: cesc-obs unit suite + the cross-layer serial==sharded counter properties + a release `check --jobs 4 --stats-json` smoke over a generated 120k-step dump (schema, `execute` and `decode` spans, per-shard utilization, decode-worker blocks, idle-run skips)
+verify-obs: ## observability gate: cesc-obs unit suite + the cross-layer serial==sharded counter properties + a release `check --jobs 4 --stats-json` smoke over a generated 120k-step dump (schema, `execute` and `decode` spans, per-shard utilization, decode-worker blocks and fold time, idle-run skips)
 	$(CARGO) test -q -p cesc-obs
 	$(CARGO) test -q --test obs_stats
 	$(CARGO) build --release --quiet
@@ -70,6 +70,7 @@ verify-obs: ## observability gate: cesc-obs unit suite + the cross-layer serial=
 	grep -q '"name":"execute"' target/obs_smoke.json
 	grep -q '"name":"decode"' target/obs_smoke.json
 	grep -q '"decode.blocks":' target/obs_smoke.json
+	grep -q '"decode.fold_ns":' target/obs_smoke.json
 	grep -q '"engine.skip_ticks":' target/obs_smoke.json
 	grep -q '"utilization":' target/obs_smoke.json
 
@@ -103,9 +104,9 @@ doc:
 bench: ## regenerate the evaluation numbers (criterion shim prints to stdout)
 	$(CARGO) bench -p cesc-bench
 
-bench-json: ## run every bench and collect the one-line JSON trajectory records into BENCH_results.json (a JSON array)
+bench-json: ## run every bench and append its one-line JSON trajectory records, tagged with the git revision, to BENCH_results.json (a JSON array)
 	$(CARGO) bench -p cesc-bench | tee target/bench_raw.txt
-	grep '^{"bench"' target/bench_raw.txt | sed -e '$$!s/$$/,/' -e '1s/^/[/' -e '$$s/$$/]/' > BENCH_results.json
+	python3 crates/bench/append_results.py target/bench_raw.txt BENCH_results.json
 
 clean:
 	$(CARGO) clean

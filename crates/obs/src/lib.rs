@@ -90,6 +90,13 @@ pub mod key {
     /// Nanoseconds the streaming reader's caller spent blocked waiting
     /// for a decode worker to hand back a block.
     pub const DECODE_WAIT_NS: &str = "decode.wait_ns";
+    /// Nanoseconds spent folding VCD body blocks into per-instant
+    /// records, on whichever thread folded them.
+    pub const DECODE_FOLD_NS: &str = "decode.fold_ns";
+    /// VCD body lines the streaming reader decoded.
+    pub const DECODE_LINES: &str = "decode.lines";
+    /// VCD body bytes the streaming reader decoded.
+    pub const DECODE_BYTES: &str = "decode.bytes";
     /// Cycles driven through the RTL co-simulator.
     pub const COSIM_TICKS: &str = "cosim.ticks";
     /// Matches the RTL co-simulator agreed on.

@@ -204,13 +204,17 @@ impl RunReport {
         }
         // the producer beside its consumers: a reader that mostly
         // waits on its decode workers is bound by decoding, one that
-        // rarely waits by stitching and feeding
+        // rarely waits by stitching and feeding; on one thread the
+        // `decode` span less `fold` is the read and the stitch
         let blocks = self.counter(crate::key::DECODE_BLOCKS);
         if blocks > 0 {
             out.push_str(&format!(
-                "decode:\n  blocks {:<10} wait {:>10.3} ms\n",
+                "decode:\n  blocks {:<10} wait {:>10.3} ms  fold {:>10.3} ms  lines {}  bytes {}\n",
                 blocks,
-                ms(self.counter(crate::key::DECODE_WAIT_NS))
+                ms(self.counter(crate::key::DECODE_WAIT_NS)),
+                ms(self.counter(crate::key::DECODE_FOLD_NS)),
+                self.counter(crate::key::DECODE_LINES),
+                self.counter(crate::key::DECODE_BYTES)
             ));
         }
         out

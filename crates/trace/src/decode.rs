@@ -25,6 +25,7 @@ use std::collections::HashMap;
 use std::io::{self, Read};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 use cesc_expr::Valuation;
 use crossbeam::channel::{self, Receiver, Sender};
@@ -65,6 +66,13 @@ fn is_code_byte(b: u8) -> bool {
     (b'!'..=b'~').contains(&b)
 }
 
+/// Whether `b` opens a scalar value change: `1`, or a `0`/`x`/`z`
+/// that reads as false.
+#[inline]
+fn is_scalar_value(b: u8) -> bool {
+    matches!(b, b'0' | b'1' | b'x' | b'X' | b'z' | b'Z')
+}
+
 /// Identifier code → [`CodeBinding`], resolved without hashing for the
 /// 1- and 2-character codes simulators hand out first.
 ///
@@ -89,13 +97,24 @@ impl CodeTable {
         }
     }
 
+    /// The `dense` slot of the one-character code `c`, a code byte.
+    #[inline]
+    fn slot1(c: u8) -> usize {
+        usize::from(c - b'!')
+    }
+
+    /// The `dense` slot of the two-character code `ab`, code bytes.
+    #[inline]
+    fn slot2(a: u8, b: u8) -> usize {
+        CODE_CHARS + Self::slot1(a) * CODE_CHARS + Self::slot1(b)
+    }
+
     /// The `dense` slot of a 1- or 2-character printable code.
     #[inline]
     fn dense_slot(code: &[u8]) -> Option<usize> {
-        let digit = |b: u8| is_code_byte(b).then(|| usize::from(b - b'!'));
         match *code {
-            [a] => digit(a),
-            [a, b] => Some(CODE_CHARS + digit(a)? * CODE_CHARS + digit(b)?),
+            [a] if is_code_byte(a) => Some(Self::slot1(a)),
+            [a, b] if is_code_byte(a) && is_code_byte(b) => Some(Self::slot2(a, b)),
             _ => None,
         }
     }
@@ -116,10 +135,21 @@ impl CodeTable {
 
     #[inline]
     fn get(&self, code: &[u8]) -> Option<CodeBinding> {
-        let slot = match Self::dense_slot(code) {
-            Some(i) => self.dense[i],
-            None => self.long.get(code).copied().unwrap_or(0),
-        };
+        match Self::dense_slot(code) {
+            Some(i) => self.dense_get(i),
+            None => self.bound(self.long.get(code).copied().unwrap_or(0)),
+        }
+    }
+
+    /// The binding in `dense` slot `i`.
+    #[inline]
+    fn dense_get(&self, i: usize) -> Option<CodeBinding> {
+        self.bound(self.dense[i])
+    }
+
+    /// The binding a slot value names, `None` for `0` (unbound).
+    #[inline]
+    fn bound(&self, slot: u32) -> Option<CodeBinding> {
         (slot != 0).then(|| self.bindings[slot as usize - 1])
     }
 }
@@ -184,27 +214,60 @@ fn backwards(line: usize, t: u64, cur: u64) -> VcdReadError {
     }
 }
 
-/// Offset of the first `\n` in `bytes`, eight bytes per step: a
-/// byte of `x = word ^ b"\n\n\n\n\n\n\n\n"` is zero exactly where the
-/// word holds a newline, and the lowest high bit of
-/// `(x - 0x01…01) & !x & 0x80…80` marks the first such byte.
+/// Bytes stage 1 of the fold indexes at once.
+const WINDOW: usize = 64;
+
+/// Stage 1 of the fold: bit `i` of the result is set exactly when
+/// `window[i]` is `\n`. Four 16-byte SSE2 compares, each turned into
+/// 16 mask bits. SSE2 is part of the x86_64 baseline, so this needs no
+/// runtime feature check.
+#[cfg(target_arch = "x86_64")]
 #[inline]
-fn newline_at(bytes: &[u8]) -> Option<usize> {
+fn line_ends(window: &[u8; WINDOW]) -> u64 {
+    use std::arch::x86_64::{
+        __m128i, _mm_cmpeq_epi8, _mm_loadu_si128, _mm_movemask_epi8, _mm_set1_epi8,
+    };
+    let p = window.as_ptr().cast::<__m128i>();
+    // SAFETY: SSE2 is enabled on every x86_64 target, so its intrinsics
+    // are always available, and the four unaligned loads read bytes
+    // 0..16, 16..32, 32..48 and 48..64 of the 64-byte array `window`
+    // borrows, so they stay in bounds.
+    let lanes = unsafe {
+        let nl = _mm_set1_epi8(b'\n' as i8);
+        [0, 1, 2, 3].map(|i| _mm_movemask_epi8(_mm_cmpeq_epi8(_mm_loadu_si128(p.add(i)), nl)))
+    };
+    lanes.iter().enumerate().fold(0, |ends, (i, &bits)| {
+        ends | u64::from(bits as u16) << (16 * i)
+    })
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+#[inline]
+fn line_ends(window: &[u8; WINDOW]) -> u64 {
+    line_ends_portable(window)
+}
+
+/// [`line_ends`] eight bytes per step in plain integer arithmetic: the
+/// kernel of builds for other targets, and the oracle the SSE2 kernel
+/// is tested against. In `x = word ^ b"\n\n\n\n\n\n\n\n"` a byte is
+/// zero exactly where the word holds a newline, and
+/// `!(((x & 0x7F…7F) + 0x7F…7F) | x | 0x7F…7F)` sets the high bit of
+/// exactly those bytes (no carry crosses a byte). A multiply gathers
+/// the eight high bits into one byte.
+#[cfg(any(test, not(target_arch = "x86_64")))]
+fn line_ends_portable(window: &[u8; WINDOW]) -> u64 {
     const NL: u64 = u64::from_le_bytes([b'\n'; 8]);
-    const LOW: u64 = u64::from_le_bytes([0x01; 8]);
-    const HIGH: u64 = u64::from_le_bytes([0x80; 8]);
-    let mut words = bytes.chunks_exact(8);
-    let mut offset = 0;
-    for word in words.by_ref() {
-        let x = u64::from_le_bytes(word.try_into().expect("chunks_exact yields 8 bytes")) ^ NL;
-        let hit = x.wrapping_sub(LOW) & !x & HIGH;
-        if hit != 0 {
-            return Some(offset + (hit.trailing_zeros() / 8) as usize);
-        }
-        offset += 8;
-    }
-    let tail = words.remainder().iter().position(|&b| b == b'\n');
-    tail.map(|i| offset + i)
+    const LOW7: u64 = u64::from_le_bytes([0x7F; 8]);
+    const GATHER: u64 = 0x0102_0408_1020_4080;
+    window
+        .chunks_exact(8)
+        .enumerate()
+        .fold(0, |ends, (i, word)| {
+            let x = u64::from_le_bytes(word.try_into().expect("chunks_exact yields 8 bytes")) ^ NL;
+            let zero = !(((x & LOW7) + LOW7) | x | LOW7);
+            let bits = (zero >> 7).wrapping_mul(GATHER) >> 56;
+            ends | bits << (8 * i)
+        })
 }
 
 /// A timestamp written as 1 to 19 plain decimal digits (so it cannot
@@ -258,8 +321,11 @@ pub(crate) struct Folded {
     /// Clocks changed in the block, and those high at its end.
     known: ClockMask,
     high: ClockMask,
-    /// Lines folded.
+    /// Lines folded, the bytes they span, and the nanoseconds the fold
+    /// took.
     lines: usize,
+    bytes: usize,
+    fold_ns: u64,
     /// The block's first error, with a block-local line number.
     error: Option<VcdReadError>,
     /// Stitch progress: the next record, and the lines before the block.
@@ -298,6 +364,7 @@ impl Folded {
         text: &[u8],
         entry: Option<(u128, ClockMask)>,
     ) {
+        let started = Instant::now();
         self.records.clear();
         self.cond.clear();
         self.first = None;
@@ -321,35 +388,89 @@ impl Folded {
             close_first: false,
             line: 0,
         };
-        let mut rest = text;
-        while !rest.is_empty() {
-            let (line, next) = match newline_at(rest) {
-                Some(end) => (&rest[..end], &rest[end + 1..]),
-                None => (rest, &rest[rest.len()..]),
-            };
-            f.line += 1;
-            if let Err(e) = f.decode_line(line) {
-                f.out.error = Some(e);
-                break;
-            }
-            rest = next;
+        if let Err(e) = f.lines(text) {
+            f.out.error = Some(e);
         }
         f.push(f.time);
         f.out.last = f.time;
         f.out.known = f.known;
         f.out.high = f.high;
         f.out.lines = f.line;
+        self.bytes = text.len();
+        self.fold_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
     }
 }
 
 impl Fold<'_> {
-    /// Decodes one body line (without its `\n`). Plain-digit
-    /// timestamps and scalar changes on printable codes are decoded
-    /// from the bytes; every other line — directives, vectors, signed
-    /// or spaced timestamps, non-ASCII bytes, errors — goes through
-    /// [`Fold::text_line`], so both paths share one set of semantics.
-    #[inline]
+    /// Decodes `text` line by line, up to and including the first line
+    /// in error; the last line may lack its `\n`. Stage 1 finds the
+    /// line ends of a [`WINDOW`] of bytes at once ([`line_ends`]), and
+    /// the set bits of that mask, lowest first, delimit the lines
+    /// stage 2 ([`Fold::decode_line`]) decodes. A last, partial window
+    /// is indexed from a zero-padded copy.
+    fn lines(&mut self, text: &[u8]) -> Result<(), VcdReadError> {
+        let mut start = 0;
+        let mut base = 0;
+        while base < text.len() {
+            let mut ends = match text.get(base..base + WINDOW) {
+                Some(window) => line_ends(window.try_into().expect("a whole window")),
+                None => {
+                    let mut window = [0; WINDOW];
+                    window[..text.len() - base].copy_from_slice(&text[base..]);
+                    line_ends(&window)
+                }
+            };
+            while ends != 0 {
+                let end = base + ends.trailing_zeros() as usize;
+                self.line += 1;
+                self.decode_line(&text[start..end])?;
+                start = end + 1;
+                ends &= ends - 1;
+            }
+            base += WINDOW;
+        }
+        if start < text.len() {
+            self.line += 1;
+            self.decode_line(&text[start..])?;
+        }
+        Ok(())
+    }
+
+    /// Decodes one body line (without its `\n`). The shapes most lines
+    /// of a dump have are matched first, on the untrimmed bytes: a
+    /// scalar change on a one- or two-character printable code, which
+    /// indexes the dense code table directly, and `#` with 1 to 19
+    /// plain digits. Any other line is trimmed and matched again for
+    /// scalar changes and timestamps; what is left — directives,
+    /// vectors, reals, signed or spaced timestamps, non-ASCII bytes,
+    /// errors — goes through [`Fold::text_line`], so every path shares
+    /// one set of semantics. The exact shapes are inlined into the fold
+    /// loop and the rest is kept out of it.
+    #[inline(always)]
     fn decode_line(&mut self, raw: &[u8]) -> Result<(), VcdReadError> {
+        match *raw {
+            [v, c] if is_scalar_value(v) && is_code_byte(c) => {
+                self.change(v == b'1', self.codes.dense_get(CodeTable::slot1(c)));
+                return Ok(());
+            }
+            [v, a, b] if is_scalar_value(v) && is_code_byte(a) && is_code_byte(b) => {
+                self.change(v == b'1', self.codes.dense_get(CodeTable::slot2(a, b)));
+                return Ok(());
+            }
+            [b'#', ref digits @ ..] => {
+                if let Some(t) = plain_timestamp(digits) {
+                    return self.stamp(t);
+                }
+            }
+            _ => {}
+        }
+        self.trimmed_line(raw)
+    }
+
+    /// A line of any other shape: the trimmed timestamp and scalar
+    /// arms, then [`Fold::text_line`].
+    #[inline(never)]
+    fn trimmed_line(&mut self, raw: &[u8]) -> Result<(), VcdReadError> {
         match raw.trim_ascii() {
             [] => return Ok(()),
             [b'#', digits @ ..] => {
@@ -357,10 +478,10 @@ impl Fold<'_> {
                     return self.stamp(t);
                 }
             }
-            [v @ (b'0' | b'1' | b'x' | b'X' | b'z' | b'Z'), code @ ..] => {
+            [v, code @ ..] if is_scalar_value(*v) => {
                 let code = code.trim_ascii_start();
                 if !code.is_empty() && code.iter().all(|&b| is_code_byte(b)) {
-                    self.change(*v == b'1', code);
+                    self.change(*v == b'1', self.codes.get(code));
                     return Ok(());
                 }
             }
@@ -394,7 +515,7 @@ impl Fold<'_> {
             }
         }
         let (value, code) = parse_change(line, self.line)?;
-        self.change(value, code.as_bytes());
+        self.change(value, self.codes.get(code.as_bytes()));
         Ok(())
     }
 
@@ -421,10 +542,11 @@ impl Fold<'_> {
         Ok(())
     }
 
-    /// Applies a value change on identifier `code`.
-    #[inline]
-    fn change(&mut self, value: bool, code: &[u8]) {
-        let Some(binding) = self.codes.get(code) else {
+    /// Applies a value change on a code bound to `binding` (`None`: a
+    /// code nothing sampled uses).
+    #[inline(always)]
+    fn change(&mut self, value: bool, binding: Option<CodeBinding>) {
+        let Some(binding) = binding else {
             return;
         };
         let clocks = binding.clocks;
@@ -501,6 +623,11 @@ pub(crate) struct Stitcher {
     time: u64,
     /// Lines before the next block.
     line: usize,
+    /// Totals over the blocks opened so far: body lines, their bytes,
+    /// and the nanoseconds spent folding them.
+    pub(crate) lines: u64,
+    pub(crate) bytes: u64,
+    pub(crate) fold_ns: u64,
     /// Recycled tick vectors: [`crate::GlobalVcdStream::next_chunk`]
     /// reclaims the caller's previous chunk's `ticks` allocations here
     /// and [`Stitcher::flush`] reuses them, so steady-state streaming
@@ -518,6 +645,9 @@ impl Stitcher {
             pending: 0,
             time: 0,
             line,
+            lines: 0,
+            bytes: 0,
+            fold_ns: 0,
             spare: Vec::new(),
         }
     }
@@ -529,13 +659,17 @@ impl Stitcher {
     }
 
     /// Takes `f` as the next block: resolves its conditional rises
-    /// against the clock levels at its entry and places its lines.
+    /// against the clock levels at its entry, places its lines and
+    /// counts its fold.
     pub(crate) fn open(&mut self, f: &mut Folded) {
         for &(i, clocks) in &f.cond {
             f.records[i].rose |= clocks & !self.levels;
         }
         f.base = self.line;
         self.line += f.lines;
+        self.lines += f.lines as u64;
+        self.bytes += f.bytes as u64;
+        self.fold_ns += f.fold_ns;
     }
 
     /// Stitches `f` from its cursor until `buf` holds `max` steps.
@@ -850,5 +984,48 @@ impl Drop for Workers {
                 let _ = handle.join();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The bit-by-bit definition of [`line_ends`].
+    fn line_ends_naive(window: &[u8; WINDOW]) -> u64 {
+        (0..WINDOW)
+            .filter(|&i| window[i] == b'\n')
+            .fold(0, |ends, i| ends | 1 << i)
+    }
+
+    #[test]
+    fn line_ends_equals_the_portable_kernel() {
+        // random windows drawn from newlines, the bytes a newline test
+        // must not confuse with one (`0x0A | 0x80`, and `0x0B`, which
+        // is 1 after the XOR and fools the usual zero-byte test), the
+        // extremes `0x00` and `0xFF`, and any byte at all
+        use rand::{Rng as _, SeedableRng as _};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x11E5);
+        const BYTES: [u8; 5] = [b'\n', 0x8A, 0x0B, 0x00, 0xFF];
+        let mut windows = vec![[b'\n'; WINDOW], [b'a'; WINDOW], [0; WINDOW], [0xFF; WINDOW]];
+        for _ in 0..20_000 {
+            let newline = f64::from(rng.random_range(0..=100u32)) / 100.0;
+            windows.push(std::array::from_fn(|_| {
+                if rng.random_bool(newline) {
+                    b'\n'
+                } else if rng.random_bool(0.5) {
+                    BYTES[rng.random_range(0..BYTES.len())]
+                } else {
+                    rng.random_range(0..=255u8)
+                }
+            }));
+        }
+        for window in &windows {
+            let ends = line_ends(window);
+            assert_eq!(ends, line_ends_portable(window), "{window:?}");
+            assert_eq!(ends, line_ends_naive(window), "{window:?}");
+        }
+        assert_eq!(line_ends(&windows[0]), u64::MAX);
+        assert_eq!(line_ends(&windows[1]), 0);
     }
 }

@@ -606,6 +606,24 @@ impl<R: BufRead> GlobalVcdStream<R> {
         self.blocks
     }
 
+    /// Body lines decoded so far.
+    pub fn lines(&self) -> u64 {
+        self.stitch.lines
+    }
+
+    /// Body bytes decoded so far.
+    pub fn bytes(&self) -> u64 {
+        self.stitch.bytes
+    }
+
+    /// Nanoseconds spent folding the blocks decoded so far, on whichever
+    /// thread folded them: two clock reads per block, none per line. At
+    /// one decode thread, the time in [`GlobalVcdStream::next_chunk`]
+    /// less this is the time spent reading and stitching.
+    pub fn fold_ns(&self) -> u64 {
+        self.stitch.fold_ns
+    }
+
     /// Nanoseconds [`GlobalVcdStream::next_chunk`] spent blocked,
     /// waiting for a decode worker to hand back a block — zero when the
     /// fold runs on the caller's thread. Set against the time spent in
@@ -1187,21 +1205,29 @@ $enddefinitions $end
     fn buffered_reader_parse_equals_whole_string_parse() {
         // the same bytes through BufReaders of every small capacity (so
         // lines split across windows at every offset), cut into tiny
-        // blocks and folded on 1 to 4 workers, must decode to exactly
-        // the in-memory inline read — steps and per-call chunk lengths
-        // — and the source run, whatever the line layout
+        // blocks, into blocks around one and two 64-byte line-end
+        // windows and into default blocks, and folded on 1 to 4
+        // workers, must decode to exactly the in-memory inline read —
+        // steps and per-call chunk lengths — and the source run,
+        // whatever the line layout; over 94 signals, some identifier
+        // codes take two characters
         use rand::{Rng as _, SeedableRng as _};
-        let mut ab = Alphabet::new();
-        for name in ["req", "ack", "burst", "go", "done"] {
-            ab.event(name);
-        }
+        let alphabet = |n: usize| {
+            let mut ab = Alphabet::new();
+            for i in 0..n {
+                ab.event(&format!("s{i}"));
+            }
+            ab
+        };
+        let (narrow, wide) = (alphabet(5), alphabet(100));
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x5CA4);
-        for case in 0..12u64 {
+        for case in 0..16u64 {
+            let ab = if case < 12 { &narrow } else { &wide };
             let opts = VcdWriteOptions::default();
             let scale = 2 * opts.half_period;
             let (vcd, specs, expected) = if case % 2 == 0 {
                 let len = rng.random_range(0..60usize);
-                let trace = TraceGen::new(case, &ab).noise(len, 0.3);
+                let trace = TraceGen::new(case, ab).noise(len, 0.3);
                 let expected: Vec<GlobalStep> = trace
                     .iter()
                     .enumerate()
@@ -1211,12 +1237,12 @@ $enddefinitions $end
                     })
                     .collect();
                 (
-                    write_vcd(&trace, &ab, &opts),
+                    write_vcd(&trace, ab, &opts),
                     vec![VcdClockSpec::new("clk")],
                     expected,
                 )
             } else {
-                let (clocks, run, owners) = random_global_run(&mut rng, &ab);
+                let (clocks, run, owners) = random_global_run(&mut rng, ab);
                 let specs = clocks
                     .iter()
                     .map(|(id, d)| VcdClockSpec::masked(d.name(), owners[id.index()]))
@@ -1229,31 +1255,42 @@ $enddefinitions $end
                     })
                     .collect();
                 (
-                    write_vcd_global(&run, &clocks, &ab, &owners, &opts),
+                    write_vcd_global(&run, &clocks, ab, &owners, &opts),
                     specs,
                     expected,
                 )
             };
+            if case >= 12 {
+                assert!(
+                    vcd.contains("$var wire 1 !\" "),
+                    "two-character codes: {vcd}"
+                );
+            }
             for text in layout_variants(&vcd) {
-                let whole = GlobalVcdStream::from_reader(text.as_bytes(), &ab, &specs).unwrap();
+                let whole = GlobalVcdStream::from_reader(text.as_bytes(), ab, &specs).unwrap();
                 assert_eq!(
                     steps_of(whole, 7).unwrap(),
                     expected,
                     "case {case}: {text:?}"
                 );
                 let large = rng.random_range(17..=4096usize);
-                for cap in (1..=16).chain([large]) {
-                    // workers 1 to 4 over blocks of 1 to 48 bytes, so
-                    // every block edge falls at every line offset
+                // blocks of 1 to 48 bytes, so every block edge falls at
+                // every line offset, then blocks one byte short of, at
+                // and past one and two windows, and default blocks
+                let mut cuts: Vec<(usize, usize)> = (1..=16)
+                    .chain([large])
+                    .map(|cap| (cap, rng.random_range(1..=48usize)))
+                    .collect();
+                cuts.extend([63, 64, 65, 127, 128, 129, BLOCK_BYTES].map(|block| (large, block)));
+                for (cap, block) in cuts {
                     let chunk = rng.random_range(1..=9usize);
-                    let block = rng.random_range(1..=48usize);
-                    let workers = 1 + cap % 4;
+                    let workers = 1 + (cap + block) % 4;
                     let inline = calls_of(
-                        GlobalVcdStream::from_reader(text.as_bytes(), &ab, &specs).unwrap(),
+                        GlobalVcdStream::from_reader(text.as_bytes(), ab, &specs).unwrap(),
                         chunk,
                     );
                     let reader = io::BufReader::with_capacity(cap, text.as_bytes());
-                    let calls = calls_of(blocked(reader, &ab, &specs, block, workers), chunk);
+                    let calls = calls_of(blocked(reader, ab, &specs, block, workers), chunk);
                     let what = format!(
                         "case {case}, capacity {cap}, block {block}, {workers} worker(s), \
                          chunk {chunk}: {text:?}"

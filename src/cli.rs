@@ -743,6 +743,9 @@ pub fn check_fleet(
     drop(exec_span);
     obs.counter(key::DECODE_BLOCKS).add(stream.blocks_decoded());
     obs.counter(key::DECODE_WAIT_NS).add(stream.wait_ns());
+    obs.counter(key::DECODE_FOLD_NS).add(stream.fold_ns());
+    obs.counter(key::DECODE_LINES).add(stream.lines());
+    obs.counter(key::DECODE_BYTES).add(stream.bytes());
     let steps: u64 = driven?;
     let failed = report.any_failed();
 

@@ -618,6 +618,66 @@ $end
     assert!(out.contains("NOT OBSERVED"), "{out}");
 }
 
+/// `p`'s verdict over `vcd` with every match listed, the same at
+/// `--jobs 1` and `--jobs 2`.
+fn comment_spec_verdict(vcd: &str) -> String {
+    let verdict = |jobs| {
+        let opts = CheckOptions {
+            all_matches: true,
+            jobs,
+            ..Default::default()
+        };
+        let out = check_one(COMMENT_SPEC, "p", vcd.as_bytes(), &opts).unwrap();
+        let line = out.lines().last().unwrap();
+        line.strip_prefix("chart `p` (clock clk) over ").unwrap().to_owned()
+    };
+    let serial = verdict(1);
+    assert_eq!(verdict(2), serial, "--jobs 2 over {vcd:?}");
+    serial
+}
+
+#[test]
+fn fleet_check_pins_simulator_output_rules() {
+    // the rules a reader of real simulator output must keep, whichever
+    // line shapes the decoder matches first
+    let dump = |width: u32, body: &str| {
+        comment_spec_verdict(&format!(
+            "$var wire 1 ! clk $end\n$var wire {width} \" req $end\n$enddefinitions $end\n{body}"
+        ))
+    };
+    let verdict = |body: &str| dump(1, body);
+    let detected =
+        |times: &str| format!("2 sampled cycles: DETECTED — {times}, scoreboard underflows 0");
+    // a vector reads true when any bit is 1; x and z bits read 0
+    assert_eq!(
+        dump(
+            4,
+            "#0\n0!\nb0000 \"\n#5\n1!\nb0100 \"\n#10\n0!\n#15\n1!\nbxz00 \"\n#20\n0!\n"
+        ),
+        detected("1 occurrence(s) at times [5]")
+    );
+    // a clock that goes x at `$dumpoff` and 1 at `$dumpon` rises
+    assert_eq!(
+        verdict(
+            "#0\n0!\n0\"\n#5\n1!\n1\"\n#10\n$dumpoff\nx!\nx\"\n$end\n\
+             #20\n$dumpon\n1!\n1\"\n$end\n#25\n0!\n"
+        ),
+        detected("2 occurrence(s) at times [5, 20]")
+    );
+    // a glitch, `1!` then `0!` at one timestamp, is one rise, sampled
+    // after every change of that instant: `req` falls at 5 after the
+    // rise and rises at 10 after the pulses
+    assert_eq!(
+        verdict("#0\n0!\n0\"\n#5\n1\"\n1!\n0!\n0\"\n#10\n1!\n0!\n1!\n0!\n1\"\n#15\n0\"\n"),
+        detected("1 occurrence(s) at times [10]")
+    );
+    // the x values a `$dumpoff` block sets read false
+    assert_eq!(
+        verdict("#0\n0!\n1\"\n#5\n1!\n#10\n0!\n#15\n$dumpoff\nx\"\n$end\n#20\n1!\n#25\n0!\n"),
+        detected("1 occurrence(s) at times [5]")
+    );
+}
+
 #[test]
 fn fleet_check_survives_hostile_vcd_input() {
     // binary junk (invalid UTF-8), truncated dumps and malformed

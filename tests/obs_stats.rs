@@ -95,9 +95,17 @@ fn serial_and_sharded_runs_report_identical_semantic_counters() {
         key::FLEET_STEPS,
         key::FLEET_TICKS,
         key::FLEET_CHUNKS,
+        key::DECODE_LINES,
+        key::DECODE_BYTES,
     ] {
         assert_eq!(serial.counter(key), sharded.counter(key), "counter `{key}`");
     }
+    // folded on the calling thread, the fold is part of `decode`
+    let decode = serial.span_ns("decode").unwrap();
+    assert!(
+        (1..=decode).contains(&serial.counter(key::DECODE_FOLD_NS)),
+        "fold within {decode} ns"
+    );
     // and they must be *live* tallies, not matching zeros: m1/ping/pong
     // tick on every clk1 edge, m2 on every clk2 edge
     assert_eq!(serial.counter(key::FLEET_STEPS), 2 * PER_DOMAIN as u64);
@@ -183,6 +191,23 @@ fn sharded_check_over_120k_step_dump_renders_schema_valid_stats_json() {
     assert!(report.counter(key::DECODE_WAIT_NS) <= decode.total_ns, "{json}");
     assert!(json.contains("\"decode.wait_ns\":"), "{json}");
     assert!(report.render_text().contains("decode:\n  blocks "));
+    // every body line and byte after `$enddefinitions`, folded once
+    let vcd = fleet_vcd(PER_DOMAIN, 1);
+    const HEADER_END: &[u8] = b"$enddefinitions $end\n";
+    let at = vcd
+        .windows(HEADER_END.len())
+        .position(|w| w == HEADER_END)
+        .unwrap();
+    let body = &vcd[at + HEADER_END.len()..];
+    assert_eq!(
+        report.counter(key::DECODE_BYTES),
+        body.len() as u64,
+        "{json}"
+    );
+    let lines = body.iter().filter(|&&b| b == b'\n').count() as u64;
+    assert_eq!(report.counter(key::DECODE_LINES), lines, "{json}");
+    assert!(report.counter(key::DECODE_FOLD_NS) > 0, "{json}");
+    assert!(json.contains("\"decode.fold_ns\":"), "{json}");
 
     // semantic counters and per-shard utilization
     assert!(json.contains(&format!("\"fleet.steps\":{}", 2 * PER_DOMAIN)), "{json}");
