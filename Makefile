@@ -25,12 +25,19 @@ verify-spec: ## optimized == unoptimized: cesc-spec unit suite + the opt-equival
 	$(CARGO) test -q --test opt_equivalence
 	$(CARGO) bench -p cesc-bench --bench opt_throughput --no-run
 
-verify-rtl: ## emitted RTL == engine: cesc-rtl unit tests + the co-simulation property suite + streaming --cosim + the rtl bench compiles
+verify-rtl: ## emitted RTL == engine: cesc-rtl unit tests + the co-simulation property suite + streaming and CLI --cosim + the rtl bench compiles + a release `check --cosim --jobs 4 --json` smoke over the generated 120k-step dump (no failure, an OK chart cosim object)
 	$(CARGO) test -q -p cesc-rtl
 	$(CARGO) test -q -p cesc-hdl
 	$(CARGO) test -q --test rtl_cosim
 	$(CARGO) test -q --test streaming_check cosim_mode
+	$(CARGO) test -q --test cli cosim
 	$(CARGO) bench -p cesc-bench --bench rtl_throughput --no-run
+	$(CARGO) build --release --quiet
+	$(CARGO) run --release --quiet --example fleet_obs_dump
+	./target/release/cesc check target/obs_smoke.cesc --all-charts --vcd target/obs_smoke.vcd \
+		--cosim --jobs 4 --json > target/cosim_smoke.json
+	grep -q '"failed":false' target/cosim_smoke.json
+	grep -q '"cosim":{"verdict":"ok"' target/cosim_smoke.json
 
 verify-fuzz: ## differential fuzzing gate: cesc-fuzz unit suite, corpus replay, CLI/bus end-to-end smoke, then a 1,000-case deterministic campaign + panic-freedom sweeps (fixed seed, replayable)
 	$(CARGO) test -q -p cesc-fuzz

@@ -1,7 +1,8 @@
 //! Exact determinized monitors via subset construction.
 //!
 //! The reproduction's property tests (see `tests/oracle_properties.rs`
-//! and DESIGN.md §3) show that the paper's greedy `(n+1)`-state
+//! and docs/ARCHITECTURE.md, "Which windows `cesc check` reports")
+//! show that the paper's greedy `(n+1)`-state
 //! automaton is exact only for non-self-overlapping patterns; on
 //! wildcard-bearing patterns it can both miss and over-report windows
 //! because one state cannot track several live alignments. The

@@ -29,8 +29,8 @@
 //! detection). Both are exact on complete-element patterns; on
 //! aliasing patterns only subset construction is exact
 //! ([`crate::Determinized`] / [`crate::engine::ExactEngine`]) — see
-//! DESIGN.md §3 for the full characterization, which the property
-//! tests pin.
+//! docs/ARCHITECTURE.md, "Which windows `cesc check` reports", for the
+//! full characterization, which the property tests pin.
 //!
 //! Transitions whose effective guard is unsatisfiable (shadowed by
 //! higher-priority guards, e.g. slides under a `TRUE` element) are
@@ -52,7 +52,8 @@
 //! `¬Chk_evt(ex)` to `Add` transitions, reproducing the extra
 //! `Chk_evt` atom printed inside label `a` of Figures 6 and 8 (it
 //! enforces a single outstanding occurrence; it also disables Fig 7's
-//! re-entry edges, which is why it defaults to off — see DESIGN.md).
+//! re-entry edges, which is why it defaults to off — see
+//! docs/ARCHITECTURE.md, "Which windows `cesc check` reports").
 
 use std::fmt;
 

@@ -1,5 +1,5 @@
-//! Generates the observability smoke-test inputs used by
-//! `make verify-obs`: a six-target fleet spec plus a two-domain
+//! Generates the smoke-test inputs used by `make verify-obs` and
+//! `make verify-rtl`: a six-target fleet spec plus a two-domain
 //! 120,000-global-step VCD dump of compliant traffic, written to
 //! `target/obs_smoke.cesc` / `target/obs_smoke.vcd`.
 //!
@@ -7,7 +7,8 @@
 //! reports: `cesc check target/obs_smoke.cesc --all-charts
 //! --vcd target/obs_smoke.vcd --jobs 4 --stats-json out.json`
 //! must render a schema-valid `cesc-obs/1` record with per-stage
-//! timings and per-shard utilization.
+//! timings and per-shard utilization, and the same check with
+//! `--cosim --json` must report every basic chart's cosim as `ok`.
 //!
 //! ```sh
 //! cargo run --release --example fleet_obs_dump

@@ -24,17 +24,20 @@
 //! unless `--no-opt` asks for the raw tables. The subcommands only
 //! pick targets, stream waveforms and render reports.
 //!
-//! `check` has two library entry points: [`check_fleet`], the route
-//! the binary runs — every selected chart, multiclock spec and
+//! `check` has one library entry point, [`check_fleet`], the route the
+//! binary runs: every selected chart, multiclock spec and
 //! `implies(...)` assertion is verified in **one pass** over the dump,
 //! optionally sharded across worker threads (`--jobs`), with text or
-//! JSON ([`CHECK_JSON_SCHEMA`]) output and a CI-gating `failed` flag —
-//! and the differential [`check_cosim`] (`--cosim`), which drives the dump
-//! into both the *interpreted emitted RTL* (`cesc-rtl`, lowered from
-//! the **optimized** monitor) and the **unoptimized** batch engine
-//! ([`cesc_spec::ChartSpec::baseline`]) and fails when their
-//! `match_pulse` streams ever disagree — making every `--cosim` run an
-//! end-to-end oracle for the pass pipeline itself.
+//! JSON ([`CHECK_JSON_SCHEMA`]) output and a CI-gating `failed` flag.
+//! `--cosim` ([`CheckOptions::cosim`]) is a leg of that route, not a
+//! second one: on the caller thread, each decoded chunk also drives
+//! every basic chart's *interpreted emitted RTL* (`cesc-rtl`, lowered
+//! from the **optimized** monitor) in lock-step with its
+//! **unoptimized** batch engine ([`cesc_spec::ChartSpec::baseline`]),
+//! and the pair's agreed counts must equal the sharded fleet's verdict
+//! for that chart. The leg composes with `--jobs`, `--json` and
+//! `--progress`, so every `--cosim` run is an end-to-end oracle for
+//! the pass pipeline and for the verdict users get.
 
 use std::fmt;
 use std::io::BufRead;
@@ -467,7 +470,7 @@ pub fn synth_all_with(
     Ok(listing)
 }
 
-/// Options for [`check_fleet`] / [`check_cosim`].
+/// Options for [`check_fleet`].
 #[derive(Debug, Clone)]
 pub struct CheckOptions {
     /// Print every match tick/time instead of the default summary
@@ -482,11 +485,20 @@ pub struct CheckOptions {
     /// calling thread.
     pub jobs: usize,
     /// Emit the machine-readable JSON report ([`CHECK_JSON_SCHEMA`])
-    /// instead of text — the `--json` flag ([`check_fleet`] only).
+    /// instead of text — the `--json` flag.
     pub json: bool,
     /// Skip the optimization pass pipeline and run the monitors
     /// exactly as synthesized — the `--no-opt` flag.
     pub no_opt: bool,
+    /// The `--cosim` leg: alongside the fleet, run each selected basic
+    /// chart's emitted RTL (interpreted, lowered from the optimized
+    /// monitor) against its unoptimized engine on the caller thread,
+    /// from the same decoded chunks. A chart's result is OK only when
+    /// the pair never diverged and agreed on the fleet's tick and
+    /// match counts; anything else sets [`CheckOutcome::failed`].
+    /// Composes with `jobs`, `json` and `--progress`; a selection
+    /// without a basic chart is refused.
+    pub cosim: bool,
     /// Observability switches (`--stats`/`--stats-json`/`--progress`).
     /// [`check_fleet`] records into an internal registry even when this
     /// one is disabled, so the JSON report's timing fields are always
@@ -501,6 +513,7 @@ impl Default for CheckOptions {
             jobs: 1,
             json: false,
             no_opt: false,
+            cosim: false,
             stats: StatsOptions::default(),
         }
     }
@@ -510,9 +523,11 @@ impl Default for CheckOptions {
 /// prints; everything in between is elided as a count.
 pub const MATCH_EDGE: usize = 5;
 
-/// The target selection both `check` routes share: every checkable
-/// target under `all_charts`, then each of `names` resolved in order
-/// (duplicates dropped, order preserved).
+/// The target selection of [`check_fleet`]: every checkable target
+/// under `all_charts`, then each of `names` resolved in order
+/// (duplicates dropped, order preserved). `--cosim` selects the same
+/// targets; it adds its RTL-vs-engine pair to the basic charts among
+/// them.
 ///
 /// # Errors
 ///
@@ -548,13 +563,14 @@ fn select_targets(
 
 /// Result of a fleet-mode check: the rendered report plus the CI-gate
 /// flag (`true` when any `implies(...)` assertion recorded a
-/// violation — the binary exits nonzero).
+/// violation or a `--cosim` pair failed — the binary exits nonzero).
 #[derive(Debug, Clone)]
 pub struct CheckOutcome {
     /// The rendered report (text, or JSON under
     /// [`CheckOptions::json`]).
     pub output: String,
-    /// Whether any assertion target finished with a violation.
+    /// Whether any assertion target finished with a violation, or any
+    /// `--cosim` pair diverged or disagreed with the fleet.
     pub failed: bool,
 }
 
@@ -570,7 +586,7 @@ pub struct CheckOutcome {
 ///   "ticks": 180000,             // per-clock samples fed across all clocks
 ///   "wall_ms": 412,              // wall-clock time of the whole check
 ///   "jobs": 4,                   // shard workers used
-///   "failed": false,             // true iff any assert target failed
+///   "failed": false,             // true iff an assert or a cosim pair failed
 ///   "targets": [
 ///     { "kind": "chart", "name": "hs", "clocks": ["clk"],
 ///       "verdict": "detected",   // "detected" | "not observed"
@@ -586,7 +602,11 @@ pub struct CheckOutcome {
 ///         "transitions": [9, 7],
 ///         "guard_ops": [12, 8],
 ///         "slots": [6, 2],
-///         "step_cost": [7, 5] } },
+///         "step_cost": [7, 5] },
+///       "cosim": {               // only with --cosim
+///         "verdict": "ok",       // "ok" | "diverged" | "mismatch"
+///         "ticks": 60000,        // cycles RTL and raw engine agreed on
+///         "matches": 12 } },     // detections they agreed on
 ///     { "kind": "multiclock", "name": "pair", "clocks": ["clk1", "clk2"],
 ///       "verdict": "detected", "matches": 3, "first": [5], "last": [5],
 ///       "underflows": 0, "exec_ms": 4.002, "opt": { ... } },
@@ -612,6 +632,15 @@ pub struct CheckOutcome {
 /// `antecedent_matches` counts its antecedent's completions, each of
 /// which spawned one obligation: `0` means the assert was never armed,
 /// so an `idle` verdict is vacuous (an additive `cesc-check/3` field).
+/// Under `--cosim` every `chart` target (and no other kind) carries a
+/// `cosim` object, another additive `cesc-check/3` field: `ok` when the
+/// interpreted RTL and the raw engine agreed on every cycle and on the
+/// fleet's `ticks` and `matches`; `mismatch` when they agreed with each
+/// other but not with the fleet; `diverged` at their first
+/// disagreement, which adds the [`cesc_rtl::Divergence`] fields
+/// `tick`, `rtl_pulse`, `engine_pulse`, `rtl_state` and
+/// `engine_state` (`ticks` and `matches` then are the RTL side's counts
+/// through that cycle).
 /// (`cesc-check/3` added `ticks`, `wall_ms` and per-target `exec_ms`
 /// to `cesc-check/2`, which added the per-target `opt` object to
 /// `cesc-check/1`; every `/2` field is unchanged.)
@@ -621,11 +650,33 @@ pub const CHECK_JSON_SCHEMA: &str = "cesc-check/3";
 /// is always in `violation_count`.
 const JSON_VIOLATION_CAP: usize = 100;
 
-/// One selected check target: its document reference plus its slot in
-/// the fleet's per-kind report space.
+/// One selected check target: its document reference, its slot in
+/// the fleet's per-kind report space and, for a basic chart under
+/// `--cosim`, the co-simulation result.
 struct Slot {
     target: TargetRef,
     fleet: usize,
+    cosim: Option<CosimResult>,
+}
+
+/// A basic chart's `--cosim` result: what its interpreted RTL and raw
+/// engine agreed on, and their first divergence.
+struct CosimResult {
+    ticks: u64,
+    matches: u64,
+    divergence: Option<cesc_rtl::Divergence>,
+}
+
+impl CosimResult {
+    /// `diverged`, else `ok` when the pair's counts equal the fleet's
+    /// verdict for the chart, else `mismatch`.
+    fn verdict(&self, fleet: &cesc_par::SingleReport) -> &'static str {
+        match self.divergence {
+            Some(_) => "diverged",
+            None if self.ticks == fleet.ticks && self.matches == fleet.log.count() => "ok",
+            None => "mismatch",
+        }
+    }
 }
 
 /// `cesc check`, fleet form: verify several charts — basic, multiclock
@@ -654,8 +705,15 @@ struct Slot {
 /// on post-optimization `step_cost` weights (`--no-opt` restores the
 /// raw tables).
 ///
+/// Under [`CheckOptions::cosim`] the same pass also co-simulates each
+/// basic chart's emitted RTL against its unoptimized engine on the
+/// caller thread, from the chunk just handed to the fleet; after the
+/// run each pair's counts are compared with the fleet's verdict for
+/// that chart (see [`CHECK_JSON_SCHEMA`] for the `cosim` result).
+///
 /// The returned [`CheckOutcome::failed`] is the CI gate: `true` iff
-/// any assertion target recorded a violation.
+/// any assertion target recorded a violation or a `--cosim` pair
+/// diverged or disagreed with the fleet.
 pub fn check_fleet(
     source: &str,
     names: &[String],
@@ -689,6 +747,7 @@ pub fn check_fleet(
         slots.push(Slot {
             target,
             fleet: fleet_idx,
+            cosim: None,
         });
     }
 
@@ -699,6 +758,32 @@ pub fn check_fleet(
     let clock_set = plan.clock_set();
     let shard_plan = plan_shards(&fleet, opts.jobs.max(1));
     drop(plan_span);
+
+    // -- the --cosim leg: each basic chart's RTL, lowered from the
+    // optimized monitor, against its raw engine, so the diff spans the
+    // whole pass pipeline ---------------------------------------------
+    let mut units = Vec::new();
+    for (slot, s) in slots.iter().enumerate().filter(|_| opts.cosim) {
+        if let TargetRef::Chart(i) = s.target {
+            let spec = specs.chart_spec(i).map_err(lift)?;
+            let chart = &specs.document().charts[i];
+            let clock = plan.slot_of(chart.clock()).expect("every chart registered its clock");
+            let vopts = VerilogOptions::default();
+            let module = lower_monitor(spec.monitor(), specs.alphabet(), &vopts);
+            units.push((slot, ClockId::from_index(clock), module, spec.baseline()));
+        }
+    }
+    if opts.cosim && units.is_empty() {
+        return Err(CliError::Pipeline(
+            "--cosim: the selection contains no basic charts to co-simulate (multiclock specs \
+             and compositions have no single emitted module)"
+                .to_owned(),
+        ));
+    }
+    let mut sims: Vec<(usize, ClockId, CoSim<'_>)> = units
+        .iter()
+        .map(|(slot, clock, module, engine)| (*slot, *clock, CoSim::new(module, engine)))
+        .collect();
 
     // -- stream the dump through the sharded fleet -------------------
     // at most one decode worker per core; the core count reads cgroup
@@ -738,6 +823,19 @@ pub fn check_fleet(
                 ticks += chunk_ticks;
                 tick_counter.add(chunk_ticks);
                 feeder.feed_global(&chunk);
+                if !sims.is_empty() {
+                    // on the caller thread, from the chunk just fed; a
+                    // diverged pair stays poisoned and is read after the run
+                    obs.time("cosim", || {
+                        for step in &chunk {
+                            for (_, clock, sim) in &mut sims {
+                                if let Some(v) = step.tick_of(*clock) {
+                                    let _ = sim.step(v);
+                                }
+                            }
+                        }
+                    });
+                }
             }
         });
     drop(exec_span);
@@ -747,7 +845,22 @@ pub fn check_fleet(
     obs.counter(key::DECODE_LINES).add(stream.lines());
     obs.counter(key::DECODE_BYTES).add(stream.bytes());
     let steps: u64 = driven?;
-    let failed = report.any_failed();
+    let mut failed = report.any_failed();
+    if !sims.is_empty() {
+        obs.counter(key::COSIM_TICKS).add(sims.iter().map(|(_, _, s)| s.ticks()).sum());
+        obs.counter(key::COSIM_MATCHES).add(sims.iter().map(|(_, _, s)| s.matches()).sum());
+        obs.counter(key::COSIM_DIVERGENCES)
+            .add(sims.iter().filter(|(_, _, s)| s.divergence().is_some()).count() as u64);
+    }
+    for (slot, _, sim) in &sims {
+        let result = CosimResult {
+            ticks: sim.ticks(),
+            matches: sim.matches(),
+            divergence: sim.divergence(),
+        };
+        failed |= result.verdict(&report.singles[slots[*slot].fleet]) != "ok";
+        slots[*slot].cosim = Some(result);
+    }
 
     // -- render ------------------------------------------------------
     let wall_ms = u64::try_from(wall.elapsed().as_millis()).unwrap_or(u64::MAX);
@@ -760,171 +873,6 @@ pub fn check_fleet(
         }
     };
     Ok(CheckOutcome { output, failed })
-}
-
-/// `cesc check --cosim`: differential co-simulation of the emitted RTL
-/// against the batch engine over a real dump.
-///
-/// Every selected *basic* chart is compiled once through the
-/// [`SpecSet`] and run in two forms — the interpreted
-/// [`cesc_hdl::RtlModule`] lowered from the **optimized** monitor
-/// (exactly what `cesc synth --format verilog` renders, executed by
-/// `cesc-rtl`) and the **unoptimized**
-/// [`cesc_spec::ChartSpec::baseline`] batch engine — over the same
-/// VCD-derived stimulus, cycle by cycle. Any tick where the RTL
-/// `match_pulse` disagrees with the engine's verdict is reported and
-/// sets [`CheckOutcome::failed`] (the binary exits with status 2).
-/// Because the two sides sit on opposite ends of the pass pipeline,
-/// every `--cosim` run is also an end-to-end proof that optimized RTL
-/// ≡ unoptimized engine on that dump.
-///
-/// Multiclock specs and `implies(...)` assertions have no single
-/// emitted module to interpret; under `--all-charts` they are listed
-/// as skipped, and naming one explicitly is an error. The dump is
-/// streamed in [`BATCH_CHUNK`]-sized chunks, so memory stays constant
-/// in dump length.
-pub fn check_cosim(
-    source: &str,
-    names: &[String],
-    all_charts: bool,
-    vcd: impl BufRead,
-    clock_override: Option<&str>,
-    opts: &CheckOptions,
-) -> Result<CheckOutcome, CliError> {
-    let obs = &opts.stats.obs;
-    let specs = load_obs(source, !opts.no_opt, obs.clone())?;
-    let doc = specs.document();
-
-    // -- keep the basic charts; a named non-basic target is an error,
-    // the rest of an --all-charts selection is listed as skipped -----
-    let mut selected: Vec<usize> = Vec::new();
-    let mut skipped: Vec<String> = Vec::new();
-    for target in select_targets(&specs, names, all_charts)? {
-        let name = specs.target_name(target);
-        match target {
-            TargetRef::Chart(i) => selected.push(i),
-            _ if names.iter().any(|n| n == name) => {
-                return Err(CliError::Pipeline(format!(
-                    "--cosim interprets the emitted RTL of basic charts; `{name}` is not a \
-                     basic chart (multiclock specs and compositions have no single module)"
-                )));
-            }
-            TargetRef::Multi(_) => skipped.push(format!("multiclock `{name}`")),
-            TargetRef::Assert(_) => skipped.push(format!("assert `{name}`")),
-        }
-    }
-    if selected.is_empty() {
-        return Err(CliError::Pipeline(
-            "document contains no basic charts to co-simulate".to_owned(),
-        ));
-    }
-
-    // -- sampled clocks (one per declared clock, maskable rename) ----
-    let chart_targets: Vec<TargetRef> = selected.iter().map(|&i| TargetRef::Chart(i)).collect();
-    let plan = specs.clock_plan(&chart_targets, clock_override).map_err(lift)?;
-    let clock_specs = plan.vcd_specs();
-    let chart_clock: Vec<usize> = selected
-        .iter()
-        .map(|&i| {
-            plan.slot_of(doc.charts[i].clock())
-                .expect("every selected chart registered its clock")
-        })
-        .collect();
-
-    // -- both forms from the one compilation front door --------------
-    // RTL lowers the optimized monitor; the engine side runs the raw
-    // baseline, so the diff spans the whole pass pipeline
-    let mut units: Vec<(usize, cesc_hdl::RtlModule, cesc_core::CompiledMonitor)> = Vec::new();
-    for &i in &selected {
-        let spec = specs.chart_spec(i).map_err(lift)?;
-        let module = lower_monitor(spec.monitor(), &doc.alphabet, &VerilogOptions::default());
-        units.push((i, module, spec.baseline().clone()));
-    }
-    let mut sims: Vec<CoSim<'_>> = units
-        .iter()
-        .map(|(_, module, engine)| CoSim::new(module, engine))
-        .collect();
-    let mut divergences: Vec<Option<cesc_rtl::Divergence>> = vec![None; sims.len()];
-
-    // -- stream the dump through every co-simulation pair ------------
-    let cosim_span = obs.span("cosim");
-    let mut stream = GlobalVcdStream::from_reader(vcd, &doc.alphabet, &clock_specs)
-        .map_err(|e| CliError::Pipeline(e.to_string()))?;
-    let mut chunk = Vec::new();
-    let mut bufs: Vec<Vec<cesc_expr::Valuation>> = vec![Vec::new(); plan.len()];
-    let mut steps = 0u64;
-    loop {
-        let n = stream
-            .next_chunk(&mut chunk, BATCH_CHUNK)
-            .map_err(|e| CliError::Pipeline(e.to_string()))?;
-        if n == 0 {
-            break;
-        }
-        steps += n as u64;
-        for b in &mut bufs {
-            b.clear();
-        }
-        for step in &chunk {
-            for (slot, buf) in bufs.iter_mut().enumerate() {
-                if let Some(v) = step.tick_of(ClockId::from_index(slot)) {
-                    buf.push(v);
-                }
-            }
-        }
-        for (u, sim) in sims.iter_mut().enumerate() {
-            if divergences[u].is_none() {
-                if let Err(d) = sim.feed(&bufs[chart_clock[u]]) {
-                    divergences[u] = Some(d);
-                }
-            }
-        }
-    }
-    drop(cosim_span);
-    obs.counter(key::COSIM_TICKS).add(sims.iter().map(CoSim::ticks).sum());
-    obs.counter(key::COSIM_MATCHES).add(sims.iter().map(CoSim::matches).sum());
-    obs.counter(key::COSIM_DIVERGENCES)
-        .add(divergences.iter().filter(|d| d.is_some()).count() as u64);
-
-    // -- render ------------------------------------------------------
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "co-simulated {} chart(s) over {} global steps",
-        sims.len(),
-        steps
-    );
-    let mut failed = false;
-    for (u, (i, _, _)) in units.iter().enumerate() {
-        let c = &doc.charts[*i];
-        match divergences[u] {
-            None => {
-                let _ = writeln!(
-                    out,
-                    "cosim chart `{}` (clock {}) over {} cycles: OK — {} match(es), \
-                     interpreted RTL == engine",
-                    c.name(),
-                    c.clock(),
-                    sims[u].ticks(),
-                    sims[u].matches()
-                );
-            }
-            Some(d) => {
-                failed = true;
-                let _ = writeln!(
-                    out,
-                    "cosim chart `{}` (clock {}): FAILED — {}",
-                    c.name(),
-                    c.clock(),
-                    d
-                );
-            }
-        }
-    }
-    for s in &skipped {
-        let _ = writeln!(out, "skipped {s} (--cosim verifies basic charts)");
-    }
-    Ok(CheckOutcome { output: out, failed })
 }
 
 fn verdict_word(detected: bool) -> &'static str {
@@ -969,6 +917,25 @@ fn render_text(
                     r.log.render(),
                     r.underflows
                 );
+                if let Some(cs) = &slot.cosim {
+                    let verdict = cs.verdict(r);
+                    let detail = match cs.divergence {
+                        Some(d) => d.to_string(),
+                        None if verdict == "ok" => "interpreted RTL == raw engine == fleet".into(),
+                        None => format!(
+                            "the fleet reported {} cycles and {} match(es)",
+                            r.ticks,
+                            r.log.count()
+                        ),
+                    };
+                    let _ = writeln!(
+                        out,
+                        "  cosim: {} over {} cycles — {} match(es), {detail}",
+                        verdict.to_uppercase(),
+                        cs.ticks,
+                        cs.matches
+                    );
+                }
             }
             TargetRef::Multi(spec) => {
                 let m = &doc.multiclock[spec];
@@ -1039,6 +1006,27 @@ fn json_opt(report: Option<&cesc_spec::PassReport>) -> String {
     }
 }
 
+/// The `"cosim"` JSON field of a chart target (empty string without
+/// `--cosim`).
+fn json_cosim(cosim: Option<&CosimResult>, fleet: &cesc_par::SingleReport) -> String {
+    let Some(c) = cosim else {
+        return String::new();
+    };
+    let divergence = c.divergence.map_or(String::new(), |d| {
+        format!(
+            ",\"tick\":{},\"rtl_pulse\":{},\"engine_pulse\":{},\"rtl_state\":{},\
+             \"engine_state\":{}",
+            d.tick, d.rtl_pulse, d.engine_pulse, d.rtl_state, d.engine_state
+        )
+    });
+    format!(
+        ",\"cosim\":{{\"verdict\":{},\"ticks\":{},\"matches\":{}{divergence}}}",
+        json::string(c.verdict(fleet)),
+        c.ticks,
+        c.matches
+    )
+}
+
 /// The per-target `exec_ms` JSON field: per-monitor stepping time in
 /// fractional milliseconds (three decimals).
 fn json_exec_ms(exec_ns: u64) -> String {
@@ -1071,7 +1059,7 @@ fn render_json(
                 );
                 items.push(format!(
                     "{{\"kind\":\"chart\",\"name\":{},\"clocks\":{},\"verdict\":{},{},\
-                     \"ticks\":{},\"underflows\":{}{}{}}}",
+                     \"ticks\":{},\"underflows\":{}{}{}{}}}",
                     json::string(c.name()),
                     json::strings(&[c.clock()]),
                     json::string(if r.log.detected() { "detected" } else { "not observed" }),
@@ -1079,7 +1067,8 @@ fn render_json(
                     r.ticks,
                     r.underflows,
                     json_exec_ms(r.exec_ns),
-                    opt
+                    opt,
+                    json_cosim(slot.cosim.as_ref(), r)
                 ));
             }
             TargetRef::Multi(spec) => {
@@ -1195,10 +1184,11 @@ pub fn usage() -> &'static str {
      --no-opt      skip the monitor optimization pass pipeline (dead-state/\n\
                    dead-transition pruning, guard CSE, scoreboard narrowing);\n\
                    monitors run exactly as synthesized\n\
-     --cosim       differentially execute the emitted RTL (cesc-rtl\n\
-                   interpreter, lowered from the optimized monitor) against\n\
-                   the unoptimized engine over the dump; any match_pulse\n\
-                   disagreement exits with status 2\n\
+     --cosim       in the same pass, also run each basic chart's emitted RTL\n\
+                   (cesc-rtl interpreter, lowered from the optimized monitor)\n\
+                   against its unoptimized engine; a match_pulse divergence,\n\
+                   or counts that differ from the chart's verdict, exits with\n\
+                   status 2 (composes with --jobs, --json and --progress)\n\
      \n\
      lint statically analyses the synthesized monitors: counter-bound\n\
      inference (interval abstract interpretation with widening), vacuity\n\
@@ -1801,4 +1791,53 @@ fn render_lint_json(
         failed,
         items.join(",")
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The three `--cosim` verdicts and their JSON, including the
+    /// divergence fields no shipped chart can reach on a real dump.
+    #[test]
+    fn cosim_result_verdicts_and_json() {
+        let mut log = cesc_par::MatchLog::new(MATCH_EDGE, false);
+        log.push(7);
+        let fleet = cesc_par::SingleReport {
+            log,
+            ticks: 4,
+            underflows: 0,
+            exec_ns: 0,
+        };
+        let result = |ticks, matches, divergence| CosimResult {
+            ticks,
+            matches,
+            divergence,
+        };
+        let ok = result(4, 1, None);
+        assert_eq!(ok.verdict(&fleet), "ok");
+        assert_eq!(
+            json_cosim(Some(&ok), &fleet),
+            ",\"cosim\":{\"verdict\":\"ok\",\"ticks\":4,\"matches\":1}"
+        );
+        assert_eq!(result(4, 2, None).verdict(&fleet), "mismatch");
+        assert_eq!(result(3, 1, None).verdict(&fleet), "mismatch");
+        let d = cesc_rtl::Divergence {
+            tick: 2,
+            rtl_pulse: false,
+            engine_pulse: true,
+            rtl_state: 1,
+            engine_state: 2,
+        };
+        // a diverged pair is reported as such even when its counts
+        // happen to equal the fleet's
+        let diverged = result(4, 1, Some(d));
+        assert_eq!(diverged.verdict(&fleet), "diverged");
+        assert_eq!(
+            json_cosim(Some(&diverged), &fleet),
+            ",\"cosim\":{\"verdict\":\"diverged\",\"ticks\":4,\"matches\":1,\"tick\":2,\
+             \"rtl_pulse\":false,\"engine_pulse\":true,\"rtl_state\":1,\"engine_state\":2}"
+        );
+        assert_eq!(json_cosim(None, &fleet), "");
+    }
 }

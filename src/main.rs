@@ -52,7 +52,6 @@ fn run() -> Result<(String, bool), cli::CliError> {
     let mut out_dir: Option<String> = None;
     let mut corpus_out: Option<String> = None;
     let mut force = false;
-    let mut cosim = false;
     let mut deny = false;
     let mut allow: Vec<String> = Vec::new();
     let mut counter_width: Option<u32> = None;
@@ -89,7 +88,7 @@ fn run() -> Result<(String, bool), cli::CliError> {
                 check_opts.no_opt = true;
             }
             "--cosim" => {
-                cosim = true;
+                check_opts.cosim = true;
             }
             "--deny" => {
                 deny = true;
@@ -235,26 +234,7 @@ fn run() -> Result<(String, bool), cli::CliError> {
             })?;
             let total_bytes = file.metadata().map(|m| m.len()).unwrap_or(0);
             let reader = std::io::BufReader::new(file);
-            let outcome = if cosim {
-                if check_opts.json {
-                    return Err(cli::CliError::Usage(
-                        "--cosim emits a text report; drop --json".to_owned(),
-                    ));
-                }
-                if check_opts.jobs > 1 {
-                    return Err(cli::CliError::Usage(
-                        "--cosim runs serially (it is a differential oracle, not a scan \
-                         path); drop --jobs"
-                            .to_owned(),
-                    ));
-                }
-                if progress {
-                    return Err(cli::CliError::Usage(
-                        "--cosim has no streaming heartbeat; drop --progress".to_owned(),
-                    ));
-                }
-                cli::check_cosim(&source, &charts, all_charts, reader, clock.as_deref(), &check_opts)?
-            } else if progress {
+            let outcome = if progress {
                 // count dump bytes as they are consumed and report
                 // steps/rate/%/ETA on stderr once a second while the
                 // fleet streams; the heartbeat thread stops (joins) when

@@ -136,50 +136,79 @@ fn synth_all_charts_writes_one_file_per_chart() {
 
 #[test]
 fn check_cosim_agrees_on_compliant_dump() {
-    use cesc::cli::check_cosim;
+    // `--cosim` is a leg of the fleet route: every target is checked as
+    // usual and each basic chart also carries its RTL-vs-engine result,
+    // at any worker count
     let vcd = fleet_vcd(true);
-    let outcome = check_cosim(
-        FLEET_SPEC,
-        &[],
-        true,
-        vcd.as_bytes(),
-        None,
-        &CheckOptions::default(),
-    )
-    .unwrap();
-    assert!(!outcome.failed, "{}", outcome.output);
-    let out = &outcome.output;
-    assert!(out.contains("co-simulated 4 chart(s)"), "{out}");
-    assert!(out.contains("cosim chart `hs` (clock clk) over 4 cycles: OK — 1 match(es)"), "{out}");
-    assert!(out.contains("interpreted RTL == engine"), "{out}");
-    // the non-basic targets are skipped, not silently dropped
-    assert!(out.contains("skipped assert `gate`"), "{out}");
+    for jobs in [1, 4] {
+        let opts = CheckOptions {
+            jobs,
+            cosim: true,
+            ..Default::default()
+        };
+        let outcome = check_fleet(FLEET_SPEC, &[], true, vcd.as_bytes(), None, &opts).unwrap();
+        assert!(!outcome.failed, "{}", outcome.output);
+        let out = &outcome.output;
+        assert!(out.contains("5 target(s)"), "{out}");
+        let hs = "chart `hs` (clock clk) over 4 sampled cycles: DETECTED — 1 occurrence(s)";
+        assert!(out.contains(hs), "{out}");
+        assert!(
+            out.contains(
+                "  cosim: OK over 4 cycles — 1 match(es), interpreted RTL == raw engine == fleet"
+            ),
+            "{out}"
+        );
+        // one cosim line per basic chart (hs, pulse, rsp, ping), none for
+        // the assert, which is checked and rendered rather than skipped
+        assert_eq!(out.matches("  cosim: OK").count(), 4, "{out}");
+        assert!(out.contains("assert `gate` (clock clk)"), "{out}");
+        assert!(!out.contains("skipped"), "{out}");
+    }
 }
 
 #[test]
-fn check_cosim_rejects_non_basic_targets_by_name() {
-    use cesc::cli::check_cosim;
-    let err = check_cosim(
-        MULTI_SPEC,
-        &["pair".to_owned()],
-        false,
-        b"".as_slice(),
-        None,
-        &CheckOptions::default(),
-    )
-    .unwrap_err();
-    assert!(err.to_string().contains("basic chart"), "{err}");
+fn check_cosim_refuses_selections_without_a_basic_chart() {
+    let cosim = CheckOptions {
+        cosim: true,
+        ..Default::default()
+    };
+    // a multiclock spec alone has no single emitted module to interpret
+    let err =
+        check_fleet(MULTI_SPEC, &["pair".to_owned()], false, b"".as_slice(), None, &cosim)
+            .unwrap_err();
+    assert!(err.to_string().contains("no basic charts to co-simulate"), "{err}");
 
-    let err = check_cosim(
-        MULTI_SPEC,
-        &["ghost".to_owned()],
-        false,
-        b"".as_slice(),
-        None,
-        &CheckOptions::default(),
-    )
-    .unwrap_err();
+    let err =
+        check_fleet(MULTI_SPEC, &["ghost".to_owned()], false, b"".as_slice(), None, &cosim)
+            .unwrap_err();
     assert!(err.to_string().contains("not found"), "{err}");
+
+    // next to a basic chart, the multiclock spec is checked, not dropped
+    use cesc::expr::Valuation;
+    use cesc::trace::{write_vcd_global, ClockDomain, ClockSet, GlobalRun, Trace};
+    let doc = cesc::chart::parse_document(MULTI_SPEC).unwrap();
+    let go = doc.alphabet.lookup("go").unwrap();
+    let done = doc.alphabet.lookup("done").unwrap();
+    let mut clocks = ClockSet::new();
+    let c1 = clocks.add(ClockDomain::new("clk1", 2, 0));
+    let c2 = clocks.add(ClockDomain::new("clk2", 2, 1));
+    let run = GlobalRun::interleave(
+        &clocks,
+        &[
+            (c1, Trace::from_elements([Valuation::of([go]); 2])),
+            (c2, Trace::from_elements([Valuation::of([done]); 2])),
+        ],
+    )
+    .unwrap();
+    let owners = [Valuation::of([go]), Valuation::of([done])];
+    let vcd = write_vcd_global(&run, &clocks, &doc.alphabet, &owners, &VcdWriteOptions::default());
+    let names = ["pair".to_owned(), "m1".to_owned()];
+    let outcome = check_fleet(MULTI_SPEC, &names, false, vcd.as_bytes(), None, &cosim).unwrap();
+    let out = &outcome.output;
+    assert!(!outcome.failed, "{out}");
+    assert!(out.contains("multiclock `pair` (clocks clk1, clk2): DETECTED"), "{out}");
+    assert!(out.contains("chart `m1` (clock clk1) over 2 sampled cycles"), "{out}");
+    assert!(out.contains("  cosim: OK over 2 cycles — 2 match(es)"), "{out}");
 }
 
 /// `cesc check --chart NAME`: one target through the fleet route,
@@ -434,6 +463,62 @@ fn fleet_binary_runs_jobs_far_above_the_core_count() {
     assert!(serial.0.contains("\"verdict\":\"detected\""), "{serial:?}");
     assert_eq!(serial.2, Some(0), "{serial:?}");
     assert_eq!(check("20000"), serial);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn fleet_binary_cosim_composes_with_json_jobs_and_progress() {
+    // `--cosim` rides the fleet route in the release binary: it takes
+    // `--json`, `--jobs` and `--progress`, adds a `cosim` object to
+    // chart targets only, and reports the same at any worker count
+    use std::process::Command;
+
+    let dir = std::env::temp_dir().join(format!("cesc-cli-cosim-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (spec, dump) = (dir.join("spec.cesc"), dir.join("dump.vcd"));
+    std::fs::write(&spec, FLEET_SPEC).unwrap();
+    std::fs::write(&dump, fleet_vcd(true)).unwrap();
+    let check = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_cesc"))
+            .arg("check")
+            .arg(&spec)
+            .arg("--vcd")
+            .arg(&dump)
+            .args(["--all-charts", "--cosim"])
+            .args(args)
+            .output()
+            .unwrap()
+    };
+
+    let out = check(&["--json", "--jobs", "2", "--progress"]);
+    let json = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(out.status.code(), Some(0), "{json}{}", String::from_utf8_lossy(&out.stderr));
+    assert!(json.contains("\"failed\":false"), "{json}");
+    let targets: Vec<&str> = json.split("{\"kind\":").skip(1).collect();
+    assert_eq!(targets.len(), 5, "{json}");
+    for t in &targets {
+        let is_chart = t.starts_with("\"chart\"");
+        assert_eq!(t.contains("\"cosim\":"), is_chart, "{t}");
+        if is_chart {
+            assert!(t.contains("\"cosim\":{\"verdict\":\"ok\",\"ticks\":4,"), "{t}");
+        }
+    }
+
+    // the text report is the same at one and four workers, apart from
+    // the worker-count banner
+    let text = |jobs: &str| {
+        let out = check(&["--jobs", jobs]);
+        assert_eq!(out.status.code(), Some(0));
+        String::from_utf8(out.stdout)
+            .unwrap()
+            .lines()
+            .filter(|l| !l.starts_with("checked "))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    let serial = text("1");
+    assert_eq!(serial.matches("  cosim: OK").count(), 4, "{serial}");
+    assert_eq!(text("4"), serial);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

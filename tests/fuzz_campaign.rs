@@ -2,14 +2,15 @@
 //! (baseline engine ≡ optimized engine ≡ sharded fleet ≡ RTL
 //! interpreter on generated specs and traces), panic-freedom sweeps
 //! over the parsers and VCD readers, and the AXI4-Lite/APB/Wishbone
-//! libraries end-to-end through `cesc check` and `check --cosim` on
-//! clean *and* fault-injected generated traffic.
+//! libraries end-to-end through `cesc check --cosim` (the fleet's
+//! verdict plus the emitted RTL against the engine, in one pass) on
+//! clean *and* fault-injected generated traffic, at one and two jobs.
 //!
 //! `make verify-fuzz` runs the same machinery at a larger budget via
 //! `cesc fuzz`; these tests keep a smaller always-on floor inside
 //! `cargo test -q`.
 
-use cesc::cli::{check_cosim, check_fleet, CheckOptions};
+use cesc::cli::{check_fleet, CheckOptions};
 use cesc::expr::{SymbolKind, Valuation};
 use cesc::fuzz::campaign::{run_differential, run_parser_sweep, run_vcd_sweep, CampaignConfig};
 use cesc::protocols::faults::{fault_variants, Fault};
@@ -102,6 +103,18 @@ fn occurrences(output: &str) -> usize {
         .unwrap_or_else(|| panic!("unparsable match count in {output}"))
 }
 
+/// `cesc check --chart CHART --cosim --jobs JOBS` on one scenario's
+/// dump: the fleet's verdict plus the chart's RTL-vs-engine result.
+fn check_with_cosim(scenario: &BusScenario, vcd: &str, jobs: usize) -> cesc::cli::CheckOutcome {
+    let opts = CheckOptions {
+        jobs,
+        cosim: true,
+        ..CheckOptions::default()
+    };
+    check_fleet(scenario.src, &[scenario.chart.to_owned()], false, vcd.as_bytes(), None, &opts)
+        .unwrap()
+}
+
 #[test]
 fn bus_libraries_check_clean_traffic_end_to_end() {
     for scenario in bus_scenarios() {
@@ -109,46 +122,29 @@ fn bus_libraries_check_clean_traffic_end_to_end() {
         let trace = clean_traffic(&scenario, &set, 3);
         let vcd = scenario_vcd(&scenario, &set, &trace);
 
-        let outcome = check_fleet(
-            scenario.src,
-            &[scenario.chart.to_owned()],
-            false,
-            vcd.as_bytes(),
-            None,
-            &CheckOptions::default(),
-        )
-        .unwrap();
-        assert!(!outcome.failed, "{}: {}", scenario.chart, outcome.output);
-        assert!(
-            outcome.output.contains("DETECTED"),
-            "{}: clean traffic not detected: {}",
-            scenario.chart,
-            outcome.output
-        );
-        assert_eq!(
-            occurrences(&outcome.output),
-            3,
-            "{}: {}",
-            scenario.chart,
-            outcome.output
-        );
-
-        let cosim = check_cosim(
-            scenario.src,
-            &[scenario.chart.to_owned()],
-            false,
-            vcd.as_bytes(),
-            None,
-            &CheckOptions::default(),
-        )
-        .unwrap();
-        assert!(
-            !cosim.failed,
-            "{}: RTL diverged on clean traffic: {}",
-            scenario.chart,
-            cosim.output
-        );
-        assert!(cosim.output.contains("OK"), "{}", cosim.output);
+        for jobs in [1, 2] {
+            let outcome = check_with_cosim(&scenario, &vcd, jobs);
+            assert!(!outcome.failed, "{}: {}", scenario.chart, outcome.output);
+            assert!(
+                outcome.output.contains("DETECTED"),
+                "{}: clean traffic not detected: {}",
+                scenario.chart,
+                outcome.output
+            );
+            assert_eq!(
+                occurrences(&outcome.output),
+                3,
+                "{}: {}",
+                scenario.chart,
+                outcome.output
+            );
+            assert!(
+                outcome.output.contains("  cosim: OK over"),
+                "{}: RTL diverged on clean traffic: {}",
+                scenario.chart,
+                outcome.output
+            );
+        }
     }
 }
 
@@ -170,42 +166,27 @@ fn bus_libraries_survive_fault_injected_traffic() {
             let vcd = scenario_vcd(&scenario, &set, mutated);
 
             // the fleet path must stay total on protocol-violating
-            // traffic, and dropped events can only lose matches
-            let outcome = check_fleet(
-                scenario.src,
-                &[scenario.chart.to_owned()],
-                false,
-                vcd.as_bytes(),
-                None,
-                &CheckOptions::default(),
-            )
-            .unwrap();
-            assert!(!outcome.failed, "{}: {}", scenario.chart, outcome.output);
-            let got = occurrences(&outcome.output);
-            if matches!(fault, Fault::DropEvent { .. }) {
-                assert!(got <= 2, "{}: {fault:?} grew matches: {got}", scenario.chart);
-                if got < 2 {
-                    some_drop_reduced = true;
+            // traffic, dropped events can only lose matches, and the RTL
+            // interpreter must agree with the engine and the fleet on
+            // every mutated trace — compliance is irrelevant to
+            // equivalence
+            for jobs in [1, 2] {
+                let outcome = check_with_cosim(&scenario, &vcd, jobs);
+                assert!(
+                    !outcome.failed,
+                    "{}: {fault:?} at --jobs {jobs}: {}",
+                    scenario.chart,
+                    outcome.output
+                );
+                assert!(outcome.output.contains("  cosim: OK over"), "{}", outcome.output);
+                let got = occurrences(&outcome.output);
+                if matches!(fault, Fault::DropEvent { .. }) {
+                    assert!(got <= 2, "{}: {fault:?} grew matches: {got}", scenario.chart);
+                    if got < 2 {
+                        some_drop_reduced = true;
+                    }
                 }
             }
-
-            // the RTL interpreter must agree with the engine on every
-            // mutated trace — compliance is irrelevant to equivalence
-            let cosim = check_cosim(
-                scenario.src,
-                &[scenario.chart.to_owned()],
-                false,
-                vcd.as_bytes(),
-                None,
-                &CheckOptions::default(),
-            )
-            .unwrap();
-            assert!(
-                !cosim.failed,
-                "{}: RTL diverged under {fault:?}: {}",
-                scenario.chart,
-                cosim.output
-            );
         }
         assert!(
             some_drop_reduced,

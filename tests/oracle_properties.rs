@@ -253,7 +253,8 @@ proptest! {
     }
 }
 
-/// Reproduction finding (see DESIGN.md §3): on patterns with wildcard
+/// Reproduction finding (see docs/ARCHITECTURE.md, "Which windows
+/// `cesc check` reports"): on patterns with wildcard
 /// (`TRUE`) elements the paper's single-state greedy automaton is NOT
 /// exact — it can both over- and under-report windows, because one
 /// state cannot track several live alignments. This regression test
@@ -314,6 +315,40 @@ fn greedy_automaton_incompleteness_counterexample() {
     let report = monitor.scan(&trace);
     assert!(
         !report.matches.contains(&21),
-        "if this starts passing, the greedy construction gained subset          tracking — update DESIGN.md §3"
+        "if this starts passing, the greedy construction gained subset tracking — update \
+         docs/ARCHITECTURE.md, \"Which windows `cesc check` reports\""
+    );
+}
+
+/// The other direction of the same finding, under the default
+/// `Witness` policy: the greedy automaton reports a window the
+/// definition does not contain. After a completed `¬s1, TRUE` window
+/// the final state slides back to "one tick matched `¬s1`", judging
+/// the `TRUE` tick by its witness (the empty valuation) rather than by
+/// the `{s1}` the trace really had.
+#[test]
+fn greedy_automaton_over_report_counterexample() {
+    let mut ab = Alphabet::new();
+    let ids: Vec<SymbolId> = (0..SYMS).map(|i| ab.event(&format!("s{i}"))).collect();
+    let mut b = ScescBuilder::new("over", "clk");
+    let m = b.instance("M");
+    b.tick();
+    b.absent_event(m, ids[1]);
+    b.tick();
+    let chart = b.build().unwrap();
+    let trace = decode_trace(&[0b01, 0b10, 0b01]); // {s0}, {s1}, {s0}
+
+    let oracle: Vec<u64> = match_positions(&chart, &trace)
+        .into_iter()
+        .map(|s| (s + chart.tick_count() - 1) as u64)
+        .collect();
+    assert_eq!(oracle, vec![1], "one real window: ticks 0..=1");
+
+    let monitor = synthesize(&chart, &SynthOptions::default()).unwrap();
+    assert_eq!(
+        monitor.scan(&trace).matches,
+        vec![1, 2],
+        "if this changes, the greedy construction's slides changed — update \
+         docs/ARCHITECTURE.md, \"Which windows `cesc check` reports\""
     );
 }

@@ -200,7 +200,7 @@ fn fleet_mode_checks_all_charts_over_100k_tick_dump_with_4_jobs() {
 fn cosim_mode_validates_rtl_over_100k_tick_dump_on_disk() {
     // `cesc check --cosim`: the emitted RTL of every basic chart is
     // interpreted against the engine over a ≥100k-tick on-disk dump,
-    // streamed in constant memory.
+    // streamed in constant memory, and agrees with the fleet's verdict.
     const PER_DOMAIN: usize = 60_000; // 120k global steps total
 
     let doc = cesc::chart::parse_document(FLEET_SPEC).unwrap();
@@ -219,30 +219,40 @@ fn cosim_mode_validates_rtl_over_100k_tick_dump_on_disk() {
         w.flush().unwrap();
     }
 
-    let reader = std::io::BufReader::new(std::fs::File::open(&path).unwrap());
-    let outcome = cesc::cli::check_cosim(
-        FLEET_SPEC,
-        &[],
-        true,
-        reader,
-        None,
-        &CheckOptions::default(),
-    )
-    .unwrap();
-    assert!(!outcome.failed, "{}", outcome.output);
-    let out = &outcome.output;
-    // basic charts m1, m2, ping, pong co-simulated; pair + gate skipped
-    assert!(out.contains("co-simulated 4 chart(s)"), "{out}");
-    assert!(out.contains(&format!("over {} global steps", 2 * PER_DOMAIN)), "{out}");
-    assert!(out.contains(&format!(
-        "cosim chart `m1` (clock clk1) over {PER_DOMAIN} cycles: OK — {PER_DOMAIN} match(es)"
-    )), "{out}");
-    assert!(out.contains(&format!(
-        "cosim chart `m2` (clock clk2) over {PER_DOMAIN} cycles: OK — {PER_DOMAIN} match(es)"
-    )), "{out}");
-    assert!(out.contains("skipped multiclock `pair`"), "{out}");
-    assert!(out.contains("skipped assert `gate`"), "{out}");
-    assert!(out.len() < 1000, "report stays short: {} bytes", out.len());
+    // the cosim pairs ride the fleet's pass at one and at several
+    // workers; every target is checked, the basic charts co-simulated
+    for jobs in [1, 3] {
+        let reader = std::io::BufReader::new(std::fs::File::open(&path).unwrap());
+        let opts = CheckOptions {
+            jobs,
+            cosim: true,
+            ..CheckOptions::default()
+        };
+        let outcome = check_fleet(FLEET_SPEC, &[], true, reader, None, &opts).unwrap();
+        assert!(!outcome.failed, "{}", outcome.output);
+        let out = &outcome.output;
+        assert!(out.contains("checked 6 target(s)"), "{out}");
+        assert!(out.contains(&format!("over {} global steps", 2 * PER_DOMAIN)), "{out}");
+        for (chart, clock) in [("m1", "clk1"), ("m2", "clk2")] {
+            assert!(out.contains(&format!(
+                "chart `{chart}` (clock {clock}) over {PER_DOMAIN} sampled cycles: DETECTED — \
+                 {PER_DOMAIN} occurrence(s)"
+            )), "{out}");
+        }
+        // basic charts m1, m2, ping, pong co-simulated; pair and gate
+        // checked as usual
+        assert_eq!(
+            out.matches(&format!(
+                "  cosim: OK over {PER_DOMAIN} cycles — {PER_DOMAIN} match(es)"
+            ))
+            .count(),
+            4,
+            "{out}"
+        );
+        assert!(out.contains("multiclock `pair` (clocks clk1, clk2): DETECTED"), "{out}");
+        assert!(out.contains("assert `gate` (clock clk1)"), "{out}");
+        assert!(out.len() < 2000, "report stays short: {} bytes", out.len());
+    }
 
     std::fs::remove_file(&path).ok();
 }
