@@ -8,7 +8,7 @@ verify: ## release build + examples + full test suite + clean rustdoc + clippy -
 	$(CARGO) build --release
 	$(CARGO) build --examples
 	$(CARGO) test -q
-	$(CARGO) doc --no-deps
+	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --no-deps
 	$(MAKE) verify-clippy
 	$(MAKE) verify-bench
 	$(MAKE) verify-checkbench
@@ -106,7 +106,7 @@ test:
 	$(CARGO) test -q
 
 doc:
-	$(CARGO) doc --no-deps
+	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --no-deps
 
 bench: ## regenerate the evaluation numbers (criterion shim prints to stdout)
 	$(CARGO) bench -p cesc-bench

@@ -1,14 +1,14 @@
 //! Experiment A2 (baseline): the synthesized automaton against the
-//! naive window-rescanning checker — the comparison behind the paper's
-//! choice of the string-matching automaton ([19], CLRS) as the monitor
-//! skeleton.
+//! window-rescanning definition (`match_positions`) and the exact
+//! subset automaton (`Determinized`) — the comparison behind the
+//! paper's choice of the string-matching automaton ([19], CLRS) as the
+//! monitor skeleton.
 //!
-//! Adversarial traffic (`aaa…b` runs) makes the naive checker do O(n)
-//! work per cycle while the automaton stays O(1).
+//! Adversarial traffic (`aaa…b` runs) makes rescanning do O(n) work
+//! per cycle while both automata stay O(1).
 
 use cesc_bench::{adversarial_pattern_and_trace, quick};
-use cesc_core::engine::{ExactEngine, NaiveMatcher};
-use cesc_core::{synthesize, SynthOptions};
+use cesc_core::{synthesize, Determinized, SynthOptions};
 use cesc_chart::ScescBuilder;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -36,21 +36,12 @@ fn bench(c: &mut Criterion) {
     g.bench_with_input(BenchmarkId::from_parameter("synthesized_monitor"), &trace, |b, t| {
         b.iter(|| monitor.scan(black_box(t)).matches.len())
     });
-    g.bench_with_input(BenchmarkId::from_parameter("naive_rescan"), &trace, |b, t| {
-        b.iter(|| {
-            let mut naive = NaiveMatcher::new(&pattern).unwrap();
-            let mut hits = 0usize;
-            for v in t.iter() {
-                if naive.step(black_box(v)) {
-                    hits += 1;
-                }
-            }
-            hits
-        })
+    g.bench_with_input(BenchmarkId::from_parameter("match_positions"), &trace, |b, t| {
+        b.iter(|| cesc_semantics::match_positions(black_box(&chart), black_box(t)).len())
     });
-    g.bench_with_input(BenchmarkId::from_parameter("exact_subset"), &trace, |b, t| {
+    g.bench_with_input(BenchmarkId::from_parameter("determinized"), &trace, |b, t| {
         b.iter(|| {
-            let mut exact = ExactEngine::new(&pattern).unwrap();
+            let mut exact = Determinized::build(&pattern).unwrap();
             let mut hits = 0usize;
             for v in t.iter() {
                 if exact.step(black_box(v)) {

@@ -4,10 +4,10 @@
 //! This bench regenerates the comparison that motivates the automaton:
 //! deciding membership with the brute-force oracle (re-check every
 //! window) versus the synthesized monitor versus the exact subset
-//! engine — same verdicts, very different costs.
+//! automaton (`Determinized`) — same verdicts, very different costs.
 
 use cesc_bench::{quick, synth};
-use cesc_core::engine::ExactEngine;
+use cesc_core::Determinized;
 use cesc_protocols::ocp;
 use cesc_protocols::traffic::{transaction_stream, TrafficConfig};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -48,9 +48,9 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    g.bench_function("exact_subset_engine", |b| {
+    g.bench_function("determinized", |b| {
         b.iter(|| {
-            let mut exact = ExactEngine::new(&pattern).unwrap();
+            let mut exact = Determinized::build(&pattern).unwrap();
             let mut hits = 0usize;
             for v in trace.iter() {
                 if exact.step(black_box(v)) {

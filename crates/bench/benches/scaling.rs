@@ -1,17 +1,18 @@
 //! Experiment A1 (ablation): synthesis and engine scaling.
 //!
-//! The paper's `compute_transition_func` enumerates `e ∈ 2^Σ`; this
-//! sweep quantifies what that costs and what the alternatives save:
+//! The greedy monitor's guards are interpreted, so synthesis stays
+//! polynomial; the exact subset automaton enumerates one signature per
+//! subset of the `n` pattern elements. This sweep records both:
 //!
 //! * synthesis time vs chart length `n` (guard-interpreted monitor —
 //!   only the O(n²) compatibility matrix is precomputed);
-//! * dense-table construction vs `|Σ|` (the paper-literal exponential
-//!   enumeration);
-//! * lookup throughput: interpreted monitor vs dense table vs lazy δ.
+//! * `Determinized` construction vs `n`, up to the build's 14-tick
+//!   cap: `2^n` live-set states times `2^n` signatures, so at n = 14
+//!   one build fills a 1 GiB table and takes seconds;
+//! * lookup throughput: interpreted greedy monitor vs `Determinized`.
 
 use cesc_bench::{chain_chart, chain_window, quick, synth};
-use cesc_core::engine::{DenseTableEngine, LazyEngine};
-use cesc_core::{synthesize, SynthOptions};
+use cesc_core::{synthesize, Determinized, SynthOptions};
 use cesc_expr::Valuation;
 use cesc_trace::Trace;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -28,19 +29,19 @@ fn bench(c: &mut Criterion) {
     }
     g.finish();
 
-    // dense table build vs |Σ| (exponential, the paper-literal loop);
-    // chart length = |Σ| so every symbol appears in the pattern
-    let mut g = c.benchmark_group("scaling/dense_table_build_vs_sigma");
-    for syms in [4usize, 8, 12, 14] {
-        let (_ab, chart) = chain_chart(syms, syms);
+    // subset automaton build vs n: 2^n states × 2^n signatures for
+    // any pattern of n ticks
+    let mut g = c.benchmark_group("scaling/determinized_build_vs_n");
+    for n in [4usize, 8, 12, 14] {
+        let (_ab, chart) = chain_chart(n, n);
         let pattern = chart.extract_pattern();
-        g.bench_with_input(BenchmarkId::from_parameter(syms), &pattern, |b, pattern| {
-            b.iter(|| DenseTableEngine::new(black_box(pattern)).unwrap().table_size())
+        g.bench_with_input(BenchmarkId::from_parameter(n), &pattern, |b, pattern| {
+            b.iter(|| Determinized::build(black_box(pattern)).unwrap().state_count())
         });
     }
     g.finish();
 
-    // lookup throughput: interpreted vs dense vs lazy on one workload
+    // lookup throughput: interpreted greedy vs subset automaton
     let n = 8;
     let syms = 8;
     let (ab, chart) = chain_chart(n, syms);
@@ -60,26 +61,13 @@ fn bench(c: &mut Criterion) {
     g.bench_function("interpreted_monitor", |b| {
         b.iter(|| monitor.scan(black_box(&trace)).matches.len())
     });
-    g.bench_function("dense_table", |b| {
-        let mut engine = DenseTableEngine::new(&pattern).unwrap();
+    g.bench_function("determinized", |b| {
+        let mut exact = Determinized::build(&pattern).unwrap();
         b.iter(|| {
-            engine.reset();
+            exact.reset();
             let mut hits = 0usize;
             for v in trace.iter() {
-                if engine.step(black_box(v)) {
-                    hits += 1;
-                }
-            }
-            hits
-        })
-    });
-    g.bench_function("lazy_memoised", |b| {
-        let mut engine = LazyEngine::new(&pattern).unwrap();
-        b.iter(|| {
-            engine.reset();
-            let mut hits = 0usize;
-            for v in trace.iter() {
-                if engine.step(black_box(v)) {
+                if exact.step(black_box(v)) {
                     hits += 1;
                 }
             }

@@ -2,8 +2,7 @@
 //!
 //! The paper's monitor *detects* scenarios (accepting runs). An
 //! assertion-based verification flow (Fig 4) additionally needs
-//! *verdicts* — "Verified / Failed". [`Checker`] wraps a detector with
-//! verdict bookkeeping, and [`ImplicationChecker`] gives the
+//! *verdicts* — "Verified / Failed". [`ImplicationChecker`] gives the
 //! `implication` construct its checking semantics: every time the
 //! antecedent scenario completes, the consequent scenario must follow
 //! immediately; a consequent that fails to advance is a violation.
@@ -12,7 +11,7 @@ use std::fmt;
 
 use cesc_expr::Valuation;
 
-use crate::monitor::{Monitor, MonitorExec, StateId, TransitionKind};
+use crate::monitor::{Monitor, StateId, TransitionKind};
 
 /// The running verdict of a checker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -251,53 +250,6 @@ fn step_detector(m: &Monitor, state: StateId, v: Valuation) -> StateId {
     m.initial()
 }
 
-/// Simple pass/fail wrapper around a scenario detector: verdict is
-/// `Passed` once the scenario has been observed at least `required`
-/// times by the end of the trace.
-#[derive(Debug)]
-pub struct Checker<'m> {
-    exec: MonitorExec<'m>,
-    required: u64,
-}
-
-impl<'m> Checker<'m> {
-    /// Builds a checker requiring at least one occurrence.
-    pub fn new(monitor: &'m Monitor) -> Self {
-        Self::requiring(monitor, 1)
-    }
-
-    /// Builds a checker requiring at least `required` occurrences.
-    pub fn requiring(monitor: &'m Monitor, required: u64) -> Self {
-        Checker {
-            exec: MonitorExec::new(monitor),
-            required,
-        }
-    }
-
-    /// Consumes one element.
-    pub fn step(&mut self, v: Valuation) {
-        self.exec.step(v);
-    }
-
-    /// Occurrences observed so far.
-    pub fn observed(&self) -> u64 {
-        self.exec.match_count()
-    }
-
-    /// The verdict so far: `Passed` once enough occurrences were seen,
-    /// `Tracking` while the monitor has partial progress, `Idle`
-    /// otherwise.
-    pub fn verdict(&self) -> Verdict {
-        if self.exec.match_count() >= self.required {
-            Verdict::Passed
-        } else if self.exec.state().index() > 0 {
-            Verdict::Tracking
-        } else {
-            Verdict::Idle
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,30 +326,6 @@ mod tests {
         let mut chk = ImplicationChecker::new(a, b);
         let verdict = chk.scan(vec![v(&doc, &[]); 10]);
         assert_eq!(verdict, Verdict::Idle);
-    }
-
-    #[test]
-    fn simple_checker_verdicts() {
-        let (doc, a, _) = two_charts();
-        let mut chk = Checker::new(&a);
-        assert_eq!(chk.verdict(), Verdict::Idle);
-        chk.step(v(&doc, &["r"]));
-        assert_eq!(chk.verdict(), Verdict::Tracking);
-        chk.step(v(&doc, &["go"]));
-        assert_eq!(chk.verdict(), Verdict::Passed);
-        assert_eq!(chk.observed(), 1);
-    }
-
-    #[test]
-    fn requiring_multiple_occurrences() {
-        let (doc, a, _) = two_charts();
-        let mut chk = Checker::requiring(&a, 2);
-        chk.step(v(&doc, &["r"]));
-        chk.step(v(&doc, &["go"]));
-        assert_ne!(chk.verdict(), Verdict::Passed);
-        chk.step(v(&doc, &["r"]));
-        chk.step(v(&doc, &["go"]));
-        assert_eq!(chk.verdict(), Verdict::Passed);
     }
 
     #[test]

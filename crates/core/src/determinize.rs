@@ -9,24 +9,61 @@
 //! classical fix is determinization over *live prefix sets*: this
 //! module builds that automaton explicitly, so that
 //!
-//! * its state count measures the real cost of exactness (for every
-//!   chart in the paper it stays at `n + 1`, confirming the greedy
-//!   construction is lossless on that class), and
+//! * its state count measures the cost of exactness. The build
+//!   enumerates element *signatures* (which pattern positions a tick
+//!   satisfies) without asking which of them a valuation can produce,
+//!   so every live set containing `0` is reachable: `2^n` states of
+//!   `2^n` transitions each, whatever the pattern, and
 //! * exact monitors can be exported to HDL like greedy ones.
 //!
-//! The online, allocation-free variant of the same semantics is
-//! [`crate::engine::ExactEngine`]; this type trades an exponential
-//! worst-case build for O(1)-state lookups.
+//! [`Determinized`] is the crate's one exact automaton; the
+//! definition it automates is `cesc_semantics::match_positions`, the
+//! oracle the property tests hold it to. It trades a `4^n` build (at
+//! the 14-tick cap, a 1 GiB table) for O(1)-state lookups.
 
 use std::collections::HashMap;
+use std::fmt;
 
 use cesc_expr::{Expr, Valuation};
-
-use crate::engine::EngineError;
 
 /// Cap on pattern length for the subset build (signature enumeration
 /// is `2^n` per state).
 const MAX_N: usize = 14;
+
+/// Why [`Determinized::build`] refused a pattern.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum EngineError {
+    /// The pattern has more elements (ticks) than the subset build
+    /// enumerates.
+    PatternTooLong {
+        /// Elements in the pattern.
+        len: usize,
+        /// The build's cap.
+        max: usize,
+    },
+    /// The pattern contains `Chk_evt` scoreboard atoms, which a pure
+    /// pattern automaton cannot evaluate.
+    ScoreboardGuard,
+    /// The pattern is empty.
+    EmptyPattern,
+}
+
+impl fmt::Display for EngineError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            EngineError::PatternTooLong { len, max } => write!(
+                f,
+                "pattern is {len} ticks long; the subset construction supports at most {max}"
+            ),
+            EngineError::ScoreboardGuard => {
+                f.write_str("pattern contains Chk_evt guards; use the synthesized Monitor")
+            }
+            EngineError::EmptyPattern => f.write_str("pattern is empty"),
+        }
+    }
+}
+
+impl std::error::Error for EngineError {}
 
 /// A determinized exact scenario monitor.
 ///
@@ -48,7 +85,7 @@ const MAX_N: usize = 14;
 /// let mut d = Determinized::build(&pattern)?;
 /// assert!(!d.step(Valuation::of([a])));
 /// assert!(d.step(Valuation::empty())); // a, _ completes
-/// # Ok::<(), cesc_core::engine::EngineError>(())
+/// # Ok::<(), cesc_core::EngineError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct Determinized {
@@ -70,7 +107,7 @@ impl Determinized {
     /// # Errors
     ///
     /// [`EngineError::EmptyPattern`] / [`EngineError::ScoreboardGuard`]
-    /// for unsupported patterns, [`EngineError::TooManySymbols`] when
+    /// for unsupported patterns, [`EngineError::PatternTooLong`] when
     /// the pattern exceeds 14 elements (signature enumeration is
     /// `2^n`).
     pub fn build(pattern: &[Expr]) -> Result<Self, EngineError> {
@@ -82,7 +119,7 @@ impl Determinized {
         }
         let n = pattern.len();
         if n > MAX_N {
-            return Err(EngineError::TooManySymbols { found: n, max: MAX_N });
+            return Err(EngineError::PatternTooLong { len: n, max: MAX_N });
         }
         let n_signatures = 1usize << n;
 
@@ -164,7 +201,6 @@ impl Determinized {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ExactEngine;
     use cesc_expr::Alphabet;
 
     fn syms(k: usize) -> (Alphabet, Vec<cesc_expr::SymbolId>) {
@@ -174,23 +210,35 @@ mod tests {
     }
 
     #[test]
-    fn agrees_with_exact_engine_everywhere() {
+    fn agrees_with_match_positions_everywhere() {
         let (_, ids) = syms(3);
-        // wildcard-bearing adversarial pattern
-        let pattern = vec![
-            !Expr::sym(ids[2]),
-            Expr::sym(ids[2]),
-            Expr::t(),
-            Expr::t(),
-        ];
+        // wildcard-bearing adversarial pattern: ¬s2, s2, TRUE, TRUE
+        let mut b = cesc_chart::ScescBuilder::new("adv", "clk");
+        let m = b.instance("M");
+        b.tick().absent_event(m, ids[2]);
+        b.tick().event(m, ids[2]);
+        b.tick();
+        b.tick();
+        let chart = b.build().unwrap();
+        let pattern = chart.extract_pattern();
         let mut det = Determinized::build(&pattern).unwrap();
-        let mut exact = ExactEngine::new(&pattern).unwrap();
         // all 8 valuations in a pseudo-random order, long enough to
         // visit many subset states
-        for i in 0..2000u64 {
-            let v = Valuation::from_bits(((i * 2654435761) % 8) as u128);
-            assert_eq!(det.step(v), exact.step(v), "diverged at step {i}");
-        }
+        let trace: cesc_trace::Trace = (0..2000u64)
+            .map(|i| Valuation::from_bits(((i * 2654435761) % 8) as u128))
+            .collect();
+        let hits: Vec<usize> = trace
+            .iter()
+            .enumerate()
+            .filter(|&(_, v)| det.step(v))
+            .map(|(i, _)| i)
+            .collect();
+        let oracle: Vec<usize> = cesc_semantics::match_positions(&chart, &trace)
+            .into_iter()
+            .map(|start| start + pattern.len() - 1)
+            .collect();
+        assert!(!oracle.is_empty());
+        assert_eq!(hits, oracle);
     }
 
     /// On *non-aliasing protocol traffic* — elements drawn from the
@@ -412,11 +460,8 @@ mod tests {
         // a, TRUE, TRUE, TRUE: overlapping alignments abound
         let pattern = vec![Expr::sym(ids[0]), Expr::t(), Expr::t(), Expr::t()];
         let det = Determinized::build(&pattern).unwrap();
-        assert!(
-            det.state_count() > pattern.len() + 1,
-            "expected subset blow-up, got {} states",
-            det.state_count()
-        );
+        // every live set containing 0 is reachable
+        assert_eq!(det.state_count(), 1 << pattern.len());
     }
 
     #[test]
@@ -453,10 +498,12 @@ mod tests {
         );
         let (_, ids) = syms(1);
         let too_long: Vec<Expr> = (0..15).map(|_| Expr::sym(ids[0])).collect();
-        assert!(matches!(
-            Determinized::build(&too_long).unwrap_err(),
-            EngineError::TooManySymbols { .. }
-        ));
+        let err = Determinized::build(&too_long).unwrap_err();
+        assert_eq!(err, EngineError::PatternTooLong { len: 15, max: 14 });
+        assert_eq!(
+            err.to_string(),
+            "pattern is 15 ticks long; the subset construction supports at most 14"
+        );
         let chk = vec![Expr::chk(ids[0])];
         assert_eq!(
             Determinized::build(&chk).unwrap_err(),

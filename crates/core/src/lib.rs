@@ -12,16 +12,17 @@
 //! * [`Monitor`] / [`MonitorExec`] — the synthesized automaton
 //!   (§4's 5-tuple with `exp / act` transition labels) and its
 //!   synchronous executor;
-//! * [`Scoreboard`] / [`SharedScoreboard`] — the dynamic scoreboard
-//!   behind `Add_evt` / `Del_evt` / `Chk_evt`;
+//! * [`Scoreboard`] — the dynamic scoreboard behind `Add_evt` /
+//!   `Del_evt` / `Chk_evt` (one per executor; the locals of a
+//!   multi-clock executor share theirs);
 //! * [`compile`] — structural composition (`seq`, `par`, `alt`, `loop`,
 //!   `implication`) of monitors;
 //! * [`synthesize_multiclock`] — one local monitor per clock domain,
 //!   synchronising through the shared scoreboard (§1, Figure 2);
-//! * [`Checker`] / [`ImplicationChecker`] — verdict-producing wrappers
-//!   for the Fig 4 verification flow (the interpreted checker is the
-//!   reference oracle of [`CompiledImplication`], the compiled
-//!   `implies(...)` runner `cesc check` executes);
+//! * [`ImplicationChecker`] — the verdict-producing `implies(...)`
+//!   checker of the Fig 4 verification flow, kept as the reference
+//!   oracle of [`CompiledImplication`], the compiled runner `cesc
+//!   check` executes;
 //! * [`CompiledMonitor`] / [`BatchExec`] / [`MonitorBank`] — the
 //!   batched, zero-allocation production engine: flat transition
 //!   tables, precompiled guards, many monitors per shared trace feed;
@@ -39,8 +40,9 @@
 //!   compiled guard tables, SAT-pruned product reachability, and the
 //!   exact `implies(...)` prover behind `cesc prove` and the lint
 //!   `L1xx` findings;
-//! * [`engine`] — paper-literal dense δ tables, lazy δ, the exact
-//!   subset-construction reference, and the naive re-scan baseline;
+//! * [`Determinized`] — the exact subset-construction automaton over
+//!   live prefix sets, which reports exactly the windows
+//!   `cesc_semantics::match_positions` defines;
 //! * [`to_dot`] — Graphviz export of the synthesized automata.
 //!
 //! # Quickstart
@@ -82,7 +84,6 @@ mod checker;
 mod compose;
 mod determinize;
 mod dot;
-pub mod engine;
 mod implies;
 mod monitor;
 mod multibatch;
@@ -102,8 +103,8 @@ pub use product::{
     ProofOutcome, ProofReport,
 };
 pub use sat::{ArmLit, GuardSat, GuardVerdict, GuardWitness, SatStats};
-pub use checker::{Checker, ImplicationChecker, Verdict, Violation};
-pub use determinize::Determinized;
+pub use checker::{ImplicationChecker, Verdict, Violation};
+pub use determinize::{Determinized, EngineError};
 pub use compose::{
     compile, flatten_chart, implication_monitors, scan_composition, Compiled, CompiledExec,
     CompileError,
@@ -111,10 +112,9 @@ pub use compose::{
 pub use dot::to_dot;
 pub use implies::{CompiledImplication, ImplicationState, VIOLATION_KEEP};
 pub use monitor::{
-    Monitor, MonitorExec, ScanReport, ScoreboardOps, StateId, StepOutcome, Transition,
-    TransitionKind,
+    Monitor, MonitorExec, ScanReport, StateId, StepOutcome, Transition, TransitionKind,
 };
 pub use multibatch::{CompiledMultiClock, MultiClockBatchExec, MultiClockBatchState};
 pub use multiclock::{synthesize_multiclock, MultiClockExec, MultiClockMonitor};
-pub use scoreboard::{Action, Occurrence, Scoreboard, SharedScoreboard};
+pub use scoreboard::{Action, Occurrence, Scoreboard};
 pub use synth::{synthesize, OverlapPolicy, SynthError, SynthOptions};

@@ -16,9 +16,9 @@
 
 use std::fmt;
 
-use cesc_expr::{Alphabet, Expr, ScoreboardView, SymbolId, Valuation};
+use cesc_expr::{Alphabet, Expr, SymbolId, Valuation};
 
-use crate::scoreboard::{Action, Scoreboard, SharedScoreboard};
+use crate::scoreboard::{Action, Scoreboard};
 
 /// Identifier of a monitor state (`0..=n`; `0` initial, `n` final).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -350,38 +350,70 @@ pub struct StepOutcome {
     pub transition: usize,
 }
 
-/// Mutable scoreboard access used by executors — implemented by the
-/// owned [`Scoreboard`] and the multi-domain [`SharedScoreboard`].
-pub trait ScoreboardOps: ScoreboardView {
-    /// Applies a transition's actions at local tick `tick`.
-    fn apply_actions(&mut self, actions: &[Action], tick: u64);
-    /// Current `Del_evt` underflow count.
-    fn underflow_count(&self) -> u64;
+/// Where one monitor stands in a run — its state, ticks consumed and
+/// matches — without the scoreboard it reads and writes.
+/// [`MonitorExec`] pairs one with a private [`Scoreboard`];
+/// [`crate::MultiClockExec`] steps one per local over the board its
+/// locals share.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cursor {
+    state: StateId,
+    tick: u64,
+    matches: u64,
 }
 
-impl ScoreboardOps for Scoreboard {
-    fn apply_actions(&mut self, actions: &[Action], tick: u64) {
-        self.apply_all(actions, tick);
+impl Cursor {
+    /// A cursor at `monitor`'s initial state.
+    pub(crate) fn new(monitor: &Monitor) -> Self {
+        Cursor {
+            state: monitor.initial,
+            tick: 0,
+            matches: 0,
+        }
     }
-    fn underflow_count(&self) -> u64 {
-        self.underflows()
+
+    /// The current state.
+    pub(crate) fn state(&self) -> StateId {
+        self.state
+    }
+
+    /// [`MonitorExec::step`] over `scoreboard`.
+    pub(crate) fn step(
+        &mut self,
+        monitor: &Monitor,
+        scoreboard: &mut Scoreboard,
+        v: Valuation,
+    ) -> StepOutcome {
+        let from = self.state;
+        let ts = &monitor.transitions[from.index()];
+        let idx = ts
+            .iter()
+            .position(|t| t.guard.eval(v, &*scoreboard))
+            .unwrap_or_else(|| {
+                panic!(
+                    "monitor `{}` has no enabled transition from {} — transition relation not total",
+                    monitor.name, from
+                )
+            });
+        let t = &ts[idx];
+        scoreboard.apply_all(&t.actions, self.tick);
+        self.state = t.target;
+        self.tick += 1;
+        let matched = self.state == monitor.final_state;
+        if matched {
+            self.matches += 1;
+        }
+        StepOutcome {
+            from,
+            to: self.state,
+            matched,
+            transition: idx,
+        }
     }
 }
 
-impl ScoreboardOps for SharedScoreboard {
-    fn apply_actions(&mut self, actions: &[Action], tick: u64) {
-        self.with(|sb| sb.apply_all(actions, tick));
-    }
-    fn underflow_count(&self) -> u64 {
-        self.with(|sb| sb.underflows())
-    }
-}
-
-/// Step-by-step executor of a [`Monitor`].
-///
-/// Generic over the scoreboard: an owned [`Scoreboard`] for single-clock
-/// monitors, a [`SharedScoreboard`] for the local monitors of a
-/// multi-clock composition.
+/// Step-by-step executor of a [`Monitor`] over a private
+/// [`Scoreboard`].
 ///
 /// # Examples
 ///
@@ -405,52 +437,40 @@ impl ScoreboardOps for SharedScoreboard {
 /// # Ok::<(), cesc_core::SynthError>(())
 /// ```
 #[derive(Debug)]
-pub struct MonitorExec<'m, S: ScoreboardOps = Scoreboard> {
+pub struct MonitorExec<'m> {
     monitor: &'m Monitor,
-    state: StateId,
-    scoreboard: S,
-    tick: u64,
-    matches: u64,
+    cursor: Cursor,
+    scoreboard: Scoreboard,
 }
 
-impl<'m> MonitorExec<'m, Scoreboard> {
+impl<'m> MonitorExec<'m> {
     /// Creates an executor with a fresh private scoreboard, positioned
     /// at the initial state.
     pub fn new(monitor: &'m Monitor) -> Self {
-        Self::with_scoreboard(monitor, Scoreboard::new())
-    }
-}
-
-impl<'m, S: ScoreboardOps> MonitorExec<'m, S> {
-    /// Creates an executor over an existing scoreboard (shared across
-    /// clock domains in multi-clock monitors).
-    pub fn with_scoreboard(monitor: &'m Monitor, scoreboard: S) -> Self {
         MonitorExec {
             monitor,
-            state: monitor.initial,
-            scoreboard,
-            tick: 0,
-            matches: 0,
+            cursor: Cursor::new(monitor),
+            scoreboard: Scoreboard::new(),
         }
     }
 
     /// The current state.
     pub fn state(&self) -> StateId {
-        self.state
+        self.cursor.state
     }
 
     /// Number of ticks consumed so far.
     pub fn tick(&self) -> u64 {
-        self.tick
+        self.cursor.tick
     }
 
     /// Number of times the final state has been entered.
     pub fn match_count(&self) -> u64 {
-        self.matches
+        self.cursor.matches
     }
 
     /// Read access to the scoreboard.
-    pub fn scoreboard(&self) -> &S {
+    pub fn scoreboard(&self) -> &Scoreboard {
         &self.scoreboard
     }
 
@@ -464,31 +484,7 @@ impl<'m, S: ScoreboardOps> MonitorExec<'m, S> {
     /// priority list with a total fallback, so this indicates a
     /// hand-constructed, non-total monitor.
     pub fn step(&mut self, v: Valuation) -> StepOutcome {
-        let from = self.state;
-        let ts = &self.monitor.transitions[from.index()];
-        let idx = ts
-            .iter()
-            .position(|t| t.guard.eval(v, &self.scoreboard))
-            .unwrap_or_else(|| {
-                panic!(
-                    "monitor `{}` has no enabled transition from {} — transition relation not total",
-                    self.monitor.name, from
-                )
-            });
-        let t = &ts[idx];
-        self.scoreboard.apply_actions(&t.actions, self.tick);
-        self.state = t.target;
-        self.tick += 1;
-        let matched = self.state == self.monitor.final_state;
-        if matched {
-            self.matches += 1;
-        }
-        StepOutcome {
-            from,
-            to: self.state,
-            matched,
-            transition: idx,
-        }
+        self.cursor.step(self.monitor, &mut self.scoreboard, v)
     }
 }
 
@@ -656,18 +652,5 @@ mod tests {
         let s = m.display(&ab).to_string();
         assert!(s.contains("monitor tiny"));
         assert!(s.contains("s0 --[a]--> s1"));
-    }
-
-    #[test]
-    fn shared_scoreboard_exec() {
-        let mut ab = Alphabet::new();
-        let (m, a) = tiny_monitor(&mut ab);
-        let shared = SharedScoreboard::new();
-        let mut exec = MonitorExec::with_scoreboard(&m, shared.clone());
-        exec.step(Valuation::of([a]));
-        // scoreboard untouched by tiny monitor but accessible
-        assert_eq!(exec.scoreboard().underflow_count(), 0);
-        shared.with(|sb| sb.add(a, 0));
-        assert!(exec.scoreboard().has_event(a));
     }
 }

@@ -16,8 +16,8 @@ use cesc_chart::MultiClockSpec;
 use cesc_expr::Valuation;
 use cesc_trace::{ClockId, ClockSet, GlobalRun, GlobalStep};
 
-use crate::monitor::{Monitor, MonitorExec};
-use crate::scoreboard::SharedScoreboard;
+use crate::monitor::{Cursor, Monitor, StateId};
+use crate::scoreboard::Scoreboard;
 use crate::synth::{synthesize, SynthError, SynthOptions};
 
 /// A multi-clock monitor: local monitors indexed by clock-domain name.
@@ -71,18 +71,13 @@ impl MultiClockMonitor {
         self.locals.iter().find(|m| m.clock() == clock)
     }
 
-    /// Creates an executor with a fresh shared scoreboard.
+    /// Creates an executor with a fresh scoreboard shared by the
+    /// locals.
     pub fn executor(&self) -> MultiClockExec<'_> {
-        let scoreboard = SharedScoreboard::new();
-        let execs = self
-            .locals
-            .iter()
-            .map(|m| MonitorExec::with_scoreboard(m, scoreboard.clone()))
-            .collect();
         MultiClockExec {
             monitor: self,
-            execs,
-            scoreboard,
+            cursors: self.locals.iter().map(Cursor::new).collect(),
+            scoreboard: Scoreboard::new(),
             completed: vec![None; self.locals.len()],
             matches: 0,
         }
@@ -139,12 +134,14 @@ pub fn synthesize_multiclock(
     })
 }
 
-/// Executor for a [`MultiClockMonitor`] over a global run.
+/// Executor for a [`MultiClockMonitor`] over a global run: one cursor
+/// per local, stepped by the code [`crate::MonitorExec::step`] runs,
+/// over the one scoreboard the locals share.
 #[derive(Debug)]
 pub struct MultiClockExec<'m> {
     monitor: &'m MultiClockMonitor,
-    execs: Vec<MonitorExec<'m, SharedScoreboard>>,
-    scoreboard: SharedScoreboard,
+    cursors: Vec<Cursor>,
+    scoreboard: Scoreboard,
     /// Global time at which each local monitor last completed (since the
     /// previous full-spec match).
     completed: Vec<Option<u64>>,
@@ -160,8 +157,7 @@ impl MultiClockExec<'_> {
     pub fn step_global(&mut self, clocks: &ClockSet, step: &GlobalStep) -> bool {
         for &(clock_id, valuation) in &step.ticks {
             if let Some(idx) = self.local_index(clocks, clock_id) {
-                let out = self.execs[idx].step(valuation);
-                if out.matched {
+                if self.step_cursor(idx, valuation) {
                     self.completed[idx] = Some(step.time);
                 }
             }
@@ -178,8 +174,7 @@ impl MultiClockExec<'_> {
     /// Feeds one local tick directly (used by the simulation harness,
     /// which drives domains from independent processes).
     pub fn step_local(&mut self, local: usize, time: u64, v: Valuation) -> bool {
-        let out = self.execs[local].step(v);
-        if out.matched {
+        if self.step_cursor(local, v) {
             self.completed[local] = Some(time);
         }
         if self.completed.iter().all(Option::is_some) {
@@ -189,6 +184,13 @@ impl MultiClockExec<'_> {
         } else {
             false
         }
+    }
+
+    /// Steps local `idx`; whether it completed its scenario.
+    fn step_cursor(&mut self, idx: usize, v: Valuation) -> bool {
+        let monitor = &self.monitor.locals[idx];
+        let out = self.cursors[idx].step(monitor, &mut self.scoreboard, v);
+        out.matched
     }
 
     fn local_index(&self, clocks: &ClockSet, clock_id: ClockId) -> Option<usize> {
@@ -206,14 +208,14 @@ impl MultiClockExec<'_> {
         self.matches
     }
 
-    /// The shared scoreboard.
-    pub fn scoreboard(&self) -> &SharedScoreboard {
+    /// The scoreboard the locals share.
+    pub fn scoreboard(&self) -> &Scoreboard {
         &self.scoreboard
     }
 
     /// Per-domain current states (for debugging / display).
-    pub fn local_states(&self) -> Vec<crate::monitor::StateId> {
-        self.execs.iter().map(MonitorExec::state).collect()
+    pub fn local_states(&self) -> Vec<StateId> {
+        self.cursors.iter().map(Cursor::state).collect()
     }
 }
 
@@ -313,7 +315,7 @@ mod tests {
                 .unwrap();
         // m2's first transition must be guarded by Chk_evt(req1)
         let m2 = mm.local_for_clock("clk2").unwrap();
-        let t = &m2.transitions_from(crate::monitor::StateId(0))[0];
+        let t = &m2.transitions_from(StateId(0))[0];
         let req1 = ev(&d, "req1");
         assert!(t.guard.chk_targets().contains(req1));
     }
@@ -423,7 +425,7 @@ mod tests {
         let matched = exec.step_local(l1, 9, Valuation::of([ev(&d, "data1")]));
         assert!(matched);
         assert_eq!(exec.match_count(), 1);
-        assert!(!exec.scoreboard().snapshot().is_empty());
+        assert!(!exec.scoreboard().is_empty());
         assert_eq!(exec.local_states().len(), 2);
     }
 }

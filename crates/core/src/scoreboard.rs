@@ -9,10 +9,8 @@
 //! cross-domain synchronisation mechanism (§1, §5).
 
 use std::fmt;
-use std::sync::Arc;
 
 use cesc_expr::{Alphabet, ScoreboardView, SymbolId};
-use parking_lot::Mutex;
 
 /// A scoreboard action attached to a monitor transition (§4: `ACT =
 /// {Add_evt(), Del_evt(), Null}`).
@@ -240,39 +238,6 @@ impl fmt::Display for DisplayScoreboard<'_> {
     }
 }
 
-/// A scoreboard shared between the local monitors of a multi-clock
-/// monitor (and, in `cesc-sim`, between simulation threads).
-///
-/// Cheap to clone (reference-counted); locking is internal and
-/// per-operation.
-#[derive(Debug, Clone, Default)]
-pub struct SharedScoreboard {
-    inner: Arc<Mutex<Scoreboard>>,
-}
-
-impl SharedScoreboard {
-    /// Creates an empty shared scoreboard.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Runs `f` with exclusive access to the scoreboard.
-    pub fn with<R>(&self, f: impl FnOnce(&mut Scoreboard) -> R) -> R {
-        f(&mut self.inner.lock())
-    }
-
-    /// Snapshot of the current contents.
-    pub fn snapshot(&self) -> Scoreboard {
-        self.inner.lock().clone()
-    }
-}
-
-impl ScoreboardView for SharedScoreboard {
-    fn has_event(&self, event: SymbolId) -> bool {
-        self.inner.lock().has_event(event)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,18 +318,6 @@ mod tests {
         let mut sb = Scoreboard::new();
         sb.add(a, 7);
         assert_eq!(sb.display(&ab).to_string(), "[a@7]");
-    }
-
-    #[test]
-    fn shared_scoreboard_synchronises() {
-        let (_, a, _) = ab2();
-        let shared = SharedScoreboard::new();
-        let clone = shared.clone();
-        shared.with(|sb| sb.add(a, 0));
-        assert!(clone.has_event(a));
-        assert_eq!(clone.snapshot().count(a), 1);
-        clone.with(|sb| sb.del(a));
-        assert!(!shared.has_event(a));
     }
 
     #[test]

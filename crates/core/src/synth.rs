@@ -27,8 +27,8 @@
 //! canonical witness; reproduces the paper's printed automata, the
 //! default) and `Satisfiability` (`sat(P[i] ∧ P[j])`; superset
 //! detection). Both are exact on complete-element patterns; on
-//! aliasing patterns only subset construction is exact
-//! ([`crate::Determinized`] / [`crate::engine::ExactEngine`]) — see
+//! aliasing patterns only subset construction ([`crate::Determinized`])
+//! is exact — see
 //! docs/ARCHITECTURE.md, "Which windows `cesc check` reports", for the
 //! full characterization, which the property tests pin.
 //!
@@ -270,7 +270,7 @@ pub fn synthesize(chart: &Scesc, opts: &SynthOptions) -> Result<Monitor, SynthEr
     }
 
     // compatibility matrix: can one element match both P[i] and P[j]?
-    let compat = compat_matrix_with(&pattern, opts.overlap);
+    let compat = compat_matrix(&pattern, opts.overlap);
     let plan = CausalityPlan::build(chart, &opts.extra_arrows);
 
     let mut transitions: Vec<Vec<Transition>> = Vec::with_capacity(n + 1);
@@ -386,17 +386,11 @@ fn del_events(plan: &CausalityPlan, k: usize, s: usize) -> Vec<SymbolId> {
     dels
 }
 
-/// `compat[i][j]` under the default (satisfiability) policy:
-/// `sat(P[i] ∧ P[j])`.
-pub(crate) fn compat_matrix(pattern: &[Expr]) -> Vec<Vec<bool>> {
-    compat_matrix_with(pattern, OverlapPolicy::Satisfiability)
-}
-
 /// `compat[i][j]` ⇔ "an element that matched `P[i]` also matches
 /// `P[j]`" under the chosen policy. Symmetric for
 /// [`OverlapPolicy::Satisfiability`], generally asymmetric for
 /// [`OverlapPolicy::Witness`].
-pub(crate) fn compat_matrix_with(pattern: &[Expr], policy: OverlapPolicy) -> Vec<Vec<bool>> {
+fn compat_matrix(pattern: &[Expr], policy: OverlapPolicy) -> Vec<Vec<bool>> {
     let n = pattern.len();
     let mut m = vec![vec![false; n]; n];
     match policy {
@@ -425,28 +419,6 @@ pub(crate) fn compat_matrix_with(pattern: &[Expr], policy: OverlapPolicy) -> Vec
         }
     }
     m
-}
-
-/// The slide rule shared by the table/lazy engines: the largest
-/// `k ≤ min(n, s+1)` whose prefix is compatible with the current suffix,
-/// where `element_matches(i)` says whether the fresh input element
-/// satisfies `P[i]`.
-pub(crate) fn slide_target(
-    n: usize,
-    compat: &[Vec<bool>],
-    s: usize,
-    element_matches: &dyn Fn(usize) -> bool,
-) -> usize {
-    let k_max = n.min(s + 1);
-    for k in (1..=k_max).rev() {
-        if !element_matches(k - 1) {
-            continue;
-        }
-        if (0..k - 1).all(|i| compat[s + 1 - k + i][i]) {
-            return k;
-        }
-    }
-    0
 }
 
 #[cfg(test)]
@@ -592,14 +564,21 @@ mod tests {
     fn slide_targets_respect_kmp_bound() {
         let doc = fig5();
         let chart = doc.chart("fig5").unwrap();
-        let pattern = chart.extract_pattern();
-        let compat = compat_matrix(&pattern);
-        let n = pattern.len();
-        for s in 0..=n {
-            for bits in 0u32..32 {
-                let v = Valuation::from_bits(bits as u128);
-                let k = slide_target(n, &compat, s, &|i| pattern[i].eval_pure(v));
-                assert!(k <= n.min(s + 1));
+        let n = chart.tick_count();
+        for overlap in [OverlapPolicy::Witness, OverlapPolicy::Satisfiability] {
+            let opts = SynthOptions {
+                overlap,
+                ..Default::default()
+            };
+            let m = synthesize(chart, &opts).unwrap();
+            for s in 0..=n {
+                for t in m.transitions_from(StateId(s as u32)) {
+                    assert!(
+                        t.target.index() <= n.min(s + 1),
+                        "{overlap:?}: s{s} -> {}",
+                        t.target
+                    );
+                }
             }
         }
     }

@@ -159,7 +159,7 @@ pub fn witness_window(chart: &Scesc) -> Result<Vec<Valuation>, UnsatisfiableChar
 /// * `loop n` — `n` consecutive repetitions;
 /// * `implication` — the antecedent window immediately followed by the
 ///   consequent window (the full observed scenario; verdict-level
-///   checking lives in `cesc-core`'s `Checker`);
+///   checking lives in `cesc-core`'s `ImplicationChecker`);
 /// * `async` — always `false`: multi-clock matching needs a global run,
 ///   use [`multiclock_contains`].
 pub fn cesc_matches(cesc: &Cesc, window: &[Valuation]) -> bool {

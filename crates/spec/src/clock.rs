@@ -123,26 +123,15 @@ impl SpecSet {
                 }
             }
         };
-        for t in targets {
-            match *t {
-                TargetRef::Chart(i) => {
-                    let c = &doc.charts[i];
-                    note(c.clock(), c.mentioned_symbols());
-                }
+        for &t in targets {
+            match t {
+                TargetRef::Chart(i) => note(doc.charts[i].clock(), self.target_symbols(t)),
                 TargetRef::Multi(i) => {
                     for c in doc.multiclock[i].charts() {
                         note(c.clock(), c.mentioned_symbols());
                     }
                 }
-                TargetRef::Assert(i) => {
-                    let (_, cesc) = &doc.compositions[i];
-                    let mut mask = Valuation::empty();
-                    for chart in cesc.basic_charts() {
-                        mask = mask | chart.mentioned_symbols();
-                    }
-                    let spec = self.assert_spec(i)?;
-                    note(spec.clock(), mask);
-                }
+                TargetRef::Assert(i) => note(self.assert_spec(i)?.clock(), self.target_symbols(t)),
             }
         }
         Ok(ClockPlan {

@@ -42,7 +42,7 @@ use cesc_core::{
     CompiledImplication, CompiledMonitor, CompiledMultiClock, Monitor, MultiClockMonitor,
     ProofReport, SynthOptions,
 };
-use cesc_expr::SymbolId;
+use cesc_expr::{SymbolId, Valuation};
 
 mod clock;
 
@@ -500,6 +500,17 @@ impl SpecSet {
             TargetRef::Multi(i) => self.doc.multiclock[i].name(),
             TargetRef::Assert(i) => &self.doc.compositions[i].0,
         }
+    }
+
+    /// The symbols a resolved target reads: the events, guard
+    /// propositions and arrow endpoints of every basic chart in it.
+    pub fn target_symbols(&self, target: TargetRef) -> Valuation {
+        let charts: Vec<&Scesc> = match target {
+            TargetRef::Chart(i) => vec![&self.doc.charts[i]],
+            TargetRef::Multi(i) => self.doc.multiclock[i].charts().iter().collect(),
+            TargetRef::Assert(i) => self.doc.compositions[i].1.basic_charts(),
+        };
+        charts.iter().fold(Valuation::empty(), |acc, c| acc | c.mentioned_symbols())
     }
 
     /// Resolves a basic chart by name — `None` picks the document's

@@ -133,6 +133,11 @@ impl CodeTable {
         &mut self.bindings[*slot as usize - 1]
     }
 
+    /// Bitmask of the alphabet symbols some declared code carries.
+    pub(crate) fn symbols(&self) -> u128 {
+        self.bindings.iter().fold(0, |acc, b| acc | b.symbols)
+    }
+
     #[inline]
     fn get(&self, code: &[u8]) -> Option<CodeBinding> {
         match Self::dense_slot(code) {

@@ -318,10 +318,10 @@ fn read_line<R: BufRead>(
 /// A declared name matches a clock or symbol either exactly or with a
 /// vector range stripped — both `data[7:0]` and the separate-token
 /// form `$var wire 8 ! data [7:0] $end` resolve to `data`. A clock
-/// binds to its first declaration; a name that matches a clock is
-/// never also read as a symbol. A `$comment` block is skipped up to
-/// its closing `$end` token, over as many lines as it spans, so a
-/// declaration inside it binds nothing.
+/// binds to its first declaration, which must be one bit wide; a name
+/// that matches a clock is never also read as a symbol. A `$comment`
+/// block is skipped up to its closing `$end` token, over as many lines
+/// as it spans, so a declaration inside it binds nothing.
 fn parse_header<R: BufRead>(
     reader: &mut R,
     lineno: &mut usize,
@@ -369,6 +369,17 @@ fn parse_header<R: BufRead>(
                 if spec.name == name || spec.name == base {
                     is_clock = true;
                     if !declared[ci] {
+                        // a rise of any bit is not an edge of one clock
+                        if toks[2] != "1" {
+                            return Err(VcdReadError::Malformed {
+                                line: *lineno,
+                                message: format!(
+                                    "clock `{}` is declared {} bits wide; a sampled clock must \
+                                     be a 1-bit signal",
+                                    spec.name, toks[2]
+                                ),
+                            });
+                        }
                         declared[ci] = true;
                         codes.entry(code).clocks |= 1 << ci;
                     }
@@ -541,8 +552,8 @@ impl<R: BufRead> GlobalVcdStream<R> {
     /// Returns [`VcdReadError::TooManyClocks`] for more than 64
     /// clocks, [`VcdReadError::MissingClock`] naming the first
     /// undeclared clock, [`VcdReadError::Malformed`] on an unparseable
-    /// `$var` declaration, or [`VcdReadError::Io`] if the reader
-    /// fails.
+    /// `$var` declaration or a clock declared wider than one bit, or
+    /// [`VcdReadError::Io`] if the reader fails.
     pub fn from_reader(
         mut reader: R,
         alphabet: &Alphabet,
@@ -599,6 +610,12 @@ impl<R: BufRead> GlobalVcdStream<R> {
         );
         self.spawn = (n > 1).then_some((n, fold));
         self
+    }
+
+    /// The alphabet symbols the header declares a `$var` for; every
+    /// other symbol reads as constant false.
+    pub fn declared_symbols(&self) -> Valuation {
+        Valuation::from_bits(self.codes.symbols())
     }
 
     /// Body blocks decoded so far.
@@ -909,7 +926,7 @@ x\"
     fn vector_changes_map_to_any_bit_set() {
         let (ab, a, _) = setup();
         let vcd = "\
-$var wire 4 ! clk $end
+$var wire 1 ! clk $end
 $var wire 4 \" req $end
 $enddefinitions $end
 #0
@@ -928,12 +945,38 @@ b0000 \"
     }
 
     #[test]
+    fn vector_clock_is_refused() {
+        // any rising bit of `clk[1:0]` would read as an edge: refused
+        let (ab, _, _) = setup();
+        let vcd = "\
+$var wire 1 \" req $end
+$var wire 2 ! clk [1:0] $end
+$enddefinitions $end
+#0
+b10 !
+";
+        let err = read_vcd(vcd, &ab, "clk").unwrap_err();
+        assert_eq!(
+            err,
+            VcdReadError::Malformed {
+                line: 2,
+                message: "clock `clk` is declared 2 bits wide; a sampled clock must be a 1-bit \
+                          signal"
+                    .to_owned(),
+            }
+        );
+        // a one-bit select of a vector binds like a scalar
+        let one_bit = "$var wire 1 ! clk [0] $end\n$enddefinitions $end\n#0\n1!\n";
+        assert_eq!(read_vcd(one_bit, &ab, "clk").unwrap().len(), 1);
+    }
+
+    #[test]
     fn vector_x_z_bits_read_as_false() {
         // a vector of only x/z bits is false; any 1 bit wins; an x
         // *alongside* a 1 does not mask it
         let (ab, a, _) = setup();
         let vcd = "\
-$var wire 4 ! clk $end
+$var wire 1 ! clk $end
 $var wire 4 \" req $end
 $enddefinitions $end
 #0

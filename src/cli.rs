@@ -45,6 +45,7 @@ use std::path::Path;
 
 use cesc_chart::{render_ascii, Scesc};
 use cesc_core::{analyze, to_dot, Verdict, BATCH_CHUNK};
+use cesc_expr::Valuation;
 use cesc_hdl::{
     emit_sva_cover, emit_testbench, emit_verilog, lower_monitor, sva_loses_scoreboard,
     SvaOptions, TestbenchOptions, VerilogOptions,
@@ -797,6 +798,9 @@ pub fn check_fleet(
     let mut stream = GlobalVcdStream::from_reader(vcd, specs.alphabet(), &clock_specs)
         .map_err(|e| CliError::Pipeline(e.to_string()))?
         .with_workers(decode_workers);
+    for warning in undeclared_symbol_warnings(&specs, &targets, stream.declared_symbols()) {
+        eprintln!("cesc: warning: {warning}");
+    }
     let par_opts = ParOptions {
         keep_all_hits: opts.all_matches,
         edge: MATCH_EDGE,
@@ -873,6 +877,34 @@ pub fn check_fleet(
         }
     };
     Ok(CheckOutcome { output, failed })
+}
+
+/// One line per symbol the selected targets read that no `$var` in the
+/// dump declares — it reads as 0 throughout, so a verdict can quietly
+/// turn NOT OBSERVED — naming the targets that read it.
+fn undeclared_symbol_warnings(
+    specs: &SpecSet,
+    targets: &[TargetRef],
+    declared: Valuation,
+) -> Vec<String> {
+    let read = targets
+        .iter()
+        .fold(Valuation::empty(), |acc, &t| acc | specs.target_symbols(t));
+    Valuation::from_bits(read.bits() & !declared.bits())
+        .iter()
+        .map(|sym| {
+            let users: Vec<&str> = targets
+                .iter()
+                .filter(|&&t| specs.target_symbols(t).contains(sym))
+                .map(|&t| specs.target_name(t))
+                .collect();
+            format!(
+                "signal `{}` is not declared in the VCD and reads as 0 (used by {})",
+                specs.alphabet().name(sym),
+                users.join(", ")
+            )
+        })
+        .collect()
 }
 
 fn verdict_word(detected: bool) -> &'static str {

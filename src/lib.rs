@@ -77,7 +77,7 @@ pub use cesc_trace as trace;
 pub mod prelude {
     pub use cesc_chart::{parse_document, render_ascii, Cesc, Document, Scesc, ScescBuilder};
     pub use cesc_core::{
-        compile, synthesize, synthesize_multiclock, Checker, ImplicationChecker, Monitor,
+        compile, synthesize, synthesize_multiclock, ImplicationChecker, Monitor,
         MonitorExec, Scoreboard, SynthOptions, Verdict,
     };
     pub use cesc_expr::{parse_expr, Alphabet, Expr, NameResolution, SymbolKind, Valuation};

@@ -466,6 +466,69 @@ fn fleet_binary_runs_jobs_far_above_the_core_count() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Runs the release binary's `check --all-charts` on the shipped
+/// handshake spec over `vcd`: (stdout, stderr, exit status).
+fn check_handshake_binary(vcd: &str, tag: &str) -> (String, String, Option<i32>) {
+    let dir = std::env::temp_dir().join(format!("cesc-cli-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let dump = dir.join("dump.vcd");
+    std::fs::write(&dump, vcd).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_cesc"))
+        .arg("check")
+        .arg(concat!(env!("CARGO_MANIFEST_DIR"), "/examples/specs/handshake.cesc"))
+        .arg("--vcd")
+        .arg(&dump)
+        .arg("--all-charts")
+        .output()
+        .unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    (
+        String::from_utf8(out.stdout).unwrap(),
+        String::from_utf8(out.stderr).unwrap(),
+        out.status.code(),
+    )
+}
+
+#[test]
+fn fleet_binary_warns_about_chart_signals_the_dump_lacks() {
+    // `ack` has no `$var`: it reads as 0, so `hs` is NOT OBSERVED —
+    // said once on stderr, naming every target that reads it, while
+    // stdout and the exit status stay as they were
+    let header = "$var wire 1 ! clk $end\n$var wire 1 \" req $end\n";
+    let body = "$enddefinitions $end\n#0\n1\"\n1!\n#5\n0!\n0\"\n#10\n1!\n#15\n0!\n";
+    let (stdout, stderr, code) = check_handshake_binary(&format!("{header}{body}"), "no-ack");
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(
+        stdout.contains("chart `hs` (clock clk) over 2 sampled cycles: NOT OBSERVED"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("warning"), "{stdout}");
+    assert_eq!(
+        stderr,
+        "cesc: warning: signal `ack` is not declared in the VCD and reads as 0 (used by hs, \
+         ack_pulse, hs_gate)\n"
+    );
+
+    let complete = format!("{header}$var wire 1 # ack $end\n{body}");
+    let (stdout, stderr, code) = check_handshake_binary(&complete, "complete");
+    assert_eq!((code, stderr.as_str()), (Some(0), ""), "{stdout}");
+}
+
+#[test]
+fn fleet_binary_refuses_a_vector_clock() {
+    // with `clk[1:0]` every rising bit would read as an edge
+    let vcd = "$var wire 2 ! clk [1:0] $end\n$var wire 1 \" req $end\n$var wire 1 # ack $end\n\
+               $enddefinitions $end\n#0\nb00 !\n#5\n1\"\nb10 !\n#10\nb00 !\n1#\n#15\nb01 !\n";
+    let (stdout, stderr, code) = check_handshake_binary(vcd, "vector-clock");
+    assert_eq!(code, Some(1), "{stdout}");
+    assert_eq!(stdout, "");
+    assert_eq!(
+        stderr,
+        "cesc: malformed VCD at line 1: clock `clk` is declared 2 bits wide; a sampled clock \
+         must be a 1-bit signal\n"
+    );
+}
+
 #[test]
 fn fleet_binary_cosim_composes_with_json_jobs_and_progress() {
     // `--cosim` rides the fleet route in the release binary: it takes

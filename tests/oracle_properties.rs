@@ -1,10 +1,9 @@
 //! Property tests: the synthesized monitor against the denotational
-//! oracle (`[[C]]` membership) and the exact subset-construction engine
-//! — the executable form of the paper's §5 correctness result
-//! `[[C]] = Σ* × L(M) × Σ^ω`.
+//! oracle (`[[C]]` membership) and the exact subset-construction
+//! automaton (`Determinized`) — the executable form of the paper's §5
+//! correctness result `[[C]] = Σ* × L(M) × Σ^ω`.
 
-use cesc::core::engine::{DenseTableEngine, ExactEngine, LazyEngine, NaiveMatcher};
-use cesc::core::{synthesize, OverlapPolicy, SynthOptions};
+use cesc::core::{synthesize, Determinized, OverlapPolicy, SynthOptions};
 use cesc::expr::{SymbolId, Valuation};
 use cesc::prelude::{Alphabet, ScescBuilder};
 use cesc::semantics::{match_positions, witness_window};
@@ -113,7 +112,8 @@ proptest! {
         }
     }
 
-    /// The exact subset engine reports exactly the oracle's windows.
+    /// The exact subset automaton reports exactly the oracle's windows,
+    /// on arbitrary (not only complete) patterns.
     #[test]
     fn exact_engine_equals_oracle(
         pattern in arb_pattern(),
@@ -123,64 +123,11 @@ proptest! {
             return Ok(());
         };
         let trace = decode_trace(&raw);
-        let p = chart.extract_pattern();
-        let mut exact = ExactEngine::new(&p).unwrap();
+        let mut exact = Determinized::build(&chart.extract_pattern()).unwrap();
         let hits: Vec<usize> = trace
             .iter()
             .enumerate()
-            .filter(|(_, v)| {
-                let v = *v;
-                exact.step(v)
-            })
-            .map(|(i, _)| i)
-            .collect();
-        let oracle: Vec<usize> = match_positions(&chart, &trace)
-            .into_iter()
-            .map(|s| s + chart.tick_count() - 1)
-            .collect();
-        prop_assert_eq!(hits, oracle);
-    }
-
-    /// Dense table, lazy δ and the naive matcher agree with each other
-    /// on every step (they implement the same automaton).
-    #[test]
-    fn table_lazy_agree(
-        pattern in arb_pattern(),
-        raw in arb_trace(24),
-    ) {
-        let Some((_ab, chart)) = build_chart(&pattern) else {
-            return Ok(());
-        };
-        let trace = decode_trace(&raw);
-        let p = chart.extract_pattern();
-        let mut dense = DenseTableEngine::new(&p).unwrap();
-        let mut lazy = LazyEngine::new(&p).unwrap();
-        for v in trace.iter() {
-            prop_assert_eq!(dense.step(v), lazy.step(v));
-            prop_assert_eq!(dense.state(), lazy.state());
-        }
-    }
-
-    /// The naive window-rescanning baseline equals the oracle (it
-    /// literally re-applies the definition).
-    #[test]
-    fn naive_matcher_equals_oracle(
-        pattern in arb_pattern(),
-        raw in arb_trace(20),
-    ) {
-        let Some((_ab, chart)) = build_chart(&pattern) else {
-            return Ok(());
-        };
-        let trace = decode_trace(&raw);
-        let p = chart.extract_pattern();
-        let mut naive = NaiveMatcher::new(&p).unwrap();
-        let hits: Vec<usize> = trace
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| {
-                let v = *v;
-                naive.step(v)
-            })
+            .filter(|&(_, v)| exact.step(v))
             .map(|(i, _)| i)
             .collect();
         let oracle: Vec<usize> = match_positions(&chart, &trace)
@@ -230,8 +177,8 @@ proptest! {
     }
 
     /// On complete patterns the monitor state equals the exact
-    /// engine's longest live prefix at every step (classical KMP
-    /// invariant).
+    /// automaton's longest live prefix — the highest bit of its live
+    /// set — at every step (classical KMP invariant).
     #[test]
     fn monitor_state_equals_exact_live_on_complete_patterns(
         letters in arb_complete_pattern(),
@@ -243,11 +190,12 @@ proptest! {
             let opts = SynthOptions { overlap: policy, ..Default::default() };
             let monitor = synthesize(&chart, &opts).unwrap();
             let mut exec = cesc::core::MonitorExec::new(&monitor);
-            let mut exact = ExactEngine::new(&p).unwrap();
+            let mut exact = Determinized::build(&p).unwrap();
             for v in decode_trace(&raw).iter() {
                 let out = exec.step(v);
                 exact.step(v);
-                prop_assert_eq!(out.to.index(), exact.longest_live());
+                let longest_live = 63 - exact.current_live_set().leading_zeros() as usize;
+                prop_assert_eq!(out.to.index(), longest_live);
             }
         }
     }
@@ -259,7 +207,7 @@ proptest! {
 /// exact — it can both over- and under-report windows, because one
 /// state cannot track several live alignments. This regression test
 /// pins the minimal counterexample proptest discovered; the
-/// [`ExactEngine`] (subset construction) is the remedy.
+/// [`Determinized`] subset automaton is the remedy.
 #[test]
 fn greedy_automaton_incompleteness_counterexample() {
     // pattern: ¬s2, s2, TRUE, TRUE
@@ -289,16 +237,13 @@ fn greedy_automaton_incompleteness_counterexample() {
         .collect();
     assert_eq!(oracle, vec![16, 21], "two real windows");
 
-    // the exact engine finds exactly the oracle windows …
-    let p = chart.extract_pattern();
-    let mut exact = ExactEngine::new(&p).unwrap();
+    // the exact automaton finds exactly the oracle windows, the one
+    // at 21 included …
+    let mut exact = Determinized::build(&chart.extract_pattern()).unwrap();
     let exact_hits: Vec<u64> = trace
         .iter()
         .enumerate()
-        .filter(|(_, v)| {
-            let v = *v;
-            exact.step(v)
-        })
+        .filter(|&(_, v)| exact.step(v))
         .map(|(i, _)| i as u64)
         .collect();
     assert_eq!(exact_hits, oracle);
