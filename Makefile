@@ -66,7 +66,7 @@ verify-prove: ## semantic static-analysis gate: guard-SAT / product-reachability
 	./target/release/cesc prove target/bus_library.cesc
 	$(CARGO) bench -p cesc-bench --bench prove_throughput --no-run
 
-verify-obs: ## observability gate: cesc-obs unit suite + the cross-layer serial==sharded counter properties + a release `check --jobs 4 --stats-json` smoke over a generated 120k-step dump (schema, `execute` and `decode` spans, per-shard utilization, decode-worker blocks and fold time, idle-run skips)
+verify-obs: ## observability gate: cesc-obs unit suite + the cross-layer serial==sharded counter properties + a release `check --jobs 4 --stats-json` smoke over a generated 120k-step dump (schema, `execute` and `decode` spans, per-shard utilization, decode-worker blocks, read and fold time, idle-run skips)
 	$(CARGO) test -q -p cesc-obs
 	$(CARGO) test -q --test obs_stats
 	$(CARGO) build --release --quiet
@@ -78,6 +78,7 @@ verify-obs: ## observability gate: cesc-obs unit suite + the cross-layer serial=
 	grep -q '"name":"decode"' target/obs_smoke.json
 	grep -q '"decode.blocks":' target/obs_smoke.json
 	grep -q '"decode.fold_ns":' target/obs_smoke.json
+	grep -q '"decode.read_ns":' target/obs_smoke.json
 	grep -q '"engine.skip_ticks":' target/obs_smoke.json
 	grep -q '"utilization":' target/obs_smoke.json
 

@@ -90,9 +90,13 @@ pub mod key {
     /// Nanoseconds the streaming reader's caller spent blocked waiting
     /// for a decode worker to hand back a block.
     pub const DECODE_WAIT_NS: &str = "decode.wait_ns";
-    /// Nanoseconds spent folding VCD body blocks into per-instant
-    /// records, on whichever thread folded them.
+    /// Nanoseconds spent decoding the lines of VCD body blocks, on
+    /// whichever thread decoded them: into steps on the reader's
+    /// thread, into per-instant records on a decode worker.
     pub const DECODE_FOLD_NS: &str = "decode.fold_ns";
+    /// Nanoseconds the streaming reader spent reading VCD body blocks
+    /// from its input.
+    pub const DECODE_READ_NS: &str = "decode.read_ns";
     /// VCD body lines the streaming reader decoded.
     pub const DECODE_LINES: &str = "decode.lines";
     /// VCD body bytes the streaming reader decoded.

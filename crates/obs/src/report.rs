@@ -16,7 +16,8 @@ use crate::{json, ShardStats};
 ///   "schema": "cesc-obs/1",
 ///   "command": "check",
 ///   "wall_ms": 41.2708,
-///   "counters": { "engine.ticks": 240000, "engine.matches": 4 },
+///   "counters": { "engine.ticks": 240000, "engine.matches": 4,
+///                 "decode.read_ns": 1904113, "decode.fold_ns": 20416532 },
 ///   "gauges": { "fleet.shards": 4 },
 ///   "spans": [
 ///     { "name": "parse", "calls": 1, "ms": 0.1031 },
@@ -205,12 +206,14 @@ impl RunReport {
         // the producer beside its consumers: a reader that mostly
         // waits on its decode workers is bound by decoding, one that
         // rarely waits by stitching and feeding; on one thread the
-        // `decode` span less `fold` is the read and the stitch
+        // `decode` span is the read plus the fold, which writes the
+        // steps itself
         let blocks = self.counter(crate::key::DECODE_BLOCKS);
         if blocks > 0 {
             out.push_str(&format!(
-                "decode:\n  blocks {:<10} wait {:>10.3} ms  fold {:>10.3} ms  lines {}  bytes {}\n",
+                "decode:\n  blocks {:<10} read {:>10.3} ms  wait {:>10.3} ms  fold {:>10.3} ms  lines {}  bytes {}\n",
                 blocks,
+                ms(self.counter(crate::key::DECODE_READ_NS)),
                 ms(self.counter(crate::key::DECODE_WAIT_NS)),
                 ms(self.counter(crate::key::DECODE_FOLD_NS)),
                 self.counter(crate::key::DECODE_LINES),

@@ -1,25 +1,31 @@
 //! The VCD body decoder behind [`crate::GlobalVcdStream`].
 //!
-//! The body is cut into byte blocks at line boundaries. Each block is
-//! *folded* on its own ([`Folded::fold`]): every body line only sets a
-//! value, so a block's effect on the signals is a pair of cumulative
-//! `(set, clear)` symbol masks, whatever the state at block entry was.
-//! The fold records, per instant that closes inside the block, those
-//! masks and the clocks that rose in it; a clock whose first change in
-//! the block is a rise from an unknown level is recorded as a rise
-//! *only if* its level at block entry was low. The [`Stitcher`] then
-//! walks the folded blocks in order against the real entry state
-//! (valuation, clock levels, current time, line offset) and applies the
-//! sampling rules — a step per instant in which clocks rose, sampled
-//! after all of that instant's changes — so a timestamp repeated across
-//! a block boundary, a block that starts mid-instant, a backwards
-//! timestamp at a boundary and every error line come out exactly as a
-//! line-by-line read would give them.
+//! The body is cut into byte blocks at line boundaries, and a [`Walk`]
+//! decodes a block's lines, handing each value change and timestamp to
+//! a [`Sink`]. There are two sinks, one per thread a block can be
+//! folded on.
 //!
-//! Folding needs no entry state, so blocks can be folded on worker
-//! threads ([`Workers`]) while the caller reads ahead and stitches. On
-//! one thread the fold is seeded with the known entry state, so every
-//! rise is certain and the stitch only emits steps.
+//! On the caller's thread the walk starts from the [`Stitcher`]'s whole
+//! sampling state — valuation, clock levels, pending rises, current
+//! time, line number — so it applies the sampling rules itself (a step
+//! per instant in which clocks rose, sampled after all of that
+//! instant's changes) and writes each [`GlobalStep`] into the caller's
+//! [`Chunk`] as the instant closes. When the chunk is full the walk
+//! pauses after that line, and the next call resumes there.
+//!
+//! A decode worker ([`Workers`]) cannot know the state at block entry,
+//! so its fold ([`Folded::fold`]) writes records instead: every body
+//! line only sets a value, so a block's effect on the signals is a pair
+//! of cumulative `(set, clear)` symbol masks, whatever the entry state
+//! was. The fold records, per instant that closes inside the block,
+//! those masks and the clocks that rose in it; a clock whose first
+//! change in the block is a rise from an unknown level is recorded as a
+//! rise *only if* its level at block entry was low. The caller then
+//! stitches the folded blocks in order against the real entry state
+//! ([`Stitcher::stitch`]), so a timestamp repeated across a block
+//! boundary, a block that starts mid-instant, a backwards timestamp at
+//! a boundary and every error line come out exactly as the walk on the
+//! caller's thread gives them.
 
 use std::collections::HashMap;
 use std::io::{self, Read};
@@ -305,7 +311,7 @@ struct Record {
     clear: u128,
 }
 
-/// What folding one block produced.
+/// What a decode worker's fold of one block produced.
 ///
 /// With a first timestamp line, `records` is the *head* (changes
 /// before that line), then one *close* per instant that ended inside
@@ -338,9 +344,30 @@ pub(crate) struct Folded {
     base: usize,
 }
 
-/// The running state of one fold.
-struct Fold<'a> {
+/// What a fold does with the value changes and timestamps of a block.
+/// How a line is read is [`Walk`]'s, the same for every sink.
+trait Sink {
+    /// A value change on a code bound to `binding` (`None`: a code
+    /// nothing sampled uses).
+    fn change(&mut self, value: bool, binding: Option<CodeBinding>);
+
+    /// A timestamp line, numbered `line`. `Ok(true)` pauses the walk
+    /// after it.
+    fn stamp(&mut self, t: u64, line: usize) -> Result<bool, VcdReadError>;
+}
+
+/// Decodes the lines of a block into its [`Sink`].
+struct Walk<'a, S> {
     codes: &'a CodeTable,
+    /// The number of the last line decoded: block-local on a decode
+    /// worker, counted from the top of the input on the caller's thread.
+    line: usize,
+    sink: S,
+}
+
+/// The sink of a decode worker's fold, which starts with every level
+/// unknown and writes [`Record`]s.
+struct Records<'a> {
     out: &'a mut Folded,
     set: u128,
     clear: u128,
@@ -355,67 +382,66 @@ struct Fold<'a> {
     time: u64,
     /// The first timestamp line's instant still needs its close record.
     close_first: bool,
-    line: usize,
+}
+
+/// Nanoseconds since `started`.
+pub(crate) fn nanos_since(started: Instant) -> u64 {
+    u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 impl Folded {
     /// Folds `text`, whole lines of VCD body (the last may lack its
-    /// `\n` at end of input). `entry` seeds the fold with the known
-    /// valuation and clock levels at block entry; without it every
-    /// level starts unknown.
-    pub(crate) fn fold(
-        &mut self,
-        codes: &CodeTable,
-        text: &[u8],
-        entry: Option<(u128, ClockMask)>,
-    ) {
+    /// `\n` at end of input), with every level at block entry unknown.
+    pub(crate) fn fold(&mut self, codes: &CodeTable, text: &[u8]) {
         let started = Instant::now();
         self.records.clear();
         self.cond.clear();
         self.first = None;
         self.error = None;
         self.cursor = 0;
-        let (set, clear, known, high) = match entry {
-            Some((values, levels)) => (values, !values, ClockMask::MAX, levels),
-            None => (0, 0, 0, 0),
-        };
-        let mut f = Fold {
+        let mut walk = Walk {
             codes,
-            out: self,
-            set,
-            clear,
-            known,
-            high,
-            rose: 0,
-            maybe: 0,
-            stamped: false,
-            time: 0,
-            close_first: false,
             line: 0,
+            sink: Records {
+                out: self,
+                set: 0,
+                clear: 0,
+                known: 0,
+                high: 0,
+                rose: 0,
+                maybe: 0,
+                stamped: false,
+                time: 0,
+                close_first: false,
+            },
         };
-        if let Err(e) = f.lines(text) {
-            f.out.error = Some(e);
+        if let Err(e) = walk.lines(text, 0) {
+            walk.sink.out.error = Some(e);
         }
-        f.push(f.time);
-        f.out.last = f.time;
-        f.out.known = f.known;
-        f.out.high = f.high;
-        f.out.lines = f.line;
+        let line = walk.line;
+        let r = &mut walk.sink;
+        r.record(r.time);
+        r.out.last = r.time;
+        r.out.known = r.known;
+        r.out.high = r.high;
+        r.out.lines = line;
         self.bytes = text.len();
-        self.fold_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.fold_ns = nanos_since(started);
     }
 }
 
-impl Fold<'_> {
-    /// Decodes `text` line by line, up to and including the first line
-    /// in error; the last line may lack its `\n`. Stage 1 finds the
-    /// line ends of a [`WINDOW`] of bytes at once ([`line_ends`]), and
-    /// the set bits of that mask, lowest first, delimit the lines
-    /// stage 2 ([`Fold::decode_line`]) decodes. A last, partial window
-    /// is indexed from a zero-padded copy.
-    fn lines(&mut self, text: &[u8]) -> Result<(), VcdReadError> {
-        let mut start = 0;
-        let mut base = 0;
+impl<S: Sink> Walk<'_, S> {
+    /// Decodes the lines of `text` from byte `from`, a line start, up
+    /// to and including the first line in error or the line the sink
+    /// pauses after; the last line may lack its `\n`. Returns where the
+    /// next line starts, `text.len()` once every line is decoded.
+    /// Stage 1 finds the line ends of a [`WINDOW`] of bytes at once
+    /// ([`line_ends`]), and the set bits of that mask, lowest first,
+    /// delimit the lines stage 2 ([`Walk::decode_line`]) decodes. A
+    /// last, partial window is indexed from a zero-padded copy.
+    fn lines(&mut self, text: &[u8], from: usize) -> Result<usize, VcdReadError> {
+        let mut start = from;
+        let mut base = from;
         while base < text.len() {
             let mut ends = match text.get(base..base + WINDOW) {
                 Some(window) => line_ends(window.try_into().expect("a whole window")),
@@ -428,8 +454,11 @@ impl Fold<'_> {
             while ends != 0 {
                 let end = base + ends.trailing_zeros() as usize;
                 self.line += 1;
-                self.decode_line(&text[start..end])?;
+                let pause = self.decode_line(&text[start..end])?;
                 start = end + 1;
+                if pause {
+                    return Ok(start);
+                }
                 ends &= ends - 1;
             }
             base += WINDOW;
@@ -438,33 +467,35 @@ impl Fold<'_> {
             self.line += 1;
             self.decode_line(&text[start..])?;
         }
-        Ok(())
+        Ok(text.len())
     }
 
-    /// Decodes one body line (without its `\n`). The shapes most lines
-    /// of a dump have are matched first, on the untrimmed bytes: a
-    /// scalar change on a one- or two-character printable code, which
-    /// indexes the dense code table directly, and `#` with 1 to 19
-    /// plain digits. Any other line is trimmed and matched again for
-    /// scalar changes and timestamps; what is left — directives,
-    /// vectors, reals, signed or spaced timestamps, non-ASCII bytes,
-    /// errors — goes through [`Fold::text_line`], so every path shares
-    /// one set of semantics. The exact shapes are inlined into the fold
-    /// loop and the rest is kept out of it.
+    /// Decodes one body line (without its `\n`); `Ok(true)` pauses the
+    /// walk. The shapes most lines of a dump have are matched first, on
+    /// the untrimmed bytes: a scalar change on a one- or two-character
+    /// printable code, which indexes the dense code table directly, and
+    /// `#` with 1 to 19 plain digits. Any other line is trimmed and
+    /// matched again for scalar changes and timestamps; what is left —
+    /// directives, vectors, reals, signed or spaced timestamps,
+    /// non-ASCII bytes, errors — goes through [`Walk::text_line`], so
+    /// every path shares one set of semantics. The exact shapes are
+    /// inlined into the walk loop and the rest is kept out of it.
     #[inline(always)]
-    fn decode_line(&mut self, raw: &[u8]) -> Result<(), VcdReadError> {
+    fn decode_line(&mut self, raw: &[u8]) -> Result<bool, VcdReadError> {
         match *raw {
             [v, c] if is_scalar_value(v) && is_code_byte(c) => {
-                self.change(v == b'1', self.codes.dense_get(CodeTable::slot1(c)));
-                return Ok(());
+                let binding = self.codes.dense_get(CodeTable::slot1(c));
+                self.sink.change(v == b'1', binding);
+                return Ok(false);
             }
             [v, a, b] if is_scalar_value(v) && is_code_byte(a) && is_code_byte(b) => {
-                self.change(v == b'1', self.codes.dense_get(CodeTable::slot2(a, b)));
-                return Ok(());
+                let binding = self.codes.dense_get(CodeTable::slot2(a, b));
+                self.sink.change(v == b'1', binding);
+                return Ok(false);
             }
             [b'#', ref digits @ ..] => {
                 if let Some(t) = plain_timestamp(digits) {
-                    return self.stamp(t);
+                    return self.sink.stamp(t, self.line);
                 }
             }
             _ => {}
@@ -473,21 +504,21 @@ impl Fold<'_> {
     }
 
     /// A line of any other shape: the trimmed timestamp and scalar
-    /// arms, then [`Fold::text_line`].
+    /// arms, then [`Walk::text_line`].
     #[inline(never)]
-    fn trimmed_line(&mut self, raw: &[u8]) -> Result<(), VcdReadError> {
+    fn trimmed_line(&mut self, raw: &[u8]) -> Result<bool, VcdReadError> {
         match raw.trim_ascii() {
-            [] => return Ok(()),
+            [] => return Ok(false),
             [b'#', digits @ ..] => {
                 if let Some(t) = plain_timestamp(digits) {
-                    return self.stamp(t);
+                    return self.sink.stamp(t, self.line);
                 }
             }
             [v, code @ ..] if is_scalar_value(*v) => {
                 let code = code.trim_ascii_start();
                 if !code.is_empty() && code.iter().all(|&b| is_code_byte(b)) {
-                    self.change(*v == b'1', self.codes.get(code));
-                    return Ok(());
+                    self.sink.change(*v == b'1', self.codes.get(code));
+                    return Ok(false);
                 }
             }
             _ => {}
@@ -496,59 +527,37 @@ impl Fold<'_> {
     }
 
     /// The general path over a line validated as UTF-8.
-    fn text_line(&mut self, raw: &[u8]) -> Result<(), VcdReadError> {
+    fn text_line(&mut self, raw: &[u8]) -> Result<bool, VcdReadError> {
         let text = std::str::from_utf8(raw).map_err(|_| VcdReadError::Io {
             message: NOT_UTF8.to_owned(),
         })?;
         let line = text.trim();
         if line.is_empty() {
-            return Ok(());
+            return Ok(false);
         }
         if line.starts_with('$') {
-            return directive(line, self.line);
+            directive(line, self.line)?;
+            return Ok(false);
         }
         if let Some(rest) = line.strip_prefix('#') {
             let t = parse_timestamp(rest, self.line)?;
-            return self.stamp(t);
+            return self.sink.stamp(t, self.line);
         }
         if line.starts_with(['r', 'R', 's', 'S']) {
             // a real or string change: `r<value> <code>`. Its value is
             // never read when no sampled symbol or clock uses the code.
             let code = line.split_whitespace().nth(1);
             if code.is_some_and(|c| self.codes.get(c.as_bytes()).is_none()) {
-                return Ok(());
+                return Ok(false);
             }
         }
         let (value, code) = parse_change(line, self.line)?;
-        self.change(value, self.codes.get(code.as_bytes()));
-        Ok(())
+        self.sink.change(value, self.codes.get(code.as_bytes()));
+        Ok(false)
     }
+}
 
-    /// A timestamp line. Only the first one's relation to the entry
-    /// instant is unknown here; later ones close the current instant
-    /// when they move time forward. Always inlined, as is
-    /// [`Fold::push`]: about a third of a dump's lines are timestamps,
-    /// and the fold loop's speed should not hang on how much of the
-    /// rarely run general path the inliner also takes in.
-    #[inline(always)]
-    fn stamp(&mut self, t: u64) -> Result<(), VcdReadError> {
-        if !self.stamped {
-            self.stamped = true;
-            self.close_first = true;
-            self.out.first = Some((t, self.line));
-            self.push(0);
-        } else if t < self.time {
-            return Err(backwards(self.line, t, self.time));
-        } else if t > self.time && (self.rose | self.maybe != 0 || self.close_first) {
-            self.close_first = false;
-            self.push(self.time);
-        }
-        self.time = t;
-        Ok(())
-    }
-
-    /// Applies a value change on a code bound to `binding` (`None`: a
-    /// code nothing sampled uses).
+impl Sink for Records<'_> {
     #[inline(always)]
     fn change(&mut self, value: bool, binding: Option<CodeBinding>) {
         let Some(binding) = binding else {
@@ -574,9 +583,34 @@ impl Fold<'_> {
         }
     }
 
+    /// Only the first timestamp line's relation to the entry instant is
+    /// unknown here; later ones close the current instant when they
+    /// move time forward. Always inlined, as is [`Records::record`]:
+    /// about a third of a dump's lines are timestamps, and the fold
+    /// loop's speed should not hang on how much of the rarely run
+    /// general path the inliner also takes in.
+    #[inline(always)]
+    fn stamp(&mut self, t: u64, line: usize) -> Result<bool, VcdReadError> {
+        if !self.stamped {
+            self.stamped = true;
+            self.close_first = true;
+            self.out.first = Some((t, line));
+            self.record(0);
+        } else if t < self.time {
+            return Err(backwards(line, t, self.time));
+        } else if t > self.time && (self.rose | self.maybe != 0 || self.close_first) {
+            self.close_first = false;
+            self.record(self.time);
+        }
+        self.time = t;
+        Ok(false)
+    }
+}
+
+impl Records<'_> {
     /// Records the rises since the last record with the current masks.
     #[inline(always)]
-    fn push(&mut self, time: u64) {
+    fn record(&mut self, time: u64) {
         if self.maybe != 0 {
             self.out.cond.push((self.out.records.len(), self.maybe));
             self.maybe = 0;
@@ -611,13 +645,85 @@ fn directive(line: &str, lineno: usize) -> Result<(), VcdReadError> {
     Ok(())
 }
 
-/// The sampling state between folded blocks, and the rules that turn
-/// their records into [`GlobalStep`]s.
+/// The caller's chunk, overwritten in place: each step written reuses
+/// the `GlobalStep`, and its `ticks` vector, the previous call left at
+/// that index, so steady-state streaming allocates nothing per step.
+/// [`Chunk::finish`] cuts off the steps past the last one written.
+#[derive(Debug)]
+pub(crate) struct Chunk<'a> {
+    steps: &'a mut Vec<GlobalStep>,
+    len: usize,
+    max: usize,
+    /// Ticks the written steps carry.
+    ticks: u64,
+}
+
+impl<'a> Chunk<'a> {
+    /// An empty chunk of at most `max` steps over `steps`.
+    pub(crate) fn new(steps: &'a mut Vec<GlobalStep>, max: usize) -> Self {
+        Chunk {
+            steps,
+            len: 0,
+            max,
+            ticks: 0,
+        }
+    }
+
+    pub(crate) fn is_full(&self) -> bool {
+        self.len >= self.max
+    }
+
+    /// Writes the step at `time` in which the clocks of `clocks` tick,
+    /// each sampling the signal values `state` through its mask in
+    /// `masks`, and returns whether the chunk is now full.
+    #[inline(always)]
+    fn push(&mut self, time: u64, clocks: ClockMask, state: u128, masks: &[u128]) -> bool {
+        if self.len == self.steps.len() {
+            self.grow();
+        }
+        let step = &mut self.steps[self.len];
+        step.time = time;
+        step.ticks.clear();
+        let mut pending = clocks;
+        while pending != 0 {
+            let i = pending.trailing_zeros() as usize;
+            step.ticks.push((
+                ClockId::from_index(i),
+                Valuation::from_bits(state & masks[i]),
+            ));
+            pending &= pending - 1;
+        }
+        self.ticks += u64::from(clocks.count_ones());
+        self.len += 1;
+        self.is_full()
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self) {
+        self.steps.push(GlobalStep {
+            time: 0,
+            ticks: Vec::new(),
+        });
+    }
+
+    /// Cuts the steps past the ones written; returns how many were
+    /// written and the ticks they carry.
+    pub(crate) fn finish(self) -> (usize, u64) {
+        self.steps.truncate(self.len);
+        (self.len, self.ticks)
+    }
+}
+
+/// The sampling state between blocks, and the rules that turn a block
+/// into [`GlobalStep`]s: walked on the caller's thread
+/// ([`Stitcher::walk`]) or stitched from a decode worker's records
+/// ([`Stitcher::stitch`]).
 #[derive(Debug)]
 pub(crate) struct Stitcher {
     /// Per clock: symbol mask its ticks carry (`u128::MAX` = all).
     masks: Vec<u128>,
-    /// Signal values and clock levels after the last stitched block.
+    /// Signal values and clock levels after the last line decoded.
     values: u128,
     levels: ClockMask,
     /// All changes dumped at one `#time` are simultaneous: clocks that
@@ -626,18 +732,60 @@ pub(crate) struct Stitcher {
     /// (or input ends).
     pending: ClockMask,
     time: u64,
-    /// Lines before the next block.
+    /// Lines decoded, or before the next block on the decode workers'
+    /// path: the line number errors count from.
     line: usize,
-    /// Totals over the blocks opened so far: body lines, their bytes,
-    /// and the nanoseconds spent folding them.
+    /// Totals over the blocks decoded so far: body lines, their bytes,
+    /// and the nanoseconds spent decoding them.
     pub(crate) lines: u64,
     pub(crate) bytes: u64,
     pub(crate) fold_ns: u64,
-    /// Recycled tick vectors: [`crate::GlobalVcdStream::next_chunk`]
-    /// reclaims the caller's previous chunk's `ticks` allocations here
-    /// and [`Stitcher::flush`] reuses them, so steady-state streaming
-    /// allocates nothing per step.
-    pub(crate) spare: Vec<Vec<(ClockId, Valuation)>>,
+}
+
+/// The sink of the walk on the caller's thread: the [`Stitcher`]'s
+/// sampling state, copied in for the walk and back after it, and the
+/// chunk its steps are written to.
+struct Steps<'a, 'c> {
+    masks: &'a [u128],
+    values: u128,
+    levels: ClockMask,
+    pending: ClockMask,
+    time: u64,
+    chunk: &'a mut Chunk<'c>,
+}
+
+impl Sink for Steps<'_, '_> {
+    #[inline(always)]
+    fn change(&mut self, value: bool, binding: Option<CodeBinding>) {
+        let Some(binding) = binding else {
+            return;
+        };
+        if value {
+            self.pending |= binding.clocks & !self.levels;
+            self.levels |= binding.clocks;
+            self.values |= binding.symbols;
+        } else {
+            self.levels &= !binding.clocks;
+            self.values &= !binding.symbols;
+        }
+    }
+
+    /// A timestamp that moves time forward closes the current instant:
+    /// its pending clocks become a step, and a step that fills the
+    /// chunk pauses the walk.
+    #[inline(always)]
+    fn stamp(&mut self, t: u64, line: usize) -> Result<bool, VcdReadError> {
+        if t > self.time {
+            let time = std::mem::replace(&mut self.time, t);
+            if self.pending != 0 {
+                let clocks = std::mem::take(&mut self.pending);
+                return Ok(self.chunk.push(time, clocks, self.values, self.masks));
+            }
+        } else if t < self.time {
+            return Err(backwards(line, t, self.time));
+        }
+        Ok(false)
+    }
 }
 
 impl Stitcher {
@@ -653,19 +801,50 @@ impl Stitcher {
             lines: 0,
             bytes: 0,
             fold_ns: 0,
-            spare: Vec::new(),
         }
     }
 
-    /// The valuation and clock levels a block folded next starts from,
-    /// once every earlier block is stitched.
-    pub(crate) fn entry(&self) -> (u128, ClockMask) {
-        (self.values, self.levels)
+    /// Walks `job`'s block on the caller's thread from its cursor,
+    /// writing each step into `chunk` as its instant closes, until the
+    /// block ends, a step fills the chunk or a line is in error; the
+    /// cursor then points at the next line. Returns whether the block
+    /// is done. The block's bytes count when its walk starts.
+    pub(crate) fn walk(
+        &mut self,
+        codes: &CodeTable,
+        job: &mut Job,
+        chunk: &mut Chunk<'_>,
+    ) -> Result<bool, VcdReadError> {
+        let started = Instant::now();
+        if job.pos == 0 {
+            self.bytes += job.len as u64;
+        }
+        let mut walk = Walk {
+            codes,
+            line: self.line,
+            sink: Steps {
+                masks: &self.masks,
+                values: self.values,
+                levels: self.levels,
+                pending: self.pending,
+                time: self.time,
+                chunk,
+            },
+        };
+        let walked = walk.lines(&job.text[..job.len], job.pos);
+        let Walk { line, sink, .. } = walk;
+        (self.values, self.levels, self.pending, self.time) =
+            (sink.values, sink.levels, sink.pending, sink.time);
+        self.lines += (line - self.line) as u64;
+        self.line = line;
+        self.fold_ns += nanos_since(started);
+        job.pos = walked?;
+        Ok(job.pos == job.len)
     }
 
-    /// Takes `f` as the next block: resolves its conditional rises
-    /// against the clock levels at its entry, places its lines and
-    /// counts its fold.
+    /// Takes `f`, folded on a decode worker, as the next block: resolves
+    /// its conditional rises against the clock levels at its entry,
+    /// places its lines and counts its fold.
     pub(crate) fn open(&mut self, f: &mut Folded) {
         for &(i, clocks) in &f.cond {
             f.records[i].rose |= clocks & !self.levels;
@@ -677,18 +856,17 @@ impl Stitcher {
         self.fold_ns += f.fold_ns;
     }
 
-    /// Stitches `f` from its cursor until `buf` holds `max` steps.
-    /// Each record yields at most one step. Returns whether the block
-    /// is done; its error, if any, comes after all of its records.
+    /// Stitches `f` from its cursor until `chunk` is full. Each record
+    /// yields at most one step. Returns whether the block is done; its
+    /// error, if any, comes after all of its records.
     pub(crate) fn stitch(
         &mut self,
         f: &mut Folded,
-        buf: &mut Vec<GlobalStep>,
-        max: usize,
+        chunk: &mut Chunk<'_>,
     ) -> Result<bool, VcdReadError> {
         let last = f.records.len() - 1;
         while f.cursor <= last {
-            if buf.len() >= max {
+            if chunk.is_full() {
                 return Ok(false);
             }
             let i = f.cursor;
@@ -712,10 +890,10 @@ impl Stitcher {
                     // the advance
                     let prev = self.time;
                     self.time = t;
-                    self.flush(prev, self.state(&r), buf);
+                    self.flush(prev, self.state(&r), chunk);
                 }
             } else {
-                self.flush(r.time, self.state(&r), buf);
+                self.flush(r.time, self.state(&r), chunk);
             }
         }
         match f.error.take() {
@@ -729,8 +907,8 @@ impl Stitcher {
     }
 
     /// Emits the instant still open at end of input.
-    pub(crate) fn finish(&mut self, buf: &mut Vec<GlobalStep>) {
-        self.flush(self.time, self.values, buf);
+    pub(crate) fn finish(&mut self, chunk: &mut Chunk<'_>) {
+        self.flush(self.time, self.values, chunk);
     }
 
     /// The signal values at the end of record `r` of the block being
@@ -741,32 +919,24 @@ impl Stitcher {
 
     /// Emits the clocks pending at instant `time` as one step, sampled
     /// from signal values `state`.
-    fn flush(&mut self, time: u64, state: u128, buf: &mut Vec<GlobalStep>) {
-        if self.pending == 0 {
-            return;
+    fn flush(&mut self, time: u64, state: u128, chunk: &mut Chunk<'_>) {
+        if self.pending != 0 {
+            chunk.push(time, self.pending, state, &self.masks);
+            self.pending = 0;
         }
-        let mut ticks = self.spare.pop().unwrap_or_default();
-        let mut pending = self.pending;
-        while pending != 0 {
-            let i = pending.trailing_zeros() as usize;
-            ticks.push((
-                ClockId::from_index(i),
-                Valuation::from_bits(state & self.masks[i]),
-            ));
-            pending &= pending - 1;
-        }
-        buf.push(GlobalStep { time, ticks });
-        self.pending = 0;
     }
 }
 
-/// A block of body bytes cut at a line end, and what folding it
-/// produced. Jobs are recycled, so their buffers are allocated once.
+/// A block of body bytes cut at a line end: walked on the caller's
+/// thread from `pos`, or folded on a decode worker into `folded`. Jobs
+/// are recycled, so their buffers are allocated once.
 #[derive(Debug, Default)]
 pub(crate) struct Job {
     /// The block is `text[..len]`; the rest is read space.
     text: Vec<u8>,
     len: usize,
+    /// Where the next line to walk starts.
+    pos: usize,
     pub(crate) folded: Folded,
 }
 
@@ -777,14 +947,8 @@ pub(crate) type FoldFn = fn(&CodeTable, &mut Job);
 impl Job {
     /// Folds the block with every level at entry unknown — the fold a
     /// decode worker runs.
-    pub(crate) fn fold_unseeded(codes: &CodeTable, job: &mut Job) {
-        job.folded.fold(codes, &job.text[..job.len], None);
-    }
-
-    /// Folds the block from a known entry state — the fold the caller
-    /// runs inline.
-    pub(crate) fn fold_seeded(&mut self, codes: &CodeTable, entry: (u128, ClockMask)) {
-        self.folded.fold(codes, &self.text[..self.len], Some(entry));
+    pub(crate) fn fold(codes: &CodeTable, job: &mut Job) {
+        job.folded.fold(codes, &job.text[..job.len]);
     }
 }
 
@@ -799,8 +963,10 @@ pub(crate) struct BlockReader<R> {
     carry: Vec<u8>,
     ended: bool,
     /// An I/O error, held back until the blocks read before it are
-    /// stitched.
+    /// decoded.
     pub(crate) failed: Option<VcdReadError>,
+    /// Nanoseconds spent in [`BlockReader::read`].
+    pub(crate) read_ns: u64,
 }
 
 impl<R: Read> BlockReader<R> {
@@ -811,6 +977,7 @@ impl<R: Read> BlockReader<R> {
             carry: Vec::new(),
             ended: false,
             failed: None,
+            read_ns: 0,
         }
     }
 
@@ -822,11 +989,13 @@ impl<R: Read> BlockReader<R> {
     /// Fills `job` with the next block: at least `block_size` bytes
     /// cut after the last line end, or what is left at end of input.
     /// `false` when there is nothing left, or only the partial line
-    /// before an I/O error (which is then in `failed`).
+    /// before an I/O error (which is then in `failed`). Two clock
+    /// reads per block time it.
     pub(crate) fn read(&mut self, job: &mut Job) -> bool {
         if self.ended {
             return false;
         }
+        let started = Instant::now();
         let want = self.block_size.max(self.carry.len() + 1);
         if job.text.len() < want {
             job.text.resize(want, 0);
@@ -865,6 +1034,8 @@ impl<R: Read> BlockReader<R> {
         }
         self.carry.extend_from_slice(&job.text[cut..len]);
         job.len = cut;
+        job.pos = 0;
+        self.read_ns += nanos_since(started);
         cut > 0
     }
 }
@@ -995,6 +1166,13 @@ impl Drop for Workers {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Folded {
+        /// Whether no fold ever wrote records here.
+        pub(crate) fn is_unused(&self) -> bool {
+            self.records.capacity() == 0 && self.cond.capacity() == 0
+        }
+    }
 
     /// The bit-by-bit definition of [`line_ends`].
     fn line_ends_naive(window: &[u8; WINDOW]) -> u64 {

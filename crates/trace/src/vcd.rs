@@ -11,10 +11,11 @@
 //! clocks and yields [`GlobalStep`] chunks pulled from any
 //! [`io::BufRead`], so a multi-GB dump is checked in constant memory —
 //! neither the VCD text nor the decoded trace is ever resident in
-//! full. It is the one sampling loop — a fold of byte blocks and an
-//! ordered stitch, inline or on decode workers (`crate::decode`):
-//! [`read_vcd`] is its one-clock drain into a [`Trace`], and the `&str`
-//! constructor is a thin wrapper over the byte-slice reader.
+//! full. It is the one sampling loop over byte blocks — walked straight
+//! into steps on the caller's thread, or folded on decode workers and
+//! stitched in order (`crate::decode`): [`read_vcd`] is its one-clock
+//! drain into a [`Trace`], and the `&str` constructor is a thin wrapper
+//! over the byte-slice reader.
 
 use std::fmt::Write as _;
 use std::io::{self, BufRead};
@@ -24,7 +25,9 @@ use std::time::Instant;
 use cesc_expr::{Alphabet, Valuation};
 
 use crate::clock::ClockSet;
-use crate::decode::{BlockReader, CodeTable, FoldFn, Job, Stitcher, Workers, MAX_CLOCKS};
+use crate::decode::{
+    nanos_since, BlockReader, Chunk, CodeTable, FoldFn, Job, Stitcher, Workers, MAX_CLOCKS,
+};
 use crate::global::{GlobalRun, GlobalStep};
 use crate::trace::Trace;
 
@@ -446,15 +449,16 @@ impl VcdClockSpec {
 ///
 /// The reader pulls bytes from any [`io::BufRead`] — a
 /// `BufReader<File>` for dumps on disk, a byte slice for in-memory
-/// text. The body is read in blocks of about 64 KB cut at line ends;
-/// each block is folded into per-instant records of clock rises and
-/// `(set, clear)` signal masks, and the records are stitched into steps
-/// in input order. By default the fold runs on the caller's thread;
-/// [`GlobalVcdStream::with_workers`] folds blocks on worker threads
-/// while the caller reads ahead and stitches, with the same steps,
-/// chunk lengths and errors. Resident memory is a fixed number of
-/// blocks and their records — one on the caller's thread, two per
-/// worker — plus one carried partial line, regardless of dump size.
+/// text. The body is read in blocks of about 64 KB cut at line ends.
+/// By default each block is decoded on the caller's thread straight
+/// into the caller's chunk, each step written as its instant closes;
+/// [`GlobalVcdStream::with_workers`] instead folds blocks on worker
+/// threads into per-instant records of clock rises and `(set, clear)`
+/// signal masks, which the caller stitches into steps in input order
+/// while the workers fold ahead, with the same steps, chunk lengths and
+/// errors. Resident memory is a fixed number of blocks — one on the
+/// caller's thread, two per worker, with their records — plus one
+/// carried partial line, regardless of dump size.
 /// [`read_vcd`] drains a one-clock stream into a [`Trace`].
 ///
 /// Clock `i` of the constructor's list becomes [`ClockId`](crate::ClockId) index `i`
@@ -504,7 +508,8 @@ pub struct GlobalVcdStream<R> {
     input: BlockReader<R>,
     codes: Arc<CodeTable>,
     stitch: Stitcher,
-    /// The block being stitched.
+    /// The block being decoded: walked on the caller's thread, or, with
+    /// decode workers, stitched from their records.
     current: Option<Job>,
     /// Recycled blocks.
     free: Vec<Job>,
@@ -514,6 +519,7 @@ pub struct GlobalVcdStream<R> {
     /// Decode workers, when blocks are folded off the caller's thread.
     workers: Option<Workers>,
     blocks: u64,
+    ticks: u64,
     wait_ns: u64,
     done: bool,
 }
@@ -579,13 +585,14 @@ impl<R: BufRead> GlobalVcdStream<R> {
             spawn: None,
             workers: None,
             blocks: 0,
+            ticks: 0,
             wait_ns: 0,
             done: false,
         })
     }
 
     /// Folds the body on `n` decode worker threads while the calling
-    /// thread reads blocks and stitches them in order; `n <= 1` folds
+    /// thread reads blocks and stitches them in order; `n <= 1` decodes
     /// on the calling thread. Steps, chunk lengths and errors are the
     /// same either way. The workers start when a second body block
     /// follows the first, so a body that fits in one block never starts
@@ -599,7 +606,7 @@ impl<R: BufRead> GlobalVcdStream<R> {
     /// first [`GlobalVcdStream::next_chunk`].
     #[must_use]
     pub fn with_workers(self, n: usize) -> Self {
-        self.with_fold(n, Job::fold_unseeded)
+        self.with_fold(n, Job::fold)
     }
 
     /// [`GlobalVcdStream::with_workers`] with the fold the workers run.
@@ -633,12 +640,26 @@ impl<R: BufRead> GlobalVcdStream<R> {
         self.stitch.bytes
     }
 
-    /// Nanoseconds spent folding the blocks decoded so far, on whichever
-    /// thread folded them: two clock reads per block, none per line. At
-    /// one decode thread, the time in [`GlobalVcdStream::next_chunk`]
-    /// less this is the time spent reading and stitching.
+    /// Per-clock ticks the steps returned so far carry.
+    pub fn ticks(&self) -> u64 {
+        self.ticks
+    }
+
+    /// Nanoseconds spent decoding the lines of the blocks decoded so
+    /// far, on whichever thread did it: two clock reads per block on a
+    /// decode worker, and per [`GlobalVcdStream::next_chunk`] call and
+    /// block on the caller's thread, none per line. On the caller's
+    /// thread this includes writing the steps into the chunk.
     pub fn fold_ns(&self) -> u64 {
         self.stitch.fold_ns
+    }
+
+    /// Nanoseconds spent reading body blocks from the reader, on the
+    /// calling thread: two clock reads per block. At one decode thread,
+    /// the time in [`GlobalVcdStream::next_chunk`] is this plus
+    /// [`GlobalVcdStream::fold_ns`], and little else.
+    pub fn read_ns(&self) -> u64 {
+        self.input.read_ns
     }
 
     /// Nanoseconds [`GlobalVcdStream::next_chunk`] spent blocked,
@@ -673,50 +694,61 @@ impl<R: BufRead> GlobalVcdStream<R> {
         buf: &mut Vec<GlobalStep>,
         max: usize,
     ) -> Result<usize, VcdReadError> {
-        for mut step in buf.drain(..) {
-            step.ticks.clear();
-            self.stitch.spare.push(step.ticks);
+        let mut chunk = Chunk::new(buf, max);
+        let filled = if self.done || max == 0 {
+            Ok(())
+        } else {
+            self.fill(&mut chunk)
+        };
+        let (len, ticks) = chunk.finish();
+        match filled {
+            Ok(()) => {
+                self.ticks += ticks;
+                Ok(len)
+            }
+            Err(e) => {
+                self.done = true;
+                self.workers = None;
+                Err(e)
+            }
         }
-        if self.done || max == 0 {
-            return Ok(0);
-        }
-        let filled = self.fill(buf, max);
-        if filled.is_err() {
-            self.done = true;
-            self.workers = None;
-        }
-        filled
     }
 
-    /// Stitches blocks into `buf` until it holds `max` steps or input
-    /// ends.
-    fn fill(&mut self, buf: &mut Vec<GlobalStep>, max: usize) -> Result<usize, VcdReadError> {
-        while buf.len() < max {
+    /// Decodes blocks into `chunk` until it is full or input ends.
+    fn fill(&mut self, chunk: &mut Chunk<'_>) -> Result<(), VcdReadError> {
+        while !chunk.is_full() {
             if let Some(job) = &mut self.current {
-                if self.stitch.stitch(&mut job.folded, buf, max)? {
+                // with decode workers every block comes back folded
+                let done = if self.workers.is_some() {
+                    self.stitch.stitch(&mut job.folded, chunk)?
+                } else {
+                    self.stitch.walk(&self.codes, job, chunk)?
+                };
+                if done {
                     self.free.extend(self.current.take());
                 }
                 continue;
             }
             match self.next_block()? {
-                Some(mut job) => {
-                    self.stitch.open(&mut job.folded);
+                Some(job) => {
                     self.blocks += 1;
                     self.current = Some(job);
                 }
                 None => {
-                    self.stitch.finish(buf);
+                    self.stitch.finish(chunk);
                     self.done = true;
                     self.workers = None;
                     break;
                 }
             }
         }
-        Ok(buf.len())
+        Ok(())
     }
 
-    /// The next folded block, `None` at end of input. The workers, if
-    /// any, are first handed every block there is room for.
+    /// The next block, `None` at end of input: read, to be walked on
+    /// the caller's thread, or folded by a decode worker and opened for
+    /// stitching. The workers, if any, are first handed every block
+    /// there is room for.
     fn next_block(&mut self) -> Result<Option<Job>, VcdReadError> {
         if self.workers.is_none() {
             let mut job = self.free.pop().unwrap_or_default();
@@ -732,10 +764,7 @@ impl<R: BufRead> GlobalVcdStream<R> {
                     workers.send(job);
                     self.workers = Some(workers);
                 }
-                _ => {
-                    job.fold_seeded(&self.codes, self.stitch.entry());
-                    return Ok(Some(job));
-                }
+                _ => return Ok(Some(job)),
             }
         }
         let workers = self.workers.as_mut().expect("started above");
@@ -751,8 +780,9 @@ impl<R: BufRead> GlobalVcdStream<R> {
             return self.input.failed.take().map_or(Ok(None), Err);
         }
         let waited = Instant::now();
-        let job = workers.receive();
-        self.wait_ns += u64::try_from(waited.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let mut job = workers.receive();
+        self.wait_ns += nanos_since(waited);
+        self.stitch.open(&mut job.folded);
         Ok(Some(job))
     }
 }
@@ -1672,6 +1702,79 @@ q!
                 other => panic!("capacity {cap}: unexpected {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn chunks_pause_at_block_edges_as_the_decode_workers_do() {
+        // hand-built 64-byte blocks, each padded with blank lines: a
+        // chunk's last step can be the last step a block writes, the
+        // next block can open with a malformed line, a later one with a
+        // backwards timestamp, and an instant can span a block edge
+        // with its timestamp repeated after it; the inline stream and
+        // two workers must give the same calls at every chunk size
+        let (ab, req, _) = setup();
+        let specs = [VcdClockSpec::new("clk")];
+        const HEADER: &str = "\
+$var wire 1 ! clk $end
+$var wire 1 \" req $end
+$enddefinitions $end
+";
+        let dump = |blocks: &[&[&str]]| {
+            let mut text = HEADER.to_owned();
+            for lines in blocks {
+                let block: String = lines.iter().map(|l| format!("{l}\n")).collect();
+                assert!(block.len() <= 64, "{block:?}");
+                text.push_str(&block);
+                text.push_str(&"\n".repeat(64 - block.len()));
+            }
+            text
+        };
+        // steps written per block: 2 (at #5 and #15), 1, 2, 1; the
+        // instant #30 opens in the second block and closes in the third
+        let first: &[&str] = &[
+            "#0", "1!", "1\"", "#5", "0!", "#10", "1!", "#15", "0!", "0\"",
+        ];
+        let second: &[&str] = &["#20", "1!", "#25", "0!", "#30", "1!"];
+        let third: &[&str] = &["#30", "1\"", "#35", "0!", "#40", "1!", "#45", "0!"];
+        let fourth: &[&str] = &["#50", "1!", "0\"", "#55", "0!"];
+        let clean = dump(&[first, second, third, fourth]);
+        let malformed = dump(&[first, &[&["q!"], second].concat(), third, fourth]);
+        let backwards = dump(&[first, second, third, &[&["#3"], fourth].concat()]);
+
+        let whole = GlobalVcdStream::new(&clean, &ab, &specs).unwrap();
+        let steps = steps_of(whole, 2).unwrap();
+        let times: Vec<u64> = steps.iter().map(|s| s.time).collect();
+        assert_eq!(times, [0, 10, 20, 30, 40, 50]);
+        let high: Vec<bool> = steps.iter().map(|s| s.ticks[0].1.contains(req)).collect();
+        assert_eq!(high, [true, true, false, true, true, false]);
+        let line_of =
+            |text: &str, what: &str| 1 + text.lines().position(|l| l == what).expect("in the dump");
+        for (text, error) in [
+            (&clean, None),
+            (&malformed, Some(line_of(&malformed, "q!"))),
+            (&backwards, Some(line_of(&backwards, "#3"))),
+        ] {
+            for max in 1..=4 {
+                let inline = calls_of(blocked(text.as_bytes(), &ab, &specs, 64, 1), max);
+                let parallel = calls_of(blocked(text.as_bytes(), &ab, &specs, 64, 2), max);
+                assert_eq!(parallel, inline, "chunk {max}: {text:?}");
+                let lines: Vec<usize> = inline
+                    .iter()
+                    .filter_map(|c| match c {
+                        Err(VcdReadError::Malformed { line, .. }) => Some(*line),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(lines, Vec::from_iter(error), "chunk {max}: {inline:?}");
+            }
+        }
+
+        // the inline stream folds no block into records
+        let mut stream = blocked(clean.as_bytes(), &ab, &specs, 64, 1);
+        let mut buf = Vec::new();
+        while stream.next_chunk(&mut buf, 1).unwrap() > 0 {}
+        assert_eq!(stream.blocks_decoded(), 4);
+        assert!(stream.free.iter().all(|job| job.folded.is_unused()));
     }
 
     #[test]

@@ -823,9 +823,8 @@ pub fn check_fleet(
                     return Ok(steps);
                 }
                 steps += n as u64;
-                let chunk_ticks: u64 = chunk.iter().map(|s| s.ticks.len() as u64).sum();
-                ticks += chunk_ticks;
-                tick_counter.add(chunk_ticks);
+                tick_counter.add(stream.ticks() - ticks);
+                ticks = stream.ticks();
                 feeder.feed_global(&chunk);
                 if !sims.is_empty() {
                     // on the caller thread, from the chunk just fed; a
@@ -846,6 +845,7 @@ pub fn check_fleet(
     obs.counter(key::DECODE_BLOCKS).add(stream.blocks_decoded());
     obs.counter(key::DECODE_WAIT_NS).add(stream.wait_ns());
     obs.counter(key::DECODE_FOLD_NS).add(stream.fold_ns());
+    obs.counter(key::DECODE_READ_NS).add(stream.read_ns());
     obs.counter(key::DECODE_LINES).add(stream.lines());
     obs.counter(key::DECODE_BYTES).add(stream.bytes());
     let steps: u64 = driven?;
