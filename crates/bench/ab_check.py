@@ -11,9 +11,9 @@ checkbench/Cargo.toml`, found in `$CARGO_TARGET_DIR/release`, default
 `target/release`), then runs N pairs. Each pair times one
 `cesc check SPEC --vcd DUMP --all-charts --json --jobs J` per binary,
 each right after its own `checkbench probe`, in an order that
-alternates from pair to pair; J is the workload's `--jobs` unless
-`--jobs` overrides it. The workload is written to a temporary
-directory in that target directory and deleted at the end.
+alternates from pair to pair; J is the workload's `--jobs` from its
+`reference.json`. The workload is written to a temporary directory in
+that target directory and deleted at the end.
 
 Each check time is normalised the way `checkbench/run.py` does it:
 check time ÷ the adjacent probe time × REF_PROBE_S. For each binary the
@@ -40,18 +40,17 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(os.path.dirname(HERE))
 sys.path.insert(0, os.path.join(ROOT, "checkbench"))
 
-from run import REF_PROBE_S, normalize  # noqa: E402  (checkbench's own rules)
+# checkbench's own rules: where the helper lives, how a probe is timed,
+# the reference probe time and the report's reference shape
+from run import REF_PROBE_S, BenchError, normalize, probe_once, target_dir  # noqa: E402
 
 TIMINGS = re.compile(rb'"(wall_ms|exec_ms)":[0-9.]+')
 
 
-def target_dir():
-    target = os.environ.get("CARGO_TARGET_DIR", "target")
-    return target if os.path.isabs(target) else os.path.join(ROOT, target)
-
-
-def timed(cmd):
-    """Runs `cmd`; returns (wall s, exit status, stdout bytes)."""
+def timed_check(cmd):
+    """Runs one `cesc check`; returns (wall s, exit status, stdout
+    bytes). checkbench's `check_once` keeps no stdout, and the
+    parent/change comparison needs it."""
     t0 = time.perf_counter()
     r = subprocess.run(cmd, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
     return time.perf_counter() - t0, r.returncode, r.stdout
@@ -62,7 +61,6 @@ def main():
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=15)
-    ap.add_argument("--jobs", type=int, help="override the workload's --jobs")
     ap.add_argument("parent", help="the parent's cesc binary")
     ap.add_argument("change", help="the change's cesc binary")
     args = ap.parse_args()
@@ -77,11 +75,10 @@ def main():
             return 1
         with open(os.path.join(work, "reference.json")) as f:
             ref = json.load(f)
-        jobs = args.jobs or ref["jobs"]
+        jobs = ref["jobs"]
         want_status = 2 if ref["verdicts"]["failed"] else 0
         check = ["check", os.path.join(work, "spec.cesc"), "--vcd",
                  os.path.join(work, "dump.vcd"), "--all-charts", "--json", "--jobs", str(jobs)]
-        probe = [helper, "probe", work]
 
         binaries = {"parent": args.parent, "change": args.change}
         times = {name: [] for name in binaries}
@@ -90,11 +87,8 @@ def main():
             order = list(binaries) if pair % 2 == 0 else list(reversed(binaries))
             reports = {}
             for name in order:
-                probe_s, status, _ = timed(probe)
-                if status != 0:
-                    print(f"ab_check: checkbench probe exited with {status}", file=sys.stderr)
-                    return 1
-                wall, status, out = timed([binaries[name], *check])
+                probe_s = probe_once(helper, work)
+                wall, status, out = timed_check([binaries[name], *check])
                 times[name].append(wall / probe_s * REF_PROBE_S)
                 reports[name] = TIMINGS.sub(rb'"\1":0', out)
                 try:
@@ -120,6 +114,9 @@ def main():
         for line in bad:
             print(f"ab_check: {line}", file=sys.stderr)
         return 1 if bad else 0
+    except BenchError as e:
+        print(f"ab_check: {e}", file=sys.stderr)
+        return 1
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
