@@ -66,7 +66,7 @@ verify-prove: ## semantic static-analysis gate: guard-SAT / product-reachability
 	./target/release/cesc prove target/bus_library.cesc
 	$(CARGO) bench -p cesc-bench --bench prove_throughput --no-run
 
-verify-obs: ## observability gate: cesc-obs unit suite + the cross-layer serial==sharded counter properties + a release `check --jobs 4 --stats-json` smoke over a generated 120k-step dump (schema, `execute` and `decode` spans, per-shard utilization, decode-worker blocks, read and fold time, idle-run skips)
+verify-obs: ## observability gate: cesc-obs unit suite + the cross-layer serial==sharded counter properties + a release `check --jobs 4 --stats-json` smoke over a generated 120k-step dump (schema, `execute` and `decode` spans, per-shard utilization, decoded blocks, read and fold time, idle-run skips)
 	$(CARGO) test -q -p cesc-obs
 	$(CARGO) test -q --test obs_stats
 	$(CARGO) build --release --quiet
@@ -88,7 +88,7 @@ verify-bench: ## compile every bench without running it, so bench bit-rot fails 
 verify-checkbench: ## build the end-to-end benchmark helper: checkbench/ is its own workspace, so a root build never compiles it
 	$(CARGO) build --release --offline --manifest-path checkbench/Cargo.toml
 
-verify-par: ## parallel==serial: cesc-par and cesc-trace unit tests (parallel decode == inline decode) + the sharded equivalence/CLI/streaming suites (multi-shard execution forced by every test) + the zero-alloc hot-loop discipline, then the parallel bench with its JSON record held to fleet speedup >= 1.0
+verify-par: ## parallel==serial: cesc-par and cesc-trace unit tests (tiny-block decode == default-block decode) + the sharded equivalence/CLI/streaming suites (multi-shard execution forced by every test) + the zero-alloc hot-loop discipline, then the parallel bench with its JSON record held to fleet speedup >= 1.0
 	$(CARGO) test -q -p cesc-par
 	$(CARGO) test -q -p cesc-trace
 	$(CARGO) test -q --test batch_equivalence

@@ -1,4 +1,5 @@
-"""A/B wall time of two `cesc` binaries on one checkbench workload.
+"""A/B wall time, CPU time and peak RSS of two `cesc` binaries on one
+checkbench workload.
 
 Usage:
 
@@ -18,7 +19,9 @@ that target directory and deleted at the end.
 Each check time is normalised the way `checkbench/run.py` does it:
 check time ÷ the adjacent probe time × REF_PROBE_S. For each binary the
 script prints the median and the first and third quartiles of those
-times, then the change's median against the parent's.
+times, the median user+sys CPU seconds and the median peak RSS (both
+raw, from `os.wait4`, as `checkbench/run.py` times its checks), then
+the change's median against the parent's.
 
 Exits with status 1 if, in any pair, the two reports differ once their
 `wall_ms` and `exec_ms` are zeroed, or either report or exit status
@@ -48,12 +51,17 @@ TIMINGS = re.compile(rb'"(wall_ms|exec_ms)":[0-9.]+')
 
 
 def timed_check(cmd):
-    """Runs one `cesc check`; returns (wall s, exit status, stdout
-    bytes). checkbench's `check_once` keeps no stdout, and the
-    parent/change comparison needs it."""
+    """Runs one `cesc check`; returns (wall s, user+sys CPU s, peak RSS
+    MB, exit status, stdout bytes). checkbench's `check_once` keeps no
+    stdout, and the parent/change comparison needs it."""
     t0 = time.perf_counter()
-    r = subprocess.run(cmd, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
-    return time.perf_counter() - t0, r.returncode, r.stdout
+    p = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    out = p.stdout.read()
+    p.stdout.close()
+    _, status, usage = os.wait4(p.pid, 0)
+    wall = time.perf_counter() - t0
+    cpu = usage.ru_utime + usage.ru_stime
+    return wall, cpu, usage.ru_maxrss / 1024, os.waitstatus_to_exitcode(status), out
 
 
 def main():
@@ -82,14 +90,18 @@ def main():
 
         binaries = {"parent": args.parent, "change": args.change}
         times = {name: [] for name in binaries}
+        cpus = {name: [] for name in binaries}
+        rss = {name: [] for name in binaries}
         bad = []
         for pair in range(args.pairs):
             order = list(binaries) if pair % 2 == 0 else list(reversed(binaries))
             reports = {}
             for name in order:
                 probe_s = probe_once(helper, work)
-                wall, status, out = timed_check([binaries[name], *check])
+                wall, cpu, mb, status, out = timed_check([binaries[name], *check])
                 times[name].append(wall / probe_s * REF_PROBE_S)
+                cpus[name].append(cpu)
+                rss[name].append(mb)
                 reports[name] = TIMINGS.sub(rb'"\1":0', out)
                 try:
                     matches = normalize(json.loads(out)) == ref["verdicts"]
@@ -102,12 +114,15 @@ def main():
                 bad.append(f"pair {pair}: the two reports differ with timings zeroed")
 
         print(f"{args.workload} seed {args.seed}, --jobs {jobs}, {args.pairs} pairs, "
-              f"probe-normalised wall s (REF_PROBE_S {REF_PROBE_S}):")
+              f"probe-normalised wall s (REF_PROBE_S {REF_PROBE_S}), raw user+sys CPU s, "
+              "peak RSS MB:")
         medians = {}
         for name, ts in times.items():
             medians[name] = statistics.median(ts)
             q1, _, q3 = statistics.quantiles(ts, n=4) if len(ts) > 1 else (ts[0],) * 3
-            print(f"  {name:6}  median {medians[name]:.4f}  q1 {q1:.4f}  q3 {q3:.4f}")
+            print(f"  {name:6}  median {medians[name]:.4f}  q1 {q1:.4f}  q3 {q3:.4f}  "
+                  f"cpu {statistics.median(cpus[name]):.4f}  "
+                  f"rss {statistics.median(rss[name]):.1f}")
         wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
         print(f"  change/parent median {medians['change'] / medians['parent'] - 1:+.1%}, "
               f"change faster in {wins} of {args.pairs} pairs")

@@ -65,15 +65,25 @@ pub fn synth(chart: &Scesc) -> Monitor {
     synthesize(chart, &SynthOptions::default()).expect("bench chart synthesizable")
 }
 
-/// Mean seconds per pass of `pass` (one full sweep over the bench
-/// workload): one untimed warm-up call, then `passes` timed calls.
+/// Median seconds per pass of `pass` (one full sweep over the bench
+/// workload): one untimed warm-up call, then `passes` calls, each timed
+/// on its own, so one pass slowed by the host does not move the record.
 pub fn time_per_pass(passes: u32, mut pass: impl FnMut()) -> f64 {
     pass();
-    let start = std::time::Instant::now();
-    for _ in 0..passes.max(1) {
-        pass();
+    let mut secs: Vec<f64> = (0..passes.max(1))
+        .map(|_| {
+            let start = std::time::Instant::now();
+            pass();
+            start.elapsed().as_secs_f64()
+        })
+        .collect();
+    secs.sort_by(f64::total_cmp);
+    let mid = secs.len() / 2;
+    if secs.len().is_multiple_of(2) {
+        (secs[mid - 1] + secs[mid]) / 2.0
+    } else {
+        secs[mid]
     }
-    start.elapsed().as_secs_f64() / f64::from(passes.max(1))
 }
 
 /// Millions of trace elements per second for a pass over `elements`

@@ -87,12 +87,8 @@ pub mod key {
     pub const FLEET_TICKS: &str = "fleet.ticks";
     /// VCD body blocks the streaming reader decoded.
     pub const DECODE_BLOCKS: &str = "decode.blocks";
-    /// Nanoseconds the streaming reader's caller spent blocked waiting
-    /// for a decode worker to hand back a block.
-    pub const DECODE_WAIT_NS: &str = "decode.wait_ns";
-    /// Nanoseconds spent decoding the lines of VCD body blocks, on
-    /// whichever thread decoded them: into steps on the reader's
-    /// thread, into per-instant records on a decode worker.
+    /// Nanoseconds the streaming reader spent decoding the lines of VCD
+    /// body blocks into steps.
     pub const DECODE_FOLD_NS: &str = "decode.fold_ns";
     /// Nanoseconds the streaming reader spent reading VCD body blocks
     /// from its input.

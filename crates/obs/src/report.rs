@@ -203,18 +203,14 @@ impl RunReport {
                 ));
             }
         }
-        // the producer beside its consumers: a reader that mostly
-        // waits on its decode workers is bound by decoding, one that
-        // rarely waits by stitching and feeding; on one thread the
-        // `decode` span is the read plus the fold, which writes the
-        // steps itself
+        // the producer beside its consumers: the `decode` span is the
+        // read plus the fold, which writes the steps itself
         let blocks = self.counter(crate::key::DECODE_BLOCKS);
         if blocks > 0 {
             out.push_str(&format!(
-                "decode:\n  blocks {:<10} read {:>10.3} ms  wait {:>10.3} ms  fold {:>10.3} ms  lines {}  bytes {}\n",
+                "decode:\n  blocks {:<10} read {:>10.3} ms  fold {:>10.3} ms  lines {}  bytes {}\n",
                 blocks,
                 ms(self.counter(crate::key::DECODE_READ_NS)),
-                ms(self.counter(crate::key::DECODE_WAIT_NS)),
                 ms(self.counter(crate::key::DECODE_FOLD_NS)),
                 self.counter(crate::key::DECODE_LINES),
                 self.counter(crate::key::DECODE_BYTES)

@@ -1,40 +1,20 @@
 //! The VCD body decoder behind [`crate::GlobalVcdStream`].
 //!
-//! The body is cut into byte blocks at line boundaries, and a [`Walk`]
-//! decodes a block's lines, handing each value change and timestamp to
-//! a [`Sink`]. There are two sinks, one per thread a block can be
-//! folded on.
-//!
-//! On the caller's thread the walk starts from the [`Stitcher`]'s whole
+//! The body is cut into byte blocks at line boundaries
+//! ([`BlockReader`]), and a [`Walk`] decodes a block's lines on the
+//! caller's thread. The walk starts from the [`Sampler`]'s whole
 //! sampling state — valuation, clock levels, pending rises, current
 //! time, line number — so it applies the sampling rules itself (a step
 //! per instant in which clocks rose, sampled after all of that
 //! instant's changes) and writes each [`GlobalStep`] into the caller's
 //! [`Chunk`] as the instant closes. When the chunk is full the walk
 //! pauses after that line, and the next call resumes there.
-//!
-//! A decode worker ([`Workers`]) cannot know the state at block entry,
-//! so its fold ([`Folded::fold`]) writes records instead: every body
-//! line only sets a value, so a block's effect on the signals is a pair
-//! of cumulative `(set, clear)` symbol masks, whatever the entry state
-//! was. The fold records, per instant that closes inside the block,
-//! those masks and the clocks that rose in it; a clock whose first
-//! change in the block is a rise from an unknown level is recorded as a
-//! rise *only if* its level at block entry was low. The caller then
-//! stitches the folded blocks in order against the real entry state
-//! ([`Stitcher::stitch`]), so a timestamp repeated across a block
-//! boundary, a block that starts mid-instant, a backwards timestamp at
-//! a boundary and every error line come out exactly as the walk on the
-//! caller's thread gives them.
 
 use std::collections::HashMap;
 use std::io::{self, Read};
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 use cesc_expr::Valuation;
-use crossbeam::channel::{self, Receiver, Sender};
 
 use crate::clock::ClockId;
 use crate::global::GlobalStep;
@@ -48,10 +28,6 @@ pub(crate) const MAX_CLOCKS: usize = ClockMask::BITS as usize;
 
 /// Bytes a block holds before it is cut at its last line end.
 pub(crate) const BLOCK_BYTES: usize = 64 * 1024;
-
-/// Blocks handed to one decode worker and not yet stitched. Two keep a
-/// worker folding the next block while the caller stitches its last.
-const IN_FLIGHT: usize = 2;
 
 /// What one VCD identifier code drives. Standard VCD lets several
 /// `$var`s share a code (aliased nets), so a code carries a *set* of
@@ -298,142 +274,31 @@ fn plain_timestamp(digits: &[u8]) -> Option<u64> {
 /// the same words `BufRead::read_line` uses for the header.
 const NOT_UTF8: &str = "stream did not contain valid UTF-8";
 
-/// One record of a folded block: the clocks that rose since the
-/// previous record, and the signal masks at its end. The masks are
-/// cumulative from block entry: a symbol in `set` is high, one in
-/// `clear` is low, and any other still has its value at block entry.
-#[derive(Debug, Clone, Copy)]
-struct Record {
-    /// The instant a close record samples (unused by head and tail).
-    time: u64,
-    rose: ClockMask,
-    set: u128,
-    clear: u128,
-}
-
-/// What a decode worker's fold of one block produced.
-///
-/// With a first timestamp line, `records` is the *head* (changes
-/// before that line), then one *close* per instant that ended inside
-/// the block with clocks risen in it — plus always the close of the
-/// instant the first timestamp line opened, which may continue the
-/// previous block's instant — then the *tail* (the instant still open
-/// at block end). Without one, `records` is the tail alone.
-#[derive(Debug, Default)]
-pub(crate) struct Folded {
-    /// The first timestamp line's time and block-local line number.
-    first: Option<(u64, usize)>,
-    /// The last timestamp line's time.
-    last: u64,
-    records: Vec<Record>,
-    /// Conditional rises: a record index and the clocks that rose
-    /// there on their first change in the block, from an unknown level.
-    cond: Vec<(usize, ClockMask)>,
-    /// Clocks changed in the block, and those high at its end.
-    known: ClockMask,
-    high: ClockMask,
-    /// Lines folded, the bytes they span, and the nanoseconds the fold
-    /// took.
-    lines: usize,
-    bytes: usize,
-    fold_ns: u64,
-    /// The block's first error, with a block-local line number.
-    error: Option<VcdReadError>,
-    /// Stitch progress: the next record, and the lines before the block.
-    cursor: usize,
-    base: usize,
-}
-
-/// What a fold does with the value changes and timestamps of a block.
-/// How a line is read is [`Walk`]'s, the same for every sink.
-trait Sink {
-    /// A value change on a code bound to `binding` (`None`: a code
-    /// nothing sampled uses).
-    fn change(&mut self, value: bool, binding: Option<CodeBinding>);
-
-    /// A timestamp line, numbered `line`. `Ok(true)` pauses the walk
-    /// after it.
-    fn stamp(&mut self, t: u64, line: usize) -> Result<bool, VcdReadError>;
-}
-
-/// Decodes the lines of a block into its [`Sink`].
-struct Walk<'a, S> {
-    codes: &'a CodeTable,
-    /// The number of the last line decoded: block-local on a decode
-    /// worker, counted from the top of the input on the caller's thread.
-    line: usize,
-    sink: S,
-}
-
-/// The sink of a decode worker's fold, which starts with every level
-/// unknown and writes [`Record`]s.
-struct Records<'a> {
-    out: &'a mut Folded,
-    set: u128,
-    clear: u128,
-    known: ClockMask,
-    high: ClockMask,
-    /// Clocks that rose since the last record, for certain and only if
-    /// low at block entry.
-    rose: ClockMask,
-    maybe: ClockMask,
-    /// Whether a timestamp line was seen, and the latest one's time.
-    stamped: bool,
-    time: u64,
-    /// The first timestamp line's instant still needs its close record.
-    close_first: bool,
-}
-
 /// Nanoseconds since `started`.
-pub(crate) fn nanos_since(started: Instant) -> u64 {
+fn nanos_since(started: Instant) -> u64 {
     u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-impl Folded {
-    /// Folds `text`, whole lines of VCD body (the last may lack its
-    /// `\n` at end of input), with every level at block entry unknown.
-    pub(crate) fn fold(&mut self, codes: &CodeTable, text: &[u8]) {
-        let started = Instant::now();
-        self.records.clear();
-        self.cond.clear();
-        self.first = None;
-        self.error = None;
-        self.cursor = 0;
-        let mut walk = Walk {
-            codes,
-            line: 0,
-            sink: Records {
-                out: self,
-                set: 0,
-                clear: 0,
-                known: 0,
-                high: 0,
-                rose: 0,
-                maybe: 0,
-                stamped: false,
-                time: 0,
-                close_first: false,
-            },
-        };
-        if let Err(e) = walk.lines(text, 0) {
-            walk.sink.out.error = Some(e);
-        }
-        let line = walk.line;
-        let r = &mut walk.sink;
-        r.record(r.time);
-        r.out.last = r.time;
-        r.out.known = r.known;
-        r.out.high = r.high;
-        r.out.lines = line;
-        self.bytes = text.len();
-        self.fold_ns = nanos_since(started);
-    }
+/// Decodes the lines of a block on the caller's thread: the
+/// [`Sampler`]'s sampling state, copied in for the walk and back after
+/// it, and the chunk its steps are written to.
+struct Walk<'a, 'c> {
+    codes: &'a CodeTable,
+    /// The number of the last line decoded, counted from the top of the
+    /// input.
+    line: usize,
+    masks: &'a [u128],
+    values: u128,
+    levels: ClockMask,
+    pending: ClockMask,
+    time: u64,
+    chunk: &'a mut Chunk<'c>,
 }
 
-impl<S: Sink> Walk<'_, S> {
+impl Walk<'_, '_> {
     /// Decodes the lines of `text` from byte `from`, a line start, up
-    /// to and including the first line in error or the line the sink
-    /// pauses after; the last line may lack its `\n`. Returns where the
+    /// to and including the first line in error or the line whose step
+    /// fills the chunk; the last line may lack its `\n`. Returns where the
     /// next line starts, `text.len()` once every line is decoded.
     /// Stage 1 finds the line ends of a [`WINDOW`] of bytes at once
     /// ([`line_ends`]), and the set bits of that mask, lowest first,
@@ -485,17 +350,17 @@ impl<S: Sink> Walk<'_, S> {
         match *raw {
             [v, c] if is_scalar_value(v) && is_code_byte(c) => {
                 let binding = self.codes.dense_get(CodeTable::slot1(c));
-                self.sink.change(v == b'1', binding);
+                self.change(v == b'1', binding);
                 return Ok(false);
             }
             [v, a, b] if is_scalar_value(v) && is_code_byte(a) && is_code_byte(b) => {
                 let binding = self.codes.dense_get(CodeTable::slot2(a, b));
-                self.sink.change(v == b'1', binding);
+                self.change(v == b'1', binding);
                 return Ok(false);
             }
             [b'#', ref digits @ ..] => {
                 if let Some(t) = plain_timestamp(digits) {
-                    return self.sink.stamp(t, self.line);
+                    return self.stamp(t);
                 }
             }
             _ => {}
@@ -511,13 +376,13 @@ impl<S: Sink> Walk<'_, S> {
             [] => return Ok(false),
             [b'#', digits @ ..] => {
                 if let Some(t) = plain_timestamp(digits) {
-                    return self.sink.stamp(t, self.line);
+                    return self.stamp(t);
                 }
             }
             [v, code @ ..] if is_scalar_value(*v) => {
                 let code = code.trim_ascii_start();
                 if !code.is_empty() && code.iter().all(|&b| is_code_byte(b)) {
-                    self.sink.change(*v == b'1', self.codes.get(code));
+                    self.change(*v == b'1', self.codes.get(code));
                     return Ok(false);
                 }
             }
@@ -541,7 +406,7 @@ impl<S: Sink> Walk<'_, S> {
         }
         if let Some(rest) = line.strip_prefix('#') {
             let t = parse_timestamp(rest, self.line)?;
-            return self.sink.stamp(t, self.line);
+            return self.stamp(t);
         }
         if line.starts_with(['r', 'R', 's', 'S']) {
             // a real or string change: `r<value> <code>`. Its value is
@@ -552,84 +417,51 @@ impl<S: Sink> Walk<'_, S> {
             }
         }
         let (value, code) = parse_change(line, self.line)?;
-        self.sink.change(value, self.codes.get(code.as_bytes()));
+        self.change(value, self.codes.get(code.as_bytes()));
         Ok(false)
     }
-}
 
-impl Sink for Records<'_> {
+    /// A value change on a code bound to `binding` (`None`: a code
+    /// nothing sampled uses).
     #[inline(always)]
     fn change(&mut self, value: bool, binding: Option<CodeBinding>) {
         let Some(binding) = binding else {
             return;
         };
-        let clocks = binding.clocks;
-        if clocks != 0 {
-            if value {
-                self.rose |= clocks & self.known & !self.high;
-                self.maybe |= clocks & !self.known;
-                self.high |= clocks;
-            } else {
-                self.high &= !clocks;
-            }
-            self.known |= clocks;
-        }
         if value {
-            self.set |= binding.symbols;
-            self.clear &= !binding.symbols;
+            self.pending |= binding.clocks & !self.levels;
+            self.levels |= binding.clocks;
+            self.values |= binding.symbols;
         } else {
-            self.clear |= binding.symbols;
-            self.set &= !binding.symbols;
+            self.levels &= !binding.clocks;
+            self.values &= !binding.symbols;
         }
     }
 
-    /// Only the first timestamp line's relation to the entry instant is
-    /// unknown here; later ones close the current instant when they
-    /// move time forward. Always inlined, as is [`Records::record`]:
-    /// about a third of a dump's lines are timestamps, and the fold
-    /// loop's speed should not hang on how much of the rarely run
-    /// general path the inliner also takes in.
+    /// A timestamp that moves time forward closes the current instant:
+    /// its pending clocks become a step, and a step that fills the
+    /// chunk pauses the walk (`Ok(true)`).
     #[inline(always)]
-    fn stamp(&mut self, t: u64, line: usize) -> Result<bool, VcdReadError> {
-        if !self.stamped {
-            self.stamped = true;
-            self.close_first = true;
-            self.out.first = Some((t, line));
-            self.record(0);
+    fn stamp(&mut self, t: u64) -> Result<bool, VcdReadError> {
+        if t > self.time {
+            let time = std::mem::replace(&mut self.time, t);
+            if self.pending != 0 {
+                let clocks = std::mem::take(&mut self.pending);
+                return Ok(self.chunk.push(time, clocks, self.values, self.masks));
+            }
         } else if t < self.time {
-            return Err(backwards(line, t, self.time));
-        } else if t > self.time && (self.rose | self.maybe != 0 || self.close_first) {
-            self.close_first = false;
-            self.record(self.time);
+            return Err(backwards(self.line, t, self.time));
         }
-        self.time = t;
         Ok(false)
     }
 }
 
-impl Records<'_> {
-    /// Records the rises since the last record with the current masks.
-    #[inline(always)]
-    fn record(&mut self, time: u64) {
-        if self.maybe != 0 {
-            self.out.cond.push((self.out.records.len(), self.maybe));
-            self.maybe = 0;
-        }
-        self.out.records.push(Record {
-            time,
-            rose: self.rose,
-            set: self.set,
-            clear: self.clear,
-        });
-        self.rose = 0;
-    }
-}
-
 /// A body directive line. Directives are skipped (`$dumpvars` bodies
-/// are value changes), except a `$comment` the line does not close: a
-/// block folds without its entry state, so it cannot tell comment text
-/// from value changes, and refuses it. Out of line and cold, so the
-/// fold loop's code stays as small as without the check.
+/// are value changes), except a `$comment` the line does not close,
+/// which is refused on purpose: the body walk keeps no comment state
+/// across lines, and reading such comments would change what a body
+/// means. Out of line and cold, so the walk loop's code stays as small
+/// as without the check.
 #[cold]
 #[inline(never)]
 fn directive(line: &str, lineno: usize) -> Result<(), VcdReadError> {
@@ -715,12 +547,10 @@ impl<'a> Chunk<'a> {
     }
 }
 
-/// The sampling state between blocks, and the rules that turn a block
-/// into [`GlobalStep`]s: walked on the caller's thread
-/// ([`Stitcher::walk`]) or stitched from a decode worker's records
-/// ([`Stitcher::stitch`]).
+/// The sampling state between blocks, which [`Sampler::walk`] turns
+/// each block into [`GlobalStep`]s from.
 #[derive(Debug)]
-pub(crate) struct Stitcher {
+pub(crate) struct Sampler {
     /// Per clock: symbol mask its ticks carry (`u128::MAX` = all).
     masks: Vec<u128>,
     /// Signal values and clock levels after the last line decoded.
@@ -732,66 +562,18 @@ pub(crate) struct Stitcher {
     /// (or input ends).
     pending: ClockMask,
     time: u64,
-    /// Lines decoded, or before the next block on the decode workers'
-    /// path: the line number errors count from.
+    /// Lines decoded: the line number errors count from.
     line: usize,
-    /// Totals over the blocks decoded so far: body lines, their bytes,
-    /// and the nanoseconds spent decoding them.
+    /// Totals over the blocks decoded so far: body lines, and the
+    /// nanoseconds spent decoding them.
     pub(crate) lines: u64,
-    pub(crate) bytes: u64,
     pub(crate) fold_ns: u64,
 }
 
-/// The sink of the walk on the caller's thread: the [`Stitcher`]'s
-/// sampling state, copied in for the walk and back after it, and the
-/// chunk its steps are written to.
-struct Steps<'a, 'c> {
-    masks: &'a [u128],
-    values: u128,
-    levels: ClockMask,
-    pending: ClockMask,
-    time: u64,
-    chunk: &'a mut Chunk<'c>,
-}
-
-impl Sink for Steps<'_, '_> {
-    #[inline(always)]
-    fn change(&mut self, value: bool, binding: Option<CodeBinding>) {
-        let Some(binding) = binding else {
-            return;
-        };
-        if value {
-            self.pending |= binding.clocks & !self.levels;
-            self.levels |= binding.clocks;
-            self.values |= binding.symbols;
-        } else {
-            self.levels &= !binding.clocks;
-            self.values &= !binding.symbols;
-        }
-    }
-
-    /// A timestamp that moves time forward closes the current instant:
-    /// its pending clocks become a step, and a step that fills the
-    /// chunk pauses the walk.
-    #[inline(always)]
-    fn stamp(&mut self, t: u64, line: usize) -> Result<bool, VcdReadError> {
-        if t > self.time {
-            let time = std::mem::replace(&mut self.time, t);
-            if self.pending != 0 {
-                let clocks = std::mem::take(&mut self.pending);
-                return Ok(self.chunk.push(time, clocks, self.values, self.masks));
-            }
-        } else if t < self.time {
-            return Err(backwards(line, t, self.time));
-        }
-        Ok(false)
-    }
-}
-
-impl Stitcher {
+impl Sampler {
     /// Starts before the first body line, `line` lines into the input.
     pub(crate) fn new(masks: Vec<u128>, line: usize) -> Self {
-        Stitcher {
+        Sampler {
             masks,
             values: 0,
             levels: 0,
@@ -799,156 +581,72 @@ impl Stitcher {
             time: 0,
             line,
             lines: 0,
-            bytes: 0,
             fold_ns: 0,
         }
     }
 
-    /// Walks `job`'s block on the caller's thread from its cursor,
-    /// writing each step into `chunk` as its instant closes, until the
-    /// block ends, a step fills the chunk or a line is in error; the
-    /// cursor then points at the next line. Returns whether the block
-    /// is done. The block's bytes count when its walk starts.
+    /// Walks `block` from its cursor, writing each step into `chunk` as
+    /// its instant closes, until the block ends, a step fills the chunk
+    /// or a line is in error; the cursor then points at the next line.
     pub(crate) fn walk(
         &mut self,
         codes: &CodeTable,
-        job: &mut Job,
+        block: &mut Block,
         chunk: &mut Chunk<'_>,
-    ) -> Result<bool, VcdReadError> {
+    ) -> Result<(), VcdReadError> {
         let started = Instant::now();
-        if job.pos == 0 {
-            self.bytes += job.len as u64;
-        }
         let mut walk = Walk {
             codes,
             line: self.line,
-            sink: Steps {
-                masks: &self.masks,
-                values: self.values,
-                levels: self.levels,
-                pending: self.pending,
-                time: self.time,
-                chunk,
-            },
+            masks: &self.masks,
+            values: self.values,
+            levels: self.levels,
+            pending: self.pending,
+            time: self.time,
+            chunk,
         };
-        let walked = walk.lines(&job.text[..job.len], job.pos);
-        let Walk { line, sink, .. } = walk;
-        (self.values, self.levels, self.pending, self.time) =
-            (sink.values, sink.levels, sink.pending, sink.time);
+        let walked = walk.lines(&block.text[..block.len], block.pos);
+        let Walk {
+            line,
+            values,
+            levels,
+            pending,
+            time,
+            ..
+        } = walk;
+        (self.values, self.levels, self.pending, self.time) = (values, levels, pending, time);
         self.lines += (line - self.line) as u64;
         self.line = line;
         self.fold_ns += nanos_since(started);
-        job.pos = walked?;
-        Ok(job.pos == job.len)
-    }
-
-    /// Takes `f`, folded on a decode worker, as the next block: resolves
-    /// its conditional rises against the clock levels at its entry,
-    /// places its lines and counts its fold.
-    pub(crate) fn open(&mut self, f: &mut Folded) {
-        for &(i, clocks) in &f.cond {
-            f.records[i].rose |= clocks & !self.levels;
-        }
-        f.base = self.line;
-        self.line += f.lines;
-        self.lines += f.lines as u64;
-        self.bytes += f.bytes as u64;
-        self.fold_ns += f.fold_ns;
-    }
-
-    /// Stitches `f` from its cursor until `chunk` is full. Each record
-    /// yields at most one step. Returns whether the block is done; its
-    /// error, if any, comes after all of its records.
-    pub(crate) fn stitch(
-        &mut self,
-        f: &mut Folded,
-        chunk: &mut Chunk<'_>,
-    ) -> Result<bool, VcdReadError> {
-        let last = f.records.len() - 1;
-        while f.cursor <= last {
-            if chunk.is_full() {
-                return Ok(false);
-            }
-            let i = f.cursor;
-            f.cursor += 1;
-            let r = f.records[i];
-            self.pending |= r.rose;
-            if i == last {
-                self.values = self.state(&r);
-                self.levels = (self.levels & !f.known) | f.high;
-                if f.first.is_some() {
-                    self.time = f.last;
-                }
-            } else if i == 0 {
-                let (t, line) = f.first.expect("a block with closes has a timestamp");
-                if t < self.time {
-                    return Err(backwards(f.base + line, t, self.time));
-                }
-                if t > self.time {
-                    // a pending step belongs to the instant it was
-                    // sampled at, so the flush uses the time *before*
-                    // the advance
-                    let prev = self.time;
-                    self.time = t;
-                    self.flush(prev, self.state(&r), chunk);
-                }
-            } else {
-                self.flush(r.time, self.state(&r), chunk);
-            }
-        }
-        match f.error.take() {
-            Some(VcdReadError::Malformed { line, message }) => Err(VcdReadError::Malformed {
-                line: f.base + line,
-                message,
-            }),
-            Some(e) => Err(e),
-            None => Ok(true),
-        }
+        block.pos = walked?;
+        Ok(())
     }
 
     /// Emits the instant still open at end of input.
     pub(crate) fn finish(&mut self, chunk: &mut Chunk<'_>) {
-        self.flush(self.time, self.values, chunk);
-    }
-
-    /// The signal values at the end of record `r` of the block being
-    /// stitched.
-    fn state(&self, r: &Record) -> u128 {
-        (self.values & !r.clear) | r.set
-    }
-
-    /// Emits the clocks pending at instant `time` as one step, sampled
-    /// from signal values `state`.
-    fn flush(&mut self, time: u64, state: u128, chunk: &mut Chunk<'_>) {
         if self.pending != 0 {
-            chunk.push(time, self.pending, state, &self.masks);
+            chunk.push(self.time, self.pending, self.values, &self.masks);
             self.pending = 0;
         }
     }
 }
 
-/// A block of body bytes cut at a line end: walked on the caller's
-/// thread from `pos`, or folded on a decode worker into `folded`. Jobs
-/// are recycled, so their buffers are allocated once.
+/// A block of body bytes cut at a line end, walked from `pos`. The
+/// stream reads every block into the same one, so its buffer is
+/// allocated once.
 #[derive(Debug, Default)]
-pub(crate) struct Job {
+pub(crate) struct Block {
     /// The block is `text[..len]`; the rest is read space.
     text: Vec<u8>,
     len: usize,
     /// Where the next line to walk starts.
     pos: usize,
-    pub(crate) folded: Folded,
 }
 
-/// How a block is folded on a decode worker: a plain function, so a
-/// test can hand the workers one that fails.
-pub(crate) type FoldFn = fn(&CodeTable, &mut Job);
-
-impl Job {
-    /// Folds the block with every level at entry unknown — the fold a
-    /// decode worker runs.
-    pub(crate) fn fold(codes: &CodeTable, job: &mut Job) {
-        job.folded.fold(codes, &job.text[..job.len]);
+impl Block {
+    /// Whether every line of the block has been walked.
+    pub(crate) fn is_walked(&self) -> bool {
+        self.pos == self.len
     }
 }
 
@@ -965,7 +663,10 @@ pub(crate) struct BlockReader<R> {
     /// An I/O error, held back until the blocks read before it are
     /// decoded.
     pub(crate) failed: Option<VcdReadError>,
-    /// Nanoseconds spent in [`BlockReader::read`].
+    /// Blocks read, the bytes they hold, and the nanoseconds spent in
+    /// [`BlockReader::read`].
+    pub(crate) blocks: u64,
+    pub(crate) bytes: u64,
     pub(crate) read_ns: u64,
 }
 
@@ -977,46 +678,43 @@ impl<R: Read> BlockReader<R> {
             carry: Vec::new(),
             ended: false,
             failed: None,
+            blocks: 0,
+            bytes: 0,
             read_ns: 0,
         }
     }
 
-    /// Whether reading stopped: at end of input or an I/O error.
-    pub(crate) fn ended(&self) -> bool {
-        self.ended
-    }
-
-    /// Fills `job` with the next block: at least `block_size` bytes
+    /// Fills `block` with the next block: at least `block_size` bytes
     /// cut after the last line end, or what is left at end of input.
     /// `false` when there is nothing left, or only the partial line
     /// before an I/O error (which is then in `failed`). Two clock
     /// reads per block time it.
-    pub(crate) fn read(&mut self, job: &mut Job) -> bool {
+    pub(crate) fn read(&mut self, block: &mut Block) -> bool {
         if self.ended {
             return false;
         }
         let started = Instant::now();
         let want = self.block_size.max(self.carry.len() + 1);
-        if job.text.len() < want {
-            job.text.resize(want, 0);
+        if block.text.len() < want {
+            block.text.resize(want, 0);
         }
         let mut len = self.carry.len();
-        job.text[..len].copy_from_slice(&self.carry);
+        block.text[..len].copy_from_slice(&self.carry);
         self.carry.clear();
         // end of the last whole line; the carry holds no line end
         let mut cut = 0;
         while len < self.block_size || cut == 0 {
-            if len == job.text.len() {
-                job.text.resize(2 * len, 0);
+            if len == block.text.len() {
+                block.text.resize(2 * len, 0);
             }
-            match self.reader.read(&mut job.text[len..]) {
+            match self.reader.read(&mut block.text[len..]) {
                 Ok(0) => {
                     self.ended = true;
                     cut = len;
                     break;
                 }
                 Ok(n) => {
-                    if let Some(p) = job.text[len..len + n].iter().rposition(|&b| b == b'\n') {
+                    if let Some(p) = block.text[len..len + n].iter().rposition(|&b| b == b'\n') {
                         cut = len + p + 1;
                     }
                     len += n;
@@ -1032,147 +730,22 @@ impl<R: Read> BlockReader<R> {
                 }
             }
         }
-        self.carry.extend_from_slice(&job.text[cut..len]);
-        job.len = cut;
-        job.pos = 0;
+        self.carry.extend_from_slice(&block.text[cut..len]);
+        block.len = cut;
+        block.pos = 0;
         self.read_ns += nanos_since(started);
-        cut > 0
-    }
-}
-
-/// One decode worker: its job queue, its result queue and its thread.
-#[derive(Debug)]
-struct Lane {
-    jobs: Option<Sender<Job>>,
-    folded: Receiver<Job>,
-    handle: Option<JoinHandle<()>>,
-}
-
-/// The decode workers of a stream. Block `k` goes to worker
-/// `k mod n` and comes back through that worker's FIFO queue, so
-/// blocks return in input order with no reorder buffer. At most
-/// [`IN_FLIGHT`] blocks per worker are out at once. The queues are
-/// bounded channels, which never allocate after creation. Dropping the
-/// workers closes their queues and joins their threads.
-#[derive(Debug)]
-pub(crate) struct Workers {
-    lanes: Vec<Lane>,
-    sent: usize,
-    received: usize,
-}
-
-impl Workers {
-    /// Starts `n` worker threads folding blocks with `fold`.
-    pub(crate) fn spawn(n: usize, codes: &Arc<CodeTable>, fold: FoldFn) -> Self {
-        let lanes = (0..n)
-            .map(|i| {
-                let (jobs, todo) = channel::bounded::<Job>(IN_FLIGHT);
-                let (done, folded) = channel::bounded::<Job>(IN_FLIGHT);
-                let codes = Arc::clone(codes);
-                let handle = std::thread::Builder::new()
-                    .name(format!("vcd-decode-{i}"))
-                    .spawn(move || {
-                        while let Ok(mut job) = todo.recv() {
-                            fold(&codes, &mut job);
-                            if done.send(job).is_err() {
-                                break;
-                            }
-                        }
-                    })
-                    .expect("spawn a VCD decode worker");
-                Lane {
-                    jobs: Some(jobs),
-                    folded,
-                    handle: Some(handle),
-                }
-            })
-            .collect();
-        Workers {
-            lanes,
-            sent: 0,
-            received: 0,
+        if cut == 0 {
+            return false;
         }
-    }
-
-    /// Most blocks out at once.
-    pub(crate) fn blocks_out(&self) -> usize {
-        IN_FLIGHT * self.lanes.len()
-    }
-
-    /// Whether another block may be sent.
-    pub(crate) fn has_room(&self) -> bool {
-        self.sent - self.received < self.blocks_out()
-    }
-
-    /// Whether blocks are out.
-    pub(crate) fn busy(&self) -> bool {
-        self.sent > self.received
-    }
-
-    /// Sends the next block to its worker. Never blocks: a worker's
-    /// queues hold [`IN_FLIGHT`] blocks and [`Workers::has_room`] keeps
-    /// fewer out.
-    pub(crate) fn send(&mut self, job: Job) {
-        let lane = self.sent % self.lanes.len();
-        let jobs = self.lanes[lane]
-            .jobs
-            .as_ref()
-            .expect("queue open while running");
-        if jobs.send(job).is_err() {
-            self.reraise(lane);
-        }
-        self.sent += 1;
-    }
-
-    /// The oldest block out, folded; blocks until its worker is done.
-    /// A worker that panicked re-raises its panic here: a closed queue
-    /// never reads as end of input.
-    pub(crate) fn receive(&mut self) -> Job {
-        let lane = self.received % self.lanes.len();
-        match self.lanes[lane].folded.recv() {
-            Ok(job) => {
-                self.received += 1;
-                job
-            }
-            Err(_) => self.reraise(lane),
-        }
-    }
-
-    fn reraise(&mut self, lane: usize) -> ! {
-        let lane = &mut self.lanes[lane];
-        lane.jobs = None;
-        match lane.handle.take().map(JoinHandle::join) {
-            Some(Err(panic)) => std::panic::resume_unwind(panic),
-            _ => panic!("a VCD decode worker stopped before its blocks were decoded"),
-        }
-    }
-}
-
-impl Drop for Workers {
-    fn drop(&mut self) {
-        for lane in &mut self.lanes {
-            lane.jobs = None;
-        }
-        for lane in &mut self.lanes {
-            if let Some(handle) = lane.handle.take() {
-                // a worker's panic surfaces through `receive`; one met
-                // while the stream is dropped has nobody left to see it
-                let _ = handle.join();
-            }
-        }
+        self.blocks += 1;
+        self.bytes += cut as u64;
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    impl Folded {
-        /// Whether no fold ever wrote records here.
-        pub(crate) fn is_unused(&self) -> bool {
-            self.records.capacity() == 0 && self.cond.capacity() == 0
-        }
-    }
 
     /// The bit-by-bit definition of [`line_ends`].
     fn line_ends_naive(window: &[u8; WINDOW]) -> u64 {

@@ -11,23 +11,18 @@
 //! clocks and yields [`GlobalStep`] chunks pulled from any
 //! [`io::BufRead`], so a multi-GB dump is checked in constant memory —
 //! neither the VCD text nor the decoded trace is ever resident in
-//! full. It is the one sampling loop over byte blocks — walked straight
-//! into steps on the caller's thread, or folded on decode workers and
-//! stitched in order (`crate::decode`): [`read_vcd`] is its one-clock
-//! drain into a [`Trace`], and the `&str` constructor is a thin wrapper
-//! over the byte-slice reader.
+//! full. It is the one sampling loop over byte blocks, walked straight
+//! into steps on the caller's thread (`crate::decode`): [`read_vcd`] is
+//! its one-clock drain into a [`Trace`], and the `&str` constructor is
+//! a thin wrapper over the byte-slice reader.
 
 use std::fmt::Write as _;
 use std::io::{self, BufRead};
-use std::sync::Arc;
-use std::time::Instant;
 
 use cesc_expr::{Alphabet, Valuation};
 
 use crate::clock::ClockSet;
-use crate::decode::{
-    nanos_since, BlockReader, Chunk, CodeTable, FoldFn, Job, Stitcher, Workers, MAX_CLOCKS,
-};
+use crate::decode::{Block, BlockReader, Chunk, CodeTable, Sampler, MAX_CLOCKS};
 use crate::global::{GlobalRun, GlobalStep};
 use crate::trace::Trace;
 
@@ -449,16 +444,11 @@ impl VcdClockSpec {
 ///
 /// The reader pulls bytes from any [`io::BufRead`] — a
 /// `BufReader<File>` for dumps on disk, a byte slice for in-memory
-/// text. The body is read in blocks of about 64 KB cut at line ends.
-/// By default each block is decoded on the caller's thread straight
-/// into the caller's chunk, each step written as its instant closes;
-/// [`GlobalVcdStream::with_workers`] instead folds blocks on worker
-/// threads into per-instant records of clock rises and `(set, clear)`
-/// signal masks, which the caller stitches into steps in input order
-/// while the workers fold ahead, with the same steps, chunk lengths and
-/// errors. Resident memory is a fixed number of blocks — one on the
-/// caller's thread, two per worker, with their records — plus one
-/// carried partial line, regardless of dump size.
+/// text. The body is read in blocks of about 64 KB cut at line ends,
+/// and each block is decoded on the caller's thread straight into the
+/// caller's chunk, each step written as its instant closes. Resident
+/// memory is one block plus one carried partial line, regardless of
+/// dump size.
 /// [`read_vcd`] drains a one-clock stream into a [`Trace`].
 ///
 /// Clock `i` of the constructor's list becomes [`ClockId`](crate::ClockId) index `i`
@@ -496,7 +486,7 @@ impl VcdClockSpec {
 ///     VcdClockSpec::masked("clk1", owners[0]),
 ///     VcdClockSpec::masked("clk2", owners[1]),
 /// ];
-/// let mut stream = GlobalVcdStream::new(&vcd, &ab, &specs)?.with_workers(2);
+/// let mut stream = GlobalVcdStream::new(&vcd, &ab, &specs)?;
 /// let mut steps = Vec::new();
 /// stream.next_chunk(&mut steps, 16)?;
 /// assert_eq!(steps.len(), run.len());
@@ -506,21 +496,11 @@ impl VcdClockSpec {
 #[derive(Debug)]
 pub struct GlobalVcdStream<R> {
     input: BlockReader<R>,
-    codes: Arc<CodeTable>,
-    stitch: Stitcher,
-    /// The block being decoded: walked on the caller's thread, or, with
-    /// decode workers, stitched from their records.
-    current: Option<Job>,
-    /// Recycled blocks.
-    free: Vec<Job>,
-    /// Decode workers asked for and not yet started: how many, and the
-    /// fold they run.
-    spawn: Option<(usize, FoldFn)>,
-    /// Decode workers, when blocks are folded off the caller's thread.
-    workers: Option<Workers>,
-    blocks: u64,
+    codes: CodeTable,
+    sampler: Sampler,
+    /// The block being walked; every block is read into this one.
+    block: Block,
     ticks: u64,
-    wait_ns: u64,
     done: bool,
 }
 
@@ -542,8 +522,7 @@ impl<'a> GlobalVcdStream<&'a [u8]> {
 impl<R: BufRead> GlobalVcdStream<R> {
     /// Parses the VCD header from `reader` and positions the stream at
     /// the first value change. Every clock in `clocks` must be
-    /// declared. The body is decoded on the caller's thread until
-    /// [`GlobalVcdStream::with_workers`] says otherwise.
+    /// declared.
     ///
     /// Signals present in the VCD but absent from `alphabet` are
     /// ignored; alphabet symbols absent from the VCD read as constant
@@ -578,45 +557,12 @@ impl<R: BufRead> GlobalVcdStream<R> {
             .collect();
         Ok(GlobalVcdStream {
             input: BlockReader::new(reader),
-            codes: Arc::new(codes),
-            stitch: Stitcher::new(masks, lineno),
-            current: None,
-            free: vec![Job::default()],
-            spawn: None,
-            workers: None,
-            blocks: 0,
+            codes,
+            sampler: Sampler::new(masks, lineno),
+            block: Block::default(),
             ticks: 0,
-            wait_ns: 0,
             done: false,
         })
-    }
-
-    /// Folds the body on `n` decode worker threads while the calling
-    /// thread reads blocks and stitches them in order; `n <= 1` decodes
-    /// on the calling thread. Steps, chunk lengths and errors are the
-    /// same either way. The workers start when a second body block
-    /// follows the first, so a body that fits in one block never starts
-    /// a thread. They stop at end of input, on the first error, or when
-    /// the stream is dropped; a worker's panic is raised again by
-    /// [`GlobalVcdStream::next_chunk`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if decode workers already started: set them before the
-    /// first [`GlobalVcdStream::next_chunk`].
-    #[must_use]
-    pub fn with_workers(self, n: usize) -> Self {
-        self.with_fold(n, Job::fold)
-    }
-
-    /// [`GlobalVcdStream::with_workers`] with the fold the workers run.
-    pub(crate) fn with_fold(mut self, n: usize, fold: FoldFn) -> Self {
-        assert!(
-            self.workers.is_none(),
-            "decode workers are set before the stream is read"
-        );
-        self.spawn = (n > 1).then_some((n, fold));
-        self
     }
 
     /// The alphabet symbols the header declares a `$var` for; every
@@ -627,17 +573,17 @@ impl<R: BufRead> GlobalVcdStream<R> {
 
     /// Body blocks decoded so far.
     pub fn blocks_decoded(&self) -> u64 {
-        self.blocks
+        self.input.blocks
     }
 
     /// Body lines decoded so far.
     pub fn lines(&self) -> u64 {
-        self.stitch.lines
+        self.sampler.lines
     }
 
     /// Body bytes decoded so far.
     pub fn bytes(&self) -> u64 {
-        self.stitch.bytes
+        self.input.bytes
     }
 
     /// Per-clock ticks the steps returned so far carry.
@@ -646,29 +592,18 @@ impl<R: BufRead> GlobalVcdStream<R> {
     }
 
     /// Nanoseconds spent decoding the lines of the blocks decoded so
-    /// far, on whichever thread did it: two clock reads per block on a
-    /// decode worker, and per [`GlobalVcdStream::next_chunk`] call and
-    /// block on the caller's thread, none per line. On the caller's
-    /// thread this includes writing the steps into the chunk.
+    /// far, writing the steps into the chunk included: two clock reads
+    /// per [`GlobalVcdStream::next_chunk`] call and block, none per
+    /// line.
     pub fn fold_ns(&self) -> u64 {
-        self.stitch.fold_ns
+        self.sampler.fold_ns
     }
 
-    /// Nanoseconds spent reading body blocks from the reader, on the
-    /// calling thread: two clock reads per block. At one decode thread,
-    /// the time in [`GlobalVcdStream::next_chunk`] is this plus
-    /// [`GlobalVcdStream::fold_ns`], and little else.
+    /// Nanoseconds spent reading body blocks from the reader: two clock
+    /// reads per block. The time in [`GlobalVcdStream::next_chunk`] is
+    /// this plus [`GlobalVcdStream::fold_ns`], and little else.
     pub fn read_ns(&self) -> u64 {
         self.input.read_ns
-    }
-
-    /// Nanoseconds [`GlobalVcdStream::next_chunk`] spent blocked,
-    /// waiting for a decode worker to hand back a block — zero when the
-    /// fold runs on the caller's thread. Set against the time spent in
-    /// `next_chunk`, it tells whether the workers or the stitch bound
-    /// the read.
-    pub fn wait_ns(&self) -> u64 {
-        self.wait_ns
     }
 
     /// Clears `buf` and refills it with up to `max` global steps,
@@ -685,10 +620,6 @@ impl<R: BufRead> GlobalVcdStream<R> {
     /// UTF-8. An error poisons the stream: every subsequent call
     /// returns `Ok(0)`, so a caller that retries cannot silently resume
     /// past corrupt input.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the panic of a decode worker.
     pub fn next_chunk(
         &mut self,
         buf: &mut Vec<GlobalStep>,
@@ -708,7 +639,6 @@ impl<R: BufRead> GlobalVcdStream<R> {
             }
             Err(e) => {
                 self.done = true;
-                self.workers = None;
                 Err(e)
             }
         }
@@ -717,73 +647,17 @@ impl<R: BufRead> GlobalVcdStream<R> {
     /// Decodes blocks into `chunk` until it is full or input ends.
     fn fill(&mut self, chunk: &mut Chunk<'_>) -> Result<(), VcdReadError> {
         while !chunk.is_full() {
-            if let Some(job) = &mut self.current {
-                // with decode workers every block comes back folded
-                let done = if self.workers.is_some() {
-                    self.stitch.stitch(&mut job.folded, chunk)?
-                } else {
-                    self.stitch.walk(&self.codes, job, chunk)?
-                };
-                if done {
-                    self.free.extend(self.current.take());
+            if self.block.is_walked() && !self.input.read(&mut self.block) {
+                if let Some(e) = self.input.failed.take() {
+                    return Err(e);
                 }
-                continue;
-            }
-            match self.next_block()? {
-                Some(job) => {
-                    self.blocks += 1;
-                    self.current = Some(job);
-                }
-                None => {
-                    self.stitch.finish(chunk);
-                    self.done = true;
-                    self.workers = None;
-                    break;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The next block, `None` at end of input: read, to be walked on
-    /// the caller's thread, or folded by a decode worker and opened for
-    /// stitching. The workers, if any, are first handed every block
-    /// there is room for.
-    fn next_block(&mut self) -> Result<Option<Job>, VcdReadError> {
-        if self.workers.is_none() {
-            let mut job = self.free.pop().unwrap_or_default();
-            if !self.input.read(&mut job) {
-                self.free.push(job);
-                return self.input.failed.take().map_or(Ok(None), Err);
-            }
-            match self.spawn.take() {
-                Some((n, fold)) if !self.input.ended() => {
-                    let mut workers = Workers::spawn(n, &self.codes, fold);
-                    // every block out, plus the one being stitched
-                    self.free.reserve(workers.blocks_out() + 1);
-                    workers.send(job);
-                    self.workers = Some(workers);
-                }
-                _ => return Ok(Some(job)),
-            }
-        }
-        let workers = self.workers.as_mut().expect("started above");
-        while workers.has_room() {
-            let mut job = self.free.pop().unwrap_or_default();
-            if !self.input.read(&mut job) {
-                self.free.push(job);
+                self.sampler.finish(chunk);
+                self.done = true;
                 break;
             }
-            workers.send(job);
+            self.sampler.walk(&self.codes, &mut self.block, chunk)?;
         }
-        if !workers.busy() {
-            return self.input.failed.take().map_or(Ok(None), Err);
-        }
-        let waited = Instant::now();
-        let mut job = workers.receive();
-        self.wait_ns += nanos_since(waited);
-        self.stitch.open(&mut job.folded);
-        Ok(Some(job))
+        Ok(())
     }
 }
 
@@ -1204,17 +1078,16 @@ $enddefinitions $end
     }
 
     /// A stream over `text` whose body is cut into blocks of `block`
-    /// bytes, folded on `workers` threads.
+    /// bytes.
     fn blocked<R: BufRead>(
         reader: R,
         ab: &Alphabet,
         specs: &[VcdClockSpec],
         block: usize,
-        workers: usize,
     ) -> GlobalVcdStream<R> {
         let mut stream = GlobalVcdStream::from_reader(reader, ab, specs).unwrap();
         stream.input.block_size = block;
-        stream.with_workers(workers)
+        stream
     }
 
     /// One `next_chunk` result, with the steps of an `Ok`.
@@ -1279,8 +1152,8 @@ $enddefinitions $end
         // the same bytes through BufReaders of every small capacity (so
         // lines split across windows at every offset), cut into tiny
         // blocks, into blocks around one and two 64-byte line-end
-        // windows and into default blocks, and folded on 1 to 4
-        // workers, must decode to exactly the in-memory inline read —
+        // windows and into default blocks, must decode to exactly the
+        // in-memory read over default blocks —
         // steps and per-call chunk lengths — and the source run,
         // whatever the line layout; over 94 signals, some identifier
         // codes take two characters
@@ -1357,16 +1230,14 @@ $enddefinitions $end
                 cuts.extend([63, 64, 65, 127, 128, 129, BLOCK_BYTES].map(|block| (large, block)));
                 for (cap, block) in cuts {
                     let chunk = rng.random_range(1..=9usize);
-                    let workers = 1 + (cap + block) % 4;
                     let inline = calls_of(
                         GlobalVcdStream::from_reader(text.as_bytes(), ab, &specs).unwrap(),
                         chunk,
                     );
                     let reader = io::BufReader::with_capacity(cap, text.as_bytes());
-                    let calls = calls_of(blocked(reader, ab, &specs, block, workers), chunk);
+                    let calls = calls_of(blocked(reader, ab, &specs, block), chunk);
                     let what = format!(
-                        "case {case}, capacity {cap}, block {block}, {workers} worker(s), \
-                         chunk {chunk}: {text:?}"
+                        "case {case}, capacity {cap}, block {block}, chunk {chunk}: {text:?}"
                     );
                     assert_eq!(calls, inline, "{what}");
                     let steps: Vec<GlobalStep> =
@@ -1378,11 +1249,11 @@ $enddefinitions $end
     }
 
     #[test]
-    fn parallel_decode_errors_and_poisoning_equal_inline() {
-        // byte-mutated dumps read inline and on 2 and 4 workers, over
-        // tiny and default blocks, give the same sequence of results:
-        // the same steps, then the same error (kind, line, message),
-        // then end of input forever
+    fn tiny_block_errors_and_poisoning_equal_default_blocks() {
+        // byte-mutated dumps read over three tiny block sizes and over
+        // default blocks give the same sequence of results: the same
+        // steps, then the same error (kind, line, message), then end of
+        // input forever
         use rand::{Rng as _, SeedableRng as _};
         let mut ab = Alphabet::new();
         for name in ["req", "ack", "burst", "go", "done"] {
@@ -1423,36 +1294,17 @@ $enddefinitions $end
                 chunk,
             );
             errors += usize::from(inline.iter().any(Result::is_err));
-            for workers in [1, 2, 4] {
-                for block in [rng.random_range(1..=64usize), BLOCK_BYTES] {
-                    let calls =
-                        calls_of(blocked(bytes.as_slice(), &ab, &specs, block, workers), chunk);
-                    assert_eq!(
-                        calls, inline,
-                        "case {case}, block {block}, {workers} worker(s), chunk {chunk}: {:?}",
-                        String::from_utf8_lossy(&bytes)
-                    );
-                }
+            for block in [(); 3].map(|()| rng.random_range(1..=64usize)) {
+                let calls = calls_of(blocked(bytes.as_slice(), &ab, &specs, block), chunk);
+                assert_eq!(
+                    calls,
+                    inline,
+                    "case {case}, block {block}, chunk {chunk}: {:?}",
+                    String::from_utf8_lossy(&bytes)
+                );
             }
         }
         assert!(errors > 50, "the mutations must hit errors: {errors} of 300");
-    }
-
-    #[test]
-    fn decode_worker_panic_reaches_the_caller() {
-        // a worker that dies must not read as end of input
-        let (ab, _, _) = setup();
-        let trace = TraceGen::new(3, &ab).noise(50, 0.3);
-        let vcd = write_vcd(&trace, &ab, &VcdWriteOptions::default());
-        let mut stream = GlobalVcdStream::new(&vcd, &ab, &[VcdClockSpec::new("clk")]).unwrap();
-        stream.input.block_size = 64;
-        let mut stream = stream.with_fold(2, |_, _| panic!("fold failed"));
-        let mut buf = Vec::new();
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            stream.next_chunk(&mut buf, 16)
-        }));
-        let panic = caught.expect_err("the worker's panic reaches the caller");
-        assert_eq!(panic.downcast_ref::<&str>(), Some(&"fold failed"));
     }
 
     /// A one-clock stream over raw bytes, sampling `clk` and `req`.
@@ -1503,7 +1355,7 @@ $enddefinitions $end
     fn real_and_string_changes_on_unbound_codes_are_skipped() {
         // `r`/`s` changes on codes no sampled symbol or clock uses are
         // skipped without reading the value; on a bound code they stay
-        // an error with the line number, inline and on two workers
+        // an error with the line number, over default and tiny blocks
         let (ab, req, _) = setup();
         let specs = [VcdClockSpec::new("clk")];
         let clean = "\
@@ -1532,7 +1384,7 @@ Sbusy %
         let steps = inline.iter().filter(|c| matches!(c, Ok(s) if !s.is_empty()));
         assert_eq!(steps.count(), 2);
         for block in [1, 5] {
-            let calls = calls_of(blocked(clean.as_bytes(), &ab, &specs, block, 2), 1);
+            let calls = calls_of(blocked(clean.as_bytes(), &ab, &specs, block), 1);
             assert_eq!(calls, inline, "block {block}");
         }
 
@@ -1547,7 +1399,7 @@ Sbusy %
             "malformed VCD at line 7: unsupported value change `r`"
         );
         for block in [1, 5] {
-            let calls = calls_of(blocked(bound.as_bytes(), &ab, &specs, block, 2), 1);
+            let calls = calls_of(blocked(bound.as_bytes(), &ab, &specs, block), 1);
             assert_eq!(calls, inline, "block {block}");
         }
     }
@@ -1556,8 +1408,8 @@ Sbusy %
     fn comments_bind_nothing_and_multi_line_body_comments_are_refused() {
         // a `$var` inside a header `$comment` block binds nothing; in
         // the body a one-line `$comment … $end` is skipped and one the
-        // line does not close is an error naming its line — inline,
-        // and on two workers over tiny blocks
+        // line does not close is an error naming its line — over
+        // default and tiny blocks
         let (ab, req, _) = setup();
         let specs = [VcdClockSpec::new("clk")];
         let header = "\
@@ -1588,7 +1440,7 @@ $comment one line, skipped $end
         let seen: Vec<_> = steps.iter().map(|s| (s.time, s.ticks[0].1)).collect();
         assert_eq!(seen, [(5, Valuation::empty()), (15, Valuation::of([req]))]);
         for block in [1, 5] {
-            let calls = calls_of(blocked(header.as_bytes(), &ab, &specs, block, 2), 8);
+            let calls = calls_of(blocked(header.as_bytes(), &ab, &specs, block), 8);
             assert_eq!(calls, inline, "block {block}");
         }
 
@@ -1619,7 +1471,7 @@ $end
             errors[0]
         );
         for block in [1, 5] {
-            let calls = calls_of(blocked(body.as_bytes(), &ab, &specs, block, 2), 1);
+            let calls = calls_of(blocked(body.as_bytes(), &ab, &specs, block), 1);
             assert_eq!(calls, inline, "block {block}");
         }
     }
@@ -1705,13 +1557,13 @@ q!
     }
 
     #[test]
-    fn chunks_pause_at_block_edges_as_the_decode_workers_do() {
+    fn chunks_pause_at_block_edges() {
         // hand-built 64-byte blocks, each padded with blank lines: a
         // chunk's last step can be the last step a block writes, the
         // next block can open with a malformed line, a later one with a
         // backwards timestamp, and an instant can span a block edge
-        // with its timestamp repeated after it; the inline stream and
-        // two workers must give the same calls at every chunk size
+        // with its timestamp repeated after it; 64-byte blocks must give
+        // the same calls as one default block at every chunk size
         let (ab, req, _) = setup();
         let specs = [VcdClockSpec::new("clk")];
         const HEADER: &str = "\
@@ -1755,26 +1607,24 @@ $enddefinitions $end
             (&backwards, Some(line_of(&backwards, "#3"))),
         ] {
             for max in 1..=4 {
-                let inline = calls_of(blocked(text.as_bytes(), &ab, &specs, 64, 1), max);
-                let parallel = calls_of(blocked(text.as_bytes(), &ab, &specs, 64, 2), max);
-                assert_eq!(parallel, inline, "chunk {max}: {text:?}");
-                let lines: Vec<usize> = inline
+                let calls = calls_of(blocked(text.as_bytes(), &ab, &specs, 64), max);
+                let whole = calls_of(GlobalVcdStream::new(text, &ab, &specs).unwrap(), max);
+                assert_eq!(calls, whole, "chunk {max}: {text:?}");
+                let lines: Vec<usize> = calls
                     .iter()
                     .filter_map(|c| match c {
                         Err(VcdReadError::Malformed { line, .. }) => Some(*line),
                         _ => None,
                     })
                     .collect();
-                assert_eq!(lines, Vec::from_iter(error), "chunk {max}: {inline:?}");
+                assert_eq!(lines, Vec::from_iter(error), "chunk {max}: {calls:?}");
             }
         }
 
-        // the inline stream folds no block into records
-        let mut stream = blocked(clean.as_bytes(), &ab, &specs, 64, 1);
+        let mut stream = blocked(clean.as_bytes(), &ab, &specs, 64);
         let mut buf = Vec::new();
         while stream.next_chunk(&mut buf, 1).unwrap() > 0 {}
         assert_eq!(stream.blocks_decoded(), 4);
-        assert!(stream.free.iter().all(|job| job.folded.is_unused()));
     }
 
     #[test]

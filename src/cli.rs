@@ -479,11 +479,8 @@ pub struct CheckOptions {
     /// `--all-matches` flag.
     pub all_matches: bool,
     /// Worker threads the fleet is sharded across (`--jobs N`; the
-    /// planner caps shards at the member count), and threads the dump
-    /// is decoded on: `N` capped at the host's available parallelism,
-    /// since a decode worker beyond the core count only adds threads
-    /// and read-ahead blocks. 1 runs one worker and decodes on the
-    /// calling thread.
+    /// planner caps shards at the member count). The dump is decoded on
+    /// the calling thread whatever `N` is.
     pub jobs: usize,
     /// Emit the machine-readable JSON report ([`CHECK_JSON_SCHEMA`])
     /// instead of text — the `--json` flag.
@@ -692,11 +689,9 @@ impl CosimResult {
 /// VCD signal when the single-clock targets all share one declared
 /// clock (it never applies to multiclock specs).
 ///
-/// The dump is decoded on [`CheckOptions::jobs`] decode workers, at
-/// most one per available core ([`GlobalVcdStream::with_workers`]), and
-/// streamed in
-/// [`BATCH_CHUNK`]-sized [`cesc_trace::GlobalStep`] chunks broadcast to
-/// the shard workers, and match accounting is
+/// The dump is decoded on the caller thread ([`GlobalVcdStream`]) and
+/// streamed in [`BATCH_CHUNK`]-sized [`cesc_trace::GlobalStep`] chunks
+/// broadcast to the shard workers, and match accounting is
 /// bounded ([`cesc_par::MatchLog`]) unless [`CheckOptions::all_matches`] asks
 /// for every hit — memory stays constant in dump length and match
 /// count.
@@ -787,17 +782,8 @@ pub fn check_fleet(
         .collect();
 
     // -- stream the dump through the sharded fleet -------------------
-    // at most one decode worker per core; the core count reads cgroup
-    // files (tens of µs), so a one-job run, which decodes inline, skips it
-    let decode_workers = if opts.jobs > 1 {
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        opts.jobs.min(cores)
-    } else {
-        1
-    };
     let mut stream = GlobalVcdStream::from_reader(vcd, specs.alphabet(), &clock_specs)
-        .map_err(|e| CliError::Pipeline(e.to_string()))?
-        .with_workers(decode_workers);
+        .map_err(|e| CliError::Pipeline(e.to_string()))?;
     for warning in undeclared_symbol_warnings(&specs, &targets, stream.declared_symbols()) {
         eprintln!("cesc: warning: {warning}");
     }
@@ -843,7 +829,6 @@ pub fn check_fleet(
         });
     drop(exec_span);
     obs.counter(key::DECODE_BLOCKS).add(stream.blocks_decoded());
-    obs.counter(key::DECODE_WAIT_NS).add(stream.wait_ns());
     obs.counter(key::DECODE_FOLD_NS).add(stream.fold_ns());
     obs.counter(key::DECODE_READ_NS).add(stream.read_ns());
     obs.counter(key::DECODE_LINES).add(stream.lines());
@@ -1207,8 +1192,7 @@ pub fn usage() -> &'static str {
      --chart may repeat (duplicates are deduplicated); --all-charts checks\n\
      every chart, spec and implication in one pass over the dump.\n\
      --jobs N      shard the monitor fleet across N worker threads (at most\n\
-                   one per target), and decode the dump on N more (at most\n\
-                   one per core)\n\
+                   one per target); the dump is decoded on the calling thread\n\
      --json        machine-readable report (schema cesc-check/3)\n\
      --all-matches list every match tick; default summarises (count + first/last 5)\n\
      --clock NAME  rename the sampled clock signal (single-clock charts only;\n\

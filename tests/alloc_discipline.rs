@@ -1,23 +1,23 @@
 //! Steady-state allocation discipline, pinned by a counting global
 //! allocator: after a warmup, `GlobalVcdStream::next_chunk` on (a) one
-//! and (b) two clocks, inline and with decode workers, (c)
+//! and (b) two clocks, (b′) over a dump of about 30 body blocks, (c)
 //! `MonitorBank::feed_global` over `GlobalStep` chunks, idle-run skips
 //! and an `implies(...)` assert included, and (d) a two-shard
 //! `run_sharded` broadcast through `FleetFeeder::feed_global` must
 //! perform **zero** heap allocations per chunk, on any thread. This is
-//! the contract behind the streaming `cesc check` path: the block
-//! buffers and their decoded records, the split-line carry buffer,
-//! recycled `GlobalStep::ticks` vectors, the bank's projection buffers,
-//! its drained hit logs, the assert's obligation and violation storage
-//! and the broadcast chunk buffers are all reused, so throughput does
-//! not degrade into allocator traffic on 100k+-tick dumps. The inline
-//! decode cases read through a `BufReader` whose window is shorter than
-//! most lines, so nearly every line is carried across two reads inside
-//! the measured stretch.
+//! the contract behind the streaming `cesc check` path: the stream's
+//! one block buffer, the split-line carry buffer, the caller's chunk
+//! (each `GlobalStep` and its `ticks` vector overwritten in place), the
+//! bank's projection buffers, its drained hit logs, the assert's
+//! obligation and violation storage and the broadcast chunk buffers are
+//! all reused, so throughput does not degrade into allocator traffic on
+//! 100k+-tick dumps. Cases (a) and (b) read through a `BufReader` whose
+//! window is shorter than most lines, so nearly every line is carried
+//! across two reads inside the measured stretch.
 //!
 //! Everything runs inside ONE `#[test]` — the counter is process-wide
-//! (so it sees the decode workers and the shards too) and the harness
-//! runs separate tests concurrently.
+//! (so it sees the shards too) and the harness runs separate tests
+//! concurrently.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::BufReader;
@@ -122,8 +122,8 @@ fn streaming_hot_loops_allocate_nothing_after_warmup() {
         })
         .collect();
 
-    // warmup: two chunks, so the spare pool has absorbed one full
-    // recycle cycle (the pool vector itself grows on the first drain)
+    // warmup: two chunks, so every step of the caller's chunk, with its
+    // `ticks` vector, has been written once and is overwritten in place
     let steady_decode = |text: &str, specs: &[VcdClockSpec]| {
         let reader = BufReader::with_capacity(WINDOW, text.as_bytes());
         let mut stream = GlobalVcdStream::from_reader(reader, &doc.alphabet, specs).unwrap();
@@ -141,9 +141,8 @@ fn streaming_hot_loops_allocate_nothing_after_warmup() {
         steady
     };
 
-    // (a) single-clock VCD streaming: the scanner reuses its carry
-    // buffer, and `GlobalStep::ticks` vectors are recycled through
-    // the stream's spare pool across chunks.
+    // (a) single-clock VCD streaming: the block reader reuses its block
+    // and carry buffers, and the chunk's steps are overwritten in place.
     let text = write_vcd(
         &Trace::from_elements(elements),
         &doc.alphabet,
@@ -180,9 +179,9 @@ fn streaming_hot_loops_allocate_nothing_after_warmup() {
     let steady = steady_decode(&text, &specs);
     assert_eq!(steady, 0, "two-clock GlobalVcdStream::next_chunk allocated in steady state");
 
-    // (b') the same two domains decoded on two worker threads, over a
-    // dump long enough for about 30 body blocks: the first half warms
-    // every recycled block up, the second half is measured
+    // (b') the same two domains over a dump long enough for about 30
+    // body blocks, each read into the stream's one block buffer: the
+    // first half warms it up, the second half is measured
     let long_domain = 32 * CHUNK * CHUNKS;
     let long_run = GlobalRun::interleave(
         &clocks,
@@ -199,9 +198,7 @@ fn streaming_hot_loops_allocate_nothing_after_warmup() {
         &owners,
         &VcdWriteOptions::default(),
     );
-    let mut stream = GlobalVcdStream::from_reader(text.as_bytes(), &doc.alphabet, &specs)
-        .unwrap()
-        .with_workers(2);
+    let mut stream = GlobalVcdStream::from_reader(text.as_bytes(), &doc.alphabet, &specs).unwrap();
     let mut buf: Vec<GlobalStep> = Vec::with_capacity(CHUNK);
     let mut decoded = 0;
     while decoded < long_run.len() / 2 {
@@ -216,7 +213,10 @@ fn streaming_hot_loops_allocate_nothing_after_warmup() {
     });
     assert_eq!(decoded, long_run.len(), "whole dump decoded");
     assert!(stream.blocks_decoded() >= 20, "{} blocks", stream.blocks_decoded());
-    assert_eq!(steady, 0, "GlobalVcdStream::next_chunk on decode workers allocated in steady state");
+    assert_eq!(
+        steady, 0,
+        "GlobalVcdStream::next_chunk over many blocks allocated in steady state"
+    );
 
     // (c) the engine hot loop `cesc check` runs: a bank with one
     // optimized single-clock member, one multiclock member and one
