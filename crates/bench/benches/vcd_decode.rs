@@ -11,7 +11,8 @@
 //! reads a file, so window scanning and the split-line carry both run.
 //!
 //! Prints one JSON record:
-//! `{"bench":"vcd_decode","workload":"sparse_handshake","bytes":…,"mb_per_s":…,"msteps_per_s":…}`.
+//! `{"bench":"vcd_decode","workload":"sparse_handshake","bytes":…,"mb_per_s":…,"msteps_per_s":…,"probe_s":…}`
+//! (`probe_s` is [`cesc_bench::probe_s`], the host-speed probe).
 
 use std::hint::black_box;
 use std::io::BufReader;
@@ -114,10 +115,11 @@ fn bench(c: &mut Criterion) {
     });
     println!(
         "{{\"bench\":\"vcd_decode\",\"workload\":\"sparse_handshake\",\"bytes\":{},\
-         \"mb_per_s\":{:.3},\"msteps_per_s\":{:.3}}}",
+         \"mb_per_s\":{:.3},\"msteps_per_s\":{:.3},\"probe_s\":{:.6}}}",
         text.len(),
         text.len() as f64 / secs / 1e6,
         cesc_bench::melem_per_s(steps, secs),
+        cesc_bench::probe_s(),
     );
 }
 

@@ -86,6 +86,42 @@ pub fn time_per_pass(passes: u32, mut pass: impl FnMut()) -> f64 {
     }
 }
 
+/// Bytes of VCD-like text one [`probe_s`] pass hashes.
+const PROBE_BYTES: usize = 4 << 20;
+
+/// Machine-speed probe: the median seconds of 10 individually timed
+/// passes (see [`time_per_pass`]) of a fixed line-hashing loop over
+/// 4 MiB of in-memory, VCD-like text.
+///
+/// The loop reads the text through a buffered reader and hashes every
+/// line, as a decoder's inner loop would, but calls no workspace crate,
+/// so no change to the program moves it. On a shared host the machine's
+/// speed drifts between whole runs; a record's throughput times its
+/// `probe_s` stays put when the host moves, and moves only when the
+/// measured code does. `crates/bench/append_results.py` compares that
+/// product when both records carry `probe_s`.
+pub fn probe_s() -> f64 {
+    use std::io::BufRead as _;
+    let mut text = Vec::with_capacity(PROBE_BYTES + 64);
+    let mut t = 0u64;
+    while text.len() < PROBE_BYTES {
+        t += 10;
+        text.extend_from_slice(format!("#{t}\n1!\n0\"\n{}#\n", t % 2).as_bytes());
+    }
+    time_per_pass(10, || {
+        let mut reader = std::io::BufReader::new(text.as_slice());
+        let mut line = Vec::new();
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        while reader.read_until(b'\n', &mut line).unwrap_or(0) > 0 {
+            for &b in &line {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+            line.clear();
+        }
+        std::hint::black_box(hash);
+    })
+}
+
 /// Millions of trace elements per second for a pass over `elements`
 /// elements taking `secs_per_pass` seconds.
 pub fn melem_per_s(elements: usize, secs_per_pass: f64) -> f64 {
@@ -101,13 +137,15 @@ pub fn melem_per_s(elements: usize, secs_per_pass: f64) -> f64 {
 ///
 /// ```json
 /// {"bench":"bank_throughput","workload":"ocp_burst_read",
-///  "elements":65000,"melem_per_s":12.416,"speedup":3.102}
+///  "elements":65000,"melem_per_s":12.416,"speedup":3.102,
+///  "probe_s":0.011873}
 /// ```
 ///
 /// `secs_per_pass` is the primary configuration's pass time over
 /// `elements` (see [`time_per_pass`]); `extra` appends additional
 /// numeric fields (comparison rates, speedups) after the shared keys,
-/// each rendered with three decimals.
+/// each rendered with three decimals. The record ends with the host's
+/// [`probe_s`], measured right after the bench's own passes.
 pub fn emit_record(
     bench: &str,
     workload: &str,
@@ -125,6 +163,6 @@ pub fn emit_record(
         let v = if v.is_finite() { *v } else { 0.0 };
         let _ = write!(line, ",\"{k}\":{v:.3}");
     }
-    line.push('}');
+    let _ = write!(line, ",\"probe_s\":{:.6}}}", probe_s());
     println!("{line}");
 }

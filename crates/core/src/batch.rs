@@ -19,12 +19,13 @@
 //!   non-zero", so the executor keeps a `u128` presence bitmap plus a
 //!   flat count array instead of an occurrence log;
 //! * **batch APIs** — [`Monitor::scan_batch`] and
-//!   [`BatchExec::feed`] consume `&[Valuation]` chunks, and
-//!   [`MonitorBank`] drives many monitors over one shared trace feed,
-//!   so a single simulation stream serves a whole verification plan;
+//!   [`BatchExec::feed`] run one monitor over `&[Valuation]` chunks,
+//!   and [`MonitorBank::feed_global`] drives many monitors over one
+//!   shared stream of [`cesc_trace::GlobalStep`] chunks, so a single
+//!   simulation serves a whole verification plan;
 //! * **idle-run scan** — every monitor-major caller ([`BatchExec::feed`],
-//!   [`MonitorBank::feed`], the single-clock groups of
-//!   [`MonitorBank::feed_global`] and the clock-major multi-clock path)
+//!   the single-clock groups of [`MonitorBank::feed_global`] and the
+//!   clock-major multi-clock path)
 //!   consumes a slice through one loop, `ExecState::run`. A synthesized
 //!   monitor spends most ticks in a state that takes its own
 //!   action-free self-loop (the fallback `s --[true]--> s0` from the
@@ -53,11 +54,11 @@ use cesc_expr::{Expr, SymbolId, Valuation};
 use crate::monitor::{Monitor, ScanReport, StateId};
 use crate::scoreboard::Action;
 
-/// Recommended chunk size for producers that stream valuations into
-/// [`BatchExec::feed`] / [`MonitorBank::feed`] (the VCD reader and the
-/// `cesc check` CLI use it): large enough to amortise per-chunk
-/// dispatch, small enough to keep the resident decode buffer a few
-/// tens of KiB.
+/// Recommended chunk size for producers that stream steps into
+/// [`MonitorBank::feed_global`] or valuations into [`BatchExec::feed`]
+/// (the VCD reader and the `cesc check` CLI use it): large enough to
+/// amortise per-chunk dispatch, small enough to keep the resident
+/// decode buffer a few tens of KiB.
 pub const BATCH_CHUNK: usize = 4096;
 
 /// A guard compiled to bitmask form: a conjunction of literals over
@@ -1125,16 +1126,17 @@ impl Monitor {
     }
 }
 
-/// Many compiled monitors driven by one shared trace feed — the
-/// deployment where a single simulation stream serves a whole
-/// verification plan (e.g. the OCP, AMBA and handshake charts at
-/// once).
+/// Many compiled monitors driven by one shared stream of
+/// [`cesc_trace::GlobalStep`] chunks through
+/// [`MonitorBank::feed_global`] — the deployment where a single
+/// simulation stream serves a whole verification plan (e.g. the OCP,
+/// AMBA and handshake charts at once).
 ///
-/// All monitors must be synchronous to the *same* clock as the feed;
-/// for multi-clock plans keep one bank per domain and split the global
-/// run with [`cesc_trace::GlobalRun::project`]. Each monitor keeps its
-/// private scoreboard, exactly as independent [`Monitor::scan`] calls
-/// would.
+/// Each single-clock member runs on the ticks of the domain its clock
+/// names and records hits at global times; each keeps its private
+/// scoreboard, exactly as independent [`Monitor::scan`] calls would. A
+/// single-clock trace runs through a bank lifted by
+/// [`cesc_trace::GlobalRun::lift`], so hit times are tick indices.
 ///
 /// # Examples
 ///
@@ -1142,6 +1144,7 @@ impl Monitor {
 /// use cesc_chart::parse_document;
 /// use cesc_core::{synthesize, MonitorBank, SynthOptions};
 /// use cesc_expr::Valuation;
+/// use cesc_trace::GlobalRun;
 ///
 /// let doc = parse_document(
 ///     "scesc a on clk { instances { M } events { x, y } tick { M: x } }\
@@ -1156,7 +1159,8 @@ impl Monitor {
 ///
 /// let x = doc.alphabet.lookup("x").unwrap();
 /// let y = doc.alphabet.lookup("y").unwrap();
-/// bank.feed(&[Valuation::of([x]), Valuation::of([y])]);
+/// let (clocks, run) = GlobalRun::lift(["clk"], &[Valuation::of([x]), Valuation::of([y])]);
+/// bank.feed_global(&clocks, run.as_slice());
 /// let reports = bank.reports();
 /// assert_eq!(reports[0].matches, vec![0]); // `a` fires on x
 /// assert_eq!(reports[1].matches, vec![1]); // `b` fires on x→y
@@ -1189,7 +1193,7 @@ pub struct MonitorBank {
     /// clock (members whose clock is absent from the set appear in no
     /// group and see no ticks).
     pub(crate) clock_groups: Vec<crate::multibatch::ClockGroup>,
-    /// When set, [`MonitorBank::feed`] / `feed_global` accumulate
+    /// When set, [`MonitorBank::feed_global`] accumulates
     /// per-member execution nanoseconds (one `Instant` pair per member
     /// per chunk — off by default so the hot path stays timer-free).
     pub(crate) timing: bool,
@@ -1221,7 +1225,7 @@ impl MonitorBank {
     }
 
     /// Turns per-member execution timing on or off (off by default).
-    /// While on, each `feed`/`feed_global` chunk costs one clock read
+    /// While on, each `feed_global` chunk costs one clock read
     /// pair per member, accumulated into
     /// [`MonitorBank::member_exec_ns`].
     pub fn set_member_timing(&mut self, on: bool) {
@@ -1267,35 +1271,6 @@ impl MonitorBank {
         &self.monitors[idx]
     }
 
-    /// Feeds one shared chunk to every single-clock and implication
-    /// member (each visits the chunk once, tables staying hot per
-    /// member).
-    pub fn feed(&mut self, chunk: &[Valuation]) {
-        let timing = self.timing;
-        for (idx, (((m, st), board), hits)) in self
-            .monitors
-            .iter()
-            .zip(&mut self.states)
-            .zip(&mut self.boards)
-            .zip(&mut self.hits)
-            .enumerate()
-        {
-            let started = timing.then(std::time::Instant::now);
-            let base = st.ticks;
-            st.run(m, chunk, board, |i| hits.push(base + i as u64));
-            if let Some(t0) = started {
-                self.member_ns[idx] += t0.elapsed().as_nanos() as u64;
-            }
-        }
-        for (idx, (ci, st)) in self.implications.iter_mut().enumerate() {
-            let started = timing.then(std::time::Instant::now);
-            ci.feed(st, chunk);
-            if let Some(t0) = started {
-                self.implication_ns[idx] += t0.elapsed().as_nanos() as u64;
-            }
-        }
-    }
-
     /// Member-ticks advanced by the idle-run scan so far, summed over
     /// every single-clock member, every local of every multi-clock
     /// member and every implication member's antecedent (each such
@@ -1305,13 +1280,6 @@ impl MonitorBank {
         let multis: u64 = self.multis.iter().map(|(_, st)| st.skip_ticks()).sum();
         let implications: u64 = self.implications.iter().map(|(_, st)| st.skip_ticks()).sum();
         singles + multis + implications
-    }
-
-    /// Feeds a whole resident trace in one pass (see
-    /// [`Monitor::scan_batch`] on why no further chunking happens
-    /// here).
-    pub fn scan_batch(&mut self, trace: &[Valuation]) {
-        self.feed(trace);
     }
 
     /// Detection ticks of monitor `idx` so far.
@@ -1348,8 +1316,8 @@ impl MonitorBank {
         }
     }
 
-    /// Per-monitor reports for everything fed through
-    /// [`MonitorBank::feed`] / [`MonitorBank::scan_batch`] so far (the
+    /// Per-single-clock-member reports for everything fed through
+    /// [`MonitorBank::feed_global`] so far, matches at global times (the
     /// bank remains usable; reports snapshot current state).
     pub fn reports(&self) -> Vec<ScanReport> {
         self.states
@@ -1563,8 +1531,9 @@ mod tests {
         let i_p = bank.add(&pulse);
         assert_eq!(bank.len(), 2);
         // feed in two uneven chunks: state must carry across
-        bank.feed(&trace[..2]);
-        bank.feed(&trace[2..]);
+        let (clocks, run) = cesc_trace::GlobalRun::lift(["clk"], &trace);
+        bank.feed_global(&clocks, &run.as_slice()[..2]);
+        bank.feed_global(&clocks, &run.as_slice()[2..]);
 
         assert_eq!(bank.hits(i_hs), hs.scan(trace.iter().copied()).matches);
         assert_eq!(bank.hits(i_p), pulse.scan(trace.iter().copied()).matches);
@@ -1575,7 +1544,7 @@ mod tests {
 
         bank.reset();
         assert!(bank.hits(i_hs).is_empty());
-        bank.scan_batch(&trace);
+        bank.feed_global(&clocks, run.as_slice());
         assert_eq!(bank.hits(i_hs), hs.scan(trace.iter().copied()).matches);
     }
 

@@ -7,8 +7,9 @@
 //!   chart (pattern concatenation / element-wise overlay / repetition) —
 //!   causality arrows are re-indexed accordingly — and then synthesize
 //!   into a single monitor;
-//! * `alt` compiles each branch and runs them as a bank
-//!   ([`Compiled::Alt`]); `alt` nested under `seq`/`par`/`loop` is first
+//! * `alt` compiles each branch ([`Compiled::Alt`]), and
+//!   [`scan_composition`] runs the branches as members of one
+//!   [`MonitorBank`]; `alt` nested under `seq`/`par`/`loop` is first
 //!   distributed outward (`seq(a, alt(b, c)) ⇒ alt(seq(a,b), seq(a,c))`);
 //! * `implication` compiles to an [`ImplicationChecker`];
 //! * `async` compositions are multi-clock — use
@@ -18,9 +19,11 @@ use std::fmt;
 
 use cesc_chart::{CausalityArrow, Cesc, EventSpec, GridLine, InstanceId, Location, LoopBound, Scesc, ScescBuilder};
 use cesc_expr::Valuation;
+use cesc_trace::GlobalRun;
 
+use crate::batch::MonitorBank;
 use crate::checker::ImplicationChecker;
-use crate::monitor::{Monitor, MonitorExec};
+use crate::monitor::Monitor;
 use crate::synth::{synthesize, SynthError, SynthOptions};
 
 /// Error from [`compile`].
@@ -75,68 +78,6 @@ impl Compiled {
                 c.antecedent().state_count() + c.consequent().state_count()
             }
         }
-    }
-
-    /// Creates a detection executor for this compilation.
-    ///
-    /// # Panics
-    ///
-    /// Panics for [`Compiled::Implication`] — drive the contained
-    /// [`ImplicationChecker`] directly for verdicts.
-    pub fn executor(&self) -> CompiledExec<'_> {
-        match self {
-            Compiled::Monitor(m) => CompiledExec {
-                branches: vec![MonitorExec::new(m)],
-            },
-            Compiled::Alt(parts) => {
-                let mut branches = Vec::new();
-                collect_branches(parts, &mut branches);
-                CompiledExec { branches }
-            }
-            Compiled::Implication(_) => {
-                panic!("implication compilations produce verdicts; use the ImplicationChecker")
-            }
-        }
-    }
-}
-
-fn collect_branches<'c>(parts: &'c [Compiled], out: &mut Vec<MonitorExec<'c>>) {
-    for p in parts {
-        match p {
-            Compiled::Monitor(m) => out.push(MonitorExec::new(m)),
-            Compiled::Alt(inner) => collect_branches(inner, out),
-            Compiled::Implication(_) => {}
-        }
-    }
-}
-
-/// Bank executor over the branches of a compilation.
-#[derive(Debug)]
-pub struct CompiledExec<'c> {
-    branches: Vec<MonitorExec<'c>>,
-}
-
-impl CompiledExec<'_> {
-    /// Consumes one element; returns whether any branch detected its
-    /// scenario at this tick.
-    pub fn step(&mut self, v: Valuation) -> bool {
-        let mut matched = false;
-        for b in &mut self.branches {
-            if b.step(v).matched {
-                matched = true;
-            }
-        }
-        matched
-    }
-
-    /// Total matches across all branches.
-    pub fn match_count(&self) -> u64 {
-        self.branches.iter().map(MonitorExec::match_count).sum()
-    }
-
-    /// Number of parallel branches.
-    pub fn branch_count(&self) -> usize {
-        self.branches.len()
     }
 }
 
@@ -418,41 +359,51 @@ fn finish_chart(mut b: ScescBuilder, lines: Vec<GridLine>, arrows: Vec<Causality
 /// Convenience: compile and scan a trace, returning ticks at which the
 /// composition's scenario completed (detection semantics; implications
 /// return fulfilled-obligation ticks).
+///
+/// A detection composition runs its branch monitors as members of one
+/// [`MonitorBank`] on the compiled engine, fed the trace lifted onto
+/// their clocks ([`GlobalRun::lift`]); the result is the sorted union
+/// of the branches' hit ticks.
 pub fn scan_composition(
     cesc: &Cesc,
     opts: &SynthOptions,
     trace: impl IntoIterator<Item = Valuation>,
 ) -> Result<Vec<u64>, CompileError> {
-    let compiled = compile(cesc, opts)?;
-    match &compiled {
-        Compiled::Implication(_) => {
-            // re-compile to own the checker mutably
-            let Compiled::Implication(mut chk) = compile(cesc, opts)? else {
-                unreachable!("compile is deterministic");
-            };
+    let branches = match compile(cesc, opts)? {
+        Compiled::Implication(mut chk) => {
             let mut hits = Vec::new();
             let mut seen = 0u64;
             for (t, v) in trace.into_iter().enumerate() {
-                let verdict = chk.step(v);
+                chk.step(v);
                 if chk.fulfilled() > seen {
                     seen = chk.fulfilled();
                     hits.push(t as u64);
                 }
-                let _ = verdict;
             }
-            Ok(hits)
+            return Ok(hits);
         }
-        _ => {
-            let mut exec = compiled.executor();
-            let mut hits = Vec::new();
-            for (t, v) in trace.into_iter().enumerate() {
-                if exec.step(v) {
-                    hits.push(t as u64);
-                }
-            }
-            Ok(hits)
-        }
+        Compiled::Monitor(m) => vec![m],
+        // `compile` emits alt branches as flat monitors
+        Compiled::Alt(parts) => parts
+            .into_iter()
+            .filter_map(|p| match p {
+                Compiled::Monitor(m) => Some(m),
+                _ => None,
+            })
+            .collect(),
+    };
+    let mut bank = MonitorBank::new();
+    for m in &branches {
+        bank.add(m);
     }
+    let trace: Vec<Valuation> = trace.into_iter().collect();
+    let (set, run) = GlobalRun::lift(branches.iter().map(Monitor::clock), &trace);
+    bank.feed_global(&set, run.as_slice());
+    let mut hits = Vec::new();
+    bank.drain_hits(|_, h| hits.extend_from_slice(h));
+    hits.sort_unstable();
+    hits.dedup();
+    Ok(hits)
 }
 
 #[cfg(test)]
@@ -488,6 +439,17 @@ mod tests {
         Valuation::of(names.iter().map(|n| d.alphabet.lookup(n).unwrap()))
     }
 
+    /// Hit ticks of composition `name` over a trace of named events.
+    fn scan(d: &cesc_chart::Document, name: &str, trace: &[&[&str]]) -> Vec<u64> {
+        let trace = trace.iter().map(|names| v(d, names));
+        scan_composition(
+            d.composition(name).unwrap(),
+            &SynthOptions::default(),
+            trace,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn seq_flattens_to_concatenated_monitor() {
         let d = doc();
@@ -496,39 +458,33 @@ mod tests {
             Compiled::Monitor(m) => assert_eq!(m.state_count(), 3),
             other => panic!("expected single monitor, got {other:?}"),
         }
-        let mut exec = c.executor();
-        assert!(!exec.step(v(&d, &["x"])));
-        assert!(exec.step(v(&d, &["y"])));
+        assert_eq!(scan(&d, "ab", &[&["x"], &["y"]]), vec![1]);
     }
 
     #[test]
     fn alt_compiles_to_bank() {
         let d = doc();
         let c = compile(d.composition("aorb").unwrap(), &SynthOptions::default()).unwrap();
-        let mut exec = c.executor();
-        assert_eq!(exec.branch_count(), 2);
-        assert!(exec.step(v(&d, &["y"])));
-        assert!(exec.step(v(&d, &["x"])));
-        assert_eq!(exec.match_count(), 2);
+        match &c {
+            Compiled::Alt(parts) => assert_eq!(parts.len(), 2),
+            other => panic!("expected alt bank, got {other:?}"),
+        }
+        assert_eq!(scan(&d, "aorb", &[&["y"], &["x"]]), vec![0, 1]);
+        // both branches firing on one tick report it once
+        assert_eq!(scan(&d, "aorb", &[&["x", "y"], &[]]), vec![0]);
     }
 
     #[test]
     fn loop_repeats_pattern() {
         let d = doc();
-        let c = compile(d.composition("a3").unwrap(), &SynthOptions::default()).unwrap();
-        let mut exec = c.executor();
-        assert!(!exec.step(v(&d, &["x"])));
-        assert!(!exec.step(v(&d, &["x"])));
-        assert!(exec.step(v(&d, &["x"])));
+        assert_eq!(scan(&d, "a3", &[&["x"], &["x"], &["x"]]), vec![2]);
     }
 
     #[test]
     fn par_overlays_elements() {
         let d = doc();
-        let c = compile(d.composition("overlay").unwrap(), &SynthOptions::default()).unwrap();
-        let mut exec = c.executor();
-        assert!(!exec.step(v(&d, &["x"]))); // y missing
-        assert!(exec.step(v(&d, &["x", "y"])));
+        // y missing at tick 0
+        assert_eq!(scan(&d, "overlay", &[&["x"], &["x", "y"]]), vec![1]);
     }
 
     #[test]
@@ -540,9 +496,7 @@ mod tests {
             Compiled::Alt(parts) => assert_eq!(parts.len(), 2),
             other => panic!("expected alt bank, got {other:?}"),
         }
-        let mut exec = c.executor();
-        exec.step(v(&d, &["x"]));
-        assert!(exec.step(v(&d, &["y"])));
+        assert_eq!(scan(&d, "nested", &[&["x"], &["y"]]), vec![1]);
     }
 
     #[test]

@@ -25,8 +25,9 @@
 //!   check` executes;
 //! * [`CompiledMonitor`] / [`BatchExec`] / [`MonitorBank`] — the
 //!   batched, zero-allocation production engine: flat transition
-//!   tables, precompiled guards, many monitors per shared trace feed;
-//! * [`CompiledMultiClock`] / [`MultiClockBatchExec`] — the batched
+//!   tables, precompiled guards, many monitors per shared stream of
+//!   global steps ([`MonitorBank::feed_global`]);
+//! * [`CompiledMultiClock`] / [`MultiClockBatchState`] — the batched
 //!   multi-clock engine: per-domain flat tables over one shared
 //!   counts-only scoreboard, clock-major chunk execution where the
 //!   domains' scoreboard footprints permit;
@@ -106,15 +107,14 @@ pub use sat::{ArmLit, GuardSat, GuardVerdict, GuardWitness, SatStats};
 pub use checker::{ImplicationChecker, Verdict, Violation};
 pub use determinize::{Determinized, EngineError};
 pub use compose::{
-    compile, flatten_chart, implication_monitors, scan_composition, Compiled, CompiledExec,
-    CompileError,
+    compile, flatten_chart, implication_monitors, scan_composition, Compiled, CompileError,
 };
 pub use dot::to_dot;
 pub use implies::{CompiledImplication, ImplicationState, VIOLATION_KEEP};
 pub use monitor::{
     Monitor, MonitorExec, ScanReport, StateId, StepOutcome, Transition, TransitionKind,
 };
-pub use multibatch::{CompiledMultiClock, MultiClockBatchExec, MultiClockBatchState};
+pub use multibatch::{CompiledMultiClock, MultiClockBatchState};
 pub use multiclock::{synthesize_multiclock, MultiClockExec, MultiClockMonitor};
 pub use scoreboard::{Action, Occurrence, Scoreboard};
 pub use synth::{synthesize, OverlapPolicy, SynthError, SynthOptions};

@@ -1,18 +1,14 @@
 //! Batched multi-clock monitor execution.
 //!
-//! [`crate::MultiClockExec`] steps one global instant at a time: every
-//! tick chases the `Vec<Vec<Transition>>` interpreter, resolves its
-//! clock domain by *string comparison*, and takes the shared
-//! scoreboard's mutex twice (guard evaluation + action application).
 //! This module is the multi-clock counterpart of [`crate::batch`]: it
 //! lowers every local monitor of a [`MultiClockMonitor`] into the flat
 //! [`CompiledMonitor`] table form and batch-executes whole
 //! [`GlobalStep`] chunks with
 //!
 //! * **one shared counts-only scoreboard** — a single
-//!   [`BatchBoard`](crate::batch) threaded through all locals replaces
-//!   the `Arc<Mutex<Scoreboard>>`, so cross-domain `Add_evt`/`Chk_evt`
-//!   synchronisation costs a `u128` test instead of a lock round-trip;
+//!   [`BatchBoard`](crate::batch) threaded through all locals, so
+//!   cross-domain `Add_evt`/`Chk_evt` synchronisation costs a `u128`
+//!   test;
 //! * **integer clock binding** — clock ids are resolved to local
 //!   monitor indices once ([`MultiClockBatchState::bind`]), so the hot
 //!   loop is table lookups only, no name comparisons;
@@ -25,9 +21,11 @@
 //!   in global-step order, one step per tick, preserving the exact
 //!   cross-domain scoreboard semantics.
 //!
-//! Verdict equivalence with [`MultiClockMonitor::scan`] (same global
-//! match times under any chunking and clock interleaving) is pinned by
-//! unit tests here and the `batch_equivalence` property suite at the
+//! [`crate::MultiClockExec`], which steps one global instant at a time
+//! through the interpreter, is the step-wise reference: verdict
+//! equivalence with [`MultiClockMonitor::scan`] (same global match
+//! times under any chunking and clock interleaving) is pinned by unit
+//! tests here and the `batch_equivalence` property suite at the
 //! workspace root.
 
 use cesc_expr::Valuation;
@@ -41,9 +39,43 @@ use crate::multiclock::MultiClockMonitor;
 /// that selects the execution strategy.
 ///
 /// Build once with [`CompiledMultiClock::new`] (or
-/// [`MultiClockMonitor::compiled`]), then execute with a
-/// [`MultiClockBatchExec`], or own a [`MultiClockBatchState`] next to
-/// the table (the pattern `MonitorBank` uses).
+/// [`MultiClockMonitor::compiled`]), then own a [`MultiClockBatchState`]
+/// next to the table and drive it with [`CompiledMultiClock::feed`], or
+/// attach the table to a [`crate::MonitorBank`].
+///
+/// # Examples
+///
+/// ```
+/// use cesc_chart::parse_document;
+/// use cesc_core::{synthesize_multiclock, SynthOptions};
+/// use cesc_expr::Valuation;
+/// use cesc_trace::{ClockDomain, ClockSet, GlobalRun, Trace};
+///
+/// let doc = parse_document(
+///     "scesc a on clk1 { instances { M } events { go } tick { M: go } }\
+///      scesc b on clk2 { instances { S } events { done } tick { S: done } }\
+///      multiclock pair { charts { a, b } cause go -> done; }",
+/// ).unwrap();
+/// let mm = synthesize_multiclock(doc.multiclock_spec("pair").unwrap(), &SynthOptions::default())
+///     .unwrap();
+/// let go = doc.alphabet.lookup("go").unwrap();
+/// let done = doc.alphabet.lookup("done").unwrap();
+///
+/// let mut clocks = ClockSet::new();
+/// let c1 = clocks.add(ClockDomain::new("clk1", 2, 0));
+/// let c2 = clocks.add(ClockDomain::new("clk2", 2, 1));
+/// let run = GlobalRun::interleave(&clocks, &[
+///     (c1, Trace::from_elements([Valuation::of([go])])),
+///     (c2, Trace::from_elements([Valuation::of([done])])),
+/// ]).unwrap();
+///
+/// let compiled = mm.compiled();
+/// let mut state = compiled.state();
+/// state.bind(&compiled, &clocks);
+/// let mut hits = Vec::new();
+/// compiled.feed(&mut state, run.as_slice(), &mut hits);
+/// assert_eq!(hits, mm.scan(&clocks, &run));
+/// ```
 #[derive(Debug, Clone)]
 pub struct CompiledMultiClock {
     name: String,
@@ -154,17 +186,6 @@ impl CompiledMultiClock {
             proj_vals: vec![Vec::new(); self.locals.len()],
             proj_times: vec![Vec::new(); self.locals.len()],
             completions: Vec::new(),
-        }
-    }
-
-    /// Creates an executor bound to `clocks` (each local monitor is
-    /// attached to the domain whose name equals its chart's clock).
-    pub fn executor(&self, clocks: &ClockSet) -> MultiClockBatchExec<'_> {
-        let mut state = self.state();
-        state.bind(self, clocks);
-        MultiClockBatchExec {
-            compiled: self,
-            state,
         }
     }
 
@@ -355,76 +376,6 @@ impl MultiClockBatchState {
     }
 }
 
-/// Streaming executor over one [`CompiledMultiClock`] — the borrowing
-/// convenience wrapper pairing the table with its state (mirrors
-/// [`crate::BatchExec`]).
-///
-/// # Examples
-///
-/// ```
-/// use cesc_chart::parse_document;
-/// use cesc_core::{synthesize_multiclock, SynthOptions};
-/// use cesc_expr::Valuation;
-/// use cesc_trace::{ClockDomain, ClockSet, GlobalRun, Trace};
-///
-/// let doc = parse_document(
-///     "scesc a on clk1 { instances { M } events { go } tick { M: go } }\
-///      scesc b on clk2 { instances { S } events { done } tick { S: done } }\
-///      multiclock pair { charts { a, b } cause go -> done; }",
-/// ).unwrap();
-/// let mm = synthesize_multiclock(doc.multiclock_spec("pair").unwrap(), &SynthOptions::default())
-///     .unwrap();
-/// let go = doc.alphabet.lookup("go").unwrap();
-/// let done = doc.alphabet.lookup("done").unwrap();
-///
-/// let mut clocks = ClockSet::new();
-/// let c1 = clocks.add(ClockDomain::new("clk1", 2, 0));
-/// let c2 = clocks.add(ClockDomain::new("clk2", 2, 1));
-/// let run = GlobalRun::interleave(&clocks, &[
-///     (c1, Trace::from_elements([Valuation::of([go])])),
-///     (c2, Trace::from_elements([Valuation::of([done])])),
-/// ]).unwrap();
-///
-/// let compiled = mm.compiled();
-/// let mut exec = compiled.executor(&clocks);
-/// let mut hits = Vec::new();
-/// exec.feed(run.as_slice(), &mut hits);
-/// assert_eq!(hits, mm.scan(&clocks, &run));
-/// ```
-#[derive(Debug)]
-pub struct MultiClockBatchExec<'m> {
-    compiled: &'m CompiledMultiClock,
-    state: MultiClockBatchState,
-}
-
-impl MultiClockBatchExec<'_> {
-    /// Feeds a chunk of global steps, appending full-spec match times
-    /// to `hits`. State persists across chunks.
-    pub fn feed(&mut self, steps: &[GlobalStep], hits: &mut Vec<u64>) {
-        self.compiled.feed(&mut self.state, steps, hits);
-    }
-
-    /// Rebinds the executor's clock mapping against `clocks`.
-    pub fn bind(&mut self, clocks: &ClockSet) {
-        self.state.bind(self.compiled, clocks);
-    }
-
-    /// Number of full-spec matches so far.
-    pub fn match_count(&self) -> u64 {
-        self.state.match_count()
-    }
-
-    /// Shared-scoreboard `Del_evt` underflows so far.
-    pub fn underflows(&self) -> u64 {
-        self.state.underflows()
-    }
-
-    /// Resets to the initial configuration (binding preserved).
-    pub fn reset(&mut self) {
-        self.state.reset(self.compiled);
-    }
-}
-
 /// The members of one clock domain that `MonitorBank::feed_global`
 /// runs on the domain's projection: single-clock monitor indices and
 /// implication member indices.
@@ -515,10 +466,6 @@ impl crate::MonitorBank {
     /// same projection (their violation records keep tick indices local
     /// to their clock); multi-clock members run the batched
     /// shared-scoreboard engine.
-    ///
-    /// Don't mix this with the tick-indexed [`crate::MonitorBank::feed`]
-    /// on one bank: `feed` records local tick indices, `feed_global`
-    /// global times, and the two would interleave in `hits()`.
     pub fn feed_global(&mut self, clocks: &ClockSet, steps: &[GlobalStep]) {
         // clock-name resolution runs once per clock set (and after
         // member additions), not once per chunk
@@ -599,9 +546,10 @@ impl MultiClockMonitor {
     /// `multiclock_throughput` bench).
     pub fn scan_batch(&self, clocks: &ClockSet, run: &GlobalRun) -> Vec<u64> {
         let compiled = self.compiled();
-        let mut exec = compiled.executor(clocks);
+        let mut state = compiled.state();
+        state.bind(&compiled, clocks);
         let mut hits = Vec::new();
-        exec.feed(run.as_slice(), &mut hits);
+        compiled.feed(&mut state, run.as_slice(), &mut hits);
         hits
     }
 }
@@ -724,15 +672,14 @@ mod tests {
             .unwrap();
         let (clocks, run) = fig2_run(&d);
         let reference = mm.scan(&clocks, &run);
-        let compiled = mm.compiled();
         for chunk in [1usize, 2, 3, 7] {
-            let mut exec = compiled.executor(&clocks);
-            let mut hits = Vec::new();
+            let mut bank = crate::MonitorBank::new();
+            let mi = bank.add_multiclock(&mm);
             for steps in run.as_slice().chunks(chunk) {
-                exec.feed(steps, &mut hits);
+                bank.feed_global(&clocks, steps);
             }
-            assert_eq!(hits, reference, "chunk {chunk}");
-            assert_eq!(exec.match_count(), reference.len() as u64);
+            assert_eq!(bank.multiclock_hits(mi), reference, "chunk {chunk}");
+            assert_eq!(bank.multis[mi].1.match_count(), reference.len() as u64);
         }
     }
 
@@ -761,13 +708,12 @@ mod tests {
         assert!(!reference.is_empty());
         assert_eq!(mm.scan_batch(&clocks, &run), reference);
         // chunked too
-        let compiled = mm.compiled();
-        let mut exec = compiled.executor(&clocks);
-        let mut hits = Vec::new();
+        let mut bank = crate::MonitorBank::new();
+        let mi = bank.add_multiclock(&mm);
         for steps in run.as_slice().chunks(2) {
-            exec.feed(steps, &mut hits);
+            bank.feed_global(&clocks, steps);
         }
-        assert_eq!(hits, reference);
+        assert_eq!(bank.multiclock_hits(mi), reference);
     }
 
     #[test]
@@ -802,17 +748,17 @@ mod tests {
         let mm = synthesize_multiclock(d.multiclock_spec("read").unwrap(), &SynthOptions::default())
             .unwrap();
         let (clocks, run) = fig2_run(&d);
-        let compiled = mm.compiled();
-        let mut exec = compiled.executor(&clocks);
-        let mut hits = Vec::new();
-        exec.feed(run.as_slice(), &mut hits);
-        assert_eq!(exec.match_count(), 1);
-        exec.reset();
-        assert_eq!(exec.match_count(), 0);
-        assert_eq!(exec.underflows(), 0);
-        let mut hits2 = Vec::new();
-        exec.feed(run.as_slice(), &mut hits2);
-        assert_eq!(hits, hits2);
+        let mut bank = crate::MonitorBank::new();
+        let mi = bank.add_multiclock(&mm);
+        bank.feed_global(&clocks, run.as_slice());
+        let hits = bank.multiclock_hits(mi).to_vec();
+        assert_eq!(bank.multis[mi].1.match_count(), 1);
+        bank.reset();
+        assert_eq!(bank.multis[mi].1.match_count(), 0);
+        assert_eq!(bank.multiclock_underflows(mi), 0);
+        assert!(bank.multiclock_hits(mi).is_empty());
+        bank.feed_global(&clocks, run.as_slice());
+        assert_eq!(bank.multiclock_hits(mi), hits);
     }
 
     #[test]

@@ -69,26 +69,6 @@ fn scan_chunked(monitor: &CompiledMonitor, trace: &[Valuation], chunk: usize) ->
     exec.finish(hits)
 }
 
-/// Lifts a single-clock stimulus onto one domain per distinct name in
-/// `clocks`, each of period 1 and phase 0, carrying the same trace: a
-/// fleet fed the run sees the whole trace on every member (as the
-/// engine legs do), and its hit times equal tick indices.
-fn lift_onto<'a>(
-    clocks: impl IntoIterator<Item = &'a str>,
-    trace: &[Valuation],
-) -> (ClockSet, GlobalRun) {
-    let mut set = ClockSet::new();
-    let mut traces = Vec::new();
-    for name in clocks {
-        if set.lookup(name).is_none() {
-            let id = set.add(ClockDomain::new(name, 1, 0));
-            traces.push((id, Trace::from_elements(trace.to_vec())));
-        }
-    }
-    let run = GlobalRun::interleave(&set, &traces).expect("equal traces on equal schedules");
-    (set, run)
-}
-
 /// One single-clock differential case: a document, a stimulus trace
 /// and the execution geometry.
 #[derive(Debug, Clone)]
@@ -217,7 +197,7 @@ pub fn run_case(input: &CaseInput) -> Result<CaseReport, Box<Discrepancy>> {
     }
     if !fleet.is_empty() {
         let opts = ParOptions::default();
-        let (clocks, run) = lift_onto(clock_names.iter().map(String::as_str), trace);
+        let (clocks, run) = GlobalRun::lift(clock_names.iter().map(String::as_str), trace);
         let scan = |jobs| {
             let plan = plan_shards(&fleet, jobs);
             scan_sharded_global(&fleet, &plan, &clocks, &opts, run.as_slice(), chunk)
@@ -424,7 +404,7 @@ fn obs_counter_equivalence(
         base_fleet.add_compiled(spec.baseline().clone());
         opt_fleet.add_compiled(spec.compiled().clone());
     }
-    let (clocks, run) = lift_onto(clock_names, trace);
+    let (clocks, run) = GlobalRun::lift(clock_names, trace);
     let obs_base = cesc_obs::Obs::enabled();
     let obs_opt = cesc_obs::Obs::enabled();
     let base_opts = ParOptions {

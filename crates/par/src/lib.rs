@@ -25,10 +25,8 @@
 //!
 //! Verdicts are **bit-identical to the serial engine**: for every
 //! member, any shard count and any chunking produce exactly the
-//! hits/underflows of [`cesc_core::MonitorBank::feed_global`] — and of
-//! [`cesc_core::MonitorBank::feed`] over a one-clock trace lifted onto
-//! a period-1 clock — pinned by the `batch_equivalence` property suite
-//! at the workspace root.
+//! hits/underflows of [`cesc_core::MonitorBank::feed_global`] — pinned
+//! by the `batch_equivalence` property suite at the workspace root.
 //!
 //! # Quickstart
 //!
@@ -107,21 +105,6 @@ mod tests {
         d.alphabet.lookup(n).unwrap()
     }
 
-    /// `trace` on each of `names`, every clock of period 1 and phase 0:
-    /// each member sees the whole trace and hit times are tick indices.
-    fn on_clocks(names: &[&str], trace: &[Valuation]) -> (ClockSet, GlobalRun) {
-        let mut clocks = ClockSet::new();
-        let lifted: Vec<_> = names
-            .iter()
-            .map(|n| {
-                let id = clocks.add(ClockDomain::new(n, 1, 0));
-                (id, Trace::from_elements(trace.to_vec()))
-            })
-            .collect();
-        let run = GlobalRun::interleave(&clocks, &lifted).unwrap();
-        (clocks, run)
-    }
-
     #[test]
     fn sharded_one_clock_feed_matches_serial_bank() {
         let d = doc();
@@ -140,8 +123,8 @@ mod tests {
         let mut bank = MonitorBank::new();
         bank.add(&hs);
         bank.add(&pulse);
-        bank.feed(&trace);
-        let (clocks, run) = on_clocks(&["clk1"], &trace);
+        let (clocks, run) = GlobalRun::lift(["clk1"], &trace);
+        bank.feed_global(&clocks, run.as_slice());
 
         for jobs in [1, 2, 3, 5] {
             let mut fleet = Fleet::new();
@@ -230,7 +213,7 @@ mod tests {
             let mut fleet = Fleet::new();
             let ai = fleet.add_assert(AssertSpec::new("gate", "clk", ante.clone(), cons.clone()));
             let plan = plan_shards(&fleet, 2);
-            let (clocks, run) = on_clocks(&["clk"], &trace);
+            let (clocks, run) = GlobalRun::lift(["clk"], &trace);
             let report = scan_sharded_global(
                 &fleet,
                 &plan,
@@ -306,7 +289,7 @@ mod tests {
         let mut fleet = Fleet::new();
         let ai = fleet.add_assert(AssertSpec::new("gate", "clk", ante, cons));
         let plan = plan_shards(&fleet, 2);
-        let (clocks, run) = on_clocks(&["clk"], &trace);
+        let (clocks, run) = GlobalRun::lift(["clk"], &trace);
         let report = scan_sharded_global(
             &fleet,
             &plan,
@@ -336,7 +319,7 @@ mod tests {
             keep_all_hits: false,
             ..Default::default()
         };
-        let (clocks, run) = on_clocks(&["clk1"], &trace);
+        let (clocks, run) = GlobalRun::lift(["clk1"], &trace);
         let report = scan_sharded_global(&fleet, &plan, &clocks, &opts, run.as_slice(), 256);
         let log = &report.singles[0].log;
         assert_eq!(log.count(), 10_000);
@@ -357,7 +340,7 @@ mod tests {
         // traffic — requesting 8 jobs for 1 member plans 1 shard
         let plan = plan_shards(&fleet, 8);
         assert_eq!(plan.jobs(), 1);
-        let (clocks, run) = on_clocks(&["clk1"], &[Valuation::of([ev(&d, "req")])]);
+        let (clocks, run) = GlobalRun::lift(["clk1"], &[Valuation::of([ev(&d, "req")])]);
         let report = scan_sharded_global(
             &fleet,
             &plan,
@@ -386,7 +369,7 @@ mod tests {
             obs: obs.clone(),
             ..Default::default()
         };
-        let (clocks, run) = on_clocks(&["clk1"], &trace);
+        let (clocks, run) = GlobalRun::lift(["clk1"], &trace);
         let report = scan_sharded_global(&fleet, &plan, &clocks, &opts, run.as_slice(), 64);
         assert_eq!(report.singles[0].log.count(), 500);
         let run = obs.report("check");

@@ -11,7 +11,7 @@ use std::fmt;
 
 use cesc_expr::{Alphabet, Valuation};
 
-use crate::clock::{ClockId, ClockSet};
+use crate::clock::{ClockDomain, ClockId, ClockSet};
 use crate::trace::Trace;
 
 /// One instant of a global run: the global time plus the `(clock,
@@ -175,6 +175,40 @@ impl GlobalRun {
             }
         }
         Ok(run)
+    }
+
+    /// Lifts a single-clock stimulus onto one domain per distinct name
+    /// in `clocks`, each of period 1 and phase 0, carrying the same
+    /// trace: a bank or fleet fed the run sees the whole trace on every
+    /// member, and its hit times equal tick indices.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use cesc_expr::{Alphabet, Valuation};
+    /// use cesc_trace::GlobalRun;
+    ///
+    /// let mut ab = Alphabet::new();
+    /// let req = ab.event("req");
+    /// let (clocks, run) = GlobalRun::lift(["clk", "bus", "clk"], &[Valuation::of([req]); 3]);
+    /// assert_eq!(clocks.len(), 2);
+    /// assert_eq!(run.iter().map(|s| s.time).collect::<Vec<_>>(), [0, 1, 2]);
+    /// assert_eq!(run.project(clocks.lookup("bus").unwrap()).len(), 3);
+    /// ```
+    pub fn lift<'a>(
+        clocks: impl IntoIterator<Item = &'a str>,
+        trace: &[Valuation],
+    ) -> (ClockSet, GlobalRun) {
+        let mut set = ClockSet::new();
+        let mut traces = Vec::new();
+        for name in clocks {
+            if set.lookup(name).is_none() {
+                let id = set.add(ClockDomain::new(name, 1, 0));
+                traces.push((id, Trace::from_elements(trace.to_vec())));
+            }
+        }
+        let run = GlobalRun::interleave(&set, &traces).expect("equal traces on equal schedules");
+        (set, run)
     }
 
     /// Number of global steps.

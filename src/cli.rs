@@ -1173,8 +1173,8 @@ pub fn usage() -> &'static str {
             [--cosim] [--no-opt]\n\
             [--stats] [--stats-json FILE] [--progress]\n\
      lint   <spec> [--chart NAME]... [--json] [--deny] [--allow RULE]...\n\
-            [--counter-width N] [--no-opt] [--stats] [--stats-json FILE]\n\
-     prove  <spec> [--chart NAME]... [--json] [--no-opt] [--corpus-out DIR]\n\
+            [--counter-width N] [--stats] [--stats-json FILE]\n\
+     prove  <spec> [--chart NAME]... [--json] [--corpus-out DIR]\n\
             [--stats] [--stats-json FILE]\n\
      fuzz   [--cases N] [--seed N] [--trace-len N] [--sweep-cases N]\n\
             [--corpus-out DIR] [--stats] [--stats-json FILE]\n\
@@ -1244,7 +1244,7 @@ pub fn usage() -> &'static str {
      --sweep-cases N parser/VCD sweep budget (default: same as --cases)\n\
      --corpus-out D  write minimized failures into directory D\n\
      \n\
-     observability (synth, check, lint, fuzz):\n\
+     observability (synth, check, lint, prove, fuzz):\n\
      --stats           print a run report (pipeline span timings, counters,\n\
                        per-shard utilization) to stderr after the command\n\
      --stats-json FILE write the run report as JSON (schema cesc-obs/1)\n\
@@ -1332,11 +1332,6 @@ pub struct LintCliOptions {
     /// exits with status 2) when any error- or warning-severity
     /// finding is not silenced by an allow — the `--deny` flag.
     pub deny: bool,
-    /// Skip the optimization pass pipeline — the `--no-opt` flag.
-    /// Lint findings are computed on the monitors *as synthesized*
-    /// either way, so the report is identical; the flag only matches
-    /// `check --no-opt` runs for artifact-cache parity.
-    pub no_opt: bool,
     /// Rules to allow, by id or name (repeatable `--allow RULE`);
     /// merged with in-source `// lint: allow(...)` annotations.
     pub allow: Vec<String>,
@@ -1399,7 +1394,7 @@ pub fn lint(
     opts: &LintCliOptions,
 ) -> Result<CheckOutcome, CliError> {
     let obs = &opts.stats.obs;
-    let specs = load_obs(source, !opts.no_opt, obs.clone())?;
+    let specs = load_obs(source, true, obs.clone())?;
     let mut targets: Vec<TargetRef> = Vec::new();
     if names.is_empty() {
         targets = specs.checkable_targets();
@@ -1476,11 +1471,6 @@ pub struct ProveCliOptions {
     /// Emit the machine-readable JSON report ([`PROVE_JSON_SCHEMA`])
     /// instead of text — the `--json` flag.
     pub json: bool,
-    /// Skip the optimization pass pipeline — the `--no-opt` flag. The
-    /// prover always runs on the monitors *as synthesized*, so the
-    /// verdicts are identical; the flag only matches `check --no-opt`
-    /// runs for artifact-cache parity.
-    pub no_opt: bool,
     /// Directory refuted asserts are written to as self-contained
     /// corpus reproducers (`--corpus-out DIR`).
     pub corpus_out: Option<String>,
@@ -1538,7 +1528,7 @@ pub fn prove(
     opts: &ProveCliOptions,
 ) -> Result<CheckOutcome, CliError> {
     let obs = &opts.stats.obs;
-    let specs = load_obs(source, !opts.no_opt, obs.clone())?;
+    let specs = load_obs(source, true, obs.clone())?;
     let mut targets: Vec<usize> = Vec::new();
     if names.is_empty() {
         targets = specs

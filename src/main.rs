@@ -22,6 +22,26 @@ use cesc::cli::{self, SynthFormat};
 /// Exit status when `check` reports a violated assertion.
 const EXIT_VIOLATION: u8 = 2;
 
+/// The options each spec command takes, as `cli::usage` lists them, or
+/// `None` for an unknown command (`fuzz` parses its own). An option
+/// outside its command's list is a usage error, never silently ignored.
+fn options_of(command: &str) -> Option<&'static str> {
+    Some(match command {
+        "render" => "--chart",
+        "synth" => {
+            "--chart --format --force --no-opt --counter-width --all-charts --out-dir \
+             --stats --stats-json"
+        }
+        "check" => {
+            "--chart --all-charts --vcd --clock --jobs --json --all-matches --cosim --no-opt \
+             --stats --stats-json --progress"
+        }
+        "lint" => "--chart --json --deny --allow --counter-width --stats --stats-json",
+        "prove" => "--chart --json --corpus-out --stats --stats-json",
+        _ => return None,
+    })
+}
+
 fn run() -> Result<(String, bool), cli::CliError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter().map(String::as_str);
@@ -58,6 +78,7 @@ fn run() -> Result<(String, bool), cli::CliError> {
     let mut progress = false;
     let mut stats = cli::StatsOptions::default();
     let mut check_opts = cli::CheckOptions::default();
+    let options = options_of(command);
     while let Some(flag) = it.next() {
         match flag {
             "--chart" => {
@@ -136,6 +157,11 @@ fn run() -> Result<(String, bool), cli::CliError> {
                 )))
             }
         }
+        if let Some(known) = options.filter(|known| !known.split_whitespace().any(|o| o == flag)) {
+            return Err(cli::CliError::Usage(format!(
+                "option `{flag}` does not apply to {command} (it takes {known})"
+            )));
+        }
     }
 
     // --stats/--stats-json/--progress all need a live registry; the
@@ -143,11 +169,6 @@ fn run() -> Result<(String, bool), cli::CliError> {
     // no-op path
     if stats.wants_report() || progress {
         stats.obs = cesc::obs::Obs::enabled();
-    }
-    if progress && command != "check" {
-        return Err(cli::CliError::Usage(
-            "--progress only applies to check (it reports dump-streaming rates)".to_owned(),
-        ));
     }
     check_opts.stats = stats.clone();
 
@@ -195,7 +216,6 @@ fn run() -> Result<(String, bool), cli::CliError> {
                 &cli::LintCliOptions {
                     json: check_opts.json,
                     deny,
-                    no_opt: check_opts.no_opt,
                     allow,
                     counter_width,
                     stats: stats.clone(),
@@ -210,7 +230,6 @@ fn run() -> Result<(String, bool), cli::CliError> {
                 &charts,
                 &cli::ProveCliOptions {
                     json: check_opts.json,
-                    no_opt: check_opts.no_opt,
                     corpus_out,
                     stats: stats.clone(),
                 },

@@ -9,8 +9,9 @@
 //! sharded fleet executor, fed through `FleetFeeder::feed_global` as
 //! `cesc check` feeds it, against the serial bank: for any shard
 //! count, chunk size and mixed single/multi-clock fleet, parallel
-//! results are bit-identical to `MonitorBank::feed` (over a one-clock
-//! trace lifted onto a period-1 clock) / `feed_global`.
+//! results are bit-identical to the serial `MonitorBank::feed_global`
+//! (a one-clock trace lifted by `GlobalRun::lift` onto a period-1
+//! clock, so hit times are tick indices).
 //! `BatchExec::feed`'s idle-run scan is pinned against a loop of
 //! per-tick `BatchExec::step` on the same compiled table. The compiled
 //! `implies(...)` runner (`CompiledImplication`, alone and as a fleet
@@ -81,14 +82,6 @@ fn decode_trace(raw: &[u8]) -> Trace {
     raw.iter()
         .map(|&bits| Valuation::from_bits(bits as u128))
         .collect()
-}
-
-/// `trace` as a global run on the one clock `clk` (period 1), so the
-/// run's times are the trace's tick indices.
-fn on_clk(trace: &Trace) -> (ClockSet, GlobalRun) {
-    let (clocks, clk) = ClockSet::single();
-    let run = GlobalRun::interleave(&clocks, &[(clk, trace.clone())]).unwrap();
-    (clocks, run)
 }
 
 /// A chart with a causality arrow, so the scoreboard (`Add`/`Del`/
@@ -271,7 +264,7 @@ fn assert_equals_checker(
     let mut oracle = ImplicationChecker::new(ante.clone(), cons.clone());
     oracle.scan(trace.iter());
     let kept = &oracle.violations()[..oracle.violations().len().min(VIOLATION_KEEP)];
-    let (clocks, run) = on_clk(trace);
+    let (clocks, run) = GlobalRun::lift(["clk"], trace.as_slice());
     for opts in [CompileOptions::raw(), CompileOptions::optimized()] {
         let gate = CompiledImplication::new("gate", "clk", ante, cons, &opts);
         let mut st = gate.state();
@@ -394,7 +387,7 @@ proptest! {
         }
     }
 
-    /// Feeding a global run through the compiled multi-clock executor
+    /// Feeding a global run through a bank's compiled multi-clock member
     /// in ANY chunking yields the verdicts of one step-wise pass.
     #[test]
     fn multiclock_any_chunking_equals_stepwise(
@@ -409,19 +402,17 @@ proptest! {
                 .unwrap();
             let reference = mm.scan(&clocks, &run);
 
-            let compiled = mm.compiled();
-            let mut exec = compiled.executor(&clocks);
-            let mut hits = Vec::new();
+            let mut bank = MonitorBank::new();
+            let mi = bank.add_multiclock(&mm);
             let elements = run.as_slice();
             let mut at = 0usize;
             for &len in &chunking {
                 let end = (at + len).min(elements.len());
-                exec.feed(&elements[at..end], &mut hits);
+                bank.feed_global(&clocks, &elements[at..end]);
                 at = end;
             }
-            exec.feed(&elements[at..], &mut hits);
-            prop_assert_eq!(&hits, &reference, "chunking {:?}", &chunking);
-            prop_assert_eq!(exec.match_count(), reference.len() as u64);
+            bank.feed_global(&clocks, &elements[at..]);
+            prop_assert_eq!(bank.multiclock_hits(mi), &reference[..], "chunking {:?}", &chunking);
         }
     }
 
@@ -580,8 +571,9 @@ proptest! {
 
     /// The sharded fleet executor over any single-clock fleet, shard
     /// count and chunk size, fed the trace as a one-clock global run,
-    /// is bit-identical to the serial `MonitorBank::feed` — same hit
-    /// ticks, tick counts and underflow accounting per monitor.
+    /// is bit-identical to the serial `MonitorBank::feed_global` on the
+    /// same run — same hit ticks, tick counts and underflow accounting
+    /// per monitor.
     #[test]
     fn sharded_fleet_equals_serial_bank(
         p1 in arb_pattern(),
@@ -609,11 +601,11 @@ proptest! {
             bank.add(m);
             fleet.add(m);
         }
-        bank.feed(trace.as_slice());
+        let (clocks, run) = GlobalRun::lift(["clk"], trace.as_slice());
+        bank.feed_global(&clocks, run.as_slice());
 
         let plan = plan_shards(&fleet, jobs);
         prop_assert_eq!(plan.jobs(), jobs.min(monitors.len()));
-        let (clocks, run) = on_clk(&trace);
         let report = scan_sharded_global(
             &fleet, &plan, &clocks, &ParOptions::default(), run.as_slice(), chunk,
         );
@@ -687,7 +679,7 @@ proptest! {
         fleet.add(&monitor);
         let plan = plan_shards(&fleet, jobs);
         let opts = ParOptions { keep_all_hits: false, ..Default::default() };
-        let (clocks, run) = on_clk(&trace);
+        let (clocks, run) = GlobalRun::lift(["clk"], trace.as_slice());
         let report = scan_sharded_global(&fleet, &plan, &clocks, &opts, run.as_slice(), 7);
         let log = &report.singles[0].log;
         prop_assert_eq!(log.count(), reference.matches.len() as u64);
@@ -696,8 +688,9 @@ proptest! {
         prop_assert_eq!(log.first(), &head[..]);
     }
 
-    /// A bank over several monitors equals independent step-wise scans
-    /// of each, for any chunking of the shared feed.
+    /// A bank over several monitors, fed the trace lifted onto `clk`,
+    /// equals independent step-wise scans of each, for any chunking of
+    /// the shared feed.
     #[test]
     fn bank_equals_independent_scans(
         p1 in arb_pattern(),
@@ -719,14 +712,15 @@ proptest! {
         for m in &monitors {
             bank.add(m);
         }
-        let elements = trace.as_slice();
+        let (clocks, run) = GlobalRun::lift(["clk"], trace.as_slice());
+        let elements = run.as_slice();
         let mut at = 0usize;
         for &len in &chunking {
             let end = (at + len).min(elements.len());
-            bank.feed(&elements[at..end]);
+            bank.feed_global(&clocks, &elements[at..end]);
             at = end;
         }
-        bank.feed(&elements[at..]);
+        bank.feed_global(&clocks, &elements[at..]);
 
         let reports = bank.reports();
         for (i, m) in monitors.iter().enumerate() {

@@ -1201,6 +1201,105 @@ fn usage_covers_every_flag() {
     }
 }
 
+/// Runs the release binary on `args`; returns its exit code and stderr.
+fn cesc_status(args: &[&str]) -> (Option<i32>, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_cesc"))
+        .args(args)
+        .output()
+        .unwrap();
+    (out.status.code(), String::from_utf8(out.stderr).unwrap())
+}
+
+#[test]
+fn options_outside_a_command_are_usage_errors() {
+    let dir = std::env::temp_dir().join(format!("cesc-cli-options-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = dir.join("spec.cesc");
+    std::fs::write(&spec, SPEC).unwrap();
+    let spec = spec.to_str().unwrap();
+    for (args, flag, command) in [
+        (
+            &["render", spec, "--jobs", "4", "--cosim", "--format", "dot"][..],
+            "--jobs",
+            "render",
+        ),
+        (
+            &["lint", spec, "--no-opt", "--vcd", "x"][..],
+            "--no-opt",
+            "lint",
+        ),
+        (&["prove", spec, "--no-opt"][..], "--no-opt", "prove"),
+        (&["synth", spec, "--progress"][..], "--progress", "synth"),
+        (
+            &["check", spec, "--deny", "--all-charts", "--vcd", "x"][..],
+            "--deny",
+            "check",
+        ),
+    ] {
+        let (code, stderr) = cesc_status(args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("option `{flag}` does not apply to {command}")),
+            "{args:?}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn every_usage_flag_parses_for_its_command() {
+    let dir = std::env::temp_dir().join(format!("cesc-cli-usage-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = dir.join("spec.cesc");
+    std::fs::write(&spec, SPEC).unwrap();
+    let spec = spec.to_str().unwrap();
+    let out_path = dir.join("out").to_str().unwrap().to_owned();
+    // the per-command lines of `usage()`, up to the first blank line
+    // after them (fuzz parses its own flags)
+    let mut command = None;
+    let mut seen = 0;
+    for line in usage().lines().skip(1) {
+        let line = line.trim();
+        let head = line.split_whitespace().next().unwrap_or("");
+        if ["render", "synth", "check", "lint", "prove"].contains(&head) {
+            command = Some(head);
+        } else if head == "fuzz" || (line.is_empty() && command.is_some()) {
+            break;
+        } else if !line.starts_with(['[', '(']) {
+            continue;
+        }
+        let Some(command) = command else { continue };
+        let words: Vec<&str> = line
+            .split(['[', ']', '(', ')', ' '])
+            .filter(|w| !w.is_empty())
+            .collect();
+        for (i, flag) in words
+            .iter()
+            .enumerate()
+            .filter(|(_, w)| w.starts_with("--"))
+        {
+            let value = words.get(i + 1).and_then(|&v| match v {
+                "N" => Some("2"),
+                "NAME" => Some("hs"),
+                "RULE" => Some("vacuity"),
+                "FILE" | "DIR" => Some(out_path.as_str()),
+                v if v.contains('|') => v.split('|').next(),
+                _ => None,
+            });
+            let mut args = vec![command, spec, *flag];
+            args.extend(value);
+            let (_, stderr) = cesc_status(&args);
+            assert!(
+                !stderr.contains("does not apply") && !stderr.contains("unknown option"),
+                "{args:?}: {stderr}"
+            );
+            seen += 1;
+        }
+    }
+    assert!(seen >= 30, "parsed only {seen} usage flags");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn errors_are_reported() {
     assert!(matches!(

@@ -402,14 +402,10 @@ proptest! {
             let specs = spec_set_of(ab, chart, true);
             fleet.add_compiled(specs.chart_spec(0).unwrap().compiled().clone());
         }
-        bank.feed(trace.as_slice());
-
-        // the fleet is fed as `cesc check` feeds it: a global run, here
-        // the trace on the one period-1 clock `clk`
-        use cesc::trace::{ClockSet, GlobalRun, Trace};
-        let (clocks, clk) = ClockSet::single();
-        let run = GlobalRun::interleave(&clocks, &[(clk, Trace::from_elements(trace.clone()))])
-            .unwrap();
+        // bank and fleet are fed as `cesc check` feeds them: a global
+        // run, here the trace on the one period-1 clock `clk`
+        let (clocks, run) = cesc::trace::GlobalRun::lift(["clk"], trace.as_slice());
+        bank.feed_global(&clocks, run.as_slice());
         let plan = plan_shards(&fleet, jobs);
         let report = scan_sharded_global(
             &fleet, &plan, &clocks, &ParOptions::default(), run.as_slice(), chunk,
@@ -547,26 +543,23 @@ proptest! {
             )
             .unwrap();
 
-            let reference = {
-                let compiled = raw.multi_spec(0).unwrap().compiled().clone();
-                let mut exec = compiled.executor(&clocks);
-                let mut hits = Vec::new();
-                exec.feed(run.as_slice(), &mut hits);
-                hits
-            };
+            let mut reference = MonitorBank::new();
+            reference.add_compiled_multiclock(raw.multi_spec(0).unwrap().compiled().clone());
+            reference.feed_global(&clocks, run.as_slice());
 
-            let compiled = optimized.multi_spec(0).unwrap().compiled().clone();
-            let mut exec = compiled.executor(&clocks);
-            let mut hits = Vec::new();
+            let mut bank = MonitorBank::new();
+            bank.add_compiled_multiclock(optimized.multi_spec(0).unwrap().compiled().clone());
             let elements = run.as_slice();
             let mut at = 0usize;
             for &len in &chunking {
                 let end = (at + len).min(elements.len());
-                exec.feed(&elements[at..end], &mut hits);
+                bank.feed_global(&clocks, &elements[at..end]);
                 at = end;
             }
-            exec.feed(&elements[at..], &mut hits);
-            prop_assert_eq!(&hits, &reference, "chunking {:?}", &chunking);
+            bank.feed_global(&clocks, &elements[at..]);
+            prop_assert_eq!(
+                bank.multiclock_hits(0), reference.multiclock_hits(0), "chunking {:?}", &chunking
+            );
         }
     }
 }

@@ -22,6 +22,7 @@ use cesc::hdl::{lower_monitor, VerilogOptions};
 use cesc::prelude::ScescBuilder;
 use cesc::protocols::{amba, faults, ocp, readproto, traffic::{transaction_stream, TrafficConfig}};
 use cesc::rtl::{cosim_scan, report_agrees, CoSim, RtlInterp};
+use cesc::trace::GlobalRun;
 use proptest::prelude::*;
 
 /// Cosims `monitor` over `trace` and checks both the one-shot report
@@ -45,8 +46,9 @@ fn assert_cosim_identical(monitor: &Monitor, alphabet: &Alphabet, trace: &[Valua
     let mut bank = MonitorBank::new();
     let idx = bank.add(monitor);
     let mut rtl_hits = Vec::new();
-    for chunk in trace.chunks(7) {
-        bank.feed(chunk);
+    let (clocks, run) = GlobalRun::lift([monitor.clock()], trace);
+    for (chunk, steps) in trace.chunks(7).zip(run.as_slice().chunks(7)) {
+        bank.feed_global(&clocks, steps);
         rtl.feed(chunk, &mut rtl_hits);
     }
     assert_eq!(bank.hits(idx), rtl_hits.as_slice(), "bank vs RTL hits");

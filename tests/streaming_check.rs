@@ -305,3 +305,87 @@ fn fleet_mode_checks_large_single_clock_vcd_via_streaming_reader() {
 
     std::fs::remove_file(&path).ok();
 }
+
+/// Two charts whose causality arrows stay inside their own chart: the
+/// locals share no scoreboard symbol, so the spec is uncoupled and runs
+/// clock-major.
+const UNCOUPLED_SPEC: &str = r#"
+scesc u1 on clk1 { instances { A, B } events { a1, b1 } tick { A: a1 } tick { B: b1 } cause a1 -> b1; }
+scesc u2 on clk2 { instances { C, D } events { c2, d2 } tick { C: c2 } tick { D: d2 } cause c2 -> d2; }
+multiclock duo { charts { u1, u2 } }
+"#;
+
+#[test]
+fn fleet_mode_checks_an_uncoupled_multiclock_spec_clock_major() {
+    use cesc::cli::StatsOptions;
+    use cesc::obs::{key, Obs};
+
+    let doc = cesc::chart::parse_document(UNCOUPLED_SPEC).unwrap();
+    let sym = |n: &str| doc.alphabet.lookup(n).unwrap();
+    let (a1, b1, c2, d2) = (sym("a1"), sym("b1"), sym("c2"), sym("d2"));
+    // a seeded run: each domain drives only its own chart's events,
+    // each event present on about a third of its clock's ticks
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut coin = || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state.is_multiple_of(3)
+    };
+    let mut local = |n: usize, events: [cesc::expr::SymbolId; 2]| -> Trace {
+        (0..n)
+            .map(|_| Valuation::of(events.into_iter().filter(|_| coin())))
+            .collect()
+    };
+    let mut clocks = ClockSet::new();
+    let k1 = clocks.add(ClockDomain::new("clk1", 2, 0)); // 0, 2, …, 5998
+    let k2 = clocks.add(ClockDomain::new("clk2", 3, 1)); // 1, 4, …, 5998
+    let (t1, t2) = (local(3_000, [a1, b1]), local(2_000, [c2, d2]));
+    let run = GlobalRun::interleave(&clocks, &[(k1, t1), (k2, t2)]).unwrap();
+
+    let mm = synthesize_multiclock(
+        doc.multiclock_spec("duo").unwrap(),
+        &SynthOptions::default(),
+    )
+    .unwrap();
+    assert!(!mm.compiled().coupled(), "intra-chart arrows only");
+    let opts = VcdWriteOptions::default();
+    // the reader stamps each step with its rising edge's VCD time
+    let expected: Vec<String> = mm
+        .scan(&clocks, &run)
+        .iter()
+        .map(|t| (2 * t * opts.half_period).to_string())
+        .collect();
+    assert!(expected.len() > 10, "the seeded run matches: {expected:?}");
+    let owners = [Valuation::of([a1, b1]), Valuation::of([c2, d2])];
+    let vcd = cesc::trace::write_vcd_global(&run, &clocks, &doc.alphabet, &owners, &opts);
+
+    for jobs in [1, 3] {
+        let obs = Obs::enabled();
+        let check = CheckOptions {
+            jobs,
+            json: true,
+            all_matches: true,
+            stats: StatsOptions {
+                obs: obs.clone(),
+                ..StatsOptions::default()
+            },
+            ..CheckOptions::default()
+        };
+        let names = ["duo".to_owned()];
+        let out = check_fleet(UNCOUPLED_SPEC, &names, false, vcd.as_bytes(), None, &check)
+            .unwrap()
+            .output;
+        let all = out
+            .split("\"all\":[")
+            .nth(1)
+            .and_then(|r| r.split(']').next());
+        let got: Vec<&str> = all.unwrap_or_else(|| panic!("{out}")).split(',').collect();
+        assert_eq!(got, expected, "jobs {jobs}");
+        let skipped = obs.report("check").counter(key::ENGINE_SKIP_TICKS);
+        assert!(
+            skipped > 0,
+            "jobs {jobs}: the clock-major path takes idle-run skips"
+        );
+    }
+}
