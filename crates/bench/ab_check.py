@@ -23,6 +23,13 @@ times, the median user+sys CPU seconds and the median peak RSS (both
 raw, from `os.wait4`, as `checkbench/run.py` times its checks), then
 the change's median against the parent's.
 
+`os.wait4`'s peak RSS is mostly the forking Python process's own (a
+child that runs `/bin/true` reads about 14 MB), so it cannot see a
+change of a few MB in `cesc`. The script therefore also runs one
+untimed `--stats-json` check per binary and prints `cesc`'s own peak
+resident set, the `process.peak_rss_kb` gauge (`VmHWM`), or `n/a` for
+a binary that does not report it.
+
 Exits with status 1 if, in any pair, the two reports differ once their
 `wall_ms` and `exec_ms` are zeroed, or either report or exit status
 disagrees with the workload's `reference.json`.
@@ -62,6 +69,22 @@ def timed_check(cmd):
     wall = time.perf_counter() - t0
     cpu = usage.ru_utime + usage.ru_stime
     return wall, cpu, usage.ru_maxrss / 1024, os.waitstatus_to_exitcode(status), out
+
+
+def own_peak_rss_kb(cmd, work):
+    """Runs one untimed check with `--stats-json`; returns the
+    `process.peak_rss_kb` gauge it reports, or None."""
+    path = os.path.join(work, "stats.json")
+    subprocess.run([*cmd, "--stats-json", path],
+                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        with open(path) as f:
+            return json.load(f)["gauges"].get("process.peak_rss_kb")
+    except (OSError, ValueError, KeyError):
+        return None
+    finally:
+        if os.path.exists(path):
+            os.remove(path)
 
 
 def main():
@@ -113,16 +136,19 @@ def main():
             if reports["parent"] != reports["change"]:
                 bad.append(f"pair {pair}: the two reports differ with timings zeroed")
 
+        own_rss = {name: own_peak_rss_kb([exe, *check], work) for name, exe in binaries.items()}
+
         print(f"{args.workload} seed {args.seed}, --jobs {jobs}, {args.pairs} pairs, "
               f"probe-normalised wall s (REF_PROBE_S {REF_PROBE_S}), raw user+sys CPU s, "
-              "peak RSS MB:")
+              "peak RSS MB (wait4), cesc's own peak RSS MB (VmHWM):")
         medians = {}
         for name, ts in times.items():
             medians[name] = statistics.median(ts)
             q1, _, q3 = statistics.quantiles(ts, n=4) if len(ts) > 1 else (ts[0],) * 3
+            own = "n/a" if own_rss[name] is None else f"{own_rss[name] / 1024:.1f}"
             print(f"  {name:6}  median {medians[name]:.4f}  q1 {q1:.4f}  q3 {q3:.4f}  "
                   f"cpu {statistics.median(cpus[name]):.4f}  "
-                  f"rss {statistics.median(rss[name]):.1f}")
+                  f"rss {statistics.median(rss[name]):.1f}  own rss {own}")
         wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
         print(f"  change/parent median {medians['change'] / medians['parent'] - 1:+.1%}, "
               f"change faster in {wins} of {args.pairs} pairs")

@@ -23,9 +23,10 @@
 //! * `speedup` — raw serial bank over the fleet. It compounds the
 //!   optimized tables' edge (mostly the idle-run scan) with shard
 //!   parallelism. Acceptance bar (checked by `make verify-par`): ≥ 1.0
-//!   on any host. Single-shard plans take the no-thread direct path,
-//!   so even a single-core host keeps the optimized tables' edge
-//!   instead of paying channel/broadcast overhead for no parallelism.
+//!   on any host. A single-shard plan steps its first chunks on the
+//!   caller and then, this fleet's engine being the bound, runs on one
+//!   shard thread fed over a channel, so on a single-core host the bar
+//!   rests on the optimized tables' edge outweighing that hand-off.
 //! * `shard_speedup` — a serial `MonitorBank::feed_global` over the
 //!   same optimized tables and global run, over the fleet: what
 //!   sharding alone buys.
@@ -153,10 +154,9 @@ fn bench(c: &mut Criterion) {
     // The recorded configuration clamps the shard count to the host's
     // actual parallelism: asking for more workers than cores only
     // measures broadcast overhead. On a single-core host that clamps
-    // to one shard, which the planner runs on the no-thread direct
-    // path — the recorded speedup then measures the deployment
-    // engine's edge (optimized tables) over the raw serial bank
-    // rather than going sub-serial on channel overhead.
+    // to one shard thread — the recorded speedup then measures the
+    // deployment engine's edge (optimized tables) over the raw serial
+    // bank, less one channel hop per chunk.
     let host_jobs = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let jobs = host_jobs.min(4);
     let serial_s = cesc_bench::time_per_pass(5, || {

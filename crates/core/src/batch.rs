@@ -38,7 +38,9 @@
 //!   iff the stay arm holds and no live arm before it does. The first
 //!   tick that leaves goes through the full step, so hits, actions,
 //!   underflows and the non-total panic are those of the per-tick
-//!   step. [`MonitorBank::skip_ticks`] counts the ticks the scan
+//!   step. Where none of those arms has a scoreboard half, the scan
+//!   cannot depend on the board, so it is built once, at compile
+//!   time. [`MonitorBank::skip_ticks`] counts the ticks the scan
 //!   advanced.
 //!
 //! Verdict equivalence with the step-wise path (same match ticks, same
@@ -341,16 +343,28 @@ pub struct CompiledMonitor {
     /// through a shared scoreboard — `CompiledMultiClock` uses this to
     /// pick its clock-major fast path.
     touched: u128,
-    /// Per state, the flat index of its *stay arm* — the first arm
-    /// that targets the state itself and carries no actions — or
-    /// [`NO_STAY`] when the state has none, is final, or has a guard
-    /// other than [`GuardKind::Mask64`] at or before it. See
+    /// Per state, how [`ExecState::run`] idle-scans it. See
     /// [`IdleScan`].
-    stay: Vec<u32>,
+    stay: Vec<StayScan>,
 }
 
-/// [`CompiledMonitor::stay`] entry of a state that never idle-scans.
-const NO_STAY: u32 = u32::MAX;
+/// How a state of a [`CompiledMonitor`] idle-scans, fixed at compile
+/// time.
+#[derive(Debug, Clone)]
+enum StayScan {
+    /// Never: the state is final, has no *stay arm* (the first arm that
+    /// targets the state itself and carries no actions), or has a guard
+    /// other than [`GuardKind::Mask64`] at or before it; or the scan
+    /// would be [`Fixed`](StayScan::Fixed) but has more than
+    /// [`IDLE_PREFIX_CAP`] prefix arms.
+    Never,
+    /// The stay arm and every arm ahead of it have no scoreboard half,
+    /// so the scan is the same on every board: built once, here.
+    Fixed(IdleScan),
+    /// The flat index of the stay arm, whose scan is built against the
+    /// board on entry into the state.
+    OnBoard(u32),
+}
 
 /// Bitmask (global symbol space) of every symbol with scoreboard
 /// traffic in `monitor`: `Chk_evt` guard targets plus
@@ -525,17 +539,24 @@ impl CompiledMonitor {
         let stay = (0..states)
             .map(|s| {
                 if s == final_state {
-                    return NO_STAY; // every entry into the final state is a hit
+                    return StayScan::Never; // every entry into the final state is a hit
                 }
-                for t in state_off[s] as usize..state_off[s + 1] as usize {
-                    if !matches!(guards[t], GuardKind::Mask64(_)) {
-                        return NO_STAY;
-                    }
+                let arms = state_off[s] as usize..state_off[s + 1] as usize;
+                let mut board_free = true;
+                for t in arms.clone() {
+                    let GuardKind::Mask64(g) = guards[t] else {
+                        return StayScan::Never;
+                    };
+                    board_free &= g.chk_pos == 0 && g.chk_neg == 0;
                     if targets[t] as usize == s && action_off[t] == action_off[t + 1] {
-                        return t as u32;
+                        if !board_free {
+                            return StayScan::OnBoard(t as u32);
+                        }
+                        return IdleScan::build(&guards[arms.start..=t], 0)
+                            .map_or(StayScan::Never, StayScan::Fixed);
                     }
                 }
-                NO_STAY
+                StayScan::Never
             })
             .collect();
 
@@ -789,16 +810,28 @@ impl IdleScan {
     /// or more than [`IDLE_PREFIX_CAP`] prefix arms stay live.
     #[inline(always)]
     fn enter(m: &CompiledMonitor, state: u32, sb: u128) -> Option<IdleScan> {
-        let stay = m.stay[state as usize];
-        if stay == NO_STAY {
-            return None;
+        match m.stay[state as usize] {
+            StayScan::Never => None,
+            StayScan::Fixed(scan) => Some(scan),
+            StayScan::OnBoard(stay) => {
+                let start = m.state_off[state as usize] as usize;
+                IdleScan::build(&m.guards[start..=stay as usize], sb)
+            }
         }
+    }
+
+    /// The filter for a state whose arms up to and including the stay
+    /// arm (last) are `arms`, all [`GuardKind::Mask64`], under
+    /// scoreboard bits `sb`.
+    #[inline(always)]
+    fn build(arms: &[GuardKind], sb: u128) -> Option<IdleScan> {
         let sb = sb as u64; // Mask64 guards never mention bits above 63
-        let mask = |t: usize| match m.guards[t] {
+        let mask = |g: &GuardKind| match *g {
             GuardKind::Mask64(g) => g,
             _ => unreachable!("stay prefixes are Mask64 guards (checked at build)"),
         };
-        let own = mask(stay as usize);
+        let (own, prefix) = arms.split_last().expect("the stay arm");
+        let own = mask(own);
         if !own.chk_holds(sb) {
             return None;
         }
@@ -807,8 +840,7 @@ impl IdleScan {
             pre: [GuardMask64::default(); IDLE_PREFIX_CAP],
             live: 0,
         };
-        for t in m.state_off[state as usize] as usize..stay as usize {
-            let g = mask(t);
+        for g in prefix.iter().map(mask) {
             if g.chk_holds(sb) {
                 if scan.live == IDLE_PREFIX_CAP {
                     return None;
@@ -1729,6 +1761,15 @@ mod tests {
         let report = m.scan(trace.iter().copied());
         assert_eq!(report.matches, vec![5]);
         assert_eq!(report.underflows, 1);
+        // s0's arms up to its stay arm read no board, so its scan is
+        // built once at compile time; s1's stay arm reads `x`, so its
+        // scan is built on entry; s2 is final
+        let compiled = m.compiled_with(&CompileOptions::optimized());
+        assert!(matches!(compiled.stay[0], StayScan::Fixed(IdleScan { live: 2, .. })));
+        assert!(matches!(compiled.stay[1], StayScan::OnBoard(_)));
+        assert!(matches!(compiled.stay[2], StayScan::Never));
+        let raw = m.compiled_with(&CompileOptions::raw());
+        assert!(raw.stay.iter().all(|s| matches!(s, StayScan::Never)), "raw tables never scan");
     }
 
     #[test]

@@ -85,6 +85,14 @@ pub mod key {
     pub const FLEET_CHUNKS: &str = "fleet.chunks";
     /// Per-clock ticks carried by the fed global steps.
     pub const FLEET_TICKS: &str = "fleet.ticks";
+    /// Nanoseconds the feeding thread spent sending chunks, most of it
+    /// blocked on a full shard channel: the engine kept it waiting.
+    /// Set beside the shards' summed wait, it says what bound the run
+    /// ([`RunReport::bound`](crate::RunReport::bound)).
+    pub const FEED_BLOCK_NS: &str = "feed.block_ns";
+    /// Gauge: the process's peak resident set in KiB (`VmHWM` of
+    /// `/proc/self/status`, see [`peak_rss_kb`](crate::peak_rss_kb)).
+    pub const PROCESS_PEAK_RSS_KB: &str = "process.peak_rss_kb";
     /// VCD body blocks the streaming reader decoded.
     pub const DECODE_BLOCKS: &str = "decode.blocks";
     /// Nanoseconds the streaming reader spent decoding the lines of VCD
@@ -125,6 +133,20 @@ pub mod key {
     pub const PROVE_PRODUCT_STATES: &str = "prove.product_states";
     /// Guard-SAT queries issued by the prover (cache hits included).
     pub const PROVE_SAT_QUERIES: &str = "prove.sat_queries";
+}
+
+/// The process's peak resident set in KiB, read from the `VmHWM` line
+/// of `/proc/self/status`; `None` where that file is unreadable (not
+/// Linux) or lacks the line.
+pub fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    vm_hwm_kb(&status)
+}
+
+/// The `VmHWM:  3904 kB` value of a `/proc/<pid>/status` text.
+fn vm_hwm_kb(status: &str) -> Option<u64> {
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.trim().strip_suffix("kB")?.trim().parse().ok()
 }
 
 /// Histogram buckets: values bucketed by bit length (`⌊log2⌋ + 1`),
@@ -634,6 +656,17 @@ mod tests {
         };
         assert!((s.utilization() - 0.75).abs() < 1e-12);
         assert_eq!(ShardStats::default().utilization(), 0.0);
+    }
+
+    #[test]
+    fn vm_hwm_parses_the_status_line() {
+        let status = "Name:\tcesc\nVmPeak:\t   10000 kB\nVmHWM:\t    3904 kB\nVmRSS:\t 3000 kB\n";
+        assert_eq!(vm_hwm_kb(status), Some(3904));
+        assert_eq!(vm_hwm_kb("Name:\tcesc\n"), None);
+        assert_eq!(vm_hwm_kb("VmHWM:\tlots kB\n"), None);
+        if std::path::Path::new("/proc/self/status").exists() {
+            assert!(peak_rss_kb().is_some_and(|kb| kb > 0));
+        }
     }
 
     #[test]

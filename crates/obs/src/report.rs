@@ -30,7 +30,8 @@ use crate::{json, ShardStats};
 ///   "shards": [
 ///     { "shard": 0, "members": 3, "steps": 240000, "chunks": 30,
 ///       "busy_ms": 31.0042, "wait_ms": 8.1001, "utilization": 0.7928 }
-///   ]
+///   ],
+///   "bound": "engine"
 /// }
 /// ```
 ///
@@ -45,6 +46,8 @@ use crate::{json, ShardStats};
 ///   `le` is `u64::MAX`).
 /// * `shards` are sorted by shard index; `utilization` is
 ///   `busy / (busy + wait)` in `[0, 1]`.
+/// * `bound` is `"decode"`, `"engine"` or `null` (no shard ran); see
+///   [`RunReport::bound`].
 /// * New fields may be appended in later schema revisions; existing
 ///   fields keep their meaning.
 pub const OBS_JSON_SCHEMA: &str = "cesc-obs/1";
@@ -126,6 +129,20 @@ impl RunReport {
         ms(self.wall_ns)
     }
 
+    /// What bound a sharded run, or `None` when no shard ran:
+    /// `"engine"` when the feeding thread spent longer blocked on full
+    /// shard channels ([`key::FEED_BLOCK_NS`](crate::key::FEED_BLOCK_NS))
+    /// than the busiest shard (the one that waited least) spent waiting
+    /// for chunks, `"decode"` otherwise.
+    pub fn bound(&self) -> Option<&'static str> {
+        let least_wait = self.shards.iter().map(|s| s.wait_ns).min()?;
+        Some(if self.counter(crate::key::FEED_BLOCK_NS) > least_wait {
+            "engine"
+        } else {
+            "decode"
+        })
+    }
+
     /// Renders the human-readable `--stats` block.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
@@ -203,6 +220,13 @@ impl RunReport {
                 ));
             }
         }
+        if let Some(bound) = self.bound() {
+            out.push_str(&format!(
+                "feed:\n  blocked {:>10.3} ms  shard wait {:>10.3} ms (summed)\n  bound: {bound}\n",
+                ms(self.counter(crate::key::FEED_BLOCK_NS)),
+                ms(self.shards.iter().map(|s| s.wait_ns).sum())
+            ));
+        }
         // the producer beside its consumers: the `decode` span is the
         // read plus the fold, which writes the steps itself
         let blocks = self.counter(crate::key::DECODE_BLOCKS);
@@ -279,8 +303,9 @@ impl RunReport {
             })
             .collect::<Vec<_>>()
             .join(",");
+        let bound = self.bound().map_or_else(|| "null".to_owned(), json::string);
         format!(
-            "{{\"schema\":{},\"command\":{},\"wall_ms\":{},\"counters\":{{{}}},\"gauges\":{{{}}},\"spans\":[{}],\"histograms\":[{}],\"shards\":[{}]}}\n",
+            "{{\"schema\":{},\"command\":{},\"wall_ms\":{},\"counters\":{{{}}},\"gauges\":{{{}}},\"spans\":[{}],\"histograms\":[{}],\"shards\":[{}],\"bound\":{}}}\n",
             json::string(OBS_JSON_SCHEMA),
             json::string(&self.command),
             json::float(self.wall_ms()),
@@ -289,6 +314,7 @@ impl RunReport {
             spans,
             histograms,
             shards,
+            bound,
         )
     }
 }
@@ -384,6 +410,35 @@ mod tests {
         // right under `engine.ticks`, in registration order
         let want = "240000\n  engine.skip_ticks    180000  (75.0% of engine.ticks)\n";
         assert!(text.contains(want), "{text}");
+    }
+
+    #[test]
+    fn bound_compares_blocked_sends_with_the_busiest_shards_wait() {
+        // no FEED_BLOCK_NS: the caller never waited on the shards
+        let r = sample();
+        assert_eq!(r.bound(), Some("decode"));
+        let json = r.render_json();
+        assert!(json.ends_with(",\"bound\":\"decode\"}\n"), "{json}");
+        let text = r.render_text();
+        assert!(text.contains("shard wait      1.100 ms (summed)\n  bound: decode\n"), "{text}");
+
+        // blocked longer than shard 0 (the busiest, 0.1 ms wait) waited
+        let obs = Obs::enabled();
+        obs.counter(key::FEED_BLOCK_NS).add(200_000);
+        for (shard, wait_ns) in [(0, 100_000), (1, 1_000_000)] {
+            obs.record_shard(ShardStats {
+                shard,
+                wait_ns,
+                ..ShardStats::default()
+            });
+        }
+        assert_eq!(obs.report("check").bound(), Some("engine"));
+
+        // no shard ran: nothing to compare
+        let r = Obs::enabled().report("check");
+        assert_eq!(r.bound(), None);
+        assert!(r.render_json().ends_with(",\"bound\":null}\n"));
+        assert!(!r.render_text().contains("bound:"));
     }
 
     #[test]

@@ -7,14 +7,15 @@
 //! ```text
 //!                        ┌────────────────────┐
 //!   VCD / simulation ──▶ │ FleetFeeder        │  one bounded channel
-//!   (decoded chunks)     │ (one copy into a   │  per shard; the copy
-//!                        │  recycled Arc)     │  is shared by them all
+//!   (decoded chunks,     │ (hand_off swaps the│  per shard; one
+//!    caller thread)      │  chunk into a      │  buffer is shared by
+//!                        │  recycled Arc)     │  them all
 //!                        └───┬────┬────┬──────┘
 //!                            ▼    ▼    ▼
-//!                        shard0 shard1 shard2   each: own MonitorBank
-//!                            │    │    │        (asserts included), no
-//!                            ▼    ▼    ▼        cross-shard state
-//!                        ┌────────────────────┐
+//!                        shard0 shard1 shard2   each: own thread, own
+//!                            │    │    │        MonitorBank (asserts
+//!                            ▼    ▼    ▼        included), no
+//!                        ┌────────────────────┐ cross-shard state
 //!                        │ merge (at join)    │ → FleetReport
 //!                        └────────────────────┘
 //! ```
@@ -23,22 +24,28 @@
 //! states, scoreboards, tallies), so the hot path takes **no lock and
 //! shares no cache line** with other shards; the only synchronisation
 //! is the bounded channel hand-off of reference-counted chunks, and the
-//! per-shard results merge once, at join time. The feeder copies each
-//! borrowed chunk once, into a chunk buffer it recycles once every
-//! shard has dropped it, so a steady-state broadcast allocates nothing
-//! on any thread. Verdicts are
-//! bit-identical to a serial [`MonitorBank`] run over the same chunks
-//! (pinned by the workspace `batch_equivalence` property suite).
+//! per-shard results merge once, at join time. The chunk buffers are
+//! recycled once every shard has dropped them:
+//! [`FleetFeeder::hand_off`] swaps the caller's chunk with the next
+//! free buffer (no copy), [`FleetFeeder::feed_global`] copies a
+//! borrowed chunk into it, and either way a steady-state broadcast
+//! allocates nothing on any thread. Verdicts are bit-identical to a
+//! serial [`MonitorBank`] run over the same chunks (pinned by the
+//! workspace `batch_equivalence` property suite).
 //!
-//! **Single-shard plans skip all of it.** With `--jobs 1` or a
-//! one-shard plan there is nobody to overlap with, so the broadcast
-//! machinery — chunk copy, `Arc`, channel hop, worker thread — would
-//! be pure overhead (measured at ~15% on chunked streams). The feeder
-//! instead runs the one worker *inline on the caller thread*
-//! ([`FeedMode::Direct`]): `feed_global` borrows the chunk straight
-//! into the bank, no allocation, no thread, identical results.
+//! **Threads start when they pay.** A plan of several shards starts
+//! its threads with the first fed chunk. A one-shard plan (`--jobs 1`)
+//! first steps its worker on the caller for [`PROBE_CHUNKS`] chunks,
+//! timing the engine against the caller's time between chunks (its
+//! decode). Only a run whose engine took more than twice the decode
+//! moves the worker to a thread of its own, so that the caller decodes
+//! the next chunk while the shard steps the last one. A decode-bound
+//! run stays on the caller: overlap could save it no more than its
+//! small engine share, and a hand-off to a second core that is busy or
+//! slow to wake stalls the decoder instead. A run that feeds nothing
+//! (a header-only dump) pays for no thread.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -162,6 +169,19 @@ impl Fleet {
     }
 }
 
+/// Chunks a one-shard plan steps on the caller before it decides
+/// whether its worker moves to a thread (see the module doc).
+pub const PROBE_CHUNKS: u32 = 8;
+
+/// Whether a one-shard run whose first chunks spent `engine_ns` in the
+/// engine and `decode_ns` between chunks should move its worker to a
+/// thread: only when the engine took more than twice the decode, so a
+/// one-off stall inside the short probe does not start a thread for a
+/// decode-bound run.
+pub(crate) fn engine_bound(engine_ns: u64, decode_ns: u64) -> bool {
+    engine_ns > 2 * decode_ns
+}
+
 /// In-flight chunks buffered per shard channel. Bounds the producer's
 /// lead over the slowest shard, and with it the executor's peak chunk
 /// residency.
@@ -278,7 +298,7 @@ impl FleetReport {
 /// shard copies the `Arc`, not the steps.
 type Chunk = Arc<Vec<GlobalStep>>;
 
-/// The chunk buffers a broadcast feeder hands out, reused in turn.
+/// The chunk buffers a feeder hands out, reused in turn.
 ///
 /// The pool keeps one reference to each buffer, so a buffer every
 /// shard has dropped is unique again and is refilled in place. A shard
@@ -300,8 +320,8 @@ impl ChunkPool {
         }
     }
 
-    /// The next buffer in turn, filled with a copy of `src`.
-    fn next(&self, src: &[GlobalStep]) -> Chunk {
+    /// The next buffer in turn, after `fill` has written it.
+    fn next(&self, fill: impl FnOnce(&mut Vec<GlobalStep>)) -> Chunk {
         let mut ring = self.ring.borrow_mut();
         let i = self.next.get();
         self.next.set((i + 1) % ring.len());
@@ -310,7 +330,7 @@ impl ChunkPool {
             // unreachable by the argument above; stay correct anyway
             *slot = Arc::new(Vec::new());
         }
-        copy_steps(Arc::get_mut(slot).expect("a fresh or released buffer is unique"), src);
+        fill(Arc::get_mut(slot).expect("a fresh or released buffer is unique"));
         Arc::clone(slot)
     }
 }
@@ -327,47 +347,39 @@ fn copy_steps(dst: &mut Vec<GlobalStep>, src: &[GlobalStep]) {
     dst.extend_from_slice(&src[reused..]);
 }
 
-/// The multi-shard feed: one bounded channel per shard, and the
-/// recycled chunk buffers broadcast over them.
-struct Broadcast {
-    txs: Vec<channel::Sender<Chunk>>,
-    pool: ChunkPool,
+/// A started shard: its bounded feed channel and the thread that
+/// drains it.
+struct Shard {
+    tx: channel::Sender<Chunk>,
+    thread: std::thread::JoinHandle<ShardResult>,
 }
 
-/// How chunks reach the shard worker(s) — see the module docs.
-enum FeedMode {
-    /// Multi-shard: reference-counted chunks over one bounded channel
-    /// per shard.
-    Broadcast(Broadcast),
-    /// Single-shard fast path: the one worker runs inline on the
-    /// caller thread — chunks are borrowed, never copied, and there is
-    /// no channel hop. `wait_ns` of the recorded [`ShardStats`] stays
-    /// zero (there is no queue to wait on).
-    Direct(Box<RefCell<DirectWorker>>),
-}
-
-impl std::fmt::Debug for FeedMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FeedMode::Broadcast(b) => write!(f, "Broadcast({} shard(s))", b.txs.len()),
-            FeedMode::Direct(_) => write!(f, "Direct"),
-        }
+impl Shard {
+    fn start(worker: ShardWorker, obs: &Obs) -> Shard {
+        let (tx, rx) = channel::bounded::<Chunk>(CHANNEL_DEPTH);
+        let obs = obs.clone();
+        let thread = std::thread::spawn(move || worker.serve(&rx, &obs));
+        Shard { tx, thread }
     }
 }
 
-/// The inline worker of a [`FeedMode::Direct`] run, plus its stats
-/// accumulator when the run is observed.
-struct DirectWorker {
-    worker: ShardWorker,
-    stats: Option<ShardStats>,
-}
-
 /// The producer half of a sharded run: hands decoded chunks to the
-/// shard worker(s) — broadcast over channels for multi-shard plans,
-/// inline for single-shard ones. Handed to `drive` by [`run_sharded`].
-#[derive(Debug)]
+/// shard threads, one bounded channel per shard, each chunk one
+/// reference-counted buffer shared by them all. Handed to `drive` by
+/// [`run_sharded`].
+///
+/// The shard threads start when the first non-empty chunk is fed, or,
+/// for a one-shard plan, once its probe finds the run engine-bound (see
+/// the module doc), so a run that feeds nothing (a header-only dump)
+/// starts no thread.
 pub struct FleetFeeder {
-    mode: FeedMode,
+    /// The shard workers, until they move onto threads of their own.
+    idle: RefCell<Vec<ShardWorker>>,
+    probe: RefCell<Probe>,
+    /// The started shards, in shard order.
+    shards: OnceCell<Vec<Shard>>,
+    pool: ChunkPool,
+    obs: Obs,
     /// Live-updated feed metrics (`fleet.steps` / `fleet.chunks` /
     /// the `chunk.steps` histogram) — no-ops when the run's registry
     /// is disabled. The steps counter updates as chunks are fed,
@@ -375,38 +387,127 @@ pub struct FleetFeeder {
     steps: Counter,
     chunks: Counter,
     chunk_sizes: Histogram,
+    /// `feed.block_ns`: time the caller spent in sends, blocked on a
+    /// full shard channel; timed only when the registry is enabled.
+    block_ns: Counter,
+}
+
+impl std::fmt::Debug for FleetFeeder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.shards.get() {
+            Some(shards) => write!(f, "FleetFeeder({} shard(s) started)", shards.len()),
+            None => write!(f, "FleetFeeder({} shard(s) idle)", self.idle.borrow().len()),
+        }
+    }
+}
+
+/// What a one-shard feeder has timed of its first chunks.
+#[derive(Debug, Default)]
+struct Probe {
+    chunks: u32,
+    /// Caller time in the engine.
+    engine_ns: u64,
+    /// Caller time between chunks: decoding the next one.
+    decode_ns: u64,
+    /// When the caller last left the engine.
+    left: Option<Instant>,
+    /// Set once the probe has kept the worker on the caller.
+    stays: bool,
 }
 
 impl FleetFeeder {
-    /// Feeds one chunk of global steps (the sharded form of
+    /// Feeds a copy of one chunk of global steps (the sharded form of
     /// [`MonitorBank::feed_global`]); requires the run to have been
     /// started with a clock set.
     pub fn feed_global(&self, chunk: &[GlobalStep]) {
-        if chunk.is_empty() {
-            return;
+        if !chunk.is_empty() && !self.run_on_caller(chunk) {
+            self.send(chunk.len(), |buf| copy_steps(buf, chunk));
+        }
+    }
+
+    /// Feeds `chunk` without copying it: swaps it with the next free
+    /// broadcast buffer and leaves that recycled buffer in its place,
+    /// so a decoder that overwrites steps in place (as
+    /// `GlobalVcdStream::next_chunk` does) reuses its storage. A chunk
+    /// the caller steps itself (during a one-shard probe, or in a run
+    /// that stayed on the caller) is left as it was. Same requirements
+    /// and verdicts as [`FleetFeeder::feed_global`].
+    pub fn hand_off(&self, chunk: &mut Vec<GlobalStep>) {
+        if !chunk.is_empty() && !self.run_on_caller(chunk) {
+            self.send(chunk.len(), |buf| std::mem::swap(buf, chunk));
+        }
+    }
+
+    /// Steps `chunk` on the caller while a one-shard plan probes or has
+    /// stayed on the caller; returns whether it did.
+    fn run_on_caller(&self, chunk: &[GlobalStep]) -> bool {
+        if self.shards.get().is_some() {
+            return false;
+        }
+        let mut idle = self.idle.borrow_mut();
+        let [worker] = idle.as_mut_slice() else {
+            return false;
+        };
+        let mut probe = self.probe.borrow_mut();
+        if probe.chunks == PROBE_CHUNKS && !probe.stays {
+            return false;
         }
         self.steps.add(chunk.len() as u64);
         self.chunks.incr();
         self.chunk_sizes.record(chunk.len() as u64);
-        match &self.mode {
-            FeedMode::Direct(cell) => {
-                let dw = &mut *cell.borrow_mut();
-                match &mut dw.stats {
-                    Some(stats) => {
-                        let ran = Instant::now();
-                        dw.worker.consume(chunk);
-                        stats.busy_ns += ran.elapsed().as_nanos() as u64;
-                        stats.chunks += 1;
-                        stats.steps += chunk.len() as u64;
-                    }
-                    None => dw.worker.consume(chunk),
-                }
+        let entered = Instant::now();
+        let decode = probe.left.map_or(0, |left| (entered - left).as_nanos() as u64);
+        worker.consume_timed(chunk, decode);
+        let left = Instant::now();
+        probe.left = Some(left);
+        if !probe.stays {
+            probe.engine_ns += (left - entered).as_nanos() as u64;
+            probe.decode_ns += decode;
+            probe.chunks += 1;
+            if probe.chunks == PROBE_CHUNKS {
+                probe.stays = !engine_bound(probe.engine_ns, probe.decode_ns);
             }
-            FeedMode::Broadcast(b) => {
-                let copy = b.pool.next(chunk);
-                for tx in &b.txs {
-                    tx.send(Arc::clone(&copy)).expect("shard worker alive");
-                }
+        }
+        true
+    }
+
+    /// Fills the next pool buffer and sends it to every shard, starting
+    /// the shard threads on the first call.
+    fn send(&self, len: usize, fill: impl FnOnce(&mut Vec<GlobalStep>)) {
+        self.steps.add(len as u64);
+        self.chunks.incr();
+        self.chunk_sizes.record(len as u64);
+        let shards = self.shards.get_or_init(|| {
+            let workers = self.idle.take();
+            workers.into_iter().map(|w| Shard::start(w, &self.obs)).collect()
+        });
+        let chunk = self.pool.next(fill);
+        let blocked = self.obs.is_enabled().then(Instant::now);
+        for shard in shards {
+            shard.tx.send(Arc::clone(&chunk)).expect("shard worker alive");
+        }
+        if let Some(blocked) = blocked {
+            self.block_ns.add(blocked.elapsed().as_nanos() as u64);
+        }
+    }
+
+    /// Closes the feed and returns every shard's result: joined from
+    /// its thread, or taken from a worker that stayed on the caller.
+    fn finish(self) -> Vec<ShardResult> {
+        match self.shards.into_inner() {
+            Some(shards) => {
+                // close every channel first: the workers drain and return
+                let (txs, threads): (Vec<_>, Vec<_>) =
+                    shards.into_iter().map(|s| (s.tx, s.thread)).unzip();
+                drop(txs);
+                threads
+                    .into_iter()
+                    .map(|t| t.join().expect("shard worker panicked"))
+                    .collect()
+            }
+            None => {
+                let workers = self.idle.into_inner().into_iter();
+                workers.map(|w| w.finish_and_record(&self.obs)).collect()
             }
         }
     }
@@ -427,6 +528,8 @@ struct ShardWorker {
     multi_logs: Vec<MatchLog>,
     /// The run's clock set; `None` only for a run that feeds nothing.
     clocks: Option<ClockSet>,
+    /// Queue-wait and busy time, kept under an enabled registry.
+    stats: Option<ShardStats>,
 }
 
 struct ShardResult {
@@ -437,7 +540,13 @@ struct ShardResult {
 }
 
 impl ShardWorker {
-    fn build(fleet: &Fleet, items: &[FleetItem], clocks: Option<&ClockSet>, opts: &ParOptions) -> Self {
+    fn build(
+        fleet: &Fleet,
+        shard: usize,
+        items: &[FleetItem],
+        clocks: Option<&ClockSet>,
+        opts: &ParOptions,
+    ) -> Self {
         let mut w = ShardWorker {
             bank: MonitorBank::new(),
             single_map: Vec::new(),
@@ -446,6 +555,11 @@ impl ShardWorker {
             single_logs: Vec::new(),
             multi_logs: Vec::new(),
             clocks: clocks.cloned(),
+            stats: opts.obs.is_enabled().then(|| ShardStats {
+                shard,
+                members: items.len(),
+                ..ShardStats::default()
+            }),
         };
         w.bank.set_member_timing(opts.obs.is_enabled());
         for item in items {
@@ -469,6 +583,37 @@ impl ShardWorker {
         w
     }
 
+    /// The shard thread's body: consumes every chunk `rx` delivers
+    /// until the feeder closes the channel. Under an enabled registry
+    /// it accounts the thread's time as queue-wait (blocked on `recv`)
+    /// vs busy (executing): the signal for planner imbalance and for
+    /// what bound the run.
+    fn serve(mut self, rx: &channel::Receiver<Chunk>, obs: &Obs) -> ShardResult {
+        loop {
+            let waited = self.stats.is_some().then(Instant::now);
+            let Ok(chunk) = rx.recv() else { break };
+            let wait = waited.map_or(0, |w| w.elapsed().as_nanos() as u64);
+            self.consume_timed(&chunk, wait);
+        }
+        self.finish_and_record(obs)
+    }
+
+    /// Consumes `chunk`; under an enabled registry it also accounts the
+    /// chunk, its busy time and `wait_ns` of queue-wait before it.
+    fn consume_timed(&mut self, chunk: &[GlobalStep], wait_ns: u64) {
+        if self.stats.is_none() {
+            return self.consume(chunk);
+        }
+        let ran = Instant::now();
+        self.consume(chunk);
+        let busy = ran.elapsed().as_nanos() as u64;
+        let stats = self.stats.as_mut().expect("checked above");
+        stats.wait_ns += wait_ns;
+        stats.busy_ns += busy;
+        stats.chunks += 1;
+        stats.steps += chunk.len() as u64;
+    }
+
     fn consume(&mut self, chunk: &[GlobalStep]) {
         let clocks = self
             .clocks
@@ -485,6 +630,15 @@ impl ShardWorker {
         self.bank.drain_hits(|slot, hits| logs[slot].absorb(hits));
         let logs = &mut self.multi_logs;
         self.bank.drain_multiclock_hits(|slot, hits| logs[slot].absorb(hits));
+    }
+
+    /// Records the shard's stats (if it stepped any chunk) and returns
+    /// its result.
+    fn finish_and_record(mut self, obs: &Obs) -> ShardResult {
+        if let Some(stats) = self.stats.take().filter(|s| s.chunks > 0) {
+            obs.record_shard(stats);
+        }
+        self.finish()
     }
 
     fn finish(self) -> ShardResult {
@@ -555,9 +709,12 @@ impl ShardWorker {
     }
 }
 
-/// Runs `fleet` sharded per `plan`: one worker thread per shard, each
-/// owning its members' complete mutable state, fed by `drive` through
-/// a [`FleetFeeder`] over bounded channels.
+/// Runs `fleet` sharded per `plan`: one worker thread per shard, at
+/// every shard count, each owning its members' complete mutable state,
+/// fed by `drive` through a [`FleetFeeder`] over bounded channels. The
+/// caller thread only produces chunks (decodes, in `cesc check`), so it
+/// overlaps with the engine even on a one-shard plan. The threads start
+/// with the first fed chunk; a `drive` that feeds nothing starts none.
 ///
 /// `clocks` resolves every member's clock against the fed steps'
 /// [`ClockId`](cesc_trace::ClockId)s; `None` only suits a `drive` that feeds nothing
@@ -605,113 +762,27 @@ pub fn run_sharded<R>(
     opts: &ParOptions,
     drive: impl FnOnce(&FleetFeeder) -> R,
 ) -> (FleetReport, R) {
-    let (report, driven) = if plan.shards().len() <= 1 {
-        run_direct(fleet, plan, clocks, opts, drive)
-    } else {
-        run_broadcast(fleet, plan, clocks, opts, drive)
-    };
-    record_semantics(&opts.obs, &report);
-    (report, driven)
-}
-
-/// The single-shard fast path: no threads, no channels, no chunk
-/// copies — the one worker consumes borrowed chunks inline on the
-/// caller thread. Results and stats match the broadcast path except
-/// that `wait_ns` is structurally zero.
-fn run_direct<R>(
-    fleet: &Fleet,
-    plan: &ShardPlan,
-    clocks: Option<&ClockSet>,
-    opts: &ParOptions,
-    drive: impl FnOnce(&FleetFeeder) -> R,
-) -> (FleetReport, R) {
-    let items: &[FleetItem] = plan.shards().first().map_or(&[], Vec::as_slice);
+    let workers = plan
+        .shards()
+        .iter()
+        .enumerate()
+        .map(|(shard, items)| ShardWorker::build(fleet, shard, items, clocks, opts))
+        .collect();
     let feeder = FleetFeeder {
-        mode: FeedMode::Direct(Box::new(RefCell::new(DirectWorker {
-            worker: ShardWorker::build(fleet, items, clocks, opts),
-            stats: opts.obs.is_enabled().then(|| ShardStats {
-                shard: 0,
-                members: items.len(),
-                ..ShardStats::default()
-            }),
-        }))),
+        idle: RefCell::new(workers),
+        probe: RefCell::default(),
+        shards: OnceCell::new(),
+        pool: ChunkPool::new(),
+        obs: opts.obs.clone(),
         steps: opts.obs.counter(key::FLEET_STEPS),
         chunks: opts.obs.counter(key::FLEET_CHUNKS),
         chunk_sizes: opts.obs.histogram("chunk.steps"),
+        block_ns: opts.obs.counter(key::FEED_BLOCK_NS),
     };
     let driven = drive(&feeder);
-    let FeedMode::Direct(cell) = feeder.mode else {
-        unreachable!("run_direct builds a direct feeder")
-    };
-    let dw = cell.into_inner();
-    if let Some(stats) = dw.stats {
-        opts.obs.record_shard(stats);
-    }
-    (merge_results(fleet, [dw.worker.finish()]), driven)
-}
-
-/// The multi-shard path: one worker thread per shard, fed
-/// reference-counted chunks over bounded channels.
-fn run_broadcast<R>(
-    fleet: &Fleet,
-    plan: &ShardPlan,
-    clocks: Option<&ClockSet>,
-    opts: &ParOptions,
-    drive: impl FnOnce(&FleetFeeder) -> R,
-) -> (FleetReport, R) {
-    std::thread::scope(|scope| {
-        let mut txs = Vec::with_capacity(plan.jobs());
-        let mut workers = Vec::with_capacity(plan.jobs());
-        for (shard_idx, shard) in plan.shards().iter().enumerate() {
-            let (tx, rx) = channel::bounded::<Chunk>(CHANNEL_DEPTH);
-            txs.push(tx);
-            workers.push(scope.spawn(move || {
-                let mut worker = ShardWorker::build(fleet, shard, clocks, opts);
-                if opts.obs.is_enabled() {
-                    // observed run: account each worker's wall time as
-                    // queue-wait (blocked on recv) vs busy (executing),
-                    // the planner-imbalance signal
-                    let mut stats = ShardStats {
-                        shard: shard_idx,
-                        members: shard.len(),
-                        ..ShardStats::default()
-                    };
-                    loop {
-                        let waited = Instant::now();
-                        let Ok(chunk) = rx.recv() else { break };
-                        stats.wait_ns += waited.elapsed().as_nanos() as u64;
-                        let ran = Instant::now();
-                        worker.consume(&chunk);
-                        stats.busy_ns += ran.elapsed().as_nanos() as u64;
-                        stats.chunks += 1;
-                        stats.steps += chunk.len() as u64;
-                    }
-                    opts.obs.record_shard(stats);
-                } else {
-                    while let Ok(chunk) = rx.recv() {
-                        worker.consume(&chunk);
-                    }
-                }
-                worker.finish()
-            }));
-        }
-        let feeder = FleetFeeder {
-            mode: FeedMode::Broadcast(Broadcast {
-                txs,
-                pool: ChunkPool::new(),
-            }),
-            steps: opts.obs.counter(key::FLEET_STEPS),
-            chunks: opts.obs.counter(key::FLEET_CHUNKS),
-            chunk_sizes: opts.obs.histogram("chunk.steps"),
-        };
-        let driven = drive(&feeder);
-        drop(feeder); // close every channel: workers drain and return
-        let results: Vec<ShardResult> = workers
-            .into_iter()
-            .map(|w| w.join().expect("shard worker panicked"))
-            .collect();
-        (merge_results(fleet, results), driven)
-    })
+    let report = merge_results(fleet, feeder.finish());
+    record_semantics(&opts.obs, &report);
+    (report, driven)
 }
 
 /// Merges per-shard results into the fleet-indexed report.

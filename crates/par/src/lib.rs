@@ -69,7 +69,7 @@ mod tally;
 
 pub use fleet::{
     run_sharded, scan_sharded_global, AssertReport, AssertSpec, Fleet, FleetFeeder, FleetReport,
-    MultiReport, ParOptions, SingleReport, CHANNEL_DEPTH,
+    MultiReport, ParOptions, SingleReport, CHANNEL_DEPTH, PROBE_CHUNKS,
 };
 pub use plan::{plan_shards, FleetItem, ShardPlan};
 pub use tally::MatchLog;
@@ -353,10 +353,10 @@ mod tests {
     }
 
     #[test]
-    fn direct_single_shard_path_matches_and_records_stats() {
-        // jobs=1 plans one shard, which takes the inline no-broadcast
-        // path — same verdicts, and the observed run still records one
-        // ShardStats entry (wait_ns structurally zero: no queue)
+    fn one_shard_plan_matches_and_records_stats() {
+        // jobs=1 plans one shard; its 8 chunks are the probe's, stepped
+        // on the caller — same verdicts, and the observed run records
+        // one ShardStats entry for it
         let d = doc();
         let pulse = synthesize(d.chart("pulse").unwrap(), &SynthOptions::default()).unwrap();
         let trace = vec![Valuation::of([ev(&d, "req")]); 500];
@@ -372,12 +372,99 @@ mod tests {
         let (clocks, run) = GlobalRun::lift(["clk1"], &trace);
         let report = scan_sharded_global(&fleet, &plan, &clocks, &opts, run.as_slice(), 64);
         assert_eq!(report.singles[0].log.count(), 500);
+        let mut bank = MonitorBank::new();
+        bank.add(&pulse);
+        bank.feed_global(&clocks, run.as_slice());
+        assert_eq!(report.singles[0].log.first(), &bank.hits(0)[..5]);
         let run = obs.report("check");
         assert_eq!(run.counter(cesc_obs::key::FLEET_STEPS), 500);
         assert_eq!(run.counter(cesc_obs::key::ENGINE_TICKS), 500);
         assert_eq!(run.shards.len(), 1);
         assert_eq!(run.shards[0].steps, 500);
-        assert_eq!(run.shards[0].wait_ns, 0);
+        assert_eq!(run.shards[0].chunks, 8);
+    }
+
+    #[test]
+    fn one_shard_probe_keeps_a_decode_bound_run_and_moves_an_engine_bound_one() {
+        // a one-shard hand_off leaves the chunk in place while the
+        // caller steps it, and swaps in a pool buffer once the worker
+        // runs on its thread
+        assert!(fleet::engine_bound(201, 100));
+        assert!(!fleet::engine_bound(200, 100));
+        let d = doc();
+        let pulse = synthesize(d.chart("pulse").unwrap(), &SynthOptions::default()).unwrap();
+        let trace = vec![Valuation::of([ev(&d, "req")]); 50];
+        let (clocks, run) = GlobalRun::lift(["clk1"], &trace);
+        let mut fleet = Fleet::new();
+        fleet.add(&pulse);
+        let plan = plan_shards(&fleet, 1);
+        let chunks = PROBE_CHUNKS as usize + 4;
+        for decode_bound in [true, false] {
+            let obs = cesc_obs::Obs::enabled();
+            let opts = ParOptions {
+                obs: obs.clone(),
+                ..Default::default()
+            };
+            let (report, kept) = run_sharded(&fleet, &plan, Some(&clocks), &opts, |feeder| {
+                let mut chunk = run.as_slice().to_vec();
+                let mut kept = 0;
+                for _ in 0..chunks {
+                    if decode_bound {
+                        // far longer than the engine takes on 50 steps
+                        std::thread::sleep(std::time::Duration::from_millis(2));
+                    } else if chunk.is_empty() {
+                        chunk.extend_from_slice(run.as_slice());
+                    }
+                    feeder.hand_off(&mut chunk);
+                    kept += usize::from(chunk.len() == 50);
+                }
+                kept
+            });
+            let expect = if decode_bound { chunks } else { PROBE_CHUNKS as usize };
+            assert_eq!(kept, expect, "decode_bound={decode_bound}");
+            assert_eq!(report.singles[0].log.count(), 50 * chunks as u64);
+            let stats = obs.report("check");
+            assert_eq!(stats.shards.len(), 1);
+            assert_eq!(stats.shards[0].steps, 50 * chunks as u64);
+            assert_eq!(stats.counter(cesc_obs::key::FLEET_STEPS), 50 * chunks as u64);
+        }
+    }
+
+    #[test]
+    fn hand_off_swaps_in_a_recycled_buffer_and_matches_feed_global() {
+        let d = doc();
+        let hs = synthesize(d.chart("hs").unwrap(), &SynthOptions::default()).unwrap();
+        let pulse = synthesize(d.chart("pulse").unwrap(), &SynthOptions::default()).unwrap();
+        let trace: Vec<Valuation> = (0..700)
+            .map(|k| Valuation::of([ev(&d, if k % 3 == 0 { "req" } else { "ack" })]))
+            .collect();
+        let (clocks, run) = GlobalRun::lift(["clk1"], &trace);
+        let mut fleet = Fleet::new();
+        fleet.add(&hs);
+        fleet.add(&pulse);
+        for jobs in [1, 2] {
+            let plan = plan_shards(&fleet, jobs);
+            let opts = ParOptions::default();
+            let fed = scan_sharded_global(&fleet, &plan, &clocks, &opts, run.as_slice(), 50);
+            let (handed, ()) = run_sharded(&fleet, &plan, Some(&clocks), &opts, |feeder| {
+                let mut chunk = Vec::new();
+                for c in run.as_slice().chunks(50) {
+                    chunk.clear();
+                    chunk.extend_from_slice(c);
+                    feeder.hand_off(&mut chunk);
+                    // the first CHANNEL_DEPTH + 2 hand-offs take fresh
+                    // buffers; later ones return a recycled chunk
+                    assert!(chunk.is_empty() || chunk.len() == 50, "{}", chunk.len());
+                }
+                let mut empty = Vec::new();
+                feeder.hand_off(&mut empty);
+                assert!(empty.is_empty(), "an empty chunk is not sent");
+            });
+            for i in 0..2 {
+                assert_eq!(handed.singles[i].log.all(), fed.singles[i].log.all(), "jobs={jobs}");
+                assert_eq!(handed.singles[i].ticks, 700);
+            }
+        }
     }
 
     #[test]

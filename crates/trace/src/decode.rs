@@ -511,7 +511,7 @@ impl<'a> Chunk<'a> {
     #[inline(always)]
     fn push(&mut self, time: u64, clocks: ClockMask, state: u128, masks: &[u128]) -> bool {
         if self.len == self.steps.len() {
-            self.grow();
+            self.grow(masks.len());
         }
         let step = &mut self.steps[self.len];
         step.time = time;
@@ -530,12 +530,15 @@ impl<'a> Chunk<'a> {
         self.is_full()
     }
 
+    /// Appends a step whose `ticks` vector has room for one tick per
+    /// clock (`clocks` of them), so no push ever grows it: chunks are
+    /// recycled with their steps, so this size is what stays resident.
     #[cold]
     #[inline(never)]
-    fn grow(&mut self) {
+    fn grow(&mut self, clocks: usize) {
         self.steps.push(GlobalStep {
             time: 0,
-            ticks: Vec::new(),
+            ticks: Vec::with_capacity(clocks),
         });
     }
 

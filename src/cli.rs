@@ -145,6 +145,9 @@ pub fn finish_stats(stats: &StatsOptions, command: &str) -> Result<(), CliError>
     if !stats.obs.is_enabled() || !stats.wants_report() {
         return Ok(());
     }
+    if let Some(kb) = cesc_obs::peak_rss_kb() {
+        stats.obs.gauge(key::PROCESS_PEAK_RSS_KB).set(kb);
+    }
     let report = stats.obs.report(command);
     if stats.text {
         eprint!("{}", report.render_text());
@@ -478,9 +481,13 @@ pub struct CheckOptions {
     /// (count plus first/last [`MATCH_EDGE`] entries) — the
     /// `--all-matches` flag.
     pub all_matches: bool,
-    /// Worker threads the fleet is sharded across (`--jobs N`; the
-    /// planner caps shards at the member count). The dump is decoded on
-    /// the calling thread whatever `N` is.
+    /// Shard threads the fleet runs on (`--jobs N`; the planner caps
+    /// shards at the member count). The calling thread decodes the dump
+    /// and hands each chunk to the shards, so decode and engine
+    /// overlap. At `N = 1` the one shard moves to a thread only once
+    /// its first chunks show the engine bounding the run
+    /// ([`cesc_par::PROBE_CHUNKS`]); a decode-bound run stays on the
+    /// calling thread.
     pub jobs: usize,
     /// Emit the machine-readable JSON report ([`CHECK_JSON_SCHEMA`])
     /// instead of text — the `--json` flag.
@@ -811,10 +818,10 @@ pub fn check_fleet(
                 steps += n as u64;
                 tick_counter.add(stream.ticks() - ticks);
                 ticks = stream.ticks();
-                feeder.feed_global(&chunk);
                 if !sims.is_empty() {
-                    // on the caller thread, from the chunk just fed; a
-                    // diverged pair stays poisoned and is read after the run
+                    // on the caller thread, before the chunk is handed
+                    // off; a diverged pair stays poisoned and is read
+                    // after the run
                     obs.time("cosim", || {
                         for step in &chunk {
                             for (_, clock, sim) in &mut sims {
@@ -825,6 +832,9 @@ pub fn check_fleet(
                         }
                     });
                 }
+                // the chunk goes to the shards without a copy; a
+                // recycled buffer comes back for the next decode
+                feeder.hand_off(&mut chunk);
             }
         });
     drop(exec_span);
@@ -1191,8 +1201,10 @@ pub fn usage() -> &'static str {
      assert-style charts whose violations make cesc exit with status 2.\n\
      --chart may repeat (duplicates are deduplicated); --all-charts checks\n\
      every chart, spec and implication in one pass over the dump.\n\
-     --jobs N      shard the monitor fleet across N worker threads (at most\n\
-                   one per target); the dump is decoded on the calling thread\n\
+     --jobs N      run the monitor fleet on N shard threads (at most one per\n\
+                   target) while the calling thread decodes the dump; at N=1\n\
+                   the shard stays on the calling thread unless the engine\n\
+                   bounds the run\n\
      --json        machine-readable report (schema cesc-check/3)\n\
      --all-matches list every match tick; default summarises (count + first/last 5)\n\
      --clock NAME  rename the sampled clock signal (single-clock charts only;\n\

@@ -196,6 +196,9 @@ fn run() -> Result<(String, bool), cli::CliError> {
             cli::finish_stats(&stats, "synth")?;
             Ok((out, false))
         }
+        "synth" if out_dir.is_some() => Err(cli::CliError::Usage(
+            "synth --out-dir requires --all-charts (one chart prints to stdout)".to_owned(),
+        )),
         "synth" => {
             let out = cli::synth_with(
                 &source,

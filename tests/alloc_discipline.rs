@@ -2,8 +2,9 @@
 //! allocator: after a warmup, `GlobalVcdStream::next_chunk` on (a) one
 //! and (b) two clocks, (b′) over a dump of about 30 body blocks, (c)
 //! `MonitorBank::feed_global` over `GlobalStep` chunks, idle-run skips
-//! and an `implies(...)` assert included, and (d) a two-shard
-//! `run_sharded` broadcast through `FleetFeeder::feed_global` must
+//! and an `implies(...)` assert included, (d) a two-shard
+//! `run_sharded` broadcast through `FleetFeeder::feed_global`, and (e)
+//! `next_chunk` plus `FleetFeeder::hand_off` at one shard must
 //! perform **zero** heap allocations per chunk, on any thread. This is
 //! the contract behind the streaming `cesc check` path: the stream's
 //! one block buffer, the split-line carry buffer, the caller's chunk
@@ -328,4 +329,58 @@ fn streaming_hot_loops_allocate_nothing_after_warmup() {
     let gate = &report.asserts[0];
     assert_eq!(gate.ticks, 16 * CHUNK as u64, "every clk1 tick reached the assert");
     assert_eq!(gate.violation_count, 16 * CHUNK as u64 - 1, "{gate:?}");
+
+    // (e) the drive loop `cesc check` runs, at one shard: the stream
+    // decodes into the caller's chunk and `hand_off` either steps it on
+    // the caller (the probe's first chunks, and a run the probe keeps
+    // there) or swaps it with a recycled broadcast buffer (no copy)
+    // whose steps the next decode overwrites in place. The warmup
+    // covers the probe, circulates every pool buffer through the
+    // caller once and lets a shard thread run its first chunks.
+    let e_domain = 24 * CHUNK;
+    let e_run = GlobalRun::interleave(
+        &clocks,
+        &[
+            (c1, Trace::from_elements(vec![Valuation::of([ev("req")]); e_domain])),
+            (c2, Trace::from_elements(vec![Valuation::of([ev("go")]); e_domain])),
+        ],
+    )
+    .unwrap();
+    let e_owners = [
+        Valuation::of([ev("req"), ev("ack")]),
+        Valuation::of([ev("go"), ev("done")]),
+    ];
+    let text = write_vcd_global(&e_run, &clocks, ab, &e_owners, &VcdWriteOptions::default());
+    let e_specs = [
+        VcdClockSpec::masked("clk1", e_owners[0]),
+        VcdClockSpec::masked("clk2", e_owners[1]),
+    ];
+    let mut stream = GlobalVcdStream::from_reader(text.as_bytes(), ab, &e_specs).unwrap();
+    let plan = plan_shards(&fleet, 1);
+    assert_eq!(plan.shards().len(), 1, "one shard");
+    assert!(e_run.len().div_ceil(CHUNK) >= 2 * CHANNEL_DEPTH + 20, "{} steps", e_run.len());
+    let (report, (handed, steady)) = run_sharded(&fleet, &plan, Some(&clocks), &opts, |feeder| {
+        let mut chunk: Vec<GlobalStep> = Vec::new();
+        let mut handed = 0;
+        for _ in 0..warm {
+            assert_eq!(stream.next_chunk(&mut chunk, CHUNK).unwrap(), CHUNK);
+            feeder.hand_off(&mut chunk);
+            handed += 1;
+        }
+        let steady = allocs_during(|| loop {
+            if stream.next_chunk(&mut chunk, CHUNK).unwrap() == 0 {
+                break;
+            }
+            feeder.hand_off(&mut chunk);
+            handed += 1;
+        });
+        (handed, steady)
+    });
+    assert!(handed >= 2 * CHANNEL_DEPTH + 20, "{handed} chunks handed off");
+    assert_eq!(
+        steady, 0,
+        "one-shard next_chunk + FleetFeeder::hand_off allocated in steady state"
+    );
+    assert_eq!(report.singles[0].ticks, e_domain as u64, "every clk1 tick reached the chart");
+    assert_eq!(report.asserts[0].ticks, e_domain as u64, "every clk1 tick reached the assert");
 }

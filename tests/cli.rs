@@ -420,11 +420,31 @@ fn fleet_binary_decodes_the_same_on_one_and_three_jobs() {
 }
 
 #[test]
+fn synth_out_dir_without_all_charts_is_a_usage_error() {
+    // one chart prints to stdout; an `--out-dir` it would ignore is
+    // refused, naming both flags, and nothing is created
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("synth_out_dir_alone");
+    std::fs::remove_dir_all(&dir).ok();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_cesc"))
+        .arg("synth")
+        .arg(concat!(env!("CARGO_MANIFEST_DIR"), "/examples/specs/handshake.cesc"))
+        .arg("--out-dir")
+        .arg(&dir)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("--out-dir") && stderr.contains("--all-charts"), "{stderr}");
+    assert!(out.stdout.is_empty(), "no chart printed");
+    assert!(!dir.exists(), "nothing created");
+}
+
+#[test]
 fn fleet_binary_runs_jobs_far_above_the_core_count() {
-    // `--jobs N` decodes on at most one worker per core: a request for
-    // 20,000 jobs must neither try to start 20,000 decode threads nor
-    // read ahead two blocks for each, and must report what `--jobs 1`
-    // reports (timings and shard count zeroed)
+    // `--jobs N` starts at most one shard thread per fleet member: a
+    // request for 20,000 jobs must not try to start 20,000 threads,
+    // and must report what `--jobs 1` reports (timings and shard count
+    // zeroed)
     use std::process::Command;
 
     let doc = cesc::chart::parse_document(FLEET_SPEC).unwrap();
@@ -960,6 +980,36 @@ fn fleet_checks_all_charts_in_one_pass() {
         "{}",
         outcome.output
     );
+}
+
+#[test]
+fn fleet_check_on_a_header_only_dump_starts_no_shard() {
+    // the shard threads start with the first fed chunk: a dump with no
+    // body feeds none, so an observed run records no shard, and every
+    // target is still rendered
+    let vcd = fleet_vcd(true);
+    let header = &vcd[..vcd.find("$enddefinitions $end\n").unwrap() + 21];
+    for jobs in [1, 2] {
+        let opts = CheckOptions {
+            jobs,
+            stats: cesc::cli::StatsOptions {
+                obs: cesc::obs::Obs::enabled(),
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let outcome = check_fleet(FLEET_SPEC, &[], true, header.as_bytes(), None, &opts).unwrap();
+        let out = &outcome.output;
+        assert!(!outcome.failed, "{out}");
+        assert!(out.contains("5 target(s) over 0 global steps"), "{out}");
+        for target in ["chart `hs`", "chart `pulse`", "assert `gate`"] {
+            assert!(out.contains(target), "jobs={jobs}: {out}");
+        }
+        let run = opts.stats.obs.report("check");
+        assert!(run.shards.is_empty(), "jobs={jobs}: {:?}", run.shards);
+        assert_eq!(run.counter(cesc::obs::key::FLEET_CHUNKS), 0);
+        assert_eq!(run.bound(), None);
+    }
 }
 
 #[test]

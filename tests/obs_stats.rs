@@ -136,6 +136,32 @@ fn serial_and_sharded_runs_report_identical_semantic_counters() {
 }
 
 #[test]
+fn feed_block_time_and_bound_are_reported_at_every_jobs() {
+    // every --jobs runs its shards on threads of their own, so each
+    // shard row has a real queue wait, and the feeder's blocked sends
+    // sit beside it with the derived `bound`
+    for jobs in [1, 4] {
+        let report = run_with_jobs(5_000, 4, jobs);
+        let block = report.counter(key::FEED_BLOCK_NS);
+        let execute = report.span_ns("execute").unwrap();
+        assert!(block <= execute, "jobs={jobs}: blocked {block} ns within execute {execute} ns");
+        assert!(!report.shards.is_empty(), "jobs={jobs}");
+        for s in &report.shards {
+            assert!(s.busy_ns + s.wait_ns > 0, "jobs={jobs}: the shard thread ran: {s:?}");
+            assert!((0.0..=1.0).contains(&s.utilization()), "jobs={jobs}: {s:?}");
+        }
+        let bound = report.bound().expect("a shard ran");
+        assert!(["decode", "engine"].contains(&bound), "{bound}");
+        let json = report.render_json();
+        assert!(json.contains("\"feed.block_ns\":"), "{json}");
+        assert!(json.ends_with(&format!(",\"bound\":\"{bound}\"}}\n")), "{json}");
+        let text = report.render_text();
+        assert!(text.contains("feed:\n  blocked "), "{text}");
+        assert!(text.contains(&format!("  bound: {bound}\n")), "{text}");
+    }
+}
+
+#[test]
 fn disabled_registry_records_nothing_through_the_pipeline() {
     // CheckOptions::default() carries a disabled registry; check_fleet
     // must leave it untouched (it records into a private one instead)
@@ -250,6 +276,11 @@ fn finish_stats_writes_the_json_report_file() {
     );
     assert!(body.contains("\"name\":\"execute\""), "{body}");
     assert!(body.contains("\"utilization\":"), "{body}");
+    // the process's own peak resident set, where the platform says it
+    if std::path::Path::new("/proc/self/status").exists() {
+        assert!(body.contains("\"process.peak_rss_kb\":"), "{body}");
+        assert!(obs.report("check").gauge(key::PROCESS_PEAK_RSS_KB) > 0);
+    }
     std::fs::remove_file(&path).ok();
 }
 
