@@ -82,8 +82,9 @@ verify-obs: ## observability gate: cesc-obs unit suite + the cross-layer serial=
 	grep -q '"engine.skip_ticks":' target/obs_smoke.json
 	grep -q '"utilization":' target/obs_smoke.json
 
-verify-bench: ## compile every bench without running it, so bench bit-rot fails tier-1 locally
+verify-bench: ## compile every bench without running it, so bench bit-rot fails tier-1 locally, and test the bench record tooling
 	$(CARGO) bench -p cesc-bench --no-run
+	python3 -m unittest discover -s crates/bench -p 'test_*.py'
 
 verify-checkbench: ## build the end-to-end benchmark helper: checkbench/ is its own workspace, so a root build never compiles it
 	$(CARGO) build --release --offline --manifest-path checkbench/Cargo.toml

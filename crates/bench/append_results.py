@@ -9,13 +9,17 @@ RESULTS_JSON is a JSON array with one record per line; earlier records
 are kept byte for byte, and a missing file starts an empty array. Exits
 non-zero if BENCH_OUTPUT holds no record.
 
-For each new record whose `melem_per_s` or `mb_per_s` is more than 15%
-below the previous record of the same `bench` and `workload`, one
-`regression:` line is printed. When both records carry `probe_s` (the
-host-speed probe `cesc_bench::probe_s`, seconds), the comparison is of
-`metric * probe_s`, which stays put when the host's speed drifts
-between runs; otherwise the raw metric is compared. One `compared:`
-line says which comparison each bench and workload got. This only
+Each new record is compared with the last five (or fewer) records of
+the same `bench`, `workload` and basis. A record carrying `probe_s` (the
+host-speed probe `cesc_bench::probe_s`, seconds) is compared on
+`metric * probe_s`, which stays put when the host's speed drifts between
+runs, and only with records that carry it too; a record without it is
+compared on the raw metric with records without it. For `melem_per_s`
+and `mb_per_s`, a value more than 15% below every one of those records
+prints a `regression:` line; a value more than 15% below some but not
+all of them prints an `unresolved:` line with their min–max, since one
+bench's runs can spread that far on an unchanged build. One `compared:`
+line says what each bench and workload was compared with. This only
 reports; the exit status does not change.
 """
 
@@ -26,6 +30,9 @@ import sys
 # The throughput bound of BENCHMARK.json (`mb_per_s`, `mticks_per_s`).
 REGRESSION_BOUND = 0.15
 THROUGHPUT_KEYS = ("melem_per_s", "mb_per_s")
+# How many earlier records of one bench, workload and basis a new one is
+# compared with.
+WINDOW = 5
 
 
 def revision():
@@ -35,37 +42,55 @@ def revision():
     return rev + "-dirty" if dirty else rev
 
 
+def basis(record):
+    """The comparison basis of `record`: normalised when it carries `probe_s`."""
+    return "metric*probe_s" if record.get("probe_s") else "raw metric"
+
+
+def value(record, metric):
+    """`metric` of `record` on its basis, or None when it has none."""
+    v = record.get(metric)
+    return v * record["probe_s"] if v is not None and record.get("probe_s") else v
+
+
 def regressions(previous, new):
-    """The `compared:` and `regression:` lines for `new` records, each
-    compared with the last record of the same bench and workload in
-    `previous` or earlier in `new`: on `metric * probe_s` when both
-    carry `probe_s`, else on the raw metric."""
-    last = {(r.get("bench"), r.get("workload")): r for r in previous}
+    """The `compared:`, `regression:` and `unresolved:` lines for `new`
+    records, each compared with the last `WINDOW` records of the same
+    bench, workload and basis in `previous` or earlier in `new`."""
+    history = {}
+    for record in previous:
+        key = (record.get("bench"), record.get("workload"), basis(record))
+        history.setdefault(key, []).append(record)
     lines = []
     for record in new:
-        key = (record.get("bench"), record.get("workload"))
-        before = last.get(key)
-        last[key] = record
-        if before is None:
+        key = (record.get("bench"), record.get("workload"), basis(record))
+        runs = history.setdefault(key, [])
+        before = runs[-WINDOW:]
+        runs.append(record)
+        if not before:
             continue
-        normalised = bool(before.get("probe_s")) and bool(record.get("probe_s"))
-        basis = "metric*probe_s" if normalised else "raw metric"
-        lines.append(
-            f"compared: {key[0]}/{key[1]} on {basis} "
-            f"against rev {before.get('rev', 'untagged')}"
-        )
+        name = f"{key[0]}/{key[1]}"
+        revs = ", ".join(r.get("rev", "untagged") for r in before)
+        lines.append(f"compared: {name} on {key[2]} against {len(before)} record(s) ({revs})")
+        suffix = "*probe_s" if record.get("probe_s") else ""
         for metric in THROUGHPUT_KEYS:
-            old, cur = before.get(metric), record.get(metric)
-            if not old or cur is None:
+            cur = value(record, metric)
+            olds = [v for v in (value(r, metric) for r in before) if v]
+            if cur is None or not olds:
                 continue
-            if normalised:
-                old, cur = old * before["probe_s"], cur * record["probe_s"]
-                metric += "*probe_s"
-            if cur < old * (1 - REGRESSION_BOUND):
+            below = [old for old in olds if cur < old * (1 - REGRESSION_BOUND)]
+            span = f"{min(olds):.6g}–{max(olds):.6g}"
+            if len(below) == len(olds):
                 lines.append(
-                    f"regression: {key[0]}/{key[1]} {metric} {cur:.6g} < {old:.6g} "
-                    f"(rev {before.get('rev', 'untagged')}), "
-                    f"{(cur - old) / old:+.1%}"
+                    f"regression: {name} {metric}{suffix} {cur:.6g} is more than "
+                    f"{REGRESSION_BOUND:.0%} below all {len(olds)} earlier record(s) "
+                    f"({span}), {(cur - min(olds)) / min(olds):+.1%} against the lowest"
+                )
+            elif below:
+                lines.append(
+                    f"unresolved: {name} {metric}{suffix} {cur:.6g} is more than "
+                    f"{REGRESSION_BOUND:.0%} below {len(below)} of {len(olds)} earlier "
+                    f"record(s) ({span})"
                 )
     return lines
 

@@ -49,8 +49,8 @@
 //! serial-vs-sharded over an interleaved global run.
 
 use cesc_core::{
-    CompileOptions, CompiledImplication, CompiledMonitor, ImplicationChecker, MonitorExec,
-    ScanReport, Verdict, Violation, VIOLATION_KEEP,
+    infer_bounds, BoundsOptions, CompileOptions, CompiledImplication, CompiledMonitor,
+    ImplicationChecker, MonitorExec, ScanReport, Verdict, Violation, VIOLATION_KEEP,
 };
 use cesc_expr::Valuation;
 use cesc_hdl::VerilogOptions;
@@ -149,12 +149,14 @@ pub fn run_case(input: &CaseInput) -> Result<CaseReport, Box<Discrepancy>> {
         }
     }
 
-    // leg 1 for every chart: the baseline engine
+    // leg 1 for every chart: the baseline engine, a raw compile of
+    // the synthesized monitor
     let baselines: Vec<_> = compiled_idx
         .iter()
         .map(|&idx| {
             let spec = set.chart_spec(idx).expect("compiled above");
-            (idx, scan_chunked(spec.baseline(), trace, trace.len()))
+            let raw = spec.synthesized().compiled();
+            (idx, scan_chunked(&raw, trace, trace.len()))
         })
         .collect();
 
@@ -401,7 +403,7 @@ fn obs_counter_equivalence(
     for &(idx, _) in baselines {
         let spec = set.chart_spec(idx).expect("compiled above");
         clock_names.push(spec.compiled().clock());
-        base_fleet.add_compiled(spec.baseline().clone());
+        base_fleet.add_compiled(spec.synthesized().compiled());
         opt_fleet.add_compiled(spec.compiled().clone());
     }
     let (clocks, run) = GlobalRun::lift(clock_names, trace);
@@ -462,7 +464,7 @@ fn bound_soundness(
     trace: &[Valuation],
 ) -> Option<Discrepancy> {
     let monitor = spec.synthesized();
-    let bounds = spec.bounds();
+    let bounds = infer_bounds(monitor, &BoundsOptions::default());
     let events = monitor.scoreboard_events();
     let mut maxima = vec![0u32; events.len()];
     let mut exec = MonitorExec::new(monitor);

@@ -51,7 +51,8 @@
 use std::fmt;
 
 use cesc_core::{
-    reachable_states, ArmLit, BoundsReport, GuardSat, GuardVerdict, Monitor, StateId,
+    infer_bounds, reachable_states, ArmLit, Bound, BoundsOptions, BoundsReport, GuardSat,
+    GuardVerdict, Monitor, StateId,
 };
 use cesc_expr::{sat, Alphabet, Expr, SymbolId, Valuation};
 use cesc_spec::{SpecError, SpecSet, TargetRef};
@@ -364,7 +365,6 @@ pub fn lint_targets(
                 lint_monitor(
                     spec.compiled().name(),
                     spec.synthesized(),
-                    spec.bounds(),
                     ab,
                     opts,
                     &mut findings,
@@ -373,25 +373,19 @@ pub fn lint_targets(
             TargetRef::Multi(i) => {
                 let spec = specs.multi_spec(i)?;
                 let name = specs.target_name(target).to_owned();
-                for (local, bounds) in spec
-                    .synthesized()
-                    .locals()
-                    .iter()
-                    .zip(spec.local_bounds())
-                {
+                let board = SharedBoard::of(spec.synthesized().locals());
+                for (local, bounds) in board.locals.iter().zip(&board.bounds) {
                     let label = format!("{name}/{}", local.name());
-                    lint_local(&label, local, bounds, spec, ab, opts, &mut findings);
+                    lint_local(&label, local, bounds, &board, ab, opts, &mut findings);
                 }
             }
             TargetRef::Assert(i) => {
                 let spec = specs.assert_spec(i)?;
-                // lint the *synthesized* sides, matching the bounds
-                // (taken pre-optimize) and keeping the report identical
-                // with and without the pipeline
+                // lint the *synthesized* sides, keeping the report
+                // identical with and without the pipeline
                 lint_monitor(
                     &format!("{}.antecedent", spec.name()),
                     spec.synthesized_antecedent(),
-                    spec.antecedent_bounds(),
                     ab,
                     opts,
                     &mut findings,
@@ -399,7 +393,6 @@ pub fn lint_targets(
                 lint_monitor(
                     &format!("{}.consequent", spec.name()),
                     spec.synthesized_consequent(),
-                    spec.consequent_bounds(),
                     ab,
                     opts,
                     &mut findings,
@@ -430,21 +423,88 @@ pub fn lint_targets(
     Ok(LintReport { findings })
 }
 
-/// Appends the findings of one single-clock monitor.
+/// Appends the findings of one single-clock monitor, inferring its
+/// counter bounds first.
 fn lint_monitor(
     target: &str,
     monitor: &Monitor,
-    bounds: &BoundsReport,
     ab: &Alphabet,
     opts: &LintOptions,
     out: &mut Vec<Finding>,
 ) {
+    let bounds = &infer_bounds(monitor, &BoundsOptions::default());
     let sem = analyze_semantics(monitor, bounds);
     reachability_findings(target, monitor, bounds, &sem, opts, out);
     bound_findings(target, bounds.bounds(), ab, opts, out);
     underflow_findings(target, bounds, ab, opts, out);
     shadowing_findings(target, monitor, bounds, ab, opts, out);
     semantic_findings(target, &sem, ab, opts, out);
+}
+
+/// The counter facts of a multi-clock spec's shared scoreboard: each
+/// synthesized local's own bounds plus the events several locals write.
+struct SharedBoard<'a> {
+    locals: &'a [Monitor],
+    /// Per-local bounds, inferred with `Chk_evt` refinement off:
+    /// through the shared scoreboard another domain may change a count
+    /// between local ticks, so `Chk` guards prove nothing about local
+    /// history.
+    bounds: Vec<BoundsReport>,
+    /// Events written (`Add_evt`/`Del_evt`) by more than one local. A
+    /// coupled event has no per-local bound — interleaved writers make
+    /// any single-automaton fixpoint unsound — so its effective bound
+    /// is unbounded.
+    coupled: Vec<SymbolId>,
+}
+
+impl<'a> SharedBoard<'a> {
+    fn of(locals: &'a [Monitor]) -> Self {
+        let local_opts = BoundsOptions {
+            chk_refinement: false,
+            ..BoundsOptions::default()
+        };
+        let bounds = locals
+            .iter()
+            .map(|m| infer_bounds(m, &local_opts))
+            .collect();
+        let mut coupled: Vec<SymbolId> = Vec::new();
+        let mut seen: Vec<SymbolId> = Vec::new();
+        for local in locals {
+            for e in local.written_events() {
+                if seen.contains(&e) {
+                    if !coupled.contains(&e) {
+                        coupled.push(e);
+                    }
+                } else {
+                    seen.push(e);
+                }
+            }
+        }
+        SharedBoard {
+            locals,
+            bounds,
+            coupled,
+        }
+    }
+
+    /// The sound shared-scoreboard bound of event `e`: the writing
+    /// local's inferred interval when exactly one local writes `e`,
+    /// `[0, ∞]` when several do, `[0, 0]` when none does (`Chk`-only
+    /// traffic never changes a count), `None` when no local touches
+    /// `e` at all.
+    fn shared_bound(&self, e: SymbolId) -> Option<Bound> {
+        if self.coupled.contains(&e) {
+            return Some(Bound { lo: 0, hi: None });
+        }
+        let mut touched = false;
+        for (local, bounds) in self.locals.iter().zip(&self.bounds) {
+            if local.written_events().contains(&e) {
+                return bounds.bound_for(e);
+            }
+            touched |= bounds.bound_for(e).is_some();
+        }
+        touched.then(|| Bound::exact(0))
+    }
 }
 
 /// Appends the findings of one local monitor of a multi-clock spec:
@@ -454,7 +514,7 @@ fn lint_local(
     target: &str,
     local: &Monitor,
     bounds: &BoundsReport,
-    spec: &cesc_spec::MultiSpec,
+    board: &SharedBoard<'_>,
     ab: &Alphabet,
     opts: &LintOptions,
     out: &mut Vec<Finding>,
@@ -466,12 +526,9 @@ fn lint_local(
     // the coupling-aware shared bound
     let shared = written
         .iter()
-        .filter_map(|&e| spec.shared_bound(e).map(|b| (e, b)));
+        .filter_map(|&e| board.shared_bound(e).map(|b| (e, b)));
     bound_findings(target, shared, ab, opts, out);
-    if !written
-        .iter()
-        .any(|e| spec.coupled_events().contains(e))
-    {
+    if !written.iter().any(|e| board.coupled.contains(e)) {
         underflow_findings(target, bounds, ab, opts, out);
     }
     shadowing_findings(target, local, bounds, ab, opts, out);

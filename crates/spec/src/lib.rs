@@ -21,9 +21,10 @@
 //!   ([`cesc_core::optimize`]), guard-program deduplication and
 //!   scoreboard-slot narrowing ([`cesc_core::CompileOptions`]). Each
 //!   artifact carries a [`PassReport`] (`states 14→9, transitions
-//!   31→22, …`) plus the raw *baseline* compilation, so differential
-//!   oracles (RTL co-simulation) can hold the optimized artifact to
-//!   the unoptimized engine's verdict.
+//!   31→22, …`) and the monitor as synthesized, from which readers
+//!   derive what a check never runs: `cesc lint` and the `synth`
+//!   summary infer counter bounds, and the `--cosim` leg compiles the
+//!   raw tables it holds the optimized artifact to.
 //!
 //! [`SpecSet::clock_plan`] additionally centralises the VCD sampling
 //! plan (declared clock names, per-clock symbol masks, `--clock`
@@ -37,12 +38,11 @@ use std::fmt;
 
 use cesc_chart::{parse_document, Cesc, Document, Scesc};
 use cesc_core::{
-    implication_monitors, infer_bounds, optimize, prove_implication, synthesize,
-    synthesize_multiclock, Bound, BoundsOptions, BoundsReport, CompileOptions,
-    CompiledImplication, CompiledMonitor, CompiledMultiClock, Monitor, MultiClockMonitor,
-    ProofReport, SynthOptions,
+    implication_monitors, optimize, prove_implication, synthesize, synthesize_multiclock,
+    CompileOptions, CompiledImplication, CompiledMonitor, CompiledMultiClock, Monitor,
+    MultiClockMonitor, ProofReport, SynthOptions,
 };
-use cesc_expr::{SymbolId, Valuation};
+use cesc_expr::Valuation;
 
 mod clock;
 
@@ -113,8 +113,8 @@ impl SpecOptions {
 }
 
 /// What the pass pipeline did to one compiled target, measured on the
-/// artifacts themselves: baseline (raw compile of the synthesized
-/// monitor) vs optimized tables.
+/// artifacts themselves: a raw compile of the synthesized monitor vs
+/// the optimized tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PassReport {
     /// States `(before, after)`.
@@ -133,17 +133,17 @@ pub struct PassReport {
 }
 
 impl PassReport {
-    fn measure(baseline: &CompiledMonitor, optimized: &CompiledMonitor) -> Self {
+    fn measure(raw: &CompiledMonitor, optimized: &CompiledMonitor) -> Self {
         PassReport {
-            states: (baseline.state_count(), optimized.state_count()),
-            transitions: (baseline.transition_count(), optimized.transition_count()),
-            guard_ops: (baseline.program_op_count(), optimized.program_op_count()),
-            slots: (baseline.scoreboard_slots(), optimized.scoreboard_slots()),
-            step_cost: (baseline.step_cost(), optimized.step_cost()),
+            states: (raw.state_count(), optimized.state_count()),
+            transitions: (raw.transition_count(), optimized.transition_count()),
+            guard_ops: (raw.program_op_count(), optimized.program_op_count()),
+            slots: (raw.scoreboard_slots(), optimized.scoreboard_slots()),
+            step_cost: (raw.step_cost(), optimized.step_cost()),
         }
     }
 
-    fn measure_multi(baseline: &CompiledMultiClock, optimized: &CompiledMultiClock) -> Self {
+    fn measure_multi(raw: &CompiledMultiClock, optimized: &CompiledMultiClock) -> Self {
         let sum = |m: &CompiledMultiClock| {
             m.locals().iter().fold((0, 0, 0, 0), |acc, l| {
                 (
@@ -154,14 +154,14 @@ impl PassReport {
                 )
             })
         };
-        let b = sum(baseline);
+        let r = sum(raw);
         let o = sum(optimized);
         PassReport {
-            states: (b.0, o.0),
-            transitions: (b.1, o.1),
-            guard_ops: (b.2, o.2),
-            slots: (b.3, o.3),
-            step_cost: (baseline.step_cost(), optimized.step_cost()),
+            states: (r.0, o.0),
+            transitions: (r.1, o.1),
+            guard_ops: (r.2, o.2),
+            slots: (r.3, o.3),
+            step_cost: (raw.step_cost(), optimized.step_cost()),
         }
     }
 
@@ -194,17 +194,15 @@ impl fmt::Display for PassReport {
     }
 }
 
-/// Compiled artifact bundle of one basic chart: the (possibly
-/// optimized) automaton, its compacted batch tables, the raw baseline
-/// compilation for differential oracles, and the pass report.
+/// Compiled artifact bundle of one basic chart: the automaton as
+/// synthesized, the (possibly optimized) automaton a target executes,
+/// its compacted batch tables, and the pass report.
 #[derive(Debug, Clone)]
 pub struct ChartSpec {
     monitor: Monitor,
     synthesized: Monitor,
     compiled: CompiledMonitor,
-    baseline: CompiledMonitor,
     report: Option<PassReport>,
-    bounds: BoundsReport,
 }
 
 impl ChartSpec {
@@ -221,32 +219,20 @@ impl ChartSpec {
         &self.compiled
     }
 
-    /// The *unoptimized* compilation of the synthesized monitor — the
-    /// reference side of differential oracles (`cesc check --cosim`
-    /// proves optimized RTL ≡ this engine).
-    pub fn baseline(&self) -> &CompiledMonitor {
-        &self.baseline
-    }
-
     /// What the pass pipeline did, or `None` under `--no-opt`.
     pub fn report(&self) -> Option<&PassReport> {
         self.report.as_ref()
     }
 
     /// The monitor exactly as synthesized, before any optimization
-    /// pass. Static analyses (`cesc-lint`) run on this form so their
-    /// findings are identical with and without `--no-opt` — the
-    /// optimizer renumbers states and drops arms, which would
-    /// otherwise shift every finding's location.
+    /// pass. Static analyses (`cesc-lint`, the counter bounds) run on
+    /// this form so their findings are identical with and without
+    /// `--no-opt` — the optimizer renumbers states and drops arms,
+    /// which would otherwise shift every finding's location. Its raw
+    /// compile is the unoptimized engine differential oracles (the
+    /// `--cosim` leg) hold the optimized artifact to.
     pub fn synthesized(&self) -> &Monitor {
         &self.synthesized
-    }
-
-    /// The counter-bounds analysis of the synthesized monitor
-    /// (computed once at build time; sound for the optimized form
-    /// too, since passes only remove behaviors).
-    pub fn bounds(&self) -> &BoundsReport {
-        &self.bounds
     }
 }
 
@@ -257,8 +243,6 @@ pub struct MultiSpec {
     synthesized: MultiClockMonitor,
     compiled: CompiledMultiClock,
     report: Option<PassReport>,
-    local_bounds: Vec<BoundsReport>,
-    coupled_events: Vec<SymbolId>,
 }
 
 impl MultiSpec {
@@ -283,41 +267,6 @@ impl MultiSpec {
     pub fn synthesized(&self) -> &MultiClockMonitor {
         &self.synthesized
     }
-
-    /// Per-local counter-bounds analyses (computed on the synthesized
-    /// locals, with `Chk_evt` refinement off: through the shared
-    /// scoreboard another domain may change a count between local
-    /// ticks, so `Chk` guards prove nothing about local history).
-    pub fn local_bounds(&self) -> &[BoundsReport] {
-        &self.local_bounds
-    }
-
-    /// Events written (`Add_evt`/`Del_evt`) by more than one local
-    /// monitor. A coupled event has no per-local bound — interleaved
-    /// writers make any single-automaton fixpoint unsound — so its
-    /// effective bound is unbounded.
-    pub fn coupled_events(&self) -> &[SymbolId] {
-        &self.coupled_events
-    }
-
-    /// The sound shared-scoreboard bound of event `e`: the writing
-    /// local's inferred interval when exactly one local writes `e`,
-    /// `[0, ∞]` when several do, `[0, 0]` when none does (`Chk`-only
-    /// traffic never changes a count), `None` when no local touches
-    /// `e` at all.
-    pub fn shared_bound(&self, e: SymbolId) -> Option<Bound> {
-        if self.coupled_events.contains(&e) {
-            return Some(Bound { lo: 0, hi: None });
-        }
-        let mut touched = false;
-        for (local, bounds) in self.synthesized.locals().iter().zip(&self.local_bounds) {
-            if local.written_events().contains(&e) {
-                return bounds.bound_for(e);
-            }
-            touched |= bounds.bound_for(e).is_some();
-        }
-        touched.then(|| Bound::exact(0))
-    }
 }
 
 /// Compiled artifact bundle of one `implies(...)` assertion: the two
@@ -333,8 +282,6 @@ pub struct AssertSpec {
     compiled: CompiledImplication,
     synthesized_antecedent: Monitor,
     synthesized_consequent: Monitor,
-    antecedent_bounds: BoundsReport,
-    consequent_bounds: BoundsReport,
 }
 
 impl AssertSpec {
@@ -377,16 +324,6 @@ impl AssertSpec {
     /// pass — the form static analyses run on.
     pub fn synthesized_consequent(&self) -> &Monitor {
         &self.synthesized_consequent
-    }
-
-    /// Counter-bounds analysis of the antecedent monitor.
-    pub fn antecedent_bounds(&self) -> &BoundsReport {
-        &self.antecedent_bounds
-    }
-
-    /// Counter-bounds analysis of the consequent monitor.
-    pub fn consequent_bounds(&self) -> &BoundsReport {
-        &self.consequent_bounds
     }
 }
 
@@ -441,7 +378,7 @@ fn listed(items: Vec<&str>) -> String {
 
 /// Whether a composition is checkable as an assertion (an
 /// `implies(...)`).
-pub fn assert_capable(c: &Cesc) -> bool {
+fn assert_capable(c: &Cesc) -> bool {
     matches!(c, Cesc::Implication(_, _))
 }
 
@@ -572,7 +509,7 @@ impl SpecSet {
     }
 
     /// The canonical "not found" error listing every available target.
-    pub fn unknown_target(&self, name: &str) -> SpecError {
+    fn unknown_target(&self, name: &str) -> SpecError {
         let charts = listed(self.doc.charts.iter().map(Scesc::name).collect());
         let multis = listed(self.doc.multiclock.iter().map(|m| m.name()).collect());
         let asserts = listed(
@@ -624,35 +561,30 @@ impl SpecSet {
     fn build_chart(&self, idx: usize) -> Result<ChartSpec, SpecError> {
         let obs = &self.options.obs;
         let chart = &self.doc.charts[idx];
-        let (monitor, baseline, bounds) = {
+        let (synthesized, raw) = {
             let _span = obs.span("compile");
-            let monitor = synthesize(chart, &self.options.synth)
+            let synthesized = synthesize(chart, &self.options.synth)
                 .map_err(|e| SpecError::Compile(e.to_string()))?;
-            let baseline = monitor.compiled_with(&CompileOptions::raw());
-            let bounds = infer_bounds(&monitor, &BoundsOptions::default());
-            (monitor, baseline, bounds)
+            let raw = synthesized.compiled_with(&CompileOptions::raw());
+            (synthesized, raw)
         };
         Ok(if self.options.optimize {
             let _span = obs.span("optimize");
-            let (opt, _) = optimize(&monitor);
-            let compiled = opt.compiled_with(&CompileOptions::optimized());
-            let report = PassReport::measure(&baseline, &compiled);
+            let (monitor, _) = optimize(&synthesized);
+            let compiled = monitor.compiled_with(&CompileOptions::optimized());
+            let report = PassReport::measure(&raw, &compiled);
             ChartSpec {
-                monitor: opt,
-                synthesized: monitor,
+                monitor,
+                synthesized,
                 compiled,
-                baseline,
                 report: Some(report),
-                bounds,
             }
         } else {
             ChartSpec {
-                monitor: monitor.clone(),
-                synthesized: monitor,
-                compiled: baseline.clone(),
-                baseline,
+                monitor: synthesized.clone(),
+                synthesized,
+                compiled: raw,
                 report: None,
-                bounds,
             }
         })
     }
@@ -674,63 +606,36 @@ impl SpecSet {
     fn build_multi(&self, idx: usize) -> Result<MultiSpec, SpecError> {
         let obs = &self.options.obs;
         let spec = &self.doc.multiclock[idx];
-        let compile_span = obs.span("compile");
-        let monitor = synthesize_multiclock(spec, &self.options.synth)
-            .map_err(|e| SpecError::Compile(e.to_string()))?;
-        // per-local bounds run with Chk refinement off (shared
-        // scoreboard: other domains may write between local ticks)
-        let local_opts = BoundsOptions {
-            chk_refinement: false,
-            ..BoundsOptions::default()
+        let (synthesized, raw) = {
+            let _span = obs.span("compile");
+            let synthesized = synthesize_multiclock(spec, &self.options.synth)
+                .map_err(|e| SpecError::Compile(e.to_string()))?;
+            let raw = CompiledMultiClock::with_options(&synthesized, &CompileOptions::raw());
+            (synthesized, raw)
         };
-        let local_bounds: Vec<BoundsReport> = monitor
-            .locals()
-            .iter()
-            .map(|m| infer_bounds(m, &local_opts))
-            .collect();
-        let mut coupled_events: Vec<SymbolId> = Vec::new();
-        let mut seen: Vec<SymbolId> = Vec::new();
-        for local in monitor.locals() {
-            for e in local.written_events() {
-                if seen.contains(&e) {
-                    if !coupled_events.contains(&e) {
-                        coupled_events.push(e);
-                    }
-                } else {
-                    seen.push(e);
-                }
-            }
-        }
         Ok(if self.options.optimize {
-            let baseline = CompiledMultiClock::with_options(&monitor, &CompileOptions::raw());
-            drop(compile_span);
             let _span = obs.span("optimize");
-            let locals: Vec<Monitor> = monitor
+            let locals: Vec<Monitor> = synthesized
                 .locals()
                 .iter()
                 .map(|m| optimize(m).0)
                 .collect();
-            let opt = MultiClockMonitor::from_locals(monitor.name(), locals);
+            let monitor = MultiClockMonitor::from_locals(synthesized.name(), locals);
             let compiled =
-                CompiledMultiClock::with_options(&opt, &CompileOptions::optimized());
-            let report = PassReport::measure_multi(&baseline, &compiled);
+                CompiledMultiClock::with_options(&monitor, &CompileOptions::optimized());
+            let report = PassReport::measure_multi(&raw, &compiled);
             MultiSpec {
-                monitor: opt,
-                synthesized: monitor,
+                monitor,
+                synthesized,
                 compiled,
                 report: Some(report),
-                local_bounds,
-                coupled_events,
             }
         } else {
-            let compiled = CompiledMultiClock::with_options(&monitor, &CompileOptions::raw());
             MultiSpec {
-                monitor: monitor.clone(),
-                synthesized: monitor,
-                compiled,
+                monitor: synthesized.clone(),
+                synthesized,
+                compiled: raw,
                 report: None,
-                local_bounds,
-                coupled_events,
             }
         })
     }
@@ -771,9 +676,6 @@ impl SpecSet {
         let (synthesized_antecedent, synthesized_consequent) =
             implication_monitors(cesc, &self.options.synth)
                 .map_err(|e| SpecError::Compile(format!("assert `{name}`: {e}")))?;
-        let bounds_opts = BoundsOptions::default();
-        let antecedent_bounds = infer_bounds(&synthesized_antecedent, &bounds_opts);
-        let consequent_bounds = infer_bounds(&synthesized_consequent, &bounds_opts);
         // as for charts: raw tables under `compile`, optimized ones
         // under `optimize`
         let (antecedent, consequent, compiled) = if self.options.optimize {
@@ -807,8 +709,6 @@ impl SpecSet {
             compiled,
             synthesized_antecedent,
             synthesized_consequent,
-            antecedent_bounds,
-            consequent_bounds,
         })
     }
 
@@ -911,7 +811,7 @@ mod tests {
         // the count table to the scoreboard symbols
         assert_eq!(report.states.0, report.states.1);
         assert!(report.slots.1 <= report.slots.0, "{report}");
-        assert!(spec.compiled().step_cost() <= spec.baseline().step_cost());
+        assert!(report.step_cost.1 <= report.step_cost.0, "{report}");
     }
 
     #[test]
@@ -928,7 +828,7 @@ mod tests {
         assert!(spec.report().is_none());
         assert_eq!(
             spec.compiled().scoreboard_slots(),
-            spec.baseline().scoreboard_slots()
+            spec.synthesized().compiled().scoreboard_slots()
         );
     }
 

@@ -311,7 +311,10 @@ fn read_line<R: BufRead>(
 
 /// Reads `$var` declarations up to `$enddefinitions` and binds every
 /// identifier code to the requested clocks and alphabet symbols it
-/// carries.
+/// carries. A requested clock with no declaration is
+/// [`VcdReadError::MissingClock`]; otherwise end of input before
+/// `$enddefinitions` is [`VcdReadError::Malformed`], so a dump cut off
+/// in its header, or missing the line, never reads as an empty trace.
 ///
 /// A declared name matches a clock or symbol either exactly or with a
 /// vector range stripped — both `data[7:0]` and the separate-token
@@ -330,6 +333,7 @@ fn parse_header<R: BufRead>(
     let mut declared = vec![false; clocks.len()];
     let mut buf = String::new();
     let mut in_comment = false;
+    let mut closed = false;
     while read_line(reader, &mut buf, lineno)? {
         let all: Vec<&str> = buf.split_whitespace().collect();
         let mut toks = &all[..];
@@ -389,12 +393,20 @@ fn parse_header<R: BufRead>(
                 }
             }
         } else if toks.first() == Some(&"$enddefinitions") {
+            closed = true;
             break;
         }
     }
     if let Some(ci) = declared.iter().position(|&d| !d) {
         return Err(VcdReadError::MissingClock {
             name: clocks[ci].name.clone(),
+        });
+    }
+    if !closed {
+        return Err(VcdReadError::Malformed {
+            line: *lineno,
+            message: "end of input before `$enddefinitions`: the header was never closed"
+                .to_owned(),
         });
     }
     Ok(codes)
@@ -965,6 +977,36 @@ b10000000 \"
             let err = clk_stream(vcd, &ab).unwrap_err();
             assert!(matches!(err, VcdReadError::Malformed { line: 1, .. }), "{err}");
         }
+    }
+
+    #[test]
+    fn unclosed_header_errors_and_a_closed_bodiless_header_reads_empty() {
+        let (ab, _, _) = setup();
+        // a full body with the `$enddefinitions` line dropped, and a
+        // dump cut off inside its header
+        for (vcd, lines) in [
+            (
+                "$var wire 1 ! clk $end\n$var wire 1 \" req $end\n#0\n1!\n1\"\n#5\n0!\n",
+                7,
+            ),
+            (
+                "$timescale 1ns $end\n$scope module top $end\n$var wire 1 ! clk $end\n",
+                3,
+            ),
+        ] {
+            let err = read_vcd(vcd, &ab, "clk").unwrap_err();
+            match err {
+                VcdReadError::Malformed { line, message } => {
+                    assert_eq!(line, lines, "{message}");
+                    assert!(message.contains("never closed"), "{message}");
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        let closed = "$var wire 1 ! clk $end\n$enddefinitions $end\n";
+        assert!(read_vcd(closed, &ab, "clk").unwrap().is_empty());
+        let mut stream = clk_stream(closed, &ab).unwrap();
+        assert!(drain(&mut stream, 4).is_empty());
     }
 
     #[test]

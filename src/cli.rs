@@ -33,18 +33,19 @@
 //! second one: on the caller thread, each decoded chunk also drives
 //! every basic chart's *interpreted emitted RTL* (`cesc-rtl`, lowered
 //! from the **optimized** monitor) in lock-step with its
-//! **unoptimized** batch engine ([`cesc_spec::ChartSpec::baseline`]),
-//! and the pair's agreed counts must equal the sharded fleet's verdict
-//! for that chart. The leg composes with `--jobs`, `--json` and
-//! `--progress`, so every `--cosim` run is an end-to-end oracle for
-//! the pass pipeline and for the verdict users get.
+//! **unoptimized** batch engine (a raw compile of
+//! [`cesc_spec::ChartSpec::synthesized`]), and the pair's agreed
+//! counts must equal the sharded fleet's verdict for that chart. The
+//! leg composes with `--jobs`, `--json` and `--progress`, so every
+//! `--cosim` run is an end-to-end oracle for the pass pipeline and for
+//! the verdict users get.
 
 use std::fmt;
 use std::io::BufRead;
 use std::path::Path;
 
 use cesc_chart::{render_ascii, Scesc};
-use cesc_core::{analyze, to_dot, Verdict, BATCH_CHUNK};
+use cesc_core::{analyze, infer_bounds, to_dot, BoundsOptions, BoundsReport, Verdict, BATCH_CHUNK};
 use cesc_expr::Valuation;
 use cesc_hdl::{
     emit_sva_cover, emit_testbench, emit_verilog, lower_monitor, sva_loses_scoreboard,
@@ -279,7 +280,8 @@ fn synth_one(
                 stats.del_slots,
                 stats.is_clean()
             );
-            out.push_str(&bounds_summary(spec.bounds(), &doc.alphabet));
+            let bounds = infer_bounds(spec.synthesized(), &BoundsOptions::default());
+            out.push_str(&bounds_summary(&bounds, &doc.alphabet));
             match spec.report() {
                 Some(report) => out.push_str(&format!("opt: {report}\n")),
                 None => out.push_str("opt: disabled (--no-opt)\n"),
@@ -307,9 +309,10 @@ fn synth_one(
 }
 
 /// The `bounds:` line of the synth summary: the inferred per-event
-/// count intervals (from [`cesc_spec::ChartSpec::bounds`], computed on
-/// the monitor as synthesized) plus the RTL counter width they imply.
-fn bounds_summary(bounds: &cesc_core::BoundsReport, ab: &cesc_expr::Alphabet) -> String {
+/// count intervals ([`infer_bounds`] on
+/// [`cesc_spec::ChartSpec::synthesized`], the monitor as synthesized)
+/// plus the RTL counter width they imply.
+fn bounds_summary(bounds: &BoundsReport, ab: &cesc_expr::Alphabet) -> String {
     let intervals: Vec<String> = bounds
         .bounds()
         .map(|(e, b)| format!("{} in {b}", ab.name(e)))
@@ -773,7 +776,8 @@ pub fn check_fleet(
             let clock = plan.slot_of(chart.clock()).expect("every chart registered its clock");
             let vopts = VerilogOptions::default();
             let module = lower_monitor(spec.monitor(), specs.alphabet(), &vopts);
-            units.push((slot, ClockId::from_index(clock), module, spec.baseline()));
+            let raw = spec.synthesized().compiled();
+            units.push((slot, ClockId::from_index(clock), module, raw));
         }
     }
     if opts.cosim && units.is_empty() {
@@ -785,7 +789,7 @@ pub fn check_fleet(
     }
     let mut sims: Vec<(usize, ClockId, CoSim<'_>)> = units
         .iter()
-        .map(|(slot, clock, module, engine)| (*slot, *clock, CoSim::new(module, engine)))
+        .map(|(slot, clock, module, raw)| (*slot, *clock, CoSim::new(module, raw)))
         .collect();
 
     // -- stream the dump through the sharded fleet -------------------

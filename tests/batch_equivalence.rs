@@ -19,11 +19,11 @@
 //! oracle, the interpreted `ImplicationChecker`.
 
 use cesc::core::{
-    optimize, synthesize, synthesize_multiclock, CompileOptions, CompiledImplication,
-    CompiledMonitor, ImplicationChecker, Monitor, MonitorBank, OverlapPolicy, SynthOptions,
-    VIOLATION_KEEP,
+    optimize, synthesize, synthesize_multiclock, Action, CompileOptions, CompiledImplication,
+    CompiledMonitor, ImplicationChecker, Monitor, MonitorBank, OverlapPolicy, StateId,
+    SynthOptions, Transition, TransitionKind, VIOLATION_KEEP,
 };
-use cesc::expr::{SymbolId, Valuation};
+use cesc::expr::{Expr, SymbolId, Valuation};
 use cesc::par::{plan_shards, scan_sharded_global, AssertSpec, Fleet, ParOptions};
 use cesc::prelude::{parse_document, Alphabet, ScescBuilder};
 use cesc::trace::{
@@ -218,6 +218,49 @@ fn wide_doc() -> cesc::chart::Document {
     .unwrap()
 }
 
+/// A hand-built monitor whose stay arm sits behind a `Chk_evt` guard,
+/// over trace bits `a`, `b`, `c`, `d` (0–3) and board-only events `x`,
+/// `y`. From s0, `a` adds `x` and enters s1, `c` enters s1 without it.
+/// s1 stays on `!b ∧ Chk(x)`, so its idle-run scan holds only while `x`
+/// is on the board; without `x` the fallback deletes it (underflow)
+/// and returns to s0. The prefix arm `d ∧ Chk(y)` never fires.
+fn chk_stay_monitor() -> Monitor {
+    let mut ab = Alphabet::new();
+    let [a, b, c, d, x, y] = ["a", "b", "c", "d", "x", "y"].map(|n| ab.event(n));
+    let arm = |guard: Expr, actions: Vec<Action>, target: usize| Transition {
+        guard,
+        actions,
+        target: StateId::from_index(target),
+        kind: TransitionKind::Backward,
+    };
+    Monitor::from_parts(
+        "chk_stay",
+        "clk",
+        vec![
+            vec![
+                arm(Expr::sym(a), vec![Action::AddEvt(vec![x])], 1),
+                arm(Expr::sym(c), vec![], 1),
+                arm(Expr::t(), vec![], 0),
+            ],
+            vec![
+                arm(
+                    Expr::and([Expr::sym(b), Expr::chk(x)]),
+                    vec![Action::DelEvt(vec![x])],
+                    2,
+                ),
+                arm(Expr::and([Expr::sym(d), Expr::chk(y)]), vec![], 0),
+                arm(Expr::and([!Expr::sym(b), Expr::chk(x)]), vec![], 1),
+                arm(Expr::t(), vec![Action::DelEvt(vec![x])], 0),
+            ],
+            vec![arm(Expr::t(), vec![], 0)],
+        ],
+        StateId::from_index(0),
+        StateId::from_index(2),
+        vec![],
+        vec![x],
+    )
+}
+
 /// `BatchExec::feed` in `chunking` against a loop of `BatchExec::step`
 /// on a second executor of the same table: same hits, ticks, final
 /// state and underflows.
@@ -335,7 +378,8 @@ proptest! {
     /// `BatchExec::feed`, which advances idle runs by a mask-only scan,
     /// equals a loop of per-tick `BatchExec::step` under any chunking:
     /// random pattern charts, a scoreboard chart, a disjunctive-guard
-    /// chart and a 65-symbol chart, compiled raw and optimized.
+    /// chart, a stay arm behind a `Chk_evt` guard and a 65-symbol
+    /// chart, compiled raw and optimized.
     #[test]
     fn feed_equals_per_tick_step(
         pattern in arb_pattern(),
@@ -350,6 +394,7 @@ proptest! {
         for (doc, name) in [(causality_doc(), "cz"), (disjunctive_doc(), "dj")] {
             monitors.push(synthesize(doc.chart(name).unwrap(), &SynthOptions::default()).unwrap());
         }
+        monitors.push(chk_stay_monitor());
         for m in &monitors {
             for opts in [CompileOptions::raw(), CompileOptions::optimized()] {
                 feed_equals_step(&m.compiled_with(&opts), trace.as_slice(), &chunking)?;

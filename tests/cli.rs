@@ -550,6 +550,29 @@ fn fleet_binary_refuses_a_vector_clock() {
 }
 
 #[test]
+fn fleet_binary_refuses_a_header_that_never_closes() {
+    // a dump missing its `$enddefinitions` line, and one cut off in
+    // its header, are refused rather than read as zero steps
+    let header = "$var wire 1 ! clk $end\n$var wire 1 \" req $end\n$var wire 1 # ack $end\n";
+    let body = "#0\n1\"\n1!\n#5\n0!\n1#\n#10\n1!\n#15\n0!\n";
+    for (vcd, tag, line) in [
+        (format!("{header}{body}"), "no-enddefinitions", 13),
+        (header.to_owned(), "cut-header", 3),
+    ] {
+        let (stdout, stderr, code) = check_handshake_binary(&vcd, tag);
+        assert_eq!(code, Some(1), "{stdout}");
+        assert_eq!(stdout, "");
+        assert_eq!(
+            stderr,
+            format!(
+                "cesc: malformed VCD at line {line}: end of input before `$enddefinitions`: \
+                 the header was never closed\n"
+            )
+        );
+    }
+}
+
+#[test]
 fn fleet_binary_cosim_composes_with_json_jobs_and_progress() {
     // `--cosim` rides the fleet route in the release binary: it takes
     // `--json`, `--jobs` and `--progress`, adds a `cosim` object to

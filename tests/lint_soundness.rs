@@ -43,7 +43,7 @@ fn assert_bounds_cover(set: &SpecSet, trace: &[Valuation], ctx: &str) {
     for idx in 0..set.document().charts.len() {
         let Ok(spec) = set.chart_spec(idx) else { continue };
         let monitor = spec.synthesized();
-        let bounds = spec.bounds();
+        let bounds = infer_bounds(monitor, &BoundsOptions::default());
         let maxima = observed_maxima(monitor, trace);
         for (slot, &e) in monitor.scoreboard_events().iter().enumerate() {
             let Some(bound) = bounds.bound_for(e) else { continue };

@@ -361,7 +361,8 @@ proptest! {
         let spec = specs.chart_spec(0).unwrap();
 
         let mut baseline_hits = Vec::new();
-        let mut baseline = spec.baseline().executor();
+        let raw = spec.synthesized().compiled();
+        let mut baseline = raw.executor();
         baseline.feed(&trace, &mut baseline_hits);
 
         let (hits, ticks, underflows) = run_chunked(spec.compiled(), &trace, &chunking);
@@ -439,7 +440,8 @@ proptest! {
         let spec = specs.chart_spec(0).unwrap();
 
         let module = lower_monitor(spec.monitor(), &ab, &VerilogOptions::default());
-        let mut cosim = CoSim::new(&module, spec.baseline());
+        let raw = spec.synthesized().compiled();
+        let mut cosim = CoSim::new(&module, &raw);
         let mut at = 0usize;
         for &len in &chunking {
             let end = (at + len).min(trace.len());

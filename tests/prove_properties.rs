@@ -162,7 +162,8 @@ fn product_reachability_covers_lockstep_execution() {
         if symbols.len() > 4 {
             continue;
         }
-        let product = product_reachability(spec_a.baseline(), spec_b.baseline(), None, None, false);
+        let (raw_a, raw_b) = (ma.compiled(), mb.compiled());
+        let product = product_reachability(&raw_a, &raw_b, None, None, false);
 
         // enumerate every trace of length 4 over the union symbols and
         // record the state pairs the two engines pass through
